@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .diagnostics import STOPPING_FUNCTIONALS
 from .noise import NoiseSpec, additive_single_mode_noise, example1_noise, example2_noise, zero_noise
 from .operators import PhysicsParams
 from .solver import InitSpec, SolverConfig
@@ -85,11 +86,7 @@ SCHEMA = {
     "forcing.ky": (int, 0),
     "forcing.m": (int, 0),
     "forcing.amplitude": (float, 0.0),
-    "stopping.weak": (str, ""),
-    "stopping.vtilde_l6": (str, ""),
-    "stopping.grad_vbar": (str, ""),
-    "stopping.dz_v": (str, ""),
-    "stopping.temperature": (str, ""),
+    **{f"stopping.{name}": (str, "") for name in STOPPING_FUNCTIONALS},
     "stopping.blowup": (str, ""),  # comma-separated levels
 }
 
@@ -168,7 +165,7 @@ def _build_noise(values: dict, grid: Grid) -> NoiseSpec:
 
 def _parse_levels(values: dict) -> tuple:
     levels = {}
-    for name in ("weak", "vtilde_l6", "grad_vbar", "dz_v", "temperature"):
+    for name in STOPPING_FUNCTIONALS:
         raw = values[f"stopping.{name}"]
         if raw:
             levels[name] = float(raw)

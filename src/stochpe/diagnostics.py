@@ -92,6 +92,10 @@ class DiagnosticRecord:
     int_T_funcs: float = 0.0
     # instantaneous integrands that are not plain products of the columns
     extras: dict = field(default_factory=dict, repr=False, compare=False)
+    # cumulative stopping functionals, accumulated like the int_* columns
+    stopping: dict = field(
+        default_factory=lambda: dict.fromkeys(STOPPING_FUNCTIONALS, 0.0), repr=False, compare=False
+    )
 
     def row(self) -> list:
         return [getattr(self, c) for c in CSV_COLUMNS]
@@ -124,13 +128,14 @@ def _grid_quadrature_functionals(state: SpectralState) -> dict:
 
 def record(
     state: SpectralState,
-    ustar: SpectralState | None = None,
+    dist: float = 0.0,
     theta_value: float = 1.0,
     forcing_weak: float = 0.0,
     prev: DiagnosticRecord | None = None,
 ) -> DiagnosticRecord:
-    """Evaluate every monitored functional; chain ``prev`` to accumulate the
-    cumulative integrals by the trapezoid rule."""
+    """Evaluate every monitored functional at cutoff distance ``dist``; chain
+    ``prev`` to accumulate the int_* columns and the stopping functionals by
+    the trapezoid rule."""
     g = state.grid
     spec = g.spec
     quad = _grid_quadrature_functionals(state)
@@ -152,8 +157,6 @@ def record(
     )
     g3dzv = grad3_dz_sq(state, (0, 1))
     dzT_a_sq = grad3_dz_sq(state, (2,), mu=spec.mu, nu=spec.nu)
-
-    dist = float(np.sqrt(v_norm_sq(SpectralState(g, state.coeffs - ustar.coeffs)))) if ustar is not None else 0.0
 
     rec = DiagnosticRecord(
         t=state.time,
@@ -197,10 +200,12 @@ def record(
         rec.int_dzv_grad_dzv = prev.int_dzv_grad_dzv + trap(
             prev.dz_v_L2_2 * prev.grad3_dz_v_L2_2, rec.dz_v_L2_2 * rec.grad3_dz_v_L2_2
         )
-        rec.int_T_funcs = prev.int_T_funcs + trap(
-            prev.L6_T_6 + prev.extras["dz_T_L2_2"] * prev.extras["dzT_a_sq"],
-            rec.L6_T_6 + rec.extras["dz_T_L2_2"] * rec.extras["dzT_a_sq"],
-        )
+        before, now = stopping_integrands(prev), stopping_integrands(rec)
+        rec.stopping = {
+            name: prev.stopping[name] + trap(before[name], now[name]) for name in STOPPING_FUNCTIONALS
+        }
+        # the temperature functional integrates exactly the int_T_funcs integrand
+        rec.int_T_funcs = rec.stopping["temperature"]
     return rec
 
 

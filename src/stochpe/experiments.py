@@ -15,7 +15,7 @@ import numpy as np
 
 from .diagnostics import summarize_ensemble
 from .noise import WienerStream
-from .solver import SolverConfig, Stepper, Trajectory, initial_state, run_trajectory
+from .solver import BlowUpError, SolverConfig, Trajectory, initial_state, run_trajectory
 from .spectral import SpectralState, h_norm_sq, v_norm_sq
 
 __all__ = [
@@ -207,16 +207,13 @@ def convergence_study(cfg: SolverConfig, dt_list, n_paths: int = 4) -> dict:
         fine_incr = np.stack([stream.sample(j, ref_dt) for j in range(n_ref)])
 
         def run_with_dt(dt: float) -> SpectralState:
-            c = replace(cfg, dt=dt)
-            stepper = Stepper(c, U0)
-            U = stepper.initial()
-            block = round(dt / ref_dt)
+            # one stored stride: only the final state is wanted
             n = round(cfg.t_end / dt)
-            for j in range(n):
-                dW = fine_incr[j * block : (j + 1) * block].sum(axis=0)
-                theta_val, _ = stepper.theta_of(U, stepper.ustar_at(U.time))
-                U, _, _ = stepper.advance(U, theta_val, dW)
-            return U
+            c = replace(cfg, dt=dt, store_stride=n, terminate_on_tau=False, track_ito=False, store_states=False)
+            traj = run_trajectory(c, U0, increments=fine_incr.reshape(n, -1, cfg.noise.K).sum(axis=1))
+            if traj.blowup:
+                raise BlowUpError(f"nonfinite state at t = {traj.blowup_time} (dt = {dt:g})")
+            return traj.final_state
 
         ref = run_with_dt(ref_dt)
         for d in dts:

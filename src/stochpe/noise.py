@@ -35,6 +35,7 @@ from .operators import average_A3, leray_project
 from .spectral import (
     Grid,
     SpectralState,
+    add_cos_mode,
     da_norm_sq,
     grad3_dz_sq,
     h_norm_sq,
@@ -186,19 +187,6 @@ def zero_noise(grid: Grid, K: int = 1) -> NoiseSpec:
     return NoiseSpec(grid, "zero", phi, psi, chi, alpha)
 
 
-def _set_cos_mode(grid: Grid, arr: np.ndarray, kx: int, ky: int, m: int, amp: float):
-    """Write amp*cos(k.x)*cos(m pi z/h) into a coefficient array in place."""
-    ix = int(np.where(grid.kx_int == kx)[0][0])
-    iy = int(np.where(grid.ky_int == ky)[0][0])
-    if kx == 0 and ky == 0:
-        arr[ix, iy, m] += amp
-    else:
-        jx = int(np.where(grid.kx_int == -kx)[0][0])
-        jy = int(np.where(grid.ky_int == -ky)[0][0])
-        arr[ix, iy, m] += 0.5 * amp
-        arr[jx, jy, m] += 0.5 * amp
-
-
 def _direction_weights(K: int, decay: float) -> np.ndarray:
     w = np.arange(1, K + 1, dtype=float) ** (-decay)
     return w / np.sqrt(np.sum(w**2))
@@ -227,7 +215,7 @@ def _chi_field(grid: Grid, k: int, amp: float) -> np.ndarray:
     out = np.zeros((2, grid.nkx, grid.nky, grid.nm), dtype=np.complex128)
     for c in range(2):
         if u[c] != 0.0:
-            _set_cos_mode(grid, out[c], a, b, m, amp * u[c])
+            add_cos_mode(grid, out[c], a, b, m, amp * u[c])
     return out
 
 
@@ -259,9 +247,9 @@ def example1_noise(
         else:
             a, b = _wave(grid, k, osc)
             m = min(osc, grid.spec.M)
-            _set_cos_mode(grid, phi[k, 0], a, b, m, amp_phi * w[k] * ux)
-            _set_cos_mode(grid, phi[k, 1], a, b, m, amp_phi * w[k] * uy)
-            _set_cos_mode(grid, psi[k], a, b, m, amp_psi * w[k])
+            add_cos_mode(grid, phi[k, 0], a, b, m, amp_phi * w[k] * ux)
+            add_cos_mode(grid, phi[k, 1], a, b, m, amp_phi * w[k] * uy)
+            add_cos_mode(grid, psi[k], a, b, m, amp_psi * w[k])
         if amp_chi:
             chi[k] = _chi_field(grid, k, amp_chi * w[k])
         alpha[k] = amp_alpha * w[k]
@@ -288,8 +276,8 @@ def example2_noise(
             phi[k, 1, 0, 0, 0] = amp_phi * w[k] * uy
         else:
             a, b = _wave(grid, k, osc)
-            _set_cos_mode(grid, phi[k, 0], a, b, 0, amp_phi * w[k] * ux)
-            _set_cos_mode(grid, phi[k, 1], a, b, 0, amp_phi * w[k] * uy)
+            add_cos_mode(grid, phi[k, 0], a, b, 0, amp_phi * w[k] * ux)
+            add_cos_mode(grid, phi[k, 1], a, b, 0, amp_phi * w[k] * uy)
         if amp_chi:
             chi[k] = _chi_field(grid, k, amp_chi * w[k])
         alpha[k] = amp_alpha * w[k]
@@ -302,7 +290,7 @@ def additive_single_mode_noise(
     """One additive direction on a single divergence-free mode (no state feedback)."""
     phi, psi, chi, alpha = _empty_fields(grid, 1)
     comp = {"v1": 0, "v2": 1}[field_name]
-    _set_cos_mode(grid, chi[0, comp], kx, ky, m, amplitude)
+    add_cos_mode(grid, chi[0, comp], kx, ky, m, amplitude)
     return NoiseSpec(grid, "example1", phi, psi, chi, alpha)
 
 

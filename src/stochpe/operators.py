@@ -88,19 +88,19 @@ def leray_project(state: SpectralState) -> SpectralState:
     """
     g = state.grid
     out = state.coeffs.copy()
-    kx = g.kx_phys[:, None]
-    ky = g.ky_phys[None, :]
-    ksq = np.where(g.ksq_h == 0.0, 1.0, g.ksq_h)
-    v1 = out[0, :, :, 0]
-    v2 = out[1, :, :, 0]
-    d = (kx * v1 + ky * v2) / ksq
-    v1p = v1 - kx * d
-    v2p = v2 - ky * d
-    v1p[0, 0] = 0.0
-    v2p[0, 0] = 0.0
-    out[0, :, :, 0] = v1p
-    out[1, :, :, 0] = v2p
+    out[:2, :, :, 0] = _barotropic_leray(g, out[:2, :, :, 0])
     return SpectralState(g, out, state.time)
+
+
+def _barotropic_leray(grid: Grid, c2d: np.ndarray) -> np.ndarray:
+    """v - k (k.v)/|k|^2 on 2D velocity coefficients (2, nkx, nky), mean mode zeroed."""
+    kx = grid.kx_phys[:, None]
+    ky = grid.ky_phys[None, :]
+    ksq = np.where(grid.ksq_h == 0.0, 1.0, grid.ksq_h)
+    d = (kx * c2d[0] + ky * c2d[1]) / ksq
+    out = np.stack([c2d[0] - kx * d, c2d[1] - ky * d])
+    out[:, 0, 0] = 0.0
+    return out
 
 
 def barotropic_divergence(state: SpectralState) -> np.ndarray:
@@ -295,16 +295,6 @@ def _lift(grid: Grid, c2d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _leray_2d(grid: Grid, c2d: np.ndarray) -> np.ndarray:
-    kx = grid.kx_phys[:, None]
-    ky = grid.ky_phys[None, :]
-    ksq = np.where(grid.ksq_h == 0.0, 1.0, grid.ksq_h)
-    d = (kx * c2d[0] + ky * c2d[1]) / ksq
-    out = np.stack([c2d[0] - kx * d, c2d[1] - ky * d])
-    out[:, 0, 0] = 0.0
-    return out
-
-
 def baroclinic_rhs_terms(state: SpectralState, physics: PhysicsParams) -> dict:
     """Named right-hand-side terms of the depth-split velocity equations.
 
@@ -366,7 +356,7 @@ def recombine_split_rhs(grid: Grid, terms: dict) -> np.ndarray:
     rhs_bar = (
         bar["diffusion"] - bar["adv_vbar"] - bar["adv_tilde_avg"] - bar["coriolis"] - bar["buoyancy"]
     )
-    rhs_bar = _leray_2d(grid, rhs_bar)
+    rhs_bar = _barotropic_leray(grid, rhs_bar)
     rhs_tilde = (
         bc["diffusion"]
         - bc["adv_tilde_tilde"]

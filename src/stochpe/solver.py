@@ -28,12 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import (
-    STOPPING_FUNCTIONALS,
-    detect_stopping,
-    record,
-    stopping_integrands,
-)
+from .diagnostics import STOPPING_FUNCTIONALS, detect_stopping, record
 from .noise import NoiseSpec, WienerStream, apply_sigma, hs_norm_sq, zero_noise
 from .operators import PhysicsParams, bilinear_B, forcing_F, leray_project
 from .spectral import (
@@ -53,10 +48,7 @@ __all__ = [
     "BlowUpError",
     "cutoff_theta",
     "solve_linear_Ustar",
-    "drift_modified",
-    "drift_original",
     "Stepper",
-    "step",
     "initial_state",
     "run_trajectory",
 ]
@@ -160,14 +152,12 @@ class Trajectory:
     ito_integral: SpectralState | None = None
     ito_quadratic: float = 0.0
     n_steps_done: int = 0
-    _stopping: dict = field(default_factory=dict, repr=False)
 
     def series(self, name: str):
         """(times, values) of a stored column or stopping functional."""
         t = np.array([r.t for r in self.records])
         if name in STOPPING_FUNCTIONALS:
-            vals = np.array([self._stopping[name][i] for i in range(len(self.records))])
-            return t, vals
+            return t, np.array([r.stopping[name] for r in self.records])
         return t, np.array([getattr(r, name) for r in self.records])
 
 
@@ -204,31 +194,8 @@ def _pn_mask(cfg: SolverConfig) -> np.ndarray:
     return cfg.grid.rank < cfg.n_galerkin
 
 
-def _full_drift(state: SpectralState, cfg: SolverConfig, theta_val: float) -> SpectralState:
-    g = state.grid
-    coeffs = -g.lam[None] * state.coeffs
-    if cfg.advection and theta_val != 0.0:
-        coeffs = coeffs - theta_val * bilinear_B(state).coeffs
-    coeffs = coeffs - forcing_F(state, cfg.physics, cfg.forcing).coeffs
-    coeffs *= _pn_mask(cfg)
-    return SpectralState(g, coeffs, state.time)
-
-
-def drift_modified(state: SpectralState, ustar: SpectralState, cfg: SolverConfig) -> SpectralState:
-    """Galerkin drift with the advection cutoff evaluated at ||U - U*||."""
-    kappa = cfg.kappa_cutoff
-    if kappa is None or kappa <= 0:
-        raise ValueError("modified drift needs a positive cutoff radius")
-    dist = math.sqrt(v_norm_sq(SpectralState(state.grid, state.coeffs - ustar.coeffs)))
-    return _full_drift(state, cfg, cutoff_theta(dist, kappa))
-
-
-def drift_original(state: SpectralState, cfg: SolverConfig) -> SpectralState:
-    return _full_drift(state, cfg, 1.0)
-
-
 class Stepper:
-    """Precomputed one-step map; shared by trajectories and convergence studies."""
+    """The precomputed one-step map; ``run_trajectory`` is its only driver."""
 
     def __init__(self, cfg: SolverConfig, U0: SpectralState):
         self.cfg = cfg
@@ -265,15 +232,17 @@ class Stepper:
     def initial(self) -> SpectralState:
         return self.U0n.copy()
 
-    def ustar_at(self, t: float) -> SpectralState:
-        factor = np.exp(-self.grid.lam * (t - self.U0n.time))
-        return SpectralState(self.grid, self.U0n.coeffs * factor[None], t)
+    def distance(self, state: SpectralState) -> float:
+        """Cutoff distance ||U - U*|| to the free decay of U0 at the state's time."""
+        factor = np.exp(-self.grid.lam * (state.time - self.U0n.time))
+        diff = state.coeffs - self.U0n.coeffs * factor[None]
+        return math.sqrt(v_norm_sq(SpectralState(self.grid, diff)))
 
-    def theta_of(self, state: SpectralState, ustar: SpectralState):
-        dist = math.sqrt(v_norm_sq(SpectralState(self.grid, state.coeffs - ustar.coeffs)))
+    def theta(self, dist: float) -> float:
+        """Advection switch at cutoff distance ``dist`` (1 for the original equation)."""
         if self.cfg.equation == "modified":
-            return cutoff_theta(dist, self.kappa), dist
-        return 1.0, dist
+            return cutoff_theta(dist, self.kappa)
+        return 1.0
 
     def noise_columns(self, state: SpectralState):
         if self.cfg.noise.family == "zero":
@@ -285,26 +254,32 @@ class Stepper:
             col.coeffs *= self.mask
         return cols
 
-    def advance(self, state: SpectralState, theta_val: float, dW: np.ndarray):
-        """One step; returns (new state, noise increment coefficients, columns)."""
+    def explicit_drift(self, state: SpectralState, theta_val: float) -> np.ndarray | None:
+        """Galerkin-masked explicit drift -theta B(U) - F(U), or None where it
+        vanishes identically; the full drift is -lam U plus this."""
         cfg = self.cfg
-        g = self.grid
-        coeffs = state.coeffs.copy()
         expl = None
         if not self._skip_forcing:
             expl = -forcing_F(state, cfg.physics, cfg.forcing).coeffs
         if cfg.advection and theta_val != 0.0:
             badv = -theta_val * bilinear_B(state).coeffs
             expl = badv if expl is None else expl + badv
+        return None if expl is None else expl * self.mask
+
+    def advance(self, state: SpectralState, theta_val: float, dW: np.ndarray):
+        """One step; returns (new state, noise increment coefficients, columns)."""
+        cfg = self.cfg
+        g = self.grid
+        coeffs = state.coeffs.copy()
+        expl = self.explicit_drift(state, theta_val)
         cols = self.noise_columns(state)
+        incr = None
         if cols is not None:
             incr = np.zeros_like(coeffs)
             for k, col in enumerate(cols):
                 incr += dW[k] * col.coeffs
-        else:
-            incr = None
         if expl is not None:
-            coeffs += cfg.dt * (expl * self.mask)
+            coeffs += cfg.dt * expl
         if incr is not None:
             coeffs += incr
         coeffs *= self.lin
@@ -313,14 +288,6 @@ class Stepper:
         if not np.isfinite(out.coeffs.view(np.float64)).all():
             raise BlowUpError(f"nonfinite state at t = {out.time}")
         return out, incr, cols
-
-
-def step(state: SpectralState, cfg: SolverConfig, dW: np.ndarray) -> SpectralState:
-    """Single step from the given state (convenience wrapper)."""
-    stepper = Stepper(cfg, state)
-    theta_val, _ = stepper.theta_of(state, stepper.ustar_at(state.time))
-    new, _, _ = stepper.advance(state, theta_val, dW)
-    return new
 
 
 def initial_state(cfg: SolverConfig) -> SpectralState:
@@ -340,14 +307,21 @@ def initial_state(cfg: SolverConfig) -> SpectralState:
     raise ValueError(f"unknown init kind {init.kind!r}")
 
 
-def run_trajectory(cfg: SolverConfig, U0: SpectralState | None = None) -> Trajectory:
-    """Integrate one path, recording diagnostics and first-hitting times."""
+def run_trajectory(
+    cfg: SolverConfig, U0: SpectralState | None = None, increments: np.ndarray | None = None
+) -> Trajectory:
+    """Integrate one path, recording diagnostics and first-hitting times.
+
+    ``increments``, an (n_steps, K) array, replaces the Wiener stream's
+    draws (convergence studies feed block sums of a finer path)."""
     if U0 is None:
         U0 = initial_state(cfg)
     stepper = Stepper(cfg, U0)
     g = cfg.grid
     U = stepper.initial()
     n_steps = cfg.n_steps
+    if increments is not None and increments.shape != (n_steps, cfg.noise.K):
+        raise ValueError(f"increments must have shape {(n_steps, cfg.noise.K)}")
 
     forcing_weak = 0.0
     if cfg.forcing is not None:
@@ -357,13 +331,11 @@ def run_trajectory(cfg: SolverConfig, U0: SpectralState | None = None) -> Trajec
         fw += float(np.sum((1.0 + g.lam) ** 0.5 * np.abs(cfg.forcing.coeffs[2]) ** 2 * w))
         forcing_weak = fw
 
-    ustar = stepper.ustar_at(U.time)
-    theta_val, dist = stepper.theta_of(U, ustar)
-    rec = record(U, ustar, theta_val, forcing_weak)
+    # the cutoff distance is evaluated once per state and carried to the next step
+    dist = stepper.distance(U)
+    theta_val = stepper.theta(dist)
+    rec = record(U, dist, theta_val, forcing_weak)
     records = [rec]
-    stopping_cum = {name: 0.0 for name in STOPPING_FUNCTIONALS}
-    stopping_series = {name: [0.0] for name in STOPPING_FUNCTIONALS}
-    prev_integrands = stopping_integrands(rec)
     hits: dict = {name: None for name in STOPPING_FUNCTIONALS}
     hits["tau_cutoff"] = None
     for K in cfg.blowup_levels:
@@ -375,7 +347,6 @@ def run_trajectory(cfg: SolverConfig, U0: SpectralState | None = None) -> Trajec
     int_DA_V2 = 0.0
     prev_DA = rec.DA_sq
     prev_DA_V2 = rec.DA_sq * rec.V_sq ** ((cfg.apriori_p - 2.0) / 2.0)
-    prev_dist = dist
 
     ito_coeffs = np.zeros_like(U.coeffs) if cfg.track_ito else None
     ito_quad = 0.0
@@ -389,9 +360,12 @@ def run_trajectory(cfg: SolverConfig, U0: SpectralState | None = None) -> Trajec
     # guards below define the semantics
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps):
-            dW = stepper.stream.sample(j, cfg.dt) if cfg.noise.family != "zero" else np.zeros(cfg.noise.K)
-            ustar = stepper.ustar_at(U.time)
-            theta_val, dist = stepper.theta_of(U, ustar)
+            if increments is not None:
+                dW = increments[j]
+            elif cfg.noise.family != "zero":
+                dW = stepper.stream.sample(j, cfg.dt)
+            else:
+                dW = np.zeros(cfg.noise.K)
             try:
                 U, incr, cols = stepper.advance(U, theta_val, dW)
             except BlowUpError:
@@ -415,20 +389,21 @@ def run_trajectory(cfg: SolverConfig, U0: SpectralState | None = None) -> Trajec
                 break
             sup_V = max(sup_V, V_sq)
             sup_H = max(sup_H, H_sq)
+            # per-step trapezoids, finer than the stored stride that ``record`` uses
             int_DA += 0.5 * (prev_DA + DA_sq) * cfg.dt
             da_v2 = DA_sq * V_sq ** ((cfg.apriori_p - 2.0) / 2.0)
             int_DA_V2 += 0.5 * (prev_DA_V2 + da_v2) * cfg.dt
             prev_DA, prev_DA_V2 = DA_sq, da_v2
 
-            ustar_new = stepper.ustar_at(t)
-            dist_new = math.sqrt(v_norm_sq(SpectralState(g, U.coeffs - ustar_new.coeffs)))
+            dist_new = stepper.distance(U)
             if hits["tau_cutoff"] is None and dist_new >= stepper.kappa:
-                if dist_new == prev_dist:
+                if dist_new == dist:
                     hits["tau_cutoff"] = t
                 else:
-                    frac = (stepper.kappa - prev_dist) / (dist_new - prev_dist)
+                    frac = (stepper.kappa - dist) / (dist_new - dist)
                     hits["tau_cutoff"] = t - cfg.dt + min(max(frac, 0.0), 1.0) * cfg.dt
-            prev_dist = dist_new
+            dist = dist_new
+            theta_val = stepper.theta(dist)
 
             blow_val = sup_V + int_DA
             for K in cfg.blowup_levels:
@@ -436,30 +411,17 @@ def run_trajectory(cfg: SolverConfig, U0: SpectralState | None = None) -> Trajec
                 if hits[key] is None and blow_val >= K:
                     hits[key] = t
 
-            stored = (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps
-            if stored:
-                theta_now, _ = stepper.theta_of(U, ustar_new)
-                rec = record(U, ustar_new, theta_now, forcing_weak, prev=records[-1])
-                integrands = stopping_integrands(rec)
-                dt_block = rec.t - records[-1].t
-                for name in STOPPING_FUNCTIONALS:
-                    stopping_cum[name] += 0.5 * (prev_integrands[name] + integrands[name]) * dt_block
-                    stopping_series[name].append(stopping_cum[name])
-                prev_integrands = integrands
-                records.append(rec)
+            if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
+                records.append(record(U, dist, theta_val, forcing_weak, prev=records[-1]))
                 if states is not None:
                     states.append(U.copy())
 
             if cfg.terminate_on_tau and hits["tau_cutoff"] is not None:
                 break
 
-    times = np.array([r.t for r in records])
-    for name, K in cfg.stopping_levels.items():
-        hits[name] = detect_stopping(times, np.array(stopping_series[name]), K)
-
     traj = Trajectory(
         config=cfg,
-        times=times,
+        times=np.array([r.t for r in records]),
         records=records,
         hits=hits,
         blowup=blowup,
@@ -475,5 +437,6 @@ def run_trajectory(cfg: SolverConfig, U0: SpectralState | None = None) -> Trajec
         ito_quadratic=ito_quad,
         n_steps_done=steps_done,
     )
-    traj._stopping = {name: np.array(v) for name, v in stopping_series.items()}
+    for name, K in cfg.stopping_levels.items():
+        hits[name] = detect_stopping(*traj.series(name), K)
     return traj

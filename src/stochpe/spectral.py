@@ -50,6 +50,7 @@ __all__ = [
     "norms",
     "random_state",
     "single_mode_state",
+    "add_cos_mode",
 ]
 
 
@@ -593,14 +594,18 @@ def single_mode_state(
 ) -> SpectralState:
     """Real single-mode state amplitude*cos(k.x)*cos(m pi z/h) in one field."""
     st = grid.zero_state(time)
-    fidx = FIELDS.index(field)
+    add_cos_mode(grid, st.coeffs[FIELDS.index(field)], kx, ky, m, amplitude)
+    return st
+
+
+def add_cos_mode(grid: Grid, arr: np.ndarray, kx: int, ky: int, m: int, amp: float):
+    """Add amp*cos(k.x)*cos(m pi z/h) to one field's coefficients (nkx, nky, nm) in place."""
     ix = int(np.where(grid.kx_int == kx)[0][0])
     iy = int(np.where(grid.ky_int == ky)[0][0])
     if kx == 0 and ky == 0:
-        st.coeffs[fidx, ix, iy, m] = amplitude
+        arr[ix, iy, m] += amp
     else:
         jx = int(np.where(grid.kx_int == -kx)[0][0])
         jy = int(np.where(grid.ky_int == -ky)[0][0])
-        st.coeffs[fidx, ix, iy, m] = 0.5 * amplitude
-        st.coeffs[fidx, jx, jy, m] = 0.5 * amplitude
-    return st
+        arr[ix, iy, m] += 0.5 * amp
+        arr[jx, jy, m] += 0.5 * amp

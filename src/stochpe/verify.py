@@ -4,6 +4,9 @@ Each suite re-runs the structural identities of one subsystem on freshly
 generated random states and returns a machine-readable verdict.  A check on
 the pathological noise preset passes exactly when the hypothesis test fails
 there, i.e. designed failures are asserted as failures.
+
+The residual functions below are shared with the acceptance gate; each
+caller brings its own grid, random generator, sample count and tolerance.
 """
 
 from __future__ import annotations
@@ -47,7 +50,16 @@ from .spectral import (
     v_norm_sq,
 )
 
-__all__ = ["SUITES", "run_suite"]
+__all__ = [
+    "SUITES",
+    "run_suite",
+    "leray_residuals",
+    "split_exact",
+    "advection_residuals",
+    "recombination_residual",
+    "projection_violations",
+    "linear_flow_residuals",
+]
 
 
 def _check(name, passed, **info):
@@ -60,32 +72,34 @@ def _h2(st):
     return math.sqrt(h_norm_sq(st) + da_norm_sq(st))
 
 
-def suite_operators(grid: Grid | None = None) -> list:
-    g = grid or Grid(DomainSpec(N1=4, N2=4, M=4))
-    rng = np.random.default_rng(2024)
-    checks = []
-
+def leray_residuals(g: Grid, rng, n: int) -> tuple:
+    """Worst barotropic divergence and idempotence defect of the projection."""
     max_div = 0.0
     max_idem = 0.0
-    for _ in range(100):
+    for _ in range(n):
         st = leray_project(random_state(g, rng))
         max_div = max(max_div, float(np.abs(barotropic_divergence(st)).sum()))
-        again = leray_project(st)
-        max_idem = max(max_idem, float(np.abs(again.coeffs - st.coeffs).max()))
-    checks.append(_check("leray_divergence", max_div < 1e-12, max_divergence=max_div))
-    checks.append(_check("leray_idempotence", max_idem < 1e-14, max_change=max_idem))
+        max_idem = max(max_idem, float(np.abs(leray_project(st).coeffs - st.coeffs).max()))
+    return max_div, max_idem
 
+
+def split_exact(g: Grid, rng, n: int) -> bool:
+    """A3 U + R U == U bitwise, and R U has no depth mean, on n random states."""
     ok = True
-    for _ in range(50):
+    for _ in range(n):
         st = random_state(g, rng)
-        recon = average_A3(st).coeffs + fluctuation_R(st).coeffs
-        ok &= np.array_equal(recon, st.coeffs)
-        ok &= not fluctuation_R(st).coeffs[:, :, :, 0].any()
-    checks.append(_check("split_exactness", ok))
+        rst = fluctuation_R(st)
+        ok &= np.array_equal(average_A3(st).coeffs + rst.coeffs, st.coeffs)
+        ok &= not rst.coeffs[:, :, :, 0].any()
+    return bool(ok)
 
+
+def advection_residuals(g: Grid, rng, n: int) -> tuple:
+    """Worst relative |b(U, V, V)| and |b(U, V, W) + b(U, W, V)| over n
+    divergence-free triples, scaled by ||U|| |V|_H2 |W|_H2."""
     worst_cancel = 0.0
     worst_anti = 0.0
-    for _ in range(100):
+    for _ in range(n):
         U = leray_project(random_state(g, rng))
         Us = leray_project(random_state(g, rng))
         Ub = leray_project(random_state(g, rng))
@@ -94,6 +108,68 @@ def suite_operators(grid: Grid | None = None) -> list:
         a = abs(trilinear_b(U, Us, Ub) + trilinear_b(U, Ub, Us)) / max(nU * _h2(Us) * _h2(Ub), 1e-30)
         worst_cancel = max(worst_cancel, c)
         worst_anti = max(worst_anti, a)
+    return worst_cancel, worst_anti
+
+
+def recombination_residual(g: Grid, rng, n: int, phys: PhysicsParams) -> float:
+    """Worst gap between the recombined depth-split and the unsplit velocity
+    right-hand side, relative to the largest unsplit coefficient."""
+    worst = 0.0
+    for _ in range(n):
+        st = leray_project(random_state(g, rng))
+        combined = recombine_split_rhs(g, baroclinic_rhs_terms(st, phys))
+        unsplit = velocity_rhs_unsplit(st, phys)
+        worst = max(worst, float(np.abs(combined - unsplit).max()) / max(float(np.abs(unsplit).max()), 1e-300))
+    return worst
+
+
+def projection_violations(g: Grid, rng, n: int) -> int:
+    """Violations of the inverse/direct inequalities of P_n and Q_n between
+    H, V and D(A), on n random states with random cut-offs."""
+    lam_sorted = g.lam_sorted
+    violations = 0
+    for _ in range(n):
+        st = random_state(g, rng, zero_mean=False)
+        n_cut = int(rng.integers(1, g.n_modes_total + 1))
+        lam_n = lam_sorted[n_cut - 1]
+        qn = complement_q(st, n_cut)
+        pn = project_n(st, n_cut)
+        for s1, s2, lo_f, hi_f in ((0.0, 0.5, h_norm_sq, v_norm_sq), (0.5, 1.0, v_norm_sq, da_norm_sq)):
+            if lam_n > 0 and math.sqrt(lo_f(qn)) > lam_n ** (-(s2 - s1)) * math.sqrt(hi_f(qn)) * (1 + 1e-12):
+                violations += 1
+            if math.sqrt(hi_f(pn)) > lam_n ** (s2 - s1) * math.sqrt(lo_f(pn)) * (1 + 1e-12) + 1e-300:
+                violations += 1
+    return violations
+
+
+def linear_flow_residuals(cfg: SolverConfig) -> tuple:
+    """Largest absolute and relative modewise error of the stepped linear flow
+    at t_end against the exact decay, and the relative defect of the energy
+    identity |U*(T)|^2 + 2 int ||U*||^2 = |U0|^2 (Simpson, 2001 nodes)."""
+    from scipy.integrate import simpson
+
+    traj = run_trajectory(cfg)
+    U0 = Stepper(cfg, initial_state(cfg)).initial()
+    exact = solve_linear_Ustar(U0, [cfg.t_end])[0]
+    err = float(np.abs(traj.final_state.coeffs - exact.coeffs).max())
+    times = np.linspace(0.0, cfg.t_end, 2001)
+    flow = solve_linear_Ustar(U0, times)
+    lhs = h_norm_sq(flow[-1]) + 2.0 * simpson([v_norm_sq(s) for s in flow], x=times)
+    rhs = h_norm_sq(U0)
+    return err, err / float(np.abs(exact.coeffs).max()), abs(lhs - rhs) / rhs
+
+
+def suite_operators(grid: Grid | None = None) -> list:
+    g = grid or Grid(DomainSpec(N1=4, N2=4, M=4))
+    rng = np.random.default_rng(2024)
+    checks = []
+
+    max_div, max_idem = leray_residuals(g, rng, 100)
+    checks.append(_check("leray_divergence", max_div < 1e-12, max_divergence=max_div))
+    checks.append(_check("leray_idempotence", max_idem < 1e-14, max_change=max_idem))
+    checks.append(_check("split_exactness", split_exact(g, rng, 50)))
+
+    worst_cancel, worst_anti = advection_residuals(g, rng, 100)
     checks.append(_check("advection_cancellation", worst_cancel <= 1e-10, worst=worst_cancel))
     checks.append(_check("advection_antisymmetry", worst_anti <= 1e-10, worst=worst_anti))
 
@@ -108,29 +184,10 @@ def suite_operators(grid: Grid | None = None) -> list:
         worst_dual = max(worst_dual, abs(lhs - rhs) / max(abs(rhs), 1.0))
     checks.append(_check("advection_duality", worst_dual <= 1e-10, worst=worst_dual))
 
-    phys = PhysicsParams(f=0.7, beta_T=0.2)
-    worst_rec = 0.0
-    for _ in range(20):
-        st = leray_project(random_state(g, rng))
-        combined = recombine_split_rhs(g, baroclinic_rhs_terms(st, phys))
-        unsplit = velocity_rhs_unsplit(st, phys)
-        scale = max(float(np.abs(unsplit).max()), 1.0)
-        worst_rec = max(worst_rec, float(np.abs(combined - unsplit).max()) / scale)
+    worst_rec = recombination_residual(g, rng, 20, PhysicsParams(f=0.7, beta_T=0.2))
     checks.append(_check("split_recombination", worst_rec <= 1e-9, worst=worst_rec))
 
-    lam_sorted = g.lam_sorted
-    violations = 0
-    for _ in range(100):
-        st = random_state(g, rng, zero_mean=False)
-        n = int(rng.integers(1, g.n_modes_total + 1))
-        lam_n = lam_sorted[n - 1]
-        for s1, s2, lo_f, hi_f in ((0.0, 0.5, h_norm_sq, v_norm_sq), (0.5, 1.0, v_norm_sq, da_norm_sq)):
-            qn = complement_q(st, n)
-            pn = project_n(st, n)
-            if lam_n > 0 and math.sqrt(lo_f(qn)) > lam_n ** (-(s2 - s1)) * math.sqrt(hi_f(qn)) * (1 + 1e-12):
-                violations += 1
-            if math.sqrt(hi_f(pn)) > lam_n ** (s2 - s1) * math.sqrt(lo_f(pn)) * (1 + 1e-12) + 1e-300:
-                violations += 1
+    violations = projection_violations(g, rng, 100)
     checks.append(_check("projection_inequalities", violations == 0, violations=violations))
 
     worst_rt = 0.0
@@ -198,21 +255,9 @@ def suite_solver(grid: Grid | None = None) -> list:
         advection=False,
         store_stride=5,
     )
-    traj = run_trajectory(cfg)
-    U0 = Stepper(cfg, initial_state(cfg)).initial()
-    exact = solve_linear_Ustar(U0, [1.0])[0]
-    err = float(np.abs(traj.final_state.coeffs - exact.coeffs).max())
+    err, _, energy_rel = linear_flow_residuals(cfg)
     checks.append(_check("linear_flow_exactness", err <= 1e-12, max_error=err))
-
-    # discrete energy identity along the stored stride
-    times = np.array([r.t for r in traj.records])
-    vsq = np.array([r.V_sq for r in traj.records])
-    from scipy.integrate import simpson
-
-    flow = solve_linear_Ustar(U0, np.linspace(0, 1, 2001))
-    lhs = h_norm_sq(flow[-1]) + 2.0 * simpson([v_norm_sq(s) for s in flow], x=np.linspace(0, 1, 2001))
-    rhs = h_norm_sq(U0)
-    checks.append(_check("linear_energy_identity", abs(lhs - rhs) <= 1e-6 * rhs, rel=abs(lhs - rhs) / rhs))
+    checks.append(_check("linear_energy_identity", energy_rel <= 1e-6, rel=energy_rel))
 
     spec = example1_noise(g, K=3, amp_phi=0.1, amp_chi=0.3, osc=1)
     cfg2 = SolverConfig(

@@ -8,9 +8,8 @@ import math
 import time
 
 import numpy as np
-from scipy.integrate import simpson
 
-from stochpe import DomainSpec, Grid, complement_q, project_n, random_state
+from stochpe import DomainSpec, Grid
 from stochpe.diagnostics import detect_stopping
 from stochpe.experiments import (
     apriori_sweep,
@@ -20,20 +19,16 @@ from stochpe.experiments import (
     uniqueness_experiment,
 )
 from stochpe.noise import additive_single_mode_noise, example1_noise, estimate_growth_constants, hypothesis_thresholds, zero_noise
-from stochpe.operators import (
-    PhysicsParams,
-    average_A2,
-    average_A3,
-    baroclinic_rhs_terms,
-    barotropic_divergence,
-    fluctuation_R,
-    leray_project,
-    recombine_split_rhs,
-    trilinear_b,
-    velocity_rhs_unsplit,
+from stochpe.operators import PhysicsParams
+from stochpe.solver import InitSpec, SolverConfig, run_trajectory
+from stochpe.verify import (
+    advection_residuals,
+    leray_residuals,
+    linear_flow_residuals,
+    projection_violations,
+    recombination_residual,
+    split_exact,
 )
-from stochpe.solver import InitSpec, SolverConfig, Stepper, initial_state, run_trajectory, solve_linear_Ustar
-from stochpe.spectral import da_norm_sq, h_norm_sq, v_norm_sq
 
 GRID_888 = Grid(DomainSpec(N1=8, N2=8, M=8))
 WORKERS = 2
@@ -46,24 +41,9 @@ def _report(num, label, passed, elapsed, budget, detail=""):
     assert elapsed < budget, f"criterion {num} exceeded runtime budget ({elapsed:.1f}s)"
 
 
-def _h2(st):
-    return math.sqrt(h_norm_sq(st) + da_norm_sq(st))
-
-
 def test_criterion_01_operator_identities():
     t0 = time.time()
-    g = GRID_888
-    rng = np.random.default_rng(1)
-    worst_cancel = 0.0
-    worst_anti = 0.0
-    for _ in range(100):
-        U = leray_project(random_state(g, rng))
-        Us = leray_project(random_state(g, rng))
-        Ub = leray_project(random_state(g, rng))
-        nU = math.sqrt(v_norm_sq(U))
-        worst_cancel = max(worst_cancel, abs(trilinear_b(U, Us, Us)) / (nU * _h2(Us) ** 2))
-        resid = abs(trilinear_b(U, Us, Ub) + trilinear_b(U, Ub, Us))
-        worst_anti = max(worst_anti, resid / (nU * _h2(Us) * _h2(Ub)))
+    worst_cancel, worst_anti = advection_residuals(GRID_888, np.random.default_rng(1), 100)
     elapsed = time.time() - t0
     ok = worst_cancel <= 1e-10 and worst_anti <= 1e-10
     _report(1, "operator identities", ok, elapsed, 60.0,
@@ -74,21 +54,9 @@ def test_criterion_02_decomposition_exactness():
     t0 = time.time()
     g = GRID_888
     rng = np.random.default_rng(2)
-    phys = PhysicsParams(f=0.7, beta_T=0.2)
-    exact_ok = True
-    worst_div = 0.0
-    for _ in range(100):
-        st = random_state(g, rng)
-        recon = average_A3(st).coeffs + fluctuation_R(st).coeffs
-        exact_ok &= np.array_equal(recon, st.coeffs)
-        exact_ok &= not average_A2(fluctuation_R(st)).any()
-        worst_div = max(worst_div, float(np.abs(barotropic_divergence(leray_project(st))).sum()))
-    worst_rec = 0.0
-    for _ in range(25):
-        st = leray_project(random_state(g, rng))
-        combined = recombine_split_rhs(g, baroclinic_rhs_terms(st, phys))
-        unsplit = velocity_rhs_unsplit(st, phys)
-        worst_rec = max(worst_rec, float(np.abs(combined - unsplit).max()) / float(np.abs(unsplit).max()))
+    exact_ok = split_exact(g, rng, 100)
+    worst_div, _ = leray_residuals(g, rng, 100)
+    worst_rec = recombination_residual(g, rng, 25, PhysicsParams(f=0.7, beta_T=0.2))
     elapsed = time.time() - t0
     ok = exact_ok and worst_div < 1e-12 and worst_rec < 1e-9
     _report(2, "decomposition exactness", ok, elapsed, 60.0,
@@ -97,21 +65,7 @@ def test_criterion_02_decomposition_exactness():
 
 def test_criterion_03_projection_inequalities():
     t0 = time.time()
-    g = GRID_888
-    rng = np.random.default_rng(3)
-    lam_sorted = g.lam_sorted
-    violations = 0
-    for _ in range(100):
-        st = random_state(g, rng, zero_mean=False)
-        n = int(rng.integers(1, g.n_modes_total + 1))
-        lam_n = lam_sorted[n - 1]
-        qn = complement_q(st, n)
-        pn = project_n(st, n)
-        for s1, s2, lo_f, hi_f in ((0.0, 0.5, h_norm_sq, v_norm_sq), (0.5, 1.0, v_norm_sq, da_norm_sq)):
-            if lam_n > 0 and math.sqrt(lo_f(qn)) > lam_n ** (-(s2 - s1)) * math.sqrt(hi_f(qn)) * (1 + 1e-12):
-                violations += 1
-            if math.sqrt(hi_f(pn)) > lam_n ** (s2 - s1) * math.sqrt(lo_f(pn)) * (1 + 1e-12) + 1e-300:
-                violations += 1
+    violations = projection_violations(GRID_888, np.random.default_rng(3), 100)
     elapsed = time.time() - t0
     _report(3, "projection inequalities", violations == 0, elapsed, 30.0, f"{violations} violations")
 
@@ -129,17 +83,7 @@ def test_criterion_04_linear_flow_exactness():
         advection=False,
         store_stride=10,
     )
-    traj = run_trajectory(cfg)
-    U0 = Stepper(cfg, initial_state(cfg)).initial()
-    exact = solve_linear_Ustar(U0, [1.0])[0]
-    per_mode = float(np.abs(traj.final_state.coeffs - exact.coeffs).max())
-    per_mode_rel = per_mode / float(np.abs(exact.coeffs).max())
-
-    times = np.linspace(0.0, 1.0, 2001)
-    flow = solve_linear_Ustar(U0, times)
-    lhs = h_norm_sq(flow[-1]) + 2.0 * simpson([v_norm_sq(s) for s in flow], x=times)
-    rhs = h_norm_sq(U0)
-    energy_rel = abs(lhs - rhs) / rhs
+    _, per_mode_rel, energy_rel = linear_flow_residuals(cfg)
     elapsed = time.time() - t0
     ok = per_mode_rel <= 1e-12 and energy_rel <= 1e-6
     _report(4, "linear flow exactness", ok, elapsed, 30.0,

@@ -17,7 +17,7 @@ from stochpe.experiments import (
     spatial_projection_study,
     uniqueness_experiment,
 )
-from stochpe.solver import InitSpec, SolverConfig
+from stochpe.solver import BlowUpError, InitSpec, SolverConfig
 
 PHYS0 = PhysicsParams(f=0.0, beta_T=0.0)
 
@@ -165,6 +165,21 @@ class TestConvergence:
     def test_requires_nested_steps(self, conv_cfg):
         with pytest.raises(ValueError):
             convergence_study(conv_cfg, (1 / 16, 1 / 24, 1 / 64))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_raises(self):
+        g = Grid(DomainSpec(N1=3, N2=3, M=3))
+        cfg = SolverConfig(
+            grid=g,
+            noise=example1_noise(g, K=4, amp_phi=1.5, amp_psi=1.5, osc=2),
+            init=InitSpec(kind="random", seed=8, amplitude=50.0),
+            scheme="semi-implicit",
+            dt=1.0,
+            t_end=8.0,
+            seed=17,
+        )
+        with pytest.raises(BlowUpError):
+            convergence_study(cfg, (1.0, 0.5, 0.25), n_paths=1)
 
     def test_spatial_projection_decay(self):
         g = Grid(DomainSpec(N1=4, N2=4, M=4))

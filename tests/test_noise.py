@@ -22,6 +22,10 @@ from stochpe.noise import (
 from stochpe.operators import fluctuation_R, leray_project
 from stochpe.spectral import SpectralState, v_norm_sq
 
+# Known defect, pinned until the stream is fixed: step j's Philox counter
+# block spills into step j+1's, so K > 1 reuses draws across steps.
+STEP_OVERLAP = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: Wiener draws of step j overlap step j+1")
+
 
 class TestApplySigma:
     def test_zero_family(self, grid_small, rng):
@@ -159,6 +163,13 @@ class TestWiener:
     def test_dt_validation(self):
         with pytest.raises(ValueError):
             sample_wiener(WienerStream(seed=0), 0, 0.0)
+
+    @pytest.mark.parametrize("K", [1, pytest.param(4, marks=STEP_OVERLAP), pytest.param(8, marks=STEP_OVERLAP)])
+    def test_consecutive_steps_share_no_value(self, K):
+        s = WienerStream(seed=7, trajectory=3, K=K)
+        draws = [s.sample(j, 1.0) for j in range(2001)]
+        shared = [j for j in range(2000) if np.intersect1d(draws[j], draws[j + 1]).size]
+        assert not shared, f"{len(shared)} of 2000 steps share a value with the next"
 
 
 class TestHypothesisFits:

@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from stochpe import DomainSpec, Grid, complement_q, random_state
-from stochpe.noise import example1_noise, zero_noise
+from stochpe.noise import WienerStream, example1_noise, zero_noise
 from stochpe.operators import PhysicsParams, bilinear_B, forcing_F, leray_project
 from stochpe.solver import (
     InitSpec,
     SolverConfig,
     Stepper,
     cutoff_theta,
-    drift_modified,
-    drift_original,
     initial_state,
     run_trajectory,
     solve_linear_Ustar,
@@ -104,28 +102,34 @@ class TestLinearFlow:
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def full_drift(stepper: Stepper, state: SpectralState) -> np.ndarray:
+    """Galerkin drift -lam U - theta B(U) - F(U), theta at the state's cutoff distance."""
+    theta = stepper.theta(stepper.distance(state))
+    return -state.grid.lam[None] * state.coeffs + stepper.explicit_drift(state, theta)
+
+
 class TestDrifts:
     def test_cutoff_kills_advection(self, grid_small, rng):
         cfg = small_cfg(grid_small, equation="modified", kappa_cutoff=1e-6)
         U = leray_project(random_state(grid_small, rng))
-        far = SpectralState(grid_small, U.coeffs * 2.0)  # far from U
-        d = drift_modified(far, U, cfg)
+        far = SpectralState(grid_small, U.coeffs * 2.0)  # far from U* = U
+        d = full_drift(Stepper(cfg, U), far)
         g = grid_small
         expected = -g.lam[None] * far.coeffs - forcing_F(far, cfg.physics).coeffs
-        np.testing.assert_allclose(d.coeffs, expected, atol=1e-14)
+        np.testing.assert_allclose(d, expected, atol=1e-14)
 
     def test_full_drift_at_ustar(self, grid_small, rng):
         cfg = small_cfg(grid_small, equation="modified", kappa_cutoff=0.5)
         U = leray_project(random_state(grid_small, rng))
-        dmod = drift_modified(U, U, cfg)
-        dorig = drift_original(U, cfg)
-        scale = np.abs(dorig.coeffs).max()
-        assert np.abs(dmod.coeffs - dorig.coeffs).max() <= 1e-12 * scale
+        dmod = full_drift(Stepper(cfg, U), U)
+        dorig = full_drift(Stepper(small_cfg(grid_small), U), U)
+        scale = np.abs(dorig).max()
+        assert np.abs(dmod - dorig).max() <= 1e-12 * scale
 
     def test_original_drift_composition(self, grid_small, rng):
         cfg = small_cfg(grid_small)
         U = leray_project(random_state(grid_small, rng))
-        d = drift_original(U, cfg)
+        d = full_drift(Stepper(cfg, U), U)
         g = grid_small
         expected = (
             -g.lam[None] * U.coeffs
@@ -133,12 +137,12 @@ class TestDrifts:
             - forcing_F(U, cfg.physics).coeffs
         )
         scale = max(1.0, np.abs(expected).max())
-        assert np.abs(d.coeffs - expected).max() <= 1e-12 * scale
+        assert np.abs(d - expected).max() <= 1e-12 * scale
 
     def test_zero_state_zero_drift(self, grid_small):
         cfg = small_cfg(grid_small)
-        d = drift_original(grid_small.zero_state(), cfg)
-        assert not d.coeffs.any()
+        zero = grid_small.zero_state()
+        assert not full_drift(Stepper(cfg, zero), zero).any()
 
     def test_advection_energy_neutral(self, grid_small, rng):
         # the advection part of the drift does not feed the H-energy
@@ -224,6 +228,34 @@ class TestTrajectory:
             if t_hit is not None and t_hit <= 5 * cfg.dt:
                 hit_quickly += 1
         assert hit_quickly >= 19
+
+    def test_injected_stream_increments_match_default(self, grid_small):
+        spec = example1_noise(grid_small, K=3, amp_phi=0.1, amp_chi=0.3, osc=1)
+        levels = {"weak": 1.5, "vtilde_l6": 1e-4, "grad_vbar": 0.2, "dz_v": 3.0, "temperature": 0.4}
+        cfg = small_cfg(
+            grid_small,
+            noise=spec,
+            equation="modified",
+            kappa_cutoff=0.1,
+            stopping_levels=levels,
+            blowup_levels=(7.0, 100.0),
+            store_stride=3,
+            t_end=0.2,
+        )
+        ref = run_trajectory(cfg)
+        stream = WienerStream(cfg.seed, cfg.trajectory_id, spec.K)
+        fed = run_trajectory(cfg, increments=np.stack([stream.sample(j, cfg.dt) for j in range(cfg.n_steps)]))
+        assert ref.hits["tau_cutoff"] is not None and ref.hits["weak"] is not None
+        assert np.array_equal(fed.final_state.coeffs, ref.final_state.coeffs)
+        assert [r.row() for r in fed.records] == [r.row() for r in ref.records]
+        assert fed.hits == ref.hits
+        for name in levels:
+            assert np.array_equal(fed.series(name)[1], ref.series(name)[1])
+
+    def test_increments_shape_checked(self, grid_small):
+        cfg = small_cfg(grid_small, t_end=0.05)
+        with pytest.raises(ValueError):
+            run_trajectory(cfg, increments=np.zeros((cfg.n_steps + 1, cfg.noise.K)))
 
     def test_modified_original_plateau_agreement(self, grid_small):
         spec = example1_noise(grid_small, K=2, amp_phi=0.02, amp_chi=0.05, osc=1)
