@@ -108,17 +108,10 @@ def _grid_quadrature_functionals(state: SpectralState) -> dict:
     """Sixth-power and mixed-gradient functionals on the dealiased grid."""
     g = state.grid
     w = g.quad_weight(padded=True)
-    vt = fluctuation_R(state)
-    vt1 = g.synth_cos(vt.coeffs[0], padded=True)
-    vt2 = g.synth_cos(vt.coeffs[1], padded=True)
+    vt = fluctuation_R(state).coeffs[:2]
+    vt1, vt2, Tg = g.synth_cos(np.concatenate([vt, state.coeffs[2:]]), padded=True)
     vt_sq = vt1**2 + vt2**2
-    grad_sq = np.zeros_like(vt_sq)
-    for c in range(2):
-        cc = vt.coeffs[c]
-        grad_sq += g.synth_cos(g.dx(cc), padded=True) ** 2
-        grad_sq += g.synth_cos(g.dy(cc), padded=True) ** 2
-        grad_sq += g.synth_sin(g.dz_to_sin(cc), padded=True) ** 2
-    Tg = g.synth_cos(state.coeffs[2], padded=True)
+    grad_sq = sum((d**2).sum(axis=0) for d in g.grad_samples(vt))
     return {
         "L6_vtilde_6": float(np.sum(vt_sq**3) * w),
         "grad_vtilde_vtilde4": float(np.sum(grad_sq * vt_sq**2) * w),
@@ -132,10 +125,15 @@ def record(
     theta_value: float = 1.0,
     forcing_weak: float = 0.0,
     prev: DiagnosticRecord | None = None,
+    sq_norms: tuple | None = None,
 ) -> DiagnosticRecord:
     """Evaluate every monitored functional at cutoff distance ``dist``; chain
     ``prev`` to accumulate the int_* columns and the stopping functionals by
-    the trapezoid rule."""
+    the trapezoid rule.  ``sq_norms`` are the state's (H_sq, V_sq, DA_sq)
+    when the caller has already computed them.
+
+    Squares of norms overflow to inf rather than raising, so a record of a
+    state near blow-up can be checked with ``DiagnosticRecord.finite``."""
     g = state.grid
     spec = g.spec
     quad = _grid_quadrature_functionals(state)
@@ -158,18 +156,21 @@ def record(
     g3dzv = grad3_dz_sq(state, (0, 1))
     dzT_a_sq = grad3_dz_sq(state, (2,), mu=spec.mu, nu=spec.nu)
 
+    if sq_norms is None:
+        sq_norms = (h_norm_sq(state), v_norm_sq(state), da_norm_sq(state))
+    H_sq, V_sq, DA_sq = sq_norms
     rec = DiagnosticRecord(
         t=state.time,
-        H_sq=h_norm_sq(state),
-        V_sq=v_norm_sq(state),
-        DA_sq=da_norm_sq(state),
+        H_sq=H_sq,
+        V_sq=V_sq,
+        DA_sq=DA_sq,
         L6_vtilde_6=quad["L6_vtilde_6"],
-        Vbar_H1_4=vbar_h1_sq**2,
+        Vbar_H1_4=vbar_h1_sq * vbar_h1_sq,
         dz_v_L2_2=dzv_sq,
-        dz_v_L2_4=dzv_sq**2,
+        dz_v_L2_4=dzv_sq * dzv_sq,
         grad3_dz_v_L2_2=g3dzv,
         L6_T_6=quad["L6_T_6"],
-        dz_T_L2_4=dzT_sq**2,
+        dz_T_L2_4=dzT_sq * dzT_sq,
         theta_value=theta_value,
         dist_to_Ustar=dist,
         extras={

@@ -96,43 +96,24 @@ class NoiseSpec:
 
     @cached_property
     def _phi_grid(self) -> np.ndarray:
-        g = self.grid
-        return np.stack(
-            [[g.synth_cos(self.phi[k, c], padded=True) for c in range(2)] for k in range(self.K)]
-        )
+        return self.grid.synth_cos(self.phi, padded=True)
 
     @cached_property
     def _psi_grid(self) -> np.ndarray:
-        g = self.grid
-        return np.stack([g.synth_cos(self.psi[k], padded=True) for k in range(self.K)])
+        return self.grid.synth_cos(self.psi, padded=True)
 
     # -- derived constants, recomputed from the stored fields -----------------
 
     @cached_property
     def theta0_sq(self) -> float:
-        total = 0.0
-        for k in range(self.K):
-            total += float((self._phi_grid[k] ** 2).sum(axis=0).max())
-            total += float((self._psi_grid[k] ** 2).max())
-        return total
+        phi_sq = (self._phi_grid**2).sum(axis=1)
+        return float(np.sum(_grid_max(phi_sq)) + np.sum(_grid_max(self._psi_grid**2)))
 
     @cached_property
     def theta1_sq(self) -> float:
-        g = self.grid
-        total = 0.0
-        for k in range(self.K):
-            sq = 0.0
-            for c in range(2):
-                fx = g.synth_cos(g.dx(self.phi[k, c]), padded=True)
-                fy = g.synth_cos(g.dy(self.phi[k, c]), padded=True)
-                fz = g.synth_sin(g.dz_to_sin(self.phi[k, c]), padded=True)
-                sq = sq + fx**2 + fy**2 + fz**2
-            total += float(sq.max())
-            px = g.synth_cos(g.dx(self.psi[k]), padded=True)
-            py = g.synth_cos(g.dy(self.psi[k]), padded=True)
-            pz = g.synth_sin(g.dz_to_sin(self.psi[k]), padded=True)
-            total += float((px**2 + py**2 + pz**2).max())
-        return total
+        gx, gy, gz = self.grid.grad_samples(np.concatenate([self.phi, self.psi[:, None]], axis=1))
+        sq = gx**2 + gy**2 + gz**2  # (K, 3, grid): phi components, then psi
+        return float(np.sum(_grid_max(sq[:, :2].sum(axis=1))) + np.sum(_grid_max(sq[:, 2])))
 
     @cached_property
     def kappa_sq(self) -> float:
@@ -171,6 +152,11 @@ class NoiseSpec:
                 and np.abs(self.alpha).max(initial=0.0) == 0.0
             )
         )
+
+
+def _grid_max(samples: np.ndarray) -> np.ndarray:
+    """Maximum over the three trailing grid axes."""
+    return samples.max(axis=(-3, -2, -1))
 
 
 def _empty_fields(grid: Grid, K: int):
@@ -297,43 +283,44 @@ def additive_single_mode_noise(
 # -- applying the operator -----------------------------------------------------
 
 
-def apply_sigma(spec: NoiseSpec, state: SpectralState) -> list:
-    """Noise columns sigma(U) e_k as projected spectral states."""
+def apply_sigma(
+    spec: NoiseSpec, state: SpectralState, weights: np.ndarray | None = None, grads: tuple | None = None
+) -> list:
+    """Noise columns sigma(U) e_k as projected spectral states.
+
+    With a (J, K) ``weights`` matrix W the J states sum_k W_jk sigma(U) e_k are
+    returned instead (identity by default); the operator is linear in the
+    column weights, so every row is formed on the grid and all rows are
+    analysed in one transform.  ``grads``, the ``Grid.grad_samples`` of the
+    state's coefficients, skip their synthesis for family 1.
+    """
     g = spec.grid
     if g is not state.grid and g.lam.shape != state.grid.lam.shape:
         raise ValueError("noise specification and state resolution mismatch")
+    W = np.eye(spec.K) if weights is None else np.asarray(weights, dtype=float)
+    if W.ndim != 2 or W.shape[1] != spec.K:
+        raise ValueError(f"weights must have shape (J, {spec.K})")
     if spec.family == "zero":
-        return [g.zero_state(state.time) for _ in range(spec.K)]
+        return [g.zero_state(state.time) for _ in range(W.shape[0])]
 
-    if spec.family == "example2":
-        base = average_A3(state)
+    # transported components and their gradient samples
+    n = 3 if spec.include_temperature else 2
+    phi = np.tensordot(W, spec._phi_grid, axes=1)  # (J, 2, grid)
+    if spec.family == "example1":
+        gx, gy, gz = g.grad_samples(state.coeffs[:n]) if grads is None else (a[:n] for a in grads)
+        psi = np.tensordot(W, spec._psi_grid, axes=1)  # (J, grid)
+        samples = phi[:, 0, None] * gx + phi[:, 1, None] * gy + psi[:, None] * gz
     else:
-        base = state
+        base = average_A3(state).coeffs[:n]
+        gx, gy = g.synth_cos(np.stack([g.dx(base), g.dy(base)]), padded=True)
+        samples = phi[:, 0, None] * gx + phi[:, 1, None] * gy
 
-    # gradient samples of the transported fields, built once per call
-    comps = [0, 1] + ([2] if spec.include_temperature else [])
-    gx, gy, gz = {}, {}, {}
-    for c in comps:
-        cc = base.coeffs[c]
-        gx[c] = g.synth_cos(g.dx(cc), padded=True)
-        gy[c] = g.synth_cos(g.dy(cc), padded=True)
-        if spec.family == "example1":
-            gz[c] = g.synth_sin(g.dz_to_sin(cc), padded=True)
-
-    columns = []
-    for k in range(spec.K):
-        coeffs = np.zeros_like(state.coeffs)
-        for c in comps:
-            samples = spec._phi_grid[k, 0] * gx[c] + spec._phi_grid[k, 1] * gy[c]
-            if spec.family == "example1":
-                samples = samples + spec._psi_grid[k] * gz[c]
-            coeffs[c] = g.analyze_cos(samples)
-        coeffs[0] += spec.alpha[k] * state.coeffs[0] + spec.chi[k, 0]
-        coeffs[1] += spec.alpha[k] * state.coeffs[1] + spec.chi[k, 1]
-        if spec.include_temperature:
-            coeffs[2] += spec.alpha[k] * state.coeffs[2]
-        columns.append(leray_project(SpectralState(g, coeffs, state.time)))
-    return columns
+    coeffs = np.zeros((W.shape[0],) + state.coeffs.shape, dtype=np.complex128)
+    coeffs[:, :n] = g.analyze_cos(samples)
+    linear = (W @ spec.alpha)[:, None, None, None, None] * state.coeffs[:n]
+    linear[:, :2] += np.tensordot(W, spec.chi, axes=1)
+    coeffs[:, :n] += linear
+    return [leray_project(SpectralState(g, c, state.time)) for c in coeffs]
 
 
 def hs_norm_sq(columns: list, space: str = "H") -> float:

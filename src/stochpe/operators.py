@@ -173,36 +173,28 @@ def fluctuation_R(state: SpectralState) -> SpectralState:
 # -- advection -----------------------------------------------------------------
 
 
-def _advection_samples(grid: Grid, adv_coeffs: np.ndarray, target_coeffs: np.ndarray) -> np.ndarray:
-    """Samples of (v.grad)X + w(v) dz X on the dealiased grid, per component."""
-    v1g = grid.synth_cos(adv_coeffs[0], padded=True)
-    v2g = grid.synth_cos(adv_coeffs[1], padded=True)
+def _advection_samples(
+    grid: Grid, adv_coeffs: np.ndarray, target_coeffs: np.ndarray, grads: tuple | None = None
+) -> np.ndarray:
+    """Samples of (v.grad)X + w(v) dz X on the dealiased grid, per component.
+
+    ``grads`` are the ``Grid.grad_samples`` of X when the caller already has them.
+    """
+    v1g, v2g = grid.synth_cos(adv_coeffs, padded=True)
     w_sin, w_aff = _w_parts(grid, adv_coeffs)
     wg = grid.synth_sin(w_sin, padded=True)
     if np.abs(w_aff).max() > 0.0:
         _, _, z = grid.nodes(padded=True)
         wg = wg + grid.synth_cos2d(w_aff, padded=True)[:, :, None] * (z + grid.spec.h)[None, None, :]
-    out = np.empty((target_coeffs.shape[0],) + v1g.shape)
-    for c in range(target_coeffs.shape[0]):
-        tc = target_coeffs[c]
-        fx = grid.synth_cos(grid.dx(tc), padded=True)
-        fy = grid.synth_cos(grid.dy(tc), padded=True)
-        fz = grid.synth_sin(grid.dz_to_sin(tc), padded=True)
-        out[c] = v1g * fx + v2g * fy + wg * fz
-    return out
+    fx, fy, fz = grid.grad_samples(target_coeffs) if grads is None else grads
+    return v1g * fx + v2g * fy + wg * fz
 
 
 def _hadv_samples(grid: Grid, adv_coeffs: np.ndarray, target_coeffs: np.ndarray) -> np.ndarray:
     """Horizontal-only advection samples (v.grad)X, no vertical transport."""
-    v1g = grid.synth_cos(adv_coeffs[0], padded=True)
-    v2g = grid.synth_cos(adv_coeffs[1], padded=True)
-    out = np.empty((target_coeffs.shape[0],) + v1g.shape)
-    for c in range(target_coeffs.shape[0]):
-        tc = target_coeffs[c]
-        out[c] = v1g * grid.synth_cos(grid.dx(tc), padded=True) + v2g * grid.synth_cos(
-            grid.dy(tc), padded=True
-        )
-    return out
+    v1g, v2g = grid.synth_cos(adv_coeffs, padded=True)
+    fx, fy = grid.synth_cos(np.stack([grid.dx(target_coeffs), grid.dy(target_coeffs)]), padded=True)
+    return v1g * fx + v2g * fy
 
 
 def trilinear_b(U: SpectralState, Usharp: SpectralState, Uflat: SpectralState) -> float:
@@ -210,21 +202,21 @@ def trilinear_b(U: SpectralState, Usharp: SpectralState, Uflat: SpectralState) -
     g = U.grid
     samples = _advection_samples(g, U.coeffs[:2], Usharp.coeffs)
     flat = leray_project(Uflat)
-    w = g.quad_weight(padded=True)
-    total = 0.0
-    for c in range(3):
-        total += float(np.sum(samples[c] * g.synth_cos(flat.coeffs[c], padded=True)))
-    return total * w
+    return float(np.sum(samples * g.synth_cos(flat.coeffs, padded=True))) * g.quad_weight(padded=True)
 
 
-def bilinear_B(U: SpectralState, Usharp: SpectralState | None = None) -> SpectralState:
-    """Dealiased spectral advection term, projected onto the constrained space."""
+def bilinear_B(
+    U: SpectralState, Usharp: SpectralState | None = None, grads: tuple | None = None
+) -> SpectralState:
+    """Dealiased spectral advection term, projected onto the constrained space.
+
+    ``grads``, the ``Grid.grad_samples`` of Usharp's coefficients, skip
+    their synthesis when the caller already has them."""
     if Usharp is None:
         Usharp = U
     g = U.grid
-    samples = _advection_samples(g, U.coeffs[:2], Usharp.coeffs)
-    coeffs = np.stack([g.analyze_cos(samples[c]) for c in range(3)])
-    return leray_project(SpectralState(g, coeffs, U.time))
+    samples = _advection_samples(g, U.coeffs[:2], Usharp.coeffs, grads)
+    return leray_project(SpectralState(g, g.analyze_cos(samples), U.time))
 
 
 # -- linear operators ----------------------------------------------------------
@@ -307,22 +299,21 @@ def baroclinic_rhs_terms(state: SpectralState, physics: PhysicsParams) -> dict:
     split = mode_split(state)
     vbar3 = _lift(g, split.vbar)
     vtilde = split.vtilde
-    pad2 = lambda c2: np.stack([g.analyze_cos(c2[i]) for i in range(2)])
 
     # (vt.grad)vt + w(vt) dz vt -- vertical transport by the fluctuation only
-    tt_full = pad2(_advection_samples(g, vtilde, vtilde))
+    tt_full = g.analyze_cos(_advection_samples(g, vtilde, vtilde))
 
     # (vt.grad)vt + (div vt) vt -- the depth-mean carrier of the same interaction
     div_t_g = g.synth_cos(
         1j * g.kx_phys[:, None, None] * vtilde[0] + 1j * g.ky_phys[None, :, None] * vtilde[1],
         padded=True,
     )
-    vt_g = np.stack([g.synth_cos(vtilde[0], padded=True), g.synth_cos(vtilde[1], padded=True)])
-    tt_avg_carrier = pad2(_hadv_samples(g, vtilde, vtilde) + div_t_g[None] * vt_g)
+    vt_g = g.synth_cos(vtilde, padded=True)
+    tt_avg_carrier = g.analyze_cos(_hadv_samples(g, vtilde, vtilde) + div_t_g[None] * vt_g)
 
-    adv_tb = pad2(_hadv_samples(g, vtilde, vbar3))  # (vt.grad)vbar
-    adv_bt = pad2(_hadv_samples(g, vbar3, vtilde))  # (vbar.grad)vt
-    adv_bb = pad2(_hadv_samples(g, vbar3, vbar3))  # (vbar.grad)vbar
+    adv_tb = g.analyze_cos(_hadv_samples(g, vtilde, vbar3))  # (vt.grad)vbar
+    adv_bt = g.analyze_cos(_hadv_samples(g, vbar3, vtilde))  # (vbar.grad)vt
+    adv_bb = g.analyze_cos(_hadv_samples(g, vbar3, vbar3))  # (vbar.grad)vbar
 
     G = _pressure_integral_cos(g, state.coeffs[2])
     buoy = np.stack([g.dx(G), g.dy(G)]) * (-physics.beta_T * physics.g)

@@ -222,6 +222,8 @@ class Stepper:
             for col in cols:
                 col.coeffs *= self.mask
             self._static_cols = cols
+        # family 1 transports with the gradient samples of U itself
+        self._noise_uses_grads = cfg.noise.family == "example1" and self._static_cols is None
         # the aggregate linear term vanishes identically in this configuration
         self._skip_forcing = (
             cfg.forcing is None
@@ -244,17 +246,30 @@ class Stepper:
             return cutoff_theta(dist, self.kappa)
         return 1.0
 
-    def noise_columns(self, state: SpectralState):
-        if self.cfg.noise.family == "zero":
-            return None
-        if self._static_cols is not None:
-            return self._static_cols
-        cols = apply_sigma(self.cfg.noise, state)
-        for col in cols:
-            col.coeffs *= self.mask
-        return cols
+    def noise_increment(self, state: SpectralState, dW: np.ndarray, grads: tuple | None):
+        """Masked increment sum_k sigma(U) e_k dW_k and the masked columns, or
+        (None, None) for zero noise.
 
-    def explicit_drift(self, state: SpectralState, theta_val: float) -> np.ndarray | None:
+        State-dependent noise forms the increment in one ``apply_sigma`` call
+        with weight rows dW and, only under ``track_ito``, the K identity rows
+        for the columns (None otherwise)."""
+        cfg = self.cfg
+        if cfg.noise.family == "zero":
+            return None, None
+        if self._static_cols is not None:
+            incr = np.zeros_like(state.coeffs)
+            for k, col in enumerate(self._static_cols):
+                incr += dW[k] * col.coeffs
+            return incr, self._static_cols
+        weights = np.vstack([dW, np.eye(cfg.noise.K)]) if cfg.track_ito else dW[None]
+        rows = apply_sigma(cfg.noise, state, weights, grads)
+        for row in rows:
+            row.coeffs *= self.mask
+        return rows[0].coeffs, rows[1:] if cfg.track_ito else None
+
+    def explicit_drift(
+        self, state: SpectralState, theta_val: float, grads: tuple | None = None
+    ) -> np.ndarray | None:
         """Galerkin-masked explicit drift -theta B(U) - F(U), or None where it
         vanishes identically; the full drift is -lam U plus this."""
         cfg = self.cfg
@@ -262,22 +277,23 @@ class Stepper:
         if not self._skip_forcing:
             expl = -forcing_F(state, cfg.physics, cfg.forcing).coeffs
         if cfg.advection and theta_val != 0.0:
-            badv = -theta_val * bilinear_B(state).coeffs
+            badv = -theta_val * bilinear_B(state, grads=grads).coeffs
             expl = badv if expl is None else expl + badv
         return None if expl is None else expl * self.mask
 
     def advance(self, state: SpectralState, theta_val: float, dW: np.ndarray):
-        """One step; returns (new state, noise increment coefficients, columns)."""
+        """One step; returns (new state, noise increment coefficients, columns).
+
+        The padded gradient samples of U are synthesised once and shared by
+        the advection and the transport noise."""
         cfg = self.cfg
         g = self.grid
         coeffs = state.coeffs.copy()
-        expl = self.explicit_drift(state, theta_val)
-        cols = self.noise_columns(state)
-        incr = None
-        if cols is not None:
-            incr = np.zeros_like(coeffs)
-            for k, col in enumerate(cols):
-                incr += dW[k] * col.coeffs
+        grads = None
+        if (cfg.advection and theta_val != 0.0) or self._noise_uses_grads:
+            grads = g.grad_samples(state.coeffs)
+        expl = self.explicit_drift(state, theta_val, grads)
+        incr, cols = self.noise_increment(state, dW, grads)
         if expl is not None:
             coeffs += cfg.dt * expl
         if incr is not None:
@@ -412,7 +428,13 @@ def run_trajectory(
                     hits[key] = t
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
-                records.append(record(U, dist, theta_val, forcing_weak, prev=records[-1]))
+                rec = record(U, dist, theta_val, forcing_weak, prev=records[-1], sq_norms=(H_sq, V_sq, DA_sq))
+                if not rec.finite():
+                    # a stored functional out of representable range: numerical blow-up
+                    blowup = True
+                    blowup_time = t
+                    break
+                records.append(rec)
                 if states is not None:
                     states.append(U.copy())
 

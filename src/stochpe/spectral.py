@@ -21,6 +21,14 @@ Nonlinear products are evaluated on a zero-padded collocation grid sized so
 that quadratic products are alias-free and integrals of triple products are
 exact for band-limited inputs (horizontal padding > 3*N, vertical midpoint
 nodes with 2*nz > 3*M).
+
+Transforms are real-to-complex (``scipy.fft.rfft2``/``irfft2`` over the two
+horizontal axes) and act on stacks: coefficients (..., nkx, nky, nm) map to
+samples (..., nx, ny, nz) in one call.  Only the ky >= 0 half-plane is
+transformed.  Synthesis returns the real part of the full inverse transform
+for any input, by folding the Hermitian part (c(k) + conj c(-k))/2 onto the
+half-plane; analysis rebuilds ky < 0 by conjugation.  The vertical cosine or
+sine matrix acts on the small coefficient block, before padding.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 FIELDS = ("v1", "v2", "T")
 
@@ -297,84 +305,123 @@ class Grid:
         n = int(n)
         if n <= 0 or n >= self.n_modes_total:
             return min(max(n, 0), self.n_modes_total)
-        basis = self.basis()
-        b = basis[n - 1]
-        if (b.kx, b.ky) != (0, 0) and basis[n].kx == -b.kx and basis[n].ky == -b.ky \
-                and basis[n].m == b.m and basis[n].field == b.field:
+        if self._rank is None:
+            self._build_order()
+        i, j = self._order[n - 1], self._order[n]
+        kx, ky, m, f = (self._order_cols[col] for col in (6, 7, 3, 4))
+        if (kx[i], ky[i]) != (0, 0) and (kx[j], ky[j], m[j], f[j]) == (-kx[i], -ky[i], m[i], f[i]):
             return n + 1
         return n
 
     # -- collocation nodes -------------------------------------------------
 
     def nodes(self, padded: bool = False):
-        nx, ny, nz = (self.nx_pad, self.ny_pad, self.nz_pad) if padded else (self.nx, self.ny, self.nz)
+        nx, ny, nz = self._grid_shape(padded)
         x = np.arange(nx) * self.spec.L1 / nx
         y = np.arange(ny) * self.spec.L2 / ny
         z = self._vertical[nz][0]
         return x, y, z
 
     def quad_weight(self, padded: bool = False) -> float:
-        nx, ny, nz = (self.nx_pad, self.ny_pad, self.nz_pad) if padded else (self.nx, self.ny, self.nz)
+        nx, ny, nz = self._grid_shape(padded)
         return (self.spec.L1 / nx) * (self.spec.L2 / ny) * (self.spec.h / nz)
 
     # -- transforms ---------------------------------------------------------
 
-    def _embed_h(self, c: np.ndarray, nx: int, ny: int) -> np.ndarray:
-        buf = np.zeros((nx, ny) + c.shape[2:], dtype=np.complex128)
-        ix = self.kx_int % nx
-        iy = self.ky_int % ny
-        buf[np.ix_(ix, iy)] = c
-        return buf
+    def _grid_shape(self, padded: bool):
+        return (self.nx_pad, self.ny_pad, self.nz_pad) if padded else (self.nx, self.ny, self.nz)
 
-    def _extract_h(self, buf: np.ndarray) -> np.ndarray:
-        nx, ny = buf.shape[:2]
-        ix = self.kx_int % nx
-        iy = self.ky_int % ny
-        return buf[np.ix_(ix, iy)]
+    @cached_property
+    def _half_plane(self):
+        """Index maps between full coefficient blocks and the ky >= 0 half-plane.
+
+        ``fold[i, j]`` is the flat (kx, ky) index of -k for half-plane entry k
+        = (kx_i, ky_j); ``unfold[i, j]`` the flat half-plane index of -k for
+        the ky < 0 entry k = (kx_i, ky_{half+j})."""
+        half = self.spec.N2 + 1
+        fold = self.negx[:, None] * self.nky + self.negy[None, :half]
+        unfold = self.negx[:, None] * half - self.ky_int[None, half:]
+        return half, fold, unfold
+
+    def _synth_h(self, c: np.ndarray, V: np.ndarray | None, nx: int, ny: int) -> np.ndarray:
+        """Real part of the synthesis of coefficients (..., nkx, nky, nm) with vertical
+        matrix V (nz, nm), or none -> real samples (..., nx, ny, nz).
+
+        The real part is the transform of the Hermitian part (c(k) + conj c(-k))/2,
+        formed on the ky >= 0 half-plane and synthesised by irfft2.
+        """
+        half, fold, _ = self._half_plane
+        lead = c.shape[:-3]
+        herm = c.reshape(lead + (self.nkx * self.nky, c.shape[-1]))[..., fold, :]  # c(-k)
+        np.conjugate(herm, out=herm)
+        herm += c[..., :half, :]
+        if V is None:
+            herm *= 0.5
+        else:
+            herm = (herm.reshape(-1, herm.shape[-1]) @ (0.5 * V.T)).reshape(herm.shape[:-1] + (V.shape[0],))
+        buf = np.zeros(lead + (nx, ny // 2 + 1, herm.shape[-1]), dtype=np.complex128)
+        n1 = self.spec.N1 + 1  # kx >= 0 rows first, then kx < 0 at the end of the axis
+        buf[..., :n1, :half, :] = herm[..., :n1, :, :]
+        buf[..., nx - n1 + 1 :, :half, :] = herm[..., n1:, :, :]
+        return irfft2(buf, s=(nx, ny), axes=(-3, -2), norm="forward")
+
+    def _analyze_h(self, values: np.ndarray, A: np.ndarray | None) -> np.ndarray:
+        """Forward transform of real samples (..., nx, ny, nz), with vertical analysis
+        matrix A (nm, nz) or none -> coefficients (..., nkx, nky, nm).
+
+        rfft2 gives the ky >= 0 half-plane; ky < 0 follows by conjugation."""
+        half, _, unfold = self._half_plane
+        spec = rfft2(values, axes=(-3, -2), norm="forward")[..., self.kx_int % values.shape[-3], :half, :]
+        if A is not None:
+            spec = (spec.reshape(-1, spec.shape[-1]) @ A.T).reshape(spec.shape[:-1] + (A.shape[0],))
+        lead = spec.shape[:-3]
+        out = np.empty(lead + (self.nkx, self.nky, spec.shape[-1]), dtype=np.complex128)
+        out[..., :half, :] = spec
+        out[..., half:, :] = np.conj(spec.reshape(lead + (self.nkx * half, spec.shape[-1]))[..., unfold, :])
+        return out
 
     def synth_cos(self, c: np.ndarray, padded: bool = False) -> np.ndarray:
-        """Cosine-series coefficients (nkx, nky, nm) -> real samples (nx, ny, nz)."""
-        nx, ny, nz = (self.nx_pad, self.ny_pad, self.nz_pad) if padded else (self.nx, self.ny, self.nz)
-        C = self._vertical[nz][1]
-        buf = self._embed_h(c, nx, ny) @ C.T
-        return np.real(np.fft.ifft2(buf, axes=(0, 1)) * (nx * ny))
+        """Cosine-series coefficients (..., nkx, nky, nm) -> real samples (..., nx, ny, nz)."""
+        nx, ny, nz = self._grid_shape(padded)
+        return self._synth_h(c, self._vertical[nz][1], nx, ny)
 
     def synth_sin(self, s: np.ndarray, padded: bool = False) -> np.ndarray:
         """Sine-series coefficients (index m, entry 0 ignored) -> real samples."""
-        nx, ny, nz = (self.nx_pad, self.ny_pad, self.nz_pad) if padded else (self.nx, self.ny, self.nz)
-        S = self._vertical[nz][2]
-        buf = self._embed_h(s, nx, ny) @ S.T
-        return np.real(np.fft.ifft2(buf, axes=(0, 1)) * (nx * ny))
+        nx, ny, nz = self._grid_shape(padded)
+        return self._synth_h(s, self._vertical[nz][2], nx, ny)
 
     def synth_cos2d(self, c2: np.ndarray, padded: bool = False) -> np.ndarray:
-        """Horizontal-only synthesis of a 2D coefficient array (nkx, nky)."""
-        nx, ny = (self.nx_pad, self.ny_pad) if padded else (self.nx, self.ny)
-        buf = self._embed_h(c2[:, :, None], nx, ny)[:, :, 0]
-        return np.real(np.fft.ifft2(buf) * (nx * ny))
+        """Horizontal-only synthesis of 2D coefficients (..., nkx, nky) -> (..., nx, ny)."""
+        nx, ny, _ = self._grid_shape(padded)
+        return self._synth_h(c2[..., None], None, nx, ny)[..., 0]
+
+    def grad_samples(self, c: np.ndarray) -> tuple:
+        """Padded-grid samples (dx, dy, dz) of cosine coefficients (..., nkx, nky, nm),
+        each (..., nx, ny, nz): one stacked cosine and one sine synthesis."""
+        horizontal = self.synth_cos(np.stack([self.dx(c), self.dy(c)]), padded=True)
+        return horizontal[0], horizontal[1], self.synth_sin(self.dz_to_sin(c), padded=True)
 
     def analyze_cos(self, values: np.ndarray) -> np.ndarray:
-        """Real samples -> cosine coefficients, truncated to retained modes.
+        """Real samples (..., nx, ny, nz) -> cosine coefficients (..., nkx, nky, nm),
+        truncated to retained modes.
 
         Exact for band-limited input; on the padded grid this realises the
         dealiased projection of pointwise products.
         """
-        if values.ndim != 3:
-            raise ValueError("expected a 3D sample array")
-        nx, ny, nz = values.shape
+        if values.ndim < 3:
+            raise ValueError("expected sample arrays with three trailing grid axes")
+        nx, ny, nz = values.shape[-3:]
         if nz not in self._vertical or (nx, ny) not in {(self.nx, self.ny), (self.nx_pad, self.ny_pad)}:
             raise ValueError(
-                f"sample shape {values.shape} matches neither the collocation "
+                f"sample shape {values.shape[-3:]} matches neither the collocation "
                 f"grid {(self.nx, self.ny, self.nz)} nor the padded grid "
                 f"{(self.nx_pad, self.ny_pad, self.nz_pad)}"
             )
-        Acos = self._vertical[nz][3]
-        spec = np.fft.fft2(values, axes=(0, 1)) / (nx * ny)
-        return self._extract_h(spec) @ Acos.T
+        return self._analyze_h(values, self._vertical[nz][3])
 
     def analyze_cos2d(self, values: np.ndarray) -> np.ndarray:
-        nx, ny = values.shape
-        spec = np.fft.fft2(values) / (nx * ny)
-        return self._extract_h(spec[:, :, None])[:, :, 0]
+        """Real samples (..., nx, ny) -> 2D coefficients (..., nkx, nky)."""
+        return self._analyze_h(values[..., None], None)[..., 0]
 
     # -- spectral calculus ---------------------------------------------------
 
@@ -451,16 +498,12 @@ def build_basis(spec: DomainSpec) -> list:
 
 def to_physical(state: SpectralState, dealias: bool = False) -> PhysicalFields:
     g = state.grid
-    v1 = g.synth_cos(state.coeffs[0], padded=dealias)
-    v2 = g.synth_cos(state.coeffs[1], padded=dealias)
-    T = g.synth_cos(state.coeffs[2], padded=dealias)
+    v1, v2, T = g.synth_cos(state.coeffs, padded=dealias)
     return PhysicalFields(g, v1, v2, T, padded=dealias)
 
 
 def to_spectral(fields: PhysicalFields, time: float = 0.0) -> SpectralState:
-    g = fields.grid
-    c = np.stack([g.analyze_cos(fields.v1), g.analyze_cos(fields.v2), g.analyze_cos(fields.T)])
-    return SpectralState(g, c, time)
+    return SpectralState(fields.grid, fields.grid.analyze_cos(fields.stack()), time)
 
 
 def apply_A_power(state: SpectralState, s: float) -> SpectralState:

@@ -137,6 +137,21 @@ class TestCLI:
         )
         assert code == EXIT_BLOWUP
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_record_is_blowup(self, tmp_path):
+        # the norms stay finite while their squares in the record overflow
+        code = main(
+            [
+                "run", "--preset", "example1-large-theta1",
+                "--set", "solver.dt=0.5", "--set", "solver.t_end=16", "--set", "init.amplitude=50",
+                "--output-root", str(tmp_path), "--label", "x",
+            ]
+        )
+        assert code == EXIT_BLOWUP
+        lines = open(os.path.join(str(tmp_path), "x", "trajectory.csv")).read().splitlines()
+        values = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+        assert len(values) > 1 and np.isfinite(values).all()
+
     def test_ensemble_worker_invariance(self, tmp_path):
         root = str(tmp_path)
         args = ["ensemble", "--preset", "ou-single-mode", "--paths", "6", "--output-root", root]

@@ -75,6 +75,48 @@ class TestApplySigma:
             np.testing.assert_allclose(cs.coeffs, a * c.coeffs, atol=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: example1_noise(g, K=3, amp_phi=0.5, amp_psi=0.4, amp_chi=0.3, amp_alpha=0.2, osc=1),
+            lambda g: example1_noise(
+                g, K=4, amp_phi=0.5, amp_psi=0.4, amp_alpha=0.2, osc=2, include_temperature=True
+            ),
+            lambda g: example2_noise(g, K=3, amp_phi=0.8, amp_chi=0.3, amp_alpha=0.4, osc=1),
+        ],
+    )
+    def test_weighted_rows_are_column_combinations(self, grid_small, rng, make):
+        spec = make(grid_small)
+        v = leray_project(random_state(grid_small, rng))
+        cols = np.stack([c.coeffs for c in apply_sigma(spec, v)])
+        W = np.vstack([rng.standard_normal(spec.K) * 0.1, np.eye(spec.K)])
+        rows = apply_sigma(spec, v, W)
+        assert len(rows) == spec.K + 1
+        expected = np.tensordot(W, cols, axes=1)
+        for row, exp in zip(rows, expected):
+            assert np.abs(row.coeffs - exp).max() <= 1e-13 * np.abs(exp).max()
+        # the identity rows reproduce the default columns
+        for row, col in zip(rows[1:], cols):
+            np.testing.assert_allclose(row.coeffs, col, rtol=0, atol=1e-15 * np.abs(cols).max())
+
+    def test_shared_gradients(self, grid_small, rng):
+        spec = example1_noise(grid_small, K=3, amp_phi=0.5, amp_psi=0.4, amp_alpha=0.2, osc=1)
+        v = leray_project(random_state(grid_small, rng))
+        cols = apply_sigma(spec, v)
+        shared = apply_sigma(spec, v, grads=grid_small.grad_samples(v.coeffs))
+        for a, b in zip(cols, shared):
+            np.testing.assert_allclose(b.coeffs, a.coeffs, rtol=0, atol=1e-15)
+
+    def test_weights_validated(self, grid_small, rng):
+        spec = example1_noise(grid_small, K=3, osc=1)
+        v = random_state(grid_small, rng)
+        with pytest.raises(ValueError):
+            apply_sigma(spec, v, np.ones(3))
+        with pytest.raises(ValueError):
+            apply_sigma(spec, v, np.ones((2, 4)))
+        assert len(apply_sigma(zero_noise(grid_small, 3), v, np.ones((2, 3)))) == 2
+
+
 class TestHSNorm:
     def test_zero(self, grid_small):
         cols = apply_sigma(zero_noise(grid_small, 2), grid_small.zero_state())

@@ -248,6 +248,15 @@ class TestBilinear:
             rhs = trilinear_b(U, Us, Ub)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
 
+    def test_shared_gradients(self, grid_small, rng):
+        for _ in range(5):
+            U = leray_project(random_state(grid_small, rng))
+            Us = random_state(grid_small, rng)
+            shared = bilinear_B(U, Us, grads=grid_small.grad_samples(Us.coeffs))
+            np.testing.assert_array_equal(shared.coeffs, bilinear_B(U, Us).coeffs)
+        own = bilinear_B(U, grads=grid_small.grad_samples(U.coeffs))
+        np.testing.assert_array_equal(own.coeffs, bilinear_B(U).coeffs)
+
     def test_estimate_sweep_constant_finite(self, grid_small, rng):
         ratios = []
         for _ in range(200):

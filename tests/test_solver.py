@@ -21,6 +21,7 @@ from stochpe.solver import (
     solve_linear_Ustar,
 )
 from stochpe.spectral import SpectralState, h_norm_sq, v_norm_sq
+from stochpe.verify import linear_flow_residuals
 
 PHYS0 = PhysicsParams(f=0.0, beta_T=0.0)
 
@@ -154,6 +155,35 @@ class TestDrifts:
         assert abs(pairing) <= 1e-10 * max(1.0, v_norm_sq(U))
 
 
+class TestLinearFlowCheck:
+    """``verify.linear_flow_residuals`` on acceptance criterion 4's configuration."""
+
+    @staticmethod
+    def cfg(scheme):
+        g = Grid(DomainSpec(N1=4, N2=4, M=4, mu=0.05, nu=0.05))
+        return SolverConfig(
+            grid=g,
+            noise=zero_noise(g),
+            init=InitSpec(kind="random", seed=4),
+            physics=PHYS0,
+            dt=0.02,
+            t_end=1.0,
+            advection=False,
+            store_stride=10,
+            scheme=scheme,
+        )
+
+    def test_exponential_scheme_conserves_stepped_energy(self):
+        _, per_mode_rel, energy_rel = linear_flow_residuals(self.cfg("exponential"))
+        assert per_mode_rel <= 1e-12
+        assert energy_rel <= 1e-12
+
+    def test_semi_implicit_scheme_fails_energy_identity(self):
+        # the resolvent 1/(1 + lam dt) is not the free decay between steps
+        _, _, energy_rel = linear_flow_residuals(self.cfg("semi-implicit"))
+        assert energy_rel > 1e-6
+
+
 class TestStepping:
     def test_linear_only_matches_exact_flow(self, grid_small, rng):
         cfg = small_cfg(grid_small, advection=False, physics=PHYS0, dt=0.02, t_end=1.0)
@@ -183,6 +213,20 @@ class TestStepping:
         traj = run_trajectory(cfg)
         for st_ in (traj.final_state,):
             assert np.abs(complement_q(st_, n).coeffs).max() == 0.0
+
+    def test_increment_is_weighted_column_sum(self, grid_small, rng):
+        spec = example1_noise(grid_small, K=3, amp_phi=0.3, amp_psi=0.2, amp_chi=0.3, amp_alpha=0.1, osc=1)
+        U = leray_project(random_state(grid_small, rng))
+        dW = rng.standard_normal(3) * 0.1
+        stepper = Stepper(small_cfg(grid_small, noise=spec, track_ito=True), U)
+        _, incr, cols = stepper.advance(U, 1.0, dW)
+        expected = sum(w * col.coeffs for w, col in zip(dW, cols))
+        assert np.abs(incr - expected).max() <= 1e-13 * np.abs(expected).max()
+        # without track_ito the same increment comes without columns
+        plain = Stepper(small_cfg(grid_small, noise=spec), U)
+        out, incr2, cols2 = plain.advance(U, 1.0, dW)
+        assert cols2 is None
+        assert np.abs(incr2 - incr).max() <= 1e-14 * np.abs(incr).max()
 
     def test_reality_preserved(self, grid_small):
         spec = example1_noise(grid_small, K=2, amp_phi=0.2, amp_chi=0.4, osc=1)

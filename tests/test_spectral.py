@@ -128,6 +128,76 @@ class TestTransforms:
             assert abs(quad - h_norm_sq(st)) <= 1e-10 * h_norm_sq(st)
 
 
+def _full_synthesis(g, c, V, padded):
+    """Reference: real part of the full complex inverse transform, field by field."""
+    nx, ny, _ = g._grid_shape(padded)
+    out = []
+    for field in c.reshape((-1,) + c.shape[-3:]):
+        buf = np.zeros((nx, ny, field.shape[-1]), dtype=complex)
+        buf[np.ix_(g.kx_int % nx, g.ky_int % ny)] = field
+        out.append(np.real(np.fft.ifft2(buf @ V.T, axes=(0, 1))) * nx * ny)
+    return np.array(out).reshape(c.shape[:-3] + out[0].shape)
+
+
+class TestStackedTransforms:
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_stacked_equals_per_field(self, grid_small, rng, padded):
+        g = grid_small
+        shape = (2, 3, g.nkx, g.nky, g.nm)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for synth in (g.synth_cos, g.synth_sin):
+            stacked = synth(c, padded=padded)
+            single = np.array([[synth(f, padded=padded) for f in row] for row in c])
+            np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-13)
+        samples = rng.standard_normal(stacked.shape)
+        single = np.array([[g.analyze_cos(f) for f in row] for row in samples])
+        np.testing.assert_allclose(g.analyze_cos(samples), single, rtol=0, atol=1e-15)
+        c2 = c[..., 0]
+        single = np.array([[g.synth_cos2d(f, padded=padded) for f in row] for row in c2])
+        np.testing.assert_allclose(g.synth_cos2d(c2, padded=padded), single, rtol=0, atol=1e-13)
+        s2 = samples[..., 0]
+        single = np.array([[g.analyze_cos2d(f) for f in row] for row in s2])
+        np.testing.assert_allclose(g.analyze_cos2d(s2), single, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_non_hermitian_synthesis_is_real_part(self, grid_small, rng, padded):
+        g = grid_small
+        nz = g._grid_shape(padded)[2]
+        _, C, S, _ = g._vertical[nz]
+        shape = (3, g.nkx, g.nky, g.nm)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for synth, V in ((g.synth_cos, C), (g.synth_sin, S)):
+            np.testing.assert_allclose(synth(c, padded=padded), _full_synthesis(g, c, V, padded), atol=1e-13)
+        c2 = c[0, :, :, :1]
+        np.testing.assert_allclose(
+            g.synth_cos2d(c2[..., 0], padded=padded),
+            _full_synthesis(g, c2, np.ones((1, 1)), padded)[..., 0],
+            atol=1e-13,
+        )
+
+    def test_analysis_against_full_transform(self, grid_small, rng):
+        g = grid_small
+        nx, ny, nz = g._grid_shape(True)
+        samples = rng.standard_normal((2, nx, ny, nz))
+        spec = np.fft.fft2(samples, axes=(1, 2)) / (nx * ny)
+        expected = spec[:, g.kx_int % nx][:, :, g.ky_int % ny] @ g._vertical[nz][3].T
+        np.testing.assert_allclose(g.analyze_cos(samples), expected, atol=1e-15)
+
+    def test_grad_samples(self, grid_small, rng):
+        g = grid_small
+        c = random_state(g, rng).coeffs
+        fx, fy, fz = g.grad_samples(c)
+        np.testing.assert_array_equal(fx, g.synth_cos(np.stack([g.dx(c), g.dy(c)]), padded=True)[0])
+        np.testing.assert_allclose(fy, [g.synth_cos(g.dy(f), padded=True) for f in c], atol=1e-13)
+        np.testing.assert_allclose(fz, [g.synth_sin(g.dz_to_sin(f), padded=True) for f in c], atol=1e-13)
+
+    def test_sample_shape_checked(self, grid_small):
+        with pytest.raises(ValueError):
+            grid_small.analyze_cos(np.zeros((4, 4)))
+        with pytest.raises(ValueError):
+            grid_small.analyze_cos(np.zeros((2, 4, 4, 4)))
+
+
 class TestAPower:
     def test_identity(self, grid_small, rng):
         st = random_state(grid_small, rng)
@@ -211,6 +281,21 @@ class TestProjections:
             if (b.kx, b.ky) != (0, 0) and m < g.n_modes_total:
                 nxt = basis[m]
                 assert (nxt.kx, nxt.ky) != (-b.kx, -b.ky) or nxt.m != b.m or nxt.field != b.field
+
+
+    @pytest.mark.parametrize("spec", [None, DomainSpec(N1=8, N2=8, M=8)])
+    def test_snap_mode_count_matches_basis(self, grid_small, spec):
+        g = grid_small if spec is None else Grid(spec)
+        snapped = [g.snap_mode_count(n) for n in range(g.n_modes_total + 1)]
+        basis = g.basis()
+        for n in range(g.n_modes_total + 1):
+            expected = n
+            if 0 < n < g.n_modes_total:
+                b, nxt = basis[n - 1], basis[n]
+                partner = (nxt.kx, nxt.ky, nxt.m, nxt.field) == (-b.kx, -b.ky, b.m, b.field)
+                if (b.kx, b.ky) != (0, 0) and partner:
+                    expected = n + 1
+            assert snapped[n] == expected, n
 
 
 def _seminorm_sq(st, s):
