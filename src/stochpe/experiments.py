@@ -1,8 +1,8 @@
 """Ensemble experiments and verification studies built on the trajectory runner.
 
-All ensembles draw per-path noise from counter-based streams keyed by the
-path index, so results are independent of worker count and evaluation order;
-reductions always run in path order.
+Every path draws its Wiener increments in one call from a counter-based
+stream keyed by (seed, path index), so results are independent of worker
+count and evaluation order; reductions always run in path order.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ def _init_worker(cfg):
 def path_summary(traj: Trajectory) -> dict:
     """Small picklable reduction of one trajectory."""
     final = traj.final_state
+    with np.errstate(over="ignore"):  # overflows to inf where a float power raises
+        sup_V_p = np.float64(traj.sup_V_sq) ** (traj.config.apriori_p / 2.0)
     out = {
         "trajectory": traj.config.trajectory_id,
         "sup_V_sq": traj.sup_V_sq,
@@ -52,7 +54,7 @@ def path_summary(traj: Trajectory) -> dict:
         "blowup": traj.blowup,
         "hits": dict(traj.hits),
         "H0_sq": traj.records[0].H_sq,
-        "apriori": traj.sup_V_sq ** (traj.config.apriori_p / 2.0) + traj.int_DA_V2,
+        "apriori": sup_V_p + traj.int_DA_V2,
     }
     if traj.ito_integral is not None:
         out["ito_lhs"] = h_norm_sq(traj.ito_integral)
@@ -203,8 +205,7 @@ def convergence_study(cfg: SolverConfig, dt_list, n_paths: int = 4) -> dict:
     U0 = initial_state(cfg)
     err_sq = {d: 0.0 for d in dts}
     for path in range(n_paths):
-        stream = WienerStream(cfg.seed, cfg.trajectory_id + path, cfg.noise.K)
-        fine_incr = np.stack([stream.sample(j, ref_dt) for j in range(n_ref)])
+        fine_incr = WienerStream(cfg.seed, cfg.trajectory_id + path, cfg.noise.K).sample(n_ref, ref_dt)
 
         def run_with_dt(dt: float) -> SpectralState:
             # one stored stride: only the final state is wanted

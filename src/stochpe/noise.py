@@ -54,7 +54,6 @@ __all__ = [
     "apply_sigma",
     "hs_norm_sq",
     "hs_norm",
-    "sample_wiener",
     "estimate_growth_constants",
     "hypothesis_thresholds",
 ]
@@ -341,30 +340,26 @@ def hs_norm(columns: list, space: str = "H") -> float:
 
 @dataclass(frozen=True)
 class WienerStream:
-    """Counter-based Gaussian increment stream.
+    """Counter-based Gaussian increments of one path.
 
-    The increment vector at a step is a pure function of
-    (seed, trajectory, step), so ensembles are reproducible in any order of
-    evaluation and independent across trajectories.
+    One Philox generator keyed by (seed, trajectory) draws the whole path, so
+    the increments are independent across steps, paths and directions, and
+    ensembles are reproducible in any order of evaluation.  The draw is
+    prefix-stable: row j is a pure function of (seed, trajectory, j),
+    whatever the number of steps requested.
     """
 
     seed: int
     trajectory: int = 0
     K: int = 1
 
-    def sample(self, step: int, dt: float) -> np.ndarray:
-        bitgen = np.random.Philox(
-            key=np.array([self.seed & _MASK64, self.trajectory & _MASK64], dtype=np.uint64),
-            counter=np.array([step & _MASK64, 0, 0, 0], dtype=np.uint64),
-        )
-        gen = np.random.Generator(bitgen)
-        return gen.standard_normal(self.K) * np.sqrt(dt)
-
-
-def sample_wiener(stream: WienerStream, step: int, dt: float) -> np.ndarray:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return stream.sample(step, dt)
+    def sample(self, n_steps: int, dt: float) -> np.ndarray:
+        """Increments of steps 0..n_steps-1 as an (n_steps, K) array."""
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        key = np.array([self.seed & _MASK64, self.trajectory & _MASK64], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        return gen.standard_normal((n_steps, self.K)) * np.sqrt(dt)
 
 
 # -- hypothesis constants --------------------------------------------------------

@@ -233,24 +233,24 @@ def _pressure_integral_cos(grid: Grid, Tc: np.ndarray) -> np.ndarray:
     return cos_part
 
 
-def pressure_buoyancy_Apr(state: SpectralState, physics: PhysicsParams) -> SpectralState:
-    """Buoyancy-pressure operator: P_H(-beta_T g grad int_z^0 T dz', 0)."""
+def _linear_terms(state: SpectralState, scale: float, f: float) -> SpectralState:
+    """P_H(scale grad int_z^0 T dz' + f (-v2, v1), 0), projected once."""
     g = state.grid
     G = _pressure_integral_cos(g, state.coeffs[2])
     out = np.zeros_like(state.coeffs)
-    scale = -physics.beta_T * physics.g
-    out[0] = scale * g.dx(G)
-    out[1] = scale * g.dy(G)
+    out[0] = scale * g.dx(G) - f * state.coeffs[1]
+    out[1] = scale * g.dy(G) + f * state.coeffs[0]
     return leray_project(SpectralState(g, out, state.time))
+
+
+def pressure_buoyancy_Apr(state: SpectralState, physics: PhysicsParams) -> SpectralState:
+    """Buoyancy-pressure operator: P_H(-beta_T g grad int_z^0 T dz', 0)."""
+    return _linear_terms(state, -physics.beta_T * physics.g, 0.0)
 
 
 def coriolis_E(state: SpectralState, physics: PhysicsParams) -> SpectralState:
     """Coriolis operator: P_H(f (-v2, v1), 0)."""
-    g = state.grid
-    out = np.zeros_like(state.coeffs)
-    out[0] = -physics.f * state.coeffs[1]
-    out[1] = physics.f * state.coeffs[0]
-    return leray_project(SpectralState(g, out, state.time))
+    return _linear_terms(state, 0.0, physics.f)
 
 
 def forcing_F(
@@ -258,16 +258,16 @@ def forcing_F(
     physics: PhysicsParams,
     F_U: SpectralState | None = None,
 ) -> SpectralState:
-    """Aggregate linear term A_pr U + E U - F_U (Lipschitz in U by construction)."""
+    """Aggregate linear term A_pr U + E U - F_U (Lipschitz in U by construction).
+
+    Both operators are linear, so their unprojected sum is projected once."""
     g = state.grid
-    apr = pressure_buoyancy_Apr(state, physics)
-    cor = coriolis_E(state, physics)
-    coeffs = apr.coeffs + cor.coeffs
+    out = _linear_terms(state, -physics.beta_T * physics.g, physics.f)
     if F_U is not None:
         if F_U.grid is not g and F_U.coeffs.shape != state.coeffs.shape:
             raise ValueError("forcing field resolution mismatch")
-        coeffs = coeffs - F_U.coeffs
-    return SpectralState(g, coeffs, state.time)
+        out.coeffs = out.coeffs - F_U.coeffs
+    return out
 
 
 # -- barotropic / baroclinic splitting -----------------------------------------

@@ -16,9 +16,10 @@ forcing and noise are explicit:
 
 Every step re-applies the divergence-free projection, the Galerkin mask and
 the reality symmetry, so the state stays on the constraint manifold to
-round-off.  Wiener increments come from a counter-based stream addressed by
-(seed, trajectory, step), which makes trajectories bit-reproducible and
-order-independent across parallel ensembles.
+round-off.  The Wiener increments of a path are drawn in one call from a
+counter-based stream keyed by (seed, trajectory); step j's increment is a
+pure function of (seed, trajectory, j), which makes trajectories
+bit-reproducible and order-independent across parallel ensembles.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .operators import PhysicsParams, bilinear_B, forcing_F, leray_project
 from .spectral import (
     Grid,
     SpectralState,
+    _parseval_sq,
     da_norm_sq,
     h_norm_sq,
     random_state,
@@ -214,7 +216,6 @@ class Stepper:
         else:
             v0 = math.sqrt(v_norm_sq(self.U0n))
             self.kappa = 0.5 * v0 if v0 > 0 else 1.0
-        self.stream = WienerStream(cfg.seed, cfg.trajectory_id, cfg.noise.K)
         # state-independent noise columns can be prepared once
         self._static_cols = None
         if cfg.noise.family != "zero" and cfg.noise.is_additive:
@@ -238,7 +239,7 @@ class Stepper:
         """Cutoff distance ||U - U*|| to the free decay of U0 at the state's time."""
         factor = np.exp(-self.grid.lam * (state.time - self.U0n.time))
         diff = state.coeffs - self.U0n.coeffs * factor[None]
-        return math.sqrt(v_norm_sq(SpectralState(self.grid, diff)))
+        return math.sqrt(_parseval_sq(self.grid, diff, 1.0))
 
     def theta(self, dist: float) -> float:
         """Advection switch at cutoff distance ``dist`` (1 for the original equation)."""
@@ -328,15 +329,18 @@ def run_trajectory(
 ) -> Trajectory:
     """Integrate one path, recording diagnostics and first-hitting times.
 
-    ``increments``, an (n_steps, K) array, replaces the Wiener stream's
-    draws (convergence studies feed block sums of a finer path)."""
+    Step j uses row j of ``increments``, an (n_steps, K) array; by default it
+    is the path's Wiener stream, drawn once (convergence studies feed block
+    sums of a finer path instead)."""
     if U0 is None:
         U0 = initial_state(cfg)
     stepper = Stepper(cfg, U0)
     g = cfg.grid
     U = stepper.initial()
     n_steps = cfg.n_steps
-    if increments is not None and increments.shape != (n_steps, cfg.noise.K):
+    if increments is None:
+        increments = WienerStream(cfg.seed, cfg.trajectory_id, cfg.noise.K).sample(n_steps, cfg.dt)
+    elif increments.shape != (n_steps, cfg.noise.K):
         raise ValueError(f"increments must have shape {(n_steps, cfg.noise.K)}")
 
     forcing_weak = 0.0
@@ -362,7 +366,6 @@ def run_trajectory(
     int_DA = 0.0
     int_DA_V2 = 0.0
     prev_DA = rec.DA_sq
-    prev_DA_V2 = rec.DA_sq * rec.V_sq ** ((cfg.apriori_p - 2.0) / 2.0)
 
     ito_coeffs = np.zeros_like(U.coeffs) if cfg.track_ito else None
     ito_quad = 0.0
@@ -373,17 +376,13 @@ def run_trajectory(
     steps_done = 0
 
     # overflow on the way to a detected blow-up is expected; the nonfinite
-    # guards below define the semantics
+    # guards below define the semantics (numpy powers overflow to inf where
+    # float powers raise)
     with np.errstate(over="ignore", invalid="ignore"):
+        prev_DA_V2 = rec.DA_sq * np.float64(rec.V_sq) ** ((cfg.apriori_p - 2.0) / 2.0)
         for j in range(n_steps):
-            if increments is not None:
-                dW = increments[j]
-            elif cfg.noise.family != "zero":
-                dW = stepper.stream.sample(j, cfg.dt)
-            else:
-                dW = np.zeros(cfg.noise.K)
             try:
-                U, incr, cols = stepper.advance(U, theta_val, dW)
+                U, incr, cols = stepper.advance(U, theta_val, increments[j])
             except BlowUpError:
                 blowup = True
                 blowup_time = U.time + cfg.dt
@@ -398,7 +397,8 @@ def run_trajectory(
             V_sq = v_norm_sq(U)
             H_sq = h_norm_sq(U)
             DA_sq = da_norm_sq(U)
-            if not (np.isfinite(V_sq) and np.isfinite(H_sq) and np.isfinite(DA_sq)):
+            da_v2 = DA_sq * np.float64(V_sq) ** ((cfg.apriori_p - 2.0) / 2.0)
+            if not (np.isfinite(V_sq) and np.isfinite(H_sq) and np.isfinite(DA_sq) and np.isfinite(da_v2)):
                 # monitored functionals out of representable range: numerical blow-up
                 blowup = True
                 blowup_time = t
@@ -407,7 +407,6 @@ def run_trajectory(
             sup_H = max(sup_H, H_sq)
             # per-step trapezoids, finer than the stored stride that ``record`` uses
             int_DA += 0.5 * (prev_DA + DA_sq) * cfg.dt
-            da_v2 = DA_sq * V_sq ** ((cfg.apriori_p - 2.0) / 2.0)
             int_DA_V2 += 0.5 * (prev_DA_V2 + da_v2) * cfg.dt
             prev_DA, prev_DA_V2 = DA_sq, da_v2
 

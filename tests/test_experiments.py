@@ -1,9 +1,14 @@
 """Ensemble machinery: reproducibility, moment checks, studies."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from stochpe import DomainSpec, Grid
+from stochpe.cli import _preset_text
+from stochpe.config import build_solver_config, parse_config_text
 from stochpe.noise import additive_single_mode_noise, example1_noise, zero_noise
 from stochpe.operators import PhysicsParams
 from stochpe.experiments import (
@@ -13,11 +18,12 @@ from stochpe.experiments import (
     gronwall_envelope_check,
     ito_isometry_check,
     ou_moment_check,
+    path_summary,
     run_ensemble,
     spatial_projection_study,
     uniqueness_experiment,
 )
-from stochpe.solver import BlowUpError, InitSpec, SolverConfig
+from stochpe.solver import BlowUpError, InitSpec, SolverConfig, run_trajectory
 
 PHYS0 = PhysicsParams(f=0.0, beta_T=0.0)
 
@@ -130,6 +136,19 @@ class TestAprioriSweep:
     def test_small_ensemble_rejected(self, ou_cfg):
         with pytest.raises(ValueError):
             apriori_sweep(ou_cfg, n_values=(10, 20), n_paths=5)
+
+    def test_large_p_overflow_is_blowup(self):
+        # ||U||_V^(p-2) overflows while the norms themselves stay finite
+        values = parse_config_text(_preset_text("example1-large-theta1"))
+        values.update({"solver.dt": 0.5, "solver.t_end": 16, "init.amplitude": 50})
+        cfg = replace(build_solver_config(values), apriori_p=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run_trajectory(cfg)
+            summary = path_summary(traj)
+        assert traj.blowup and traj.blowup_time is not None
+        assert traj.n_steps_done < cfg.n_steps
+        assert summary["blowup"] and not np.isnan(summary["apriori"])
 
 
 @pytest.fixture(scope="module")

@@ -15,16 +15,11 @@ from stochpe.noise import (
     hs_norm,
     hs_norm_sq,
     hypothesis_thresholds,
-    sample_wiener,
     zero_noise,
     _envelope_fit,
 )
 from stochpe.operators import fluctuation_R, leray_project
 from stochpe.spectral import SpectralState, v_norm_sq
-
-# Known defect, pinned until the stream is fixed: step j's Philox counter
-# block spills into step j+1's, so K > 1 reuses draws across steps.
-STEP_OVERLAP = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: Wiener draws of step j overlap step j+1")
 
 
 class TestApplySigma:
@@ -179,17 +174,18 @@ class TestDerivedConstants:
 class TestWiener:
     def test_determinism(self):
         s = WienerStream(seed=42, trajectory=3, K=5)
-        a = sample_wiener(s, 17, 0.01)
-        b = sample_wiener(s, 17, 0.01)
+        a = s.sample(20, 0.01)
+        b = s.sample(20, 0.01)
+        assert a.shape == (20, 5)
         np.testing.assert_array_equal(a, b)
-        c = sample_wiener(WienerStream(seed=42, trajectory=4, K=5), 17, 0.01)
+        c = WienerStream(seed=42, trajectory=4, K=5).sample(20, 0.01)
         assert not np.array_equal(a, c)
 
     def test_variance_shrinks_with_dt(self):
         n = 10**5
         s = WienerStream(seed=1, trajectory=0, K=n)
         for dt in (1e-2, 1e-4, 1e-6):
-            draws = s.sample(0, dt)
+            draws = s.sample(1, dt)[0]
             stat = np.sum(draws**2) / dt  # ~ chi2 with n dof
             lo, hi = chi2.ppf(0.005, n), chi2.ppf(0.995, n)
             assert lo < stat < hi
@@ -197,21 +193,36 @@ class TestWiener:
 
     def test_covariance_identity(self):
         n, dt = 10**4, 0.37
-        draws = np.stack([WienerStream(seed=9, trajectory=t, K=8).sample(0, dt) for t in range(n)])
+        draws = np.stack([WienerStream(seed=9, trajectory=t, K=8).sample(1, dt)[0] for t in range(n)])
         cov = draws.T @ draws / n
         err = np.linalg.norm(cov - dt * np.eye(8)) / np.linalg.norm(dt * np.eye(8))
         assert err < 0.05
 
     def test_dt_validation(self):
-        with pytest.raises(ValueError):
-            sample_wiener(WienerStream(seed=0), 0, 0.0)
+        for dt in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                WienerStream(seed=0).sample(1, dt)
 
-    @pytest.mark.parametrize("K", [1, pytest.param(4, marks=STEP_OVERLAP), pytest.param(8, marks=STEP_OVERLAP)])
+    @pytest.mark.parametrize("K", [1, 4, 8])
     def test_consecutive_steps_share_no_value(self, K):
-        s = WienerStream(seed=7, trajectory=3, K=K)
-        draws = [s.sample(j, 1.0) for j in range(2001)]
+        draws = WienerStream(seed=7, trajectory=3, K=K).sample(2001, 1.0)
         shared = [j for j in range(2000) if np.intersect1d(draws[j], draws[j + 1]).size]
         assert not shared, f"{len(shared)} of 2000 steps share a value with the next"
+
+    @pytest.mark.parametrize("K", [1, 4, 8])
+    def test_lag1_uncorrelated(self, K):
+        # every component at step j against every component at step j + 1
+        n = 20000
+        draws = WienerStream(seed=7, trajectory=3, K=K).sample(n + 1, 1.0)
+        corr = draws[:-1].T @ draws[1:] / n
+        assert np.abs(corr).max() < 5.0 / np.sqrt(n)
+
+    @pytest.mark.parametrize("K", [1, 4, 8])
+    def test_prefix_stable(self, K):
+        s = WienerStream(seed=5, trajectory=2, K=K)
+        full = s.sample(100, 0.25)
+        for n in (1, 37, 99):
+            np.testing.assert_array_equal(s.sample(n, 0.25), full[:n])
 
 
 class TestHypothesisFits:

@@ -348,6 +348,11 @@ class TestLinearOperators:
         F_U = leray_project(random_state(grid_small, rng))
         out = forcing_F(zero, PHYS, F_U)
         np.testing.assert_allclose(out.coeffs, -F_U.coeffs, atol=1e-15)
+        # one projection of the summed operators equals the sum of the projected ones
+        U = random_state(grid_small, rng)
+        parts = pressure_buoyancy_Apr(U, PHYS).coeffs + coriolis_E(U, PHYS).coeffs - F_U.coeffs
+        out = forcing_F(U, PHYS, F_U).coeffs
+        assert np.abs(out - parts).max() < 1e-13 * np.abs(parts).max()
 
     def test_forcing_lipschitz_sweep(self, grid_small, rng):
         consts = []

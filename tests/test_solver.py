@@ -287,8 +287,7 @@ class TestTrajectory:
             t_end=0.2,
         )
         ref = run_trajectory(cfg)
-        stream = WienerStream(cfg.seed, cfg.trajectory_id, spec.K)
-        fed = run_trajectory(cfg, increments=np.stack([stream.sample(j, cfg.dt) for j in range(cfg.n_steps)]))
+        fed = run_trajectory(cfg, increments=WienerStream(cfg.seed, cfg.trajectory_id, spec.K).sample(cfg.n_steps, cfg.dt))
         assert ref.hits["tau_cutoff"] is not None and ref.hits["weak"] is not None
         assert np.array_equal(fed.final_state.coeffs, ref.final_state.coeffs)
         assert [r.row() for r in fed.records] == [r.row() for r in ref.records]
