@@ -81,6 +81,12 @@ def _label_from(args, sub: str) -> str:
     return sub
 
 
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(outdir, command, values, outputs, verdicts, started):
     manifest = {
         "package": "stochpe",
@@ -94,9 +100,7 @@ def _write_manifest(outdir, command, values, outputs, verdicts, started):
         "verdicts": verdicts,
     }
     path = os.path.join(outdir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
 
 
@@ -175,9 +179,7 @@ def cmd_ensemble(args) -> int:
         "hit_counts": hit_counts,
     }
     out_path = os.path.join(outdir, "ensemble.json")
-    with open(out_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_path, doc)
     _write_manifest(outdir, "ensemble", values, [out_path], {"blowups": blowups}, started)
     print(f"ensemble: {rep.n_paths} paths -> {out_path}")
     return EXIT_OK
@@ -193,9 +195,7 @@ def cmd_verify(args) -> int:
     result = run_suite(args.suite, grid)
     outdir = _outdir(args, f"verify-{args.suite}")
     out_path = os.path.join(outdir, "verify.json")
-    with open(out_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_path, result)
     _write_manifest(outdir, "verify", values, [out_path], {"passed": result["passed"]}, started)
     for c in result["checks"]:
         print(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}")
@@ -239,9 +239,7 @@ def cmd_converge(args) -> int:
 
     outdir = _outdir(args, _label_from(args, "converge"))
     out_path = os.path.join(outdir, "converge.json")
-    with open(out_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_path, doc)
     _write_manifest(outdir, "converge", values, [out_path], verdict, started)
     return EXIT_OK
 

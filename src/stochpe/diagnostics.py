@@ -2,7 +2,9 @@
 
 Norm-type functionals are evaluated spectrally (Parseval); sixth-power and
 mixed-gradient functionals by quadrature on the dealiased grid.  Cumulative
-time integrals are accumulated with the trapezoid rule on the stored stride.
+time integrals are accumulated with the trapezoid rule on the stored stride,
+except ``int_DA_sq``: each stored record carries ``run_trajectory``'s
+per-step integral, the value the trajectory reports.
 
 The five cumulative stopping functionals instrument the solution theory:
 
@@ -23,13 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import fluctuation_R, mode_split
-from .spectral import (
-    SpectralState,
-    da_norm_sq,
-    grad3_dz_sq,
-    h_norm_sq,
-    v_norm_sq,
-)
+from .spectral import SpectralState, grad3_dz_sq, sq_norms
 
 __all__ = [
     "DiagnosticRecord",
@@ -125,12 +121,11 @@ def record(
     theta_value: float = 1.0,
     forcing_weak: float = 0.0,
     prev: DiagnosticRecord | None = None,
-    sq_norms: tuple | None = None,
 ) -> DiagnosticRecord:
     """Evaluate every monitored functional at cutoff distance ``dist``; chain
     ``prev`` to accumulate the int_* columns and the stopping functionals by
-    the trapezoid rule.  ``sq_norms`` are the state's (H_sq, V_sq, DA_sq)
-    when the caller has already computed them.
+    the trapezoid rule.  ``int_DA_sq`` is left at 0 for the caller to set
+    (``run_trajectory`` stores its per-step integral there).
 
     Squares of norms overflow to inf rather than raising, so a record of a
     state near blow-up can be checked with ``DiagnosticRecord.finite``."""
@@ -156,9 +151,7 @@ def record(
     g3dzv = grad3_dz_sq(state, (0, 1))
     dzT_a_sq = grad3_dz_sq(state, (2,), mu=spec.mu, nu=spec.nu)
 
-    if sq_norms is None:
-        sq_norms = (h_norm_sq(state), v_norm_sq(state), da_norm_sq(state))
-    H_sq, V_sq, DA_sq = sq_norms
+    H_sq, V_sq, DA_sq = sq_norms(g, state.coeffs)
     rec = DiagnosticRecord(
         t=state.time,
         H_sq=H_sq,
@@ -190,7 +183,6 @@ def record(
         def trap(a, b):
             return 0.5 * (a + b) * dt
 
-        rec.int_DA_sq = prev.int_DA_sq + trap(prev.DA_sq, rec.DA_sq)
         rec.int_H2_V2 = prev.int_H2_V2 + trap(prev.H_sq * prev.V_sq, rec.H_sq * rec.V_sq)
         rec.int_grad_vtilde_vtilde4 = prev.int_grad_vtilde_vtilde4 + trap(
             prev.extras["grad_vtilde_vtilde4"], rec.extras["grad_vtilde_vtilde4"]
@@ -244,13 +236,6 @@ def detect_stopping(times, values, K: float):
         return float(times[i])
     frac = (K - v0) / (v1 - v0)
     return float(times[i - 1] + frac * (times[i] - times[i - 1]))
-
-
-def first_hitting_time(trajectory, name: str, K: float):
-    """First time the named cumulative stopping functional of a trajectory
-    reaches K (linear interpolation on the stored series)."""
-    times, values = trajectory.series(name)
-    return detect_stopping(times, values, K)
 
 
 def blowup_functional(trajectory) -> tuple:

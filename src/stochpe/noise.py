@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import average_A3, leray_project
+from .operators import _lift, leray_coeffs, leray_project
 from .spectral import (
     Grid,
     SpectralState,
@@ -52,6 +52,7 @@ __all__ = [
     "example2_noise",
     "additive_single_mode_noise",
     "apply_sigma",
+    "sigma_coeffs",
     "hs_norm_sq",
     "hs_norm",
     "estimate_growth_constants",
@@ -288,38 +289,45 @@ def apply_sigma(
     """Noise columns sigma(U) e_k as projected spectral states.
 
     With a (J, K) ``weights`` matrix W the J states sum_k W_jk sigma(U) e_k are
-    returned instead (identity by default); the operator is linear in the
-    column weights, so every row is formed on the grid and all rows are
-    analysed in one transform.  ``grads``, the ``Grid.grad_samples`` of the
-    state's coefficients, skip their synthesis for family 1.
+    returned instead (identity by default); see ``sigma_coeffs``.
     """
     g = spec.grid
     if g is not state.grid and g.lam.shape != state.grid.lam.shape:
         raise ValueError("noise specification and state resolution mismatch")
+    return [SpectralState(g, c, state.time) for c in sigma_coeffs(spec, state.coeffs, weights, grads)]
+
+
+def sigma_coeffs(
+    spec: NoiseSpec, coeffs: np.ndarray, weights: np.ndarray | None = None, grads: tuple | None = None
+) -> np.ndarray:
+    """``apply_sigma`` on state coefficients: the J rows as one projected (J, 3, nkx, nky, nm)
+    array, formed on the grid and analysed in one transform (the operator is linear in W).
+    ``grads``, the ``Grid.grad_samples`` of ``coeffs``, skip their synthesis for family 1."""
+    g = spec.grid
     W = np.eye(spec.K) if weights is None else np.asarray(weights, dtype=float)
     if W.ndim != 2 or W.shape[1] != spec.K:
         raise ValueError(f"weights must have shape (J, {spec.K})")
     if spec.family == "zero":
-        return [g.zero_state(state.time) for _ in range(W.shape[0])]
+        return np.zeros((W.shape[0],) + coeffs.shape, dtype=np.complex128)
 
     # transported components and their gradient samples
     n = 3 if spec.include_temperature else 2
     phi = np.tensordot(W, spec._phi_grid, axes=1)  # (J, 2, grid)
     if spec.family == "example1":
-        gx, gy, gz = g.grad_samples(state.coeffs[:n]) if grads is None else (a[:n] for a in grads)
+        gx, gy, gz = g.grad_samples(coeffs[:n]) if grads is None else (a[:n] for a in grads)
         psi = np.tensordot(W, spec._psi_grid, axes=1)  # (J, grid)
         samples = phi[:, 0, None] * gx + phi[:, 1, None] * gy + psi[:, None] * gz
     else:
-        base = average_A3(state).coeffs[:n]
+        base = _lift(g, coeffs[:n, :, :, 0])  # depth mean A3 v
         gx, gy = g.synth_cos(np.stack([g.dx(base), g.dy(base)]), padded=True)
         samples = phi[:, 0, None] * gx + phi[:, 1, None] * gy
 
-    coeffs = np.zeros((W.shape[0],) + state.coeffs.shape, dtype=np.complex128)
-    coeffs[:, :n] = g.analyze_cos(samples)
-    linear = (W @ spec.alpha)[:, None, None, None, None] * state.coeffs[:n]
+    rows = np.zeros((W.shape[0],) + coeffs.shape, dtype=np.complex128)
+    rows[:, :n] = g.analyze_cos(samples)
+    linear = (W @ spec.alpha)[:, None, None, None, None] * coeffs[:n]
     linear[:, :2] += np.tensordot(W, spec.chi, axes=1)
-    coeffs[:, :n] += linear
-    return [leray_project(SpectralState(g, c, state.time)) for c in coeffs]
+    rows[:, :n] += linear
+    return leray_coeffs(g, rows)
 
 
 def hs_norm_sq(columns: list, space: str = "H") -> float:

@@ -24,6 +24,7 @@ __all__ = [
     "PhysicsParams",
     "ModeSplit",
     "leray_project",
+    "leray_coeffs",
     "vertical_velocity",
     "average_A2",
     "average_A3",
@@ -86,20 +87,22 @@ def leray_project(state: SpectralState) -> SpectralState:
     zero (zero-mean gauge, which keeps the dissipation operator invertible on
     the velocity space).
     """
-    g = state.grid
-    out = state.coeffs.copy()
-    out[:2, :, :, 0] = _barotropic_leray(g, out[:2, :, :, 0])
-    return SpectralState(g, out, state.time)
+    return SpectralState(state.grid, leray_coeffs(state.grid, state.coeffs), state.time)
 
 
-def _barotropic_leray(grid: Grid, c2d: np.ndarray) -> np.ndarray:
-    """v - k (k.v)/|k|^2 on 2D velocity coefficients (2, nkx, nky), mean mode zeroed."""
+def leray_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """``leray_project`` on a coefficient stack (..., C, nkx, nky, nm) whose
+    first two components are the velocity; returns a projected copy."""
+    out = coeffs.copy()
     kx = grid.kx_phys[:, None]
     ky = grid.ky_phys[None, :]
     ksq = np.where(grid.ksq_h == 0.0, 1.0, grid.ksq_h)
-    d = (kx * c2d[0] + ky * c2d[1]) / ksq
-    out = np.stack([c2d[0] - kx * d, c2d[1] - ky * d])
-    out[:, 0, 0] = 0.0
+    v1 = out[..., 0, :, :, 0]
+    v2 = out[..., 1, :, :, 0]
+    d = (kx * v1 + ky * v2) / ksq
+    v1 -= kx * d
+    v2 -= ky * d
+    out[..., :2, 0, 0, 0] = 0.0
     return out
 
 
@@ -216,7 +219,7 @@ def bilinear_B(
         Usharp = U
     g = U.grid
     samples = _advection_samples(g, U.coeffs[:2], Usharp.coeffs, grads)
-    return leray_project(SpectralState(g, g.analyze_cos(samples), U.time))
+    return SpectralState(g, leray_coeffs(g, g.analyze_cos(samples)), U.time)
 
 
 # -- linear operators ----------------------------------------------------------
@@ -240,7 +243,7 @@ def _linear_terms(state: SpectralState, scale: float, f: float) -> SpectralState
     out = np.zeros_like(state.coeffs)
     out[0] = scale * g.dx(G) - f * state.coeffs[1]
     out[1] = scale * g.dy(G) + f * state.coeffs[0]
-    return leray_project(SpectralState(g, out, state.time))
+    return SpectralState(g, leray_coeffs(g, out), state.time)
 
 
 def pressure_buoyancy_Apr(state: SpectralState, physics: PhysicsParams) -> SpectralState:
@@ -347,7 +350,7 @@ def recombine_split_rhs(grid: Grid, terms: dict) -> np.ndarray:
     rhs_bar = (
         bar["diffusion"] - bar["adv_vbar"] - bar["adv_tilde_avg"] - bar["coriolis"] - bar["buoyancy"]
     )
-    rhs_bar = _barotropic_leray(grid, rhs_bar)
+    rhs_bar = leray_coeffs(grid, rhs_bar[..., None])[..., 0]
     rhs_tilde = (
         bc["diffusion"]
         - bc["adv_tilde_tilde"]

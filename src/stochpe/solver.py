@@ -30,16 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import STOPPING_FUNCTIONALS, detect_stopping, record
-from .noise import NoiseSpec, WienerStream, apply_sigma, hs_norm_sq, zero_noise
-from .operators import PhysicsParams, bilinear_B, forcing_F, leray_project
+from .noise import NoiseSpec, WienerStream, sigma_coeffs, zero_noise
+from .operators import PhysicsParams, bilinear_B, forcing_F, leray_coeffs
 from .spectral import (
     Grid,
     SpectralState,
     _parseval_sq,
-    da_norm_sq,
     h_norm_sq,
     random_state,
     single_mode_state,
+    sq_norms,
     v_norm_sq,
 )
 
@@ -204,8 +204,7 @@ class Stepper:
         g = cfg.grid
         self.grid = g
         self.mask = _pn_mask(cfg)
-        U0p = leray_project(U0)
-        c0 = g.enforce_reality(U0p.coeffs * self.mask)
+        c0 = g.enforce_reality(leray_coeffs(g, U0.coeffs) * self.mask)
         self.U0n = SpectralState(g, c0, U0.time)
         if cfg.scheme == "exponential":
             self.lin = np.exp(-g.lam * cfg.dt)[None]
@@ -216,13 +215,10 @@ class Stepper:
         else:
             v0 = math.sqrt(v_norm_sq(self.U0n))
             self.kappa = 0.5 * v0 if v0 > 0 else 1.0
-        # state-independent noise columns can be prepared once
+        # state-independent noise columns can be prepared once, as one (K, 3, ...) array
         self._static_cols = None
         if cfg.noise.family != "zero" and cfg.noise.is_additive:
-            cols = apply_sigma(cfg.noise, g.zero_state())
-            for col in cols:
-                col.coeffs *= self.mask
-            self._static_cols = cols
+            self._static_cols = sigma_coeffs(cfg.noise, np.zeros_like(c0)) * self.mask
         # family 1 transports with the gradient samples of U itself
         self._noise_uses_grads = cfg.noise.family == "example1" and self._static_cols is None
         # the aggregate linear term vanishes identically in this configuration
@@ -248,25 +244,20 @@ class Stepper:
         return 1.0
 
     def noise_increment(self, state: SpectralState, dW: np.ndarray, grads: tuple | None):
-        """Masked increment sum_k sigma(U) e_k dW_k and the masked columns, or
-        (None, None) for zero noise.
+        """Masked increment sum_k sigma(U) e_k dW_k and the masked columns as
+        one (K, 3, nkx, nky, nm) array, or (None, None) for zero noise.
 
-        State-dependent noise forms the increment in one ``apply_sigma`` call
+        State-dependent noise forms the increment in one ``sigma_coeffs`` call
         with weight rows dW and, only under ``track_ito``, the K identity rows
         for the columns (None otherwise)."""
         cfg = self.cfg
         if cfg.noise.family == "zero":
             return None, None
         if self._static_cols is not None:
-            incr = np.zeros_like(state.coeffs)
-            for k, col in enumerate(self._static_cols):
-                incr += dW[k] * col.coeffs
-            return incr, self._static_cols
+            return sum(w * col for w, col in zip(dW, self._static_cols)), self._static_cols
         weights = np.vstack([dW, np.eye(cfg.noise.K)]) if cfg.track_ito else dW[None]
-        rows = apply_sigma(cfg.noise, state, weights, grads)
-        for row in rows:
-            row.coeffs *= self.mask
-        return rows[0].coeffs, rows[1:] if cfg.track_ito else None
+        rows = sigma_coeffs(cfg.noise, state.coeffs, weights, grads) * self.mask
+        return rows[0], rows[1:] if cfg.track_ito else None
 
     def explicit_drift(
         self, state: SpectralState, theta_val: float, grads: tuple | None = None
@@ -283,7 +274,8 @@ class Stepper:
         return None if expl is None else expl * self.mask
 
     def advance(self, state: SpectralState, theta_val: float, dW: np.ndarray):
-        """One step; returns (new state, noise increment coefficients, columns).
+        """One step; returns (new state, noise increment coefficients, columns),
+        the columns as one (K, 3, nkx, nky, nm) array.
 
         The padded gradient samples of U are synthesised once and shared by
         the advection and the transport noise."""
@@ -300,8 +292,7 @@ class Stepper:
         if incr is not None:
             coeffs += incr
         coeffs *= self.lin
-        out = leray_project(SpectralState(g, coeffs, state.time + cfg.dt))
-        out.coeffs = g.enforce_reality(out.coeffs * self.mask)
+        out = SpectralState(g, g.enforce_reality(leray_coeffs(g, coeffs) * self.mask), state.time + cfg.dt)
         if not np.isfinite(out.coeffs.view(np.float64)).all():
             raise BlowUpError(f"nonfinite state at t = {out.time}")
         return out, incr, cols
@@ -391,12 +382,10 @@ def run_trajectory(
 
             if cfg.track_ito and cols is not None:
                 ito_coeffs += incr
-                ito_quad += hs_norm_sq(cols, "H") * cfg.dt
+                ito_quad += sum(_parseval_sq(g, col) for col in cols) * cfg.dt
 
             t = U.time
-            V_sq = v_norm_sq(U)
-            H_sq = h_norm_sq(U)
-            DA_sq = da_norm_sq(U)
+            H_sq, V_sq, DA_sq = sq_norms(g, U.coeffs)
             da_v2 = DA_sq * np.float64(V_sq) ** ((cfg.apriori_p - 2.0) / 2.0)
             if not (np.isfinite(V_sq) and np.isfinite(H_sq) and np.isfinite(DA_sq) and np.isfinite(da_v2)):
                 # monitored functionals out of representable range: numerical blow-up
@@ -405,7 +394,7 @@ def run_trajectory(
                 break
             sup_V = max(sup_V, V_sq)
             sup_H = max(sup_H, H_sq)
-            # per-step trapezoids, finer than the stored stride that ``record`` uses
+            # per-step trapezoids; stored records carry this int_DA
             int_DA += 0.5 * (prev_DA + DA_sq) * cfg.dt
             int_DA_V2 += 0.5 * (prev_DA_V2 + da_v2) * cfg.dt
             prev_DA, prev_DA_V2 = DA_sq, da_v2
@@ -427,7 +416,8 @@ def run_trajectory(
                     hits[key] = t
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
-                rec = record(U, dist, theta_val, forcing_weak, prev=records[-1], sq_norms=(H_sq, V_sq, DA_sq))
+                rec = record(U, dist, theta_val, forcing_weak, prev=records[-1])
+                rec.int_DA_sq = int_DA
                 if not rec.finite():
                     # a stored functional out of representable range: numerical blow-up
                     blowup = True

@@ -567,6 +567,15 @@ def da_norm_sq(state: SpectralState) -> float:
     return _parseval_sq(state.grid, state.coeffs, 2.0)
 
 
+def sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
+    """(H, V, D(A)) squared norms of one coefficient array from one |c|^2
+    pass; bit-identical to ``h_norm_sq``, ``v_norm_sq`` and ``da_norm_sq``."""
+    w = grid.weight_m[None, None, None, :]
+    lam = grid.lam[None]
+    a2 = np.abs(coeffs) ** 2
+    return float(np.sum(a2 * w)), float(np.sum(a2 * lam**1.0 * w)), float(np.sum(a2 * lam**2.0 * w))
+
+
 def grad3_dz_sq(state: SpectralState, comps=(0, 1), mu: float = 1.0, nu: float = 1.0) -> float:
     """mu*|grad dz u|^2 + nu*|dzz u|^2 over the requested components (spectral).
 

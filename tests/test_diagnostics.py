@@ -13,7 +13,7 @@ from stochpe.diagnostics import (
     stopping_integrands,
 )
 from stochpe.operators import average_A3, fluctuation_R, leray_project
-from stochpe.spectral import SpectralState, da_norm_sq, h_norm_sq, v_norm_sq
+from stochpe.spectral import SpectralState
 
 
 class TestRecord:
@@ -88,14 +88,6 @@ class TestRecord:
             assert b.int_DA_sq >= a.int_DA_sq
             assert b.int_H2_V2 >= a.int_H2_V2
             assert b.int_T_funcs >= a.int_T_funcs
-
-    def test_given_norms_change_nothing(self, grid_small, rng):
-        st_ = leray_project(random_state(grid_small, rng))
-        prev = record(SpectralState(grid_small, st_.coeffs * 0.5))
-        st_.time = 0.1
-        given = record(st_, prev=prev, sq_norms=(h_norm_sq(st_), v_norm_sq(st_), da_norm_sq(st_)))
-        assert given.row() == record(st_, prev=prev).row()
-        assert given.stopping == record(st_, prev=prev).stopping
 
     def test_overflowing_squares_give_nonfinite_record(self, grid_small, rng):
         st_ = leray_project(random_state(grid_small, rng))

@@ -105,6 +105,15 @@ class TestCLI:
         b = open(os.path.join(root, "b", "trajectory.csv"), "rb").read()
         assert a == b
 
+    def test_stored_int_DA_sq_matches_manifest(self, tmp_path):
+        # the stored column carries the per-step integral, also on a stride > 1
+        root = str(tmp_path)
+        assert main(["run", "--preset", "smallnoise-888", "--output-root", root, "--label", "a"]) == EXIT_OK
+        lines = open(os.path.join(root, "a", "trajectory.csv")).read().splitlines()
+        last = dict(zip(lines[1].split(","), lines[-1].split(",")))
+        manifest = json.load(open(os.path.join(root, "a", "manifest.json")))
+        assert float(last["int_DA_sq"]) == manifest["verdicts"]["int_DA_sq"]
+
     def test_linear_decay_preset_decays(self, tmp_path):
         root = str(tmp_path)
         assert main(["run", "--preset", "linear-decay", "--output-root", root]) == EXIT_OK

@@ -14,6 +14,7 @@ from stochpe.operators import (
     coriolis_E,
     forcing_F,
     fluctuation_R,
+    leray_coeffs,
     leray_project,
     mode_split,
     pressure_buoyancy_Apr,
@@ -64,6 +65,25 @@ class TestLeray:
         once = leray_project(st)
         twice = leray_project(once)
         assert np.abs(twice.coeffs - once.coeffs).max() <= 4e-16 * max(1.0, np.abs(once.coeffs).max())
+
+    def test_stack_equals_per_state(self, grid_small, rng):
+        stack = np.stack([random_state(grid_small, rng).coeffs for _ in range(5)])
+        before = stack.copy()
+        out = leray_coeffs(grid_small, stack)
+        assert np.array_equal(stack, before)  # the input is not modified
+        for c, row in zip(stack, out):
+            assert np.array_equal(row, leray_project(SpectralState(grid_small, c)).coeffs)
+
+    def test_2d_velocity_with_trailing_axis(self, grid_small, rng):
+        # the recombination path projects (2, nkx, nky) barotropic coefficients
+        # through a vertical axis of length 1; reference: v - k (k.v)/|k|^2
+        g = grid_small
+        c2d = random_state(g, rng).coeffs[:2, :, :, 0]
+        kx, ky = g.kx_phys[:, None], g.ky_phys[None, :]
+        d = (kx * c2d[0] + ky * c2d[1]) / np.where(g.ksq_h == 0.0, 1.0, g.ksq_h)
+        ref = np.stack([c2d[0] - kx * d, c2d[1] - ky * d])
+        ref[:, 0, 0] = 0.0
+        assert np.array_equal(leray_coeffs(g, c2d[..., None])[..., 0], ref)
 
 
 class TestVerticalVelocity:

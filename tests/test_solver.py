@@ -220,7 +220,7 @@ class TestStepping:
         dW = rng.standard_normal(3) * 0.1
         stepper = Stepper(small_cfg(grid_small, noise=spec, track_ito=True), U)
         _, incr, cols = stepper.advance(U, 1.0, dW)
-        expected = sum(w * col.coeffs for w, col in zip(dW, cols))
+        expected = sum(w * col for w, col in zip(dW, cols))
         assert np.abs(incr - expected).max() <= 1e-13 * np.abs(expected).max()
         # without track_ito the same increment comes without columns
         plain = Stepper(small_cfg(grid_small, noise=spec), U)

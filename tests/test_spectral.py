@@ -16,7 +16,7 @@ from stochpe import (
     to_physical,
     to_spectral,
 )
-from stochpe.spectral import da_norm_sq, h_norm_sq, v_norm_sq
+from stochpe.spectral import da_norm_sq, h_norm_sq, sq_norms, v_norm_sq
 
 
 def fd_dissipation_eigenvalue(spec, kx, ky, m, n=128, nz=201):
@@ -313,6 +313,11 @@ class TestNorms:
         nb = norms(grid_small.zero_state())
         assert nb.H == nb.V == nb.DA == nb.dz_L2 == nb.boundary_L2_top == 0.0
         assert nb.L6 == (0.0, 0.0, 0.0)
+
+    def test_sq_norms_bitwise(self, grid_small, rng):
+        for _ in range(20):
+            st = random_state(grid_small, rng, amplitude=10.0 ** rng.uniform(-3, 3), zero_mean=False)
+            assert sq_norms(grid_small, st.coeffs) == (h_norm_sq(st), v_norm_sq(st), da_norm_sq(st))
 
     def test_single_mode_v_norm(self, grid_small):
         g = grid_small
