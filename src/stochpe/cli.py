@@ -28,6 +28,10 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
 
+# per-path values written to an ensemble's paths.csv after the hitting times
+PATH_COLUMNS = ("final_H_sq", "final_V_sq", "sup_V_sq", "int_DA_sq")
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -102,6 +106,18 @@ def _write_manifest(outdir, command, values, outputs, verdicts, started):
     path = os.path.join(outdir, "manifest.json")
     _write_json(path, manifest)
     return path
+
+
+def _write_paths_csv(path, summaries):
+    """One row per path, in path order: outcome, first-hitting times (empty
+    where the level is not reached) and final norms."""
+    hit_names = list(summaries[0]["hits"])
+    with open(path, "w") as fh:
+        fh.write(",".join(["trajectory", "blowup", *(f"hit_{k}" for k in hit_names), *PATH_COLUMNS]) + "\n")
+        for s in summaries:
+            hits = ["" if s["hits"][k] is None else _fmt(s["hits"][k]) for k in hit_names]
+            row = [str(s["trajectory"]), str(int(s["blowup"])), *hits, *(_fmt(s[c]) for c in PATH_COLUMNS)]
+            fh.write(",".join(row) + "\n")
 
 
 def _write_csv(path, records):
@@ -180,7 +196,9 @@ def cmd_ensemble(args) -> int:
     }
     out_path = os.path.join(outdir, "ensemble.json")
     _write_json(out_path, doc)
-    _write_manifest(outdir, "ensemble", values, [out_path], {"blowups": blowups}, started)
+    paths_csv = os.path.join(outdir, "paths.csv")
+    _write_paths_csv(paths_csv, summaries)
+    _write_manifest(outdir, "ensemble", values, [out_path, paths_csv], {"blowups": blowups}, started)
     print(f"ensemble: {rep.n_paths} paths -> {out_path}")
     return EXIT_OK
 

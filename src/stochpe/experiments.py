@@ -1,22 +1,27 @@
-"""Ensemble experiments and verification studies built on the trajectory runner.
+"""Ensemble experiments and verification studies built on the path integrator.
 
-Every path draws its Wiener increments in one call from a counter-based
-stream keyed by (seed, path index), so results are independent of worker
-count and evaluation order; reductions always run in path order.
+Ensembles step fixed chunks of paths as one array (``solver.run_paths``);
+the chunk size depends on the grid only, and worker processes, when asked
+for, split the chunks between them.  Every path draws its Wiener increments
+in one call from a counter-based stream keyed by (seed, path index), and
+equals its own single-path run bit for bit, so results are independent of
+chunking, worker count and evaluation order; reductions always run in path
+order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
 
 from .diagnostics import summarize_ensemble
 from .noise import WienerStream
-from .solver import BlowUpError, SolverConfig, Trajectory, initial_state, run_trajectory
-from .spectral import SpectralState, h_norm_sq, v_norm_sq
+from .solver import BlowUpError, SolverConfig, Trajectory, chunk_size, initial_state, run_paths, run_trajectory
+from .spectral import SpectralState, _parseval_sq, h_norm_sq, v_norm_sq
 
 __all__ = [
     "path_summary",
@@ -29,14 +34,6 @@ __all__ = [
     "spatial_projection_study",
     "gronwall_envelope_check",
 ]
-
-_WORKER_CFG = None
-
-
-def _init_worker(cfg):
-    global _WORKER_CFG
-    _WORKER_CFG = cfg
-
 
 def path_summary(traj: Trajectory) -> dict:
     """Small picklable reduction of one trajectory."""
@@ -62,23 +59,28 @@ def path_summary(traj: Trajectory) -> dict:
     return out
 
 
-def _run_one(tid: int) -> dict:
-    cfg = replace(_WORKER_CFG, trajectory_id=tid)
-    return path_summary(run_trajectory(cfg))
+def _chunk_summaries(cfg: SolverConfig, ids: range) -> list:
+    return [path_summary(traj) for traj in run_paths(cfg, ids)]
 
 
 def run_ensemble(cfg: SolverConfig, n_paths: int, workers: int = 1) -> list:
-    """Per-path summaries for trajectory ids 0..n_paths-1, in path order."""
+    """Per-path summaries for trajectory ids 0..n_paths-1, in path order.
+
+    The ids run in chunks of ``solver.chunk_size(cfg.grid)`` paths, each
+    stepped as one array; with ``workers`` > 1 a process pool splits the
+    chunks."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if workers <= 1:
-        _init_worker(cfg)
-        results = [_run_one(i) for i in range(n_paths)]
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    size = chunk_size(cfg.grid)
+    chunks = [range(i, min(i + size, n_paths)) for i in range(0, n_paths, size)]
+    if workers == 1 or len(chunks) == 1:
+        parts = [_chunk_summaries(cfg, ids) for ids in chunks]
     else:
-        ctx = get_context("fork")
-        with ctx.Pool(workers, initializer=_init_worker, initargs=(cfg,)) as pool:
-            results = pool.map(_run_one, range(n_paths), chunksize=max(1, n_paths // (8 * workers)))
-    return sorted(results, key=lambda s: s["trajectory"])
+        with get_context("fork").Pool(min(workers, len(chunks))) as pool:
+            parts = pool.map(partial(_chunk_summaries, cfg), chunks)
+    return [summary for part in parts for summary in part]
 
 
 def ou_moment_check(cfg: SolverConfig, n_paths: int, lam: float, chi_H_sq: float, workers: int = 1) -> dict:
@@ -137,14 +139,8 @@ def uniqueness_experiment(cfg: SolverConfig, delta: float) -> dict:
         pert.coeffs = pert.coeffs + delta * _perturbation(cfg).coeffs
     other = run_trajectory(cfg, pert)
     n = min(len(base.states), len(other.states))
-    divs = [
-        math.sqrt(v_norm_sq(SpectralState(cfg.grid, other.states[i].coeffs - base.states[i].coeffs)))
-        for i in range(n)
-    ]
-    divergence = max(divs)
-    identical = all(
-        np.array_equal(other.states[i].coeffs, base.states[i].coeffs) for i in range(n)
-    )
+    divergence = float(np.sqrt(_parseval_sq(cfg.grid, other.states[:n] - base.states[:n], 1.0)).max())
+    identical = np.array_equal(other.states[:n], base.states[:n])
     return {
         "delta": delta,
         "divergence": divergence,
@@ -203,23 +199,24 @@ def convergence_study(cfg: SolverConfig, dt_list, n_paths: int = 4) -> dict:
             raise ValueError("dt list must be nested (integer multiples of the finest step)")
 
     U0 = initial_state(cfg)
-    err_sq = {d: 0.0 for d in dts}
-    for path in range(n_paths):
-        fine_incr = WienerStream(cfg.seed, cfg.trajectory_id + path, cfg.noise.K).sample(n_ref, ref_dt)
+    ids = range(cfg.trajectory_id, cfg.trajectory_id + n_paths)
+    fine = [WienerStream(cfg.seed, tid, cfg.noise.K).sample(n_ref, ref_dt) for tid in ids]
 
-        def run_with_dt(dt: float) -> SpectralState:
-            # one stored stride: only the final state is wanted
-            n = round(cfg.t_end / dt)
-            c = replace(cfg, dt=dt, store_stride=n, terminate_on_tau=False, track_ito=False, store_states=False)
-            traj = run_trajectory(c, U0, increments=fine_incr.reshape(n, -1, cfg.noise.K).sum(axis=1))
+    def finals(dt: float) -> list:
+        # one chunk of the frozen paths, one stored stride: only the final states are wanted
+        n = round(cfg.t_end / dt)
+        c = replace(cfg, dt=dt, store_stride=n, terminate_on_tau=False, track_ito=False, store_states=False)
+        increments = np.stack([f.reshape(n, -1, cfg.noise.K).sum(axis=1) for f in fine])
+        trajs = run_paths(c, ids, U0, increments)
+        for traj in trajs:
             if traj.blowup:
                 raise BlowUpError(f"nonfinite state at t = {traj.blowup_time} (dt = {dt:g})")
-            return traj.final_state
+        return [traj.final_state for traj in trajs]
 
-        ref = run_with_dt(ref_dt)
-        for d in dts:
-            out = run_with_dt(d)
-            err_sq[d] += v_norm_sq(SpectralState(cfg.grid, out.coeffs - ref.coeffs))
+    ref = finals(ref_dt)
+    err_sq = {
+        d: sum(v_norm_sq(SpectralState(cfg.grid, a.coeffs - b.coeffs)) for a, b in zip(finals(d), ref)) for d in dts
+    }
     errors = {d: math.sqrt(err_sq[d] / n_paths) for d in dts}
     x = np.log([d for d in dts])
     y = np.log([max(errors[d], 1e-300) for d in dts])

@@ -302,32 +302,47 @@ def sigma_coeffs(
 ) -> np.ndarray:
     """``apply_sigma`` on state coefficients: the J rows as one projected (J, 3, nkx, nky, nm)
     array, formed on the grid and analysed in one transform (the operator is linear in W).
-    ``grads``, the ``Grid.grad_samples`` of ``coeffs``, skip their synthesis for family 1."""
+    ``grads``, the ``Grid.grad_samples`` of ``coeffs``, skip their synthesis for family 1.
+
+    With a leading path axis, coefficients (P, 3, nkx, nky, nm) and weights (P, J, K)
+    (and grads of the stack) give rows (P, J, 3, nkx, nky, nm); each path's rows
+    equal its own single call bit for bit."""
     g = spec.grid
-    W = np.eye(spec.K) if weights is None else np.asarray(weights, dtype=float)
-    if W.ndim != 2 or W.shape[1] != spec.K:
-        raise ValueError(f"weights must have shape (J, {spec.K})")
-    if spec.family == "zero":
-        return np.zeros((W.shape[0],) + coeffs.shape, dtype=np.complex128)
+    K = spec.K
+    single = coeffs.ndim == 4
+    W = np.eye(K) if weights is None else np.asarray(weights, dtype=float)
+    if single:
+        if W.ndim != 2 or W.shape[1] != K:
+            raise ValueError(f"weights must have shape (J, {K})")
+        coeffs, W = coeffs[None], W[None]
+        grads = None if grads is None else tuple(a[None] for a in grads)
+    elif W.ndim != 3 or W.shape[0] != coeffs.shape[0] or W.shape[2] != K:
+        raise ValueError(f"weights must have shape ({coeffs.shape[0]}, J, {K})")
+    P, J = W.shape[:2]
+    rows = np.zeros((P, J) + coeffs.shape[1:], dtype=np.complex128)
+    if spec.family != "zero":
+        # transported components and their gradient samples; a (P, J, K) @ (K, N)
+        # product per field, which keeps each path's BLAS call as in the single case
+        n = 3 if spec.include_temperature else 2
+        shape = spec._psi_grid.shape[1:]
+        phi = (W @ spec._phi_grid.reshape(K, -1)).reshape((P, J, 2) + shape)
+        if spec.family == "example1":
+            gx, gy, gz = g.grad_samples(coeffs[:, :n]) if grads is None else (a[:, :n] for a in grads)
+            psi = (W @ spec._psi_grid.reshape(K, -1)).reshape((P, J) + shape)
+            samples = (
+                phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None] + psi[:, :, None] * gz[:, None]
+            )
+        else:
+            base = _lift(g, coeffs[:, :n, :, :, 0])  # depth mean A3 v
+            gx, gy = g.synth_cos(np.stack([g.dx(base), g.dy(base)]), padded=True)
+            samples = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None]
 
-    # transported components and their gradient samples
-    n = 3 if spec.include_temperature else 2
-    phi = np.tensordot(W, spec._phi_grid, axes=1)  # (J, 2, grid)
-    if spec.family == "example1":
-        gx, gy, gz = g.grad_samples(coeffs[:n]) if grads is None else (a[:n] for a in grads)
-        psi = np.tensordot(W, spec._psi_grid, axes=1)  # (J, grid)
-        samples = phi[:, 0, None] * gx + phi[:, 1, None] * gy + psi[:, None] * gz
-    else:
-        base = _lift(g, coeffs[:n, :, :, 0])  # depth mean A3 v
-        gx, gy = g.synth_cos(np.stack([g.dx(base), g.dy(base)]), padded=True)
-        samples = phi[:, 0, None] * gx + phi[:, 1, None] * gy
-
-    rows = np.zeros((W.shape[0],) + coeffs.shape, dtype=np.complex128)
-    rows[:, :n] = g.analyze_cos(samples)
-    linear = (W @ spec.alpha)[:, None, None, None, None] * coeffs[:n]
-    linear[:, :2] += np.tensordot(W, spec.chi, axes=1)
-    rows[:, :n] += linear
-    return leray_coeffs(g, rows)
+        rows[:, :, :n] = g.analyze_cos(samples)
+        linear = (W @ spec.alpha)[:, :, None, None, None, None] * coeffs[:, None, :n]
+        linear[:, :, :2] += (W @ spec.chi.reshape(K, -1)).reshape((P, J) + spec.chi.shape[1:])
+        rows[:, :, :n] += linear
+        rows = leray_coeffs(g, rows)
+    return rows[0] if single else rows
 
 
 def hs_norm_sq(columns: list, space: str = "H") -> float:

@@ -30,10 +30,12 @@ __all__ = [
     "average_A3",
     "fluctuation_R",
     "trilinear_b",
+    "advection_coeffs",
     "bilinear_B",
     "pressure_buoyancy_Apr",
     "coriolis_E",
     "forcing_F",
+    "forcing_coeffs",
     "mode_split",
     "baroclinic_rhs_terms",
     "velocity_rhs_unsplit",
@@ -116,17 +118,21 @@ def barotropic_divergence(state: SpectralState) -> np.ndarray:
 
 
 def _w_parts(grid: Grid, vcoeffs: np.ndarray):
-    """Vertical velocity of v: sine coefficients plus an affine (z+h) part.
+    """Vertical velocity of v (..., 2, nkx, nky, nm): sine coefficients plus an
+    affine (z+h) part, with the leading axes of v.
 
     w(v) = -int_{-h}^z div v dz'; the m = 0 divergence contributes
     -(z+h) * div(vbar), which vanishes after ``leray_project``.
     """
-    div = 1j * grid.kx_phys[:, None, None] * vcoeffs[0] + 1j * grid.ky_phys[None, :, None] * vcoeffs[1]
+    div = (
+        1j * grid.kx_phys[:, None, None] * vcoeffs[..., 0, :, :, :]
+        + 1j * grid.ky_phys[None, :, None] * vcoeffs[..., 1, :, :, :]
+    )
     m = grid.m_int.astype(float)
     inv = np.zeros_like(m)
     inv[1:] = grid.spec.h / (np.pi * m[1:])
     w_sin = -div * inv[None, None, :]
-    w_affine = -div[:, :, 0]  # coefficient of (z + h) per wavevector
+    w_affine = -div[..., 0]  # coefficient of (z + h) per wavevector
     return w_sin, w_affine
 
 
@@ -179,18 +185,23 @@ def fluctuation_R(state: SpectralState) -> SpectralState:
 def _advection_samples(
     grid: Grid, adv_coeffs: np.ndarray, target_coeffs: np.ndarray, grads: tuple | None = None
 ) -> np.ndarray:
-    """Samples of (v.grad)X + w(v) dz X on the dealiased grid, per component.
+    """Samples of (v.grad)X + w(v) dz X on the dealiased grid, per component,
+    for a stack of P paths: velocities v (P, 2, nkx, nky, nm) and targets X
+    (P, C, nkx, nky, nm) give (P, C, nx, ny, nz).
 
-    ``grads`` are the ``Grid.grad_samples`` of X when the caller already has them.
+    ``grads`` are the ``Grid.grad_samples`` of X when the caller already has
+    them.  The affine part of w is added only on the paths where round-off
+    leaves it nonzero, so each path's samples equal its own P = 1 call bit for bit.
     """
-    v1g, v2g = grid.synth_cos(adv_coeffs, padded=True)
+    vel = grid.synth_cos(adv_coeffs, padded=True)
     w_sin, w_aff = _w_parts(grid, adv_coeffs)
     wg = grid.synth_sin(w_sin, padded=True)
-    if np.abs(w_aff).max() > 0.0:
+    live = np.abs(w_aff).max(axis=(-2, -1)) > 0.0
+    if live.any():
         _, _, z = grid.nodes(padded=True)
-        wg = wg + grid.synth_cos2d(w_aff, padded=True)[:, :, None] * (z + grid.spec.h)[None, None, :]
+        wg[live] = wg[live] + grid.synth_cos2d(w_aff[live], padded=True)[..., None] * (z + grid.spec.h)
     fx, fy, fz = grid.grad_samples(target_coeffs) if grads is None else grads
-    return v1g * fx + v2g * fy + wg * fz
+    return vel[:, 0, None] * fx + vel[:, 1, None] * fy + wg[:, None] * fz
 
 
 def _hadv_samples(grid: Grid, adv_coeffs: np.ndarray, target_coeffs: np.ndarray) -> np.ndarray:
@@ -203,7 +214,7 @@ def _hadv_samples(grid: Grid, adv_coeffs: np.ndarray, target_coeffs: np.ndarray)
 def trilinear_b(U: SpectralState, Usharp: SpectralState, Uflat: SpectralState) -> float:
     """Advection pairing (P_H[(v.grad)U# + w(v) dz U#], Ub) by exact quadrature."""
     g = U.grid
-    samples = _advection_samples(g, U.coeffs[:2], Usharp.coeffs)
+    samples = _advection_samples(g, U.coeffs[None, :2], Usharp.coeffs[None])[0]
     flat = leray_project(Uflat)
     return float(np.sum(samples * g.synth_cos(flat.coeffs, padded=True))) * g.quad_weight(padded=True)
 
@@ -218,42 +229,57 @@ def bilinear_B(
     if Usharp is None:
         Usharp = U
     g = U.grid
-    samples = _advection_samples(g, U.coeffs[:2], Usharp.coeffs, grads)
-    return SpectralState(g, leray_coeffs(g, g.analyze_cos(samples)), U.time)
+    if grads is not None:
+        grads = tuple(a[None] for a in grads)
+    return SpectralState(g, advection_coeffs(g, U.coeffs[None], Usharp.coeffs[None], grads)[0], U.time)
+
+
+def advection_coeffs(
+    grid: Grid, coeffs: np.ndarray, target: np.ndarray | None = None, grads: tuple | None = None
+) -> np.ndarray:
+    """``bilinear_B`` on a stack of P paths: the projected advection of the
+    targets (P, 3, nkx, nky, nm) by the velocities of ``coeffs`` (the targets
+    default to ``coeffs``); each path's rows equal its own P = 1 call bit for bit.
+    ``grads`` are the stacked ``Grid.grad_samples`` of the targets."""
+    target = coeffs if target is None else target
+    samples = _advection_samples(grid, coeffs[:, :2], target, grads)
+    return leray_coeffs(grid, grid.analyze_cos(samples))
 
 
 # -- linear operators ----------------------------------------------------------
 
 
 def _pressure_integral_cos(grid: Grid, Tc: np.ndarray) -> np.ndarray:
-    """Cosine coefficients of int_z^0 T dz' (vertical antiderivative, re-expanded)."""
+    """Cosine coefficients of int_z^0 T dz' (vertical antiderivative, re-expanded)
+    of T (..., nkx, nky, nm), with the leading axes of T."""
     m = grid.m_int.astype(float)
     fac = np.zeros_like(m)
     fac[1:] = -grid.spec.h / (np.pi * m[1:])
     g_sin = Tc * fac[None, None, :]
     cos_part = g_sin @ grid.sin_to_cos.T
-    cos_part += Tc[:, :, 0:1] * grid.neg_z_cos[None, None, :]
+    cos_part += Tc[..., 0:1] * grid.neg_z_cos[None, None, :]
     return cos_part
 
 
-def _linear_terms(state: SpectralState, scale: float, f: float) -> SpectralState:
-    """P_H(scale grad int_z^0 T dz' + f (-v2, v1), 0), projected once."""
-    g = state.grid
-    G = _pressure_integral_cos(g, state.coeffs[2])
-    out = np.zeros_like(state.coeffs)
-    out[0] = scale * g.dx(G) - f * state.coeffs[1]
-    out[1] = scale * g.dy(G) + f * state.coeffs[0]
-    return SpectralState(g, leray_coeffs(g, out), state.time)
+def _linear_terms(grid: Grid, coeffs: np.ndarray, scale: float, f: float) -> np.ndarray:
+    """P_H(scale grad int_z^0 T dz' + f (-v2, v1), 0) of a coefficient stack
+    (..., 3, nkx, nky, nm), projected once."""
+    G = _pressure_integral_cos(grid, coeffs[..., 2, :, :, :])
+    out = np.zeros_like(coeffs)
+    out[..., 0, :, :, :] = scale * grid.dx(G) - f * coeffs[..., 1, :, :, :]
+    out[..., 1, :, :, :] = scale * grid.dy(G) + f * coeffs[..., 0, :, :, :]
+    return leray_coeffs(grid, out)
 
 
 def pressure_buoyancy_Apr(state: SpectralState, physics: PhysicsParams) -> SpectralState:
     """Buoyancy-pressure operator: P_H(-beta_T g grad int_z^0 T dz', 0)."""
-    return _linear_terms(state, -physics.beta_T * physics.g, 0.0)
+    out = _linear_terms(state.grid, state.coeffs, -physics.beta_T * physics.g, 0.0)
+    return SpectralState(state.grid, out, state.time)
 
 
 def coriolis_E(state: SpectralState, physics: PhysicsParams) -> SpectralState:
     """Coriolis operator: P_H(f (-v2, v1), 0)."""
-    return _linear_terms(state, 0.0, physics.f)
+    return SpectralState(state.grid, _linear_terms(state.grid, state.coeffs, 0.0, physics.f), state.time)
 
 
 def forcing_F(
@@ -265,12 +291,17 @@ def forcing_F(
 
     Both operators are linear, so their unprojected sum is projected once."""
     g = state.grid
-    out = _linear_terms(state, -physics.beta_T * physics.g, physics.f)
-    if F_U is not None:
-        if F_U.grid is not g and F_U.coeffs.shape != state.coeffs.shape:
-            raise ValueError("forcing field resolution mismatch")
-        out.coeffs = out.coeffs - F_U.coeffs
-    return out
+    if F_U is not None and F_U.grid is not g and F_U.coeffs.shape != state.coeffs.shape:
+        raise ValueError("forcing field resolution mismatch")
+    return SpectralState(g, forcing_coeffs(g, state.coeffs, physics, F_U), state.time)
+
+
+def forcing_coeffs(
+    grid: Grid, coeffs: np.ndarray, physics: PhysicsParams, F_U: SpectralState | None = None
+) -> np.ndarray:
+    """``forcing_F`` on a coefficient stack (..., 3, nkx, nky, nm)."""
+    out = _linear_terms(grid, coeffs, -physics.beta_T * physics.g, physics.f)
+    return out if F_U is None else out - F_U.coeffs
 
 
 # -- barotropic / baroclinic splitting -----------------------------------------
@@ -304,7 +335,7 @@ def baroclinic_rhs_terms(state: SpectralState, physics: PhysicsParams) -> dict:
     vtilde = split.vtilde
 
     # (vt.grad)vt + w(vt) dz vt -- vertical transport by the fluctuation only
-    tt_full = g.analyze_cos(_advection_samples(g, vtilde, vtilde))
+    tt_full = g.analyze_cos(_advection_samples(g, vtilde[None], vtilde[None])[0])
 
     # (vt.grad)vt + (div vt) vt -- the depth-mean carrier of the same interaction
     div_t_g = g.synth_cos(

@@ -20,18 +20,28 @@ round-off.  The Wiener increments of a path are drawn in one call from a
 counter-based stream keyed by (seed, trajectory); step j's increment is a
 pure function of (seed, trajectory, j), which makes trajectories
 bit-reproducible and order-independent across parallel ensembles.
+
+One loop, ``run_paths``, steps a chunk of P paths that share U0 as one
+(P, 3, nkx, nky, nm) array; ``run_trajectory`` is its P = 1 case.  Each path
+keeps its own records, hitting times, running integrals and Ito sums, and
+leaves the chunk when it blows up (a nonfinite state, norm or stored record)
+or reaches tau_cutoff under ``terminate_on_tau``.  Wherever a vectorised
+evaluation would change the last bit (the cutoff theta, the a-priori power)
+the scalar one runs per path, so every path equals its own P = 1 run bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .diagnostics import STOPPING_FUNCTIONALS, detect_stopping, record
 from .noise import NoiseSpec, WienerStream, sigma_coeffs, zero_noise
-from .operators import PhysicsParams, bilinear_B, forcing_F, leray_coeffs
+from .operators import PhysicsParams, advection_coeffs, forcing_coeffs, leray_coeffs
 from .spectral import (
     Grid,
     SpectralState,
@@ -52,12 +62,14 @@ __all__ = [
     "solve_linear_Ustar",
     "Stepper",
     "initial_state",
+    "chunk_size",
+    "run_paths",
     "run_trajectory",
 ]
 
 
 class BlowUpError(RuntimeError):
-    """Raised internally when the state leaves the representable range."""
+    """Raised by studies that need every path to stay in the representable range."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +148,8 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Stored records, first-hitting times and per-step reductions of one path."""
+    """Stored records, first-hitting times and per-step reductions of one path;
+    ``states`` holds the stored states as one (n_stored, 3, nkx, nky, nm) array."""
 
     config: SolverConfig
     times: np.ndarray
@@ -150,7 +163,7 @@ class Trajectory:
     int_DA_V2: float
     final_state: SpectralState | None
     kappa: float
-    states: list | None = None
+    states: np.ndarray | None = None
     ito_integral: SpectralState | None = None
     ito_quadratic: float = 0.0
     n_steps_done: int = 0
@@ -196,8 +209,23 @@ def _pn_mask(cfg: SolverConfig) -> np.ndarray:
     return cfg.grid.rank < cfg.n_galerkin
 
 
+# padded-grid samples per stacked field in one chunk of paths (see ``chunk_size``)
+CHUNK_SAMPLES = 2**12
+
+
+def chunk_size(grid: Grid) -> int:
+    """Paths stepped as one stack on this grid: a fixed budget of padded-grid
+    samples, so small grids stack many paths and large ones few.  Past the
+    budget a stack stops paying: its transform products grow large enough for
+    a multi-threaded BLAS to split them, and two worker processes then
+    contend for the cores (README "Design notes" has the measurements)."""
+    return max(1, CHUNK_SAMPLES // (grid.nx_pad * grid.ny_pad * grid.nz_pad))
+
+
 class Stepper:
-    """The precomputed one-step map; ``run_trajectory`` is its only driver."""
+    """The precomputed one-step map of paths that share U0.  Every method acts
+    on a stack of P paths, coefficients (P, 3, nkx, nky, nm), one row per path;
+    ``run_paths`` is its only caller."""
 
     def __init__(self, cfg: SolverConfig, U0: SpectralState):
         self.cfg = cfg
@@ -231,71 +259,90 @@ class Stepper:
     def initial(self) -> SpectralState:
         return self.U0n.copy()
 
-    def distance(self, state: SpectralState) -> float:
-        """Cutoff distance ||U - U*|| to the free decay of U0 at the state's time."""
-        factor = np.exp(-self.grid.lam * (state.time - self.U0n.time))
-        diff = state.coeffs - self.U0n.coeffs * factor[None]
-        return math.sqrt(_parseval_sq(self.grid, diff, 1.0))
+    def distance(self, coeffs: np.ndarray, t: float) -> np.ndarray:
+        """Cutoff distances ||U - U*|| (P,) of the rows to the free decay of U0 at time t."""
+        factor = np.exp(-self.grid.lam * (t - self.U0n.time))
+        diff = coeffs - self.U0n.coeffs * factor[None]
+        return np.sqrt(_parseval_sq(self.grid, diff, 1.0))
 
-    def theta(self, dist: float) -> float:
-        """Advection switch at cutoff distance ``dist`` (1 for the original equation)."""
+    def theta(self, dist: np.ndarray) -> np.ndarray:
+        """Advection switch (P,) at the cutoff distances (1 for the original
+        equation).  The scalar ``cutoff_theta`` runs per path: a vectorised
+        exp differs from ``math.exp`` in the last bit."""
         if self.cfg.equation == "modified":
-            return cutoff_theta(dist, self.kappa)
-        return 1.0
+            return np.array([cutoff_theta(d, self.kappa) for d in dist])
+        return np.ones(len(dist))
 
-    def noise_increment(self, state: SpectralState, dW: np.ndarray, grads: tuple | None):
-        """Masked increment sum_k sigma(U) e_k dW_k and the masked columns as
-        one (K, 3, nkx, nky, nm) array, or (None, None) for zero noise.
+    def noise_increment(self, coeffs: np.ndarray, dW: np.ndarray, grads: tuple | None):
+        """Masked increments sum_k sigma(U) e_k dW_k of the rows (P, 3, nkx, nky, nm),
+        for weights dW (P, K), and the masked columns (P, K, 3, nkx, nky, nm);
+        (None, None) for zero noise.
 
-        State-dependent noise forms the increment in one ``sigma_coeffs`` call
+        State-dependent noise forms the increments in one ``sigma_coeffs`` call
         with weight rows dW and, only under ``track_ito``, the K identity rows
-        for the columns (None otherwise)."""
+        for the columns (None otherwise).  Additive noise returns its fixed columns."""
         cfg = self.cfg
+        K = cfg.noise.K
         if cfg.noise.family == "zero":
             return None, None
         if self._static_cols is not None:
-            return sum(w * col for w, col in zip(dW, self._static_cols)), self._static_cols
-        weights = np.vstack([dW, np.eye(cfg.noise.K)]) if cfg.track_ito else dW[None]
-        rows = sigma_coeffs(cfg.noise, state.coeffs, weights, grads) * self.mask
-        return rows[0], rows[1:] if cfg.track_ito else None
+            cols = self._static_cols
+            incr = sum(dW[:, k, None, None, None, None] * cols[k] for k in range(K))
+            return incr, np.repeat(cols[None], len(dW), axis=0)
+        weights = dW[:, None]
+        if cfg.track_ito:
+            weights = np.concatenate([weights, np.broadcast_to(np.eye(K), (len(dW), K, K))], axis=1)
+        rows = sigma_coeffs(cfg.noise, coeffs, weights, grads) * self.mask
+        return rows[:, 0], rows[:, 1:] if cfg.track_ito else None
 
-    def explicit_drift(
-        self, state: SpectralState, theta_val: float, grads: tuple | None = None
-    ) -> np.ndarray | None:
-        """Galerkin-masked explicit drift -theta B(U) - F(U), or None where it
-        vanishes identically; the full drift is -lam U plus this."""
+    def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, grads: tuple | None = None):
+        """Galerkin-masked explicit drift -theta B(U) - F(U) of the rows, and the
+        rows that carry one as a (P,) boolean mask; (None, None) where it
+        vanishes identically.  The full drift is -lam U plus this on those rows.
+        A row with theta = 0 gets no advection term at all: 0 * B(U) is NaN
+        where B(U) overflows."""
         cfg = self.cfg
-        expl = None
-        if not self._skip_forcing:
-            expl = -forcing_F(state, cfg.physics, cfg.forcing).coeffs
-        if cfg.advection and theta_val != 0.0:
-            badv = -theta_val * bilinear_B(state, grads=grads).coeffs
-            expl = badv if expl is None else expl + badv
-        return None if expl is None else expl * self.mask
+        g = self.grid
+        advecting = cfg.advection and theta.any()
+        if self._skip_forcing and not advecting:
+            return None, None
+        expl = None if self._skip_forcing else -forcing_coeffs(g, coeffs, cfg.physics, cfg.forcing)
+        carries = np.full(len(coeffs), expl is not None)
+        if advecting:
+            adv = theta != 0.0
+            rows = slice(None) if adv.all() else adv
+            if grads is not None:
+                grads = tuple(a[rows] for a in grads)
+            badv = -theta[rows, None, None, None, None] * advection_coeffs(g, coeffs[rows], grads=grads)
+            if expl is None:
+                expl = np.zeros_like(coeffs)
+                expl[rows] = badv
+            else:
+                expl[rows] += badv
+            carries |= adv
+        return expl * self.mask, carries
 
-    def advance(self, state: SpectralState, theta_val: float, dW: np.ndarray):
-        """One step; returns (new state, noise increment coefficients, columns),
-        the columns as one (K, 3, nkx, nky, nm) array.
+    def advance(self, coeffs: np.ndarray, theta: np.ndarray, dW: np.ndarray):
+        """One step of every row, at switches theta (P,) with increments dW (P, K);
+        returns the new coefficients and the noise increments and columns of
+        ``noise_increment``.
 
         The padded gradient samples of U are synthesised once and shared by
         the advection and the transport noise."""
         cfg = self.cfg
         g = self.grid
-        coeffs = state.coeffs.copy()
+        out = coeffs.copy()
         grads = None
-        if (cfg.advection and theta_val != 0.0) or self._noise_uses_grads:
-            grads = g.grad_samples(state.coeffs)
-        expl = self.explicit_drift(state, theta_val, grads)
-        incr, cols = self.noise_increment(state, dW, grads)
+        if self._noise_uses_grads or (cfg.advection and theta.any()):
+            grads = g.grad_samples(coeffs)
+        expl, carries = self.explicit_drift(coeffs, theta, grads)
+        incr, cols = self.noise_increment(coeffs, dW, grads)
         if expl is not None:
-            coeffs += cfg.dt * expl
+            np.add(out, cfg.dt * expl, out=out, where=carries[:, None, None, None, None])
         if incr is not None:
-            coeffs += incr
-        coeffs *= self.lin
-        out = SpectralState(g, g.enforce_reality(leray_coeffs(g, coeffs) * self.mask), state.time + cfg.dt)
-        if not np.isfinite(out.coeffs.view(np.float64)).all():
-            raise BlowUpError(f"nonfinite state at t = {out.time}")
-        return out, incr, cols
+            out += incr
+        out *= self.lin
+        return g.enforce_reality(leray_coeffs(g, out) * self.mask), incr, cols
 
 
 def initial_state(cfg: SolverConfig) -> SpectralState:
@@ -315,139 +362,204 @@ def initial_state(cfg: SolverConfig) -> SpectralState:
     raise ValueError(f"unknown init kind {init.kind!r}")
 
 
-def run_trajectory(
-    cfg: SolverConfig, U0: SpectralState | None = None, increments: np.ndarray | None = None
-) -> Trajectory:
-    """Integrate one path, recording diagnostics and first-hitting times.
+def _forcing_weak(cfg: SolverConfig) -> float:
+    if cfg.forcing is None:
+        return 0.0
+    g = cfg.grid
+    fw = h_norm_sq(cfg.forcing)
+    # fractional boundary-regularity norm of the temperature forcing row
+    w = g.weight_m[None, None, :]
+    return fw + float(np.sum((1.0 + g.lam) ** 0.5 * np.abs(cfg.forcing.coeffs[2]) ** 2 * w))
 
-    Step j uses row j of ``increments``, an (n_steps, K) array; by default it
-    is the path's Wiener stream, drawn once (convergence studies feed block
-    sums of a finer path instead)."""
+
+def _keep(rows: SimpleNamespace, mask: np.ndarray):
+    for name, a in vars(rows).items():
+        if a is not None:
+            setattr(rows, name, a[mask])
+
+
+def run_paths(
+    cfg: SolverConfig, trajectory_ids, U0: SpectralState | None = None, increments: np.ndarray | None = None
+) -> list:
+    """Integrate the paths ``trajectory_ids`` from one initial state, stepped
+    together as one (P, 3, nkx, nky, nm) array; returns one Trajectory per id,
+    in order, each equal bit for bit to that path's own P = 1 run.
+
+    Path p uses the (n_steps, K) block ``increments[p]``; by default it is the
+    path's Wiener stream, drawn in one call (convergence studies feed block
+    sums of a finer path instead).  A path that blows up, or that reaches
+    tau_cutoff under ``terminate_on_tau``, leaves the stack, and the others
+    go on."""
+    ids = [int(i) for i in trajectory_ids]
+    if not ids:
+        raise ValueError("need at least one trajectory id")
     if U0 is None:
         U0 = initial_state(cfg)
     stepper = Stepper(cfg, U0)
     g = cfg.grid
-    U = stepper.initial()
-    n_steps = cfg.n_steps
+    n_steps, dt, K = cfg.n_steps, cfg.dt, cfg.noise.K
     if increments is None:
-        increments = WienerStream(cfg.seed, cfg.trajectory_id, cfg.noise.K).sample(n_steps, cfg.dt)
-    elif increments.shape != (n_steps, cfg.noise.K):
-        raise ValueError(f"increments must have shape {(n_steps, cfg.noise.K)}")
+        increments = np.stack([WienerStream(cfg.seed, i, K).sample(n_steps, dt) for i in ids])
+    elif increments.shape != (len(ids), n_steps, K):
+        raise ValueError(f"increments must have shape {(len(ids), n_steps, K)}")
+    forcing_weak = _forcing_weak(cfg)
+    power = (cfg.apriori_p - 2.0) / 2.0
 
-    forcing_weak = 0.0
-    if cfg.forcing is not None:
-        fw = h_norm_sq(cfg.forcing)
-        # fractional boundary-regularity norm of the temperature forcing row
-        w = g.weight_m[None, None, :]
-        fw += float(np.sum((1.0 + g.lam) ** 0.5 * np.abs(cfg.forcing.coeffs[2]) ** 2 * w))
-        forcing_weak = fw
+    # every path starts from the same state: its first record is computed once
+    U = stepper.initial()
+    t = U.time
+    dist0 = stepper.distance(U.coeffs[None], t)
+    theta0 = stepper.theta(dist0)
+    rec0 = record(U, float(dist0[0]), float(theta0[0]), forcing_weak)
+    records = [[replace(rec0, extras=dict(rec0.extras), stopping=dict(rec0.stopping))] for _ in ids]
+    hit_names = (*STOPPING_FUNCTIONALS, "tau_cutoff", *(f"blowup@{level:g}" for level in cfg.blowup_levels))
+    hits = [dict.fromkeys(hit_names) for _ in ids]
+    states = [[U.coeffs] for _ in ids] if cfg.store_states else None
+    configs = [cfg if i == cfg.trajectory_id else replace(cfg, trajectory_id=i) for i in ids]
+    out = [None] * len(ids)
 
-    # the cutoff distance is evaluated once per state and carried to the next step
-    dist = stepper.distance(U)
-    theta_val = stepper.theta(dist)
-    rec = record(U, dist, theta_val, forcing_weak)
-    records = [rec]
-    hits: dict = {name: None for name in STOPPING_FUNCTIONALS}
-    hits["tau_cutoff"] = None
-    for K in cfg.blowup_levels:
-        hits[f"blowup@{K:g}"] = None
-
-    sup_V = rec.V_sq
-    sup_H = rec.H_sq
-    int_DA = 0.0
-    int_DA_V2 = 0.0
-    prev_DA = rec.DA_sq
-
-    ito_coeffs = np.zeros_like(U.coeffs) if cfg.track_ito else None
-    ito_quad = 0.0
-    states = [U.copy()] if cfg.store_states else None
-
-    blowup = False
-    blowup_time = None
-    steps_done = 0
+    def leave(mask: np.ndarray, when: float, steps: int, blowup: bool):
+        """Finish the paths of the masked rows and drop those rows."""
+        if not mask.any():
+            return
+        for row in np.flatnonzero(mask):
+            p = rows.path[row]
+            traj = Trajectory(
+                config=configs[p],
+                times=np.array([rec.t for rec in records[p]]),
+                records=records[p],
+                hits=hits[p],
+                blowup=blowup,
+                blowup_time=when if blowup else None,
+                sup_V_sq=float(rows.sup_V[row]),
+                sup_H_sq=float(rows.sup_H[row]),
+                int_DA_sq=float(rows.int_DA[row]),
+                int_DA_V2=float(rows.int_DA_V2[row]),
+                final_state=None if blowup else SpectralState(g, rows.U[row].copy(), when),
+                kappa=stepper.kappa,
+                states=np.array(states[p]) if states is not None else None,
+                ito_integral=SpectralState(g, rows.ito[row].copy()) if rows.ito is not None else None,
+                ito_quadratic=float(rows.ito_quad[row]),
+                n_steps_done=steps,
+            )
+            for name, level in cfg.stopping_levels.items():
+                hits[p][name] = detect_stopping(*traj.series(name), level)
+            out[p] = traj
+        _keep(rows, ~mask)
 
     # overflow on the way to a detected blow-up is expected; the nonfinite
     # guards below define the semantics (numpy powers overflow to inf where
     # float powers raise)
     with np.errstate(over="ignore", invalid="ignore"):
-        prev_DA_V2 = rec.DA_sq * np.float64(rec.V_sq) ** ((cfg.apriori_p - 2.0) / 2.0)
+        P = len(ids)
+        rows = SimpleNamespace(
+            path=np.arange(P),
+            U=np.repeat(U.coeffs[None], P, axis=0),
+            increments=increments,
+            dist=np.repeat(dist0, P),
+            theta=np.repeat(theta0, P),
+            sup_V=np.full(P, rec0.V_sq),
+            sup_H=np.full(P, rec0.H_sq),
+            int_DA=np.zeros(P),
+            int_DA_V2=np.zeros(P),
+            prev_DA=np.full(P, rec0.DA_sq),
+            prev_DA_V2=np.full(P, rec0.DA_sq * np.float64(rec0.V_sq) ** power),
+            ito=np.zeros((P,) + U.coeffs.shape, dtype=np.complex128) if cfg.track_ito else None,
+            ito_quad=np.zeros(P),
+            tau_open=np.ones(P, dtype=bool),
+            level_open=np.ones((P, len(cfg.blowup_levels)), dtype=bool),
+        )
         for j in range(n_steps):
-            try:
-                U, incr, cols = stepper.advance(U, theta_val, increments[j])
-            except BlowUpError:
-                blowup = True
-                blowup_time = U.time + cfg.dt
-                break
-            steps_done = j + 1
+            new, incr, cols = stepper.advance(rows.U, rows.theta, rows.increments[:, j])
+            norms = sq_norms(g, new)
+            # the scalar power per path: numpy's vectorised power differs in the last bit
+            norms += (norms[2] * np.array([np.float64(v) ** power for v in norms[1]]),)
+            ok = np.isfinite(np.array(norms)).all(axis=0)
+            if not ok.all():
+                # a nonfinite state (its H norm is nonfinite too) leaves before its
+                # Ito increment counts, a finite one with nonfinite norms after it
+                finite = np.isfinite(new.view(np.float64)).reshape(len(new), -1).all(axis=1)
+                leave(~finite, t + dt, j, blowup=True)
+                if not finite.any():
+                    break
+                new, incr, cols, ok = (None if a is None else a[finite] for a in (new, incr, cols, ok))
+                norms = tuple(a[finite] for a in norms)
+            rows.U = new
+            t = t + dt
 
             if cfg.track_ito and cols is not None:
-                ito_coeffs += incr
-                ito_quad += sum(_parseval_sq(g, col) for col in cols) * cfg.dt
+                rows.ito += incr
+                sq = _parseval_sq(g, cols)  # (P, K), summed in column order
+                rows.ito_quad += sum(sq[:, k] for k in range(K)) * dt
 
-            t = U.time
-            H_sq, V_sq, DA_sq = sq_norms(g, U.coeffs)
-            da_v2 = DA_sq * np.float64(V_sq) ** ((cfg.apriori_p - 2.0) / 2.0)
-            if not (np.isfinite(V_sq) and np.isfinite(H_sq) and np.isfinite(DA_sq) and np.isfinite(da_v2)):
+            if not ok.all():
                 # monitored functionals out of representable range: numerical blow-up
-                blowup = True
-                blowup_time = t
-                break
-            sup_V = max(sup_V, V_sq)
-            sup_H = max(sup_H, H_sq)
+                leave(~ok, t, j + 1, blowup=True)
+                if not ok.any():
+                    break
+                norms = tuple(a[ok] for a in norms)
+            H_sq, V_sq, DA_sq, da_v2 = norms
+            rows.sup_V = np.maximum(rows.sup_V, V_sq)
+            rows.sup_H = np.maximum(rows.sup_H, H_sq)
             # per-step trapezoids; stored records carry this int_DA
-            int_DA += 0.5 * (prev_DA + DA_sq) * cfg.dt
-            int_DA_V2 += 0.5 * (prev_DA_V2 + da_v2) * cfg.dt
-            prev_DA, prev_DA_V2 = DA_sq, da_v2
+            rows.int_DA = rows.int_DA + 0.5 * (rows.prev_DA + DA_sq) * dt
+            rows.int_DA_V2 = rows.int_DA_V2 + 0.5 * (rows.prev_DA_V2 + da_v2) * dt
+            rows.prev_DA, rows.prev_DA_V2 = DA_sq, da_v2
 
-            dist_new = stepper.distance(U)
-            if hits["tau_cutoff"] is None and dist_new >= stepper.kappa:
-                if dist_new == dist:
-                    hits["tau_cutoff"] = t
+            dist = stepper.distance(rows.U, t)
+            for row in np.flatnonzero(rows.tau_open & (dist >= stepper.kappa)) if rows.tau_open.any() else ():
+                before, now = float(rows.dist[row]), float(dist[row])
+                if now == before:
+                    hit = t
                 else:
-                    frac = (stepper.kappa - dist) / (dist_new - dist)
-                    hits["tau_cutoff"] = t - cfg.dt + min(max(frac, 0.0), 1.0) * cfg.dt
-            dist = dist_new
-            theta_val = stepper.theta(dist)
+                    frac = (stepper.kappa - before) / (now - before)
+                    hit = t - dt + min(max(frac, 0.0), 1.0) * dt
+                hits[rows.path[row]]["tau_cutoff"] = hit
+                rows.tau_open[row] = False
+            rows.dist = dist
+            rows.theta = stepper.theta(dist)
 
-            blow_val = sup_V + int_DA
-            for K in cfg.blowup_levels:
-                key = f"blowup@{K:g}"
-                if hits[key] is None and blow_val >= K:
-                    hits[key] = t
+            blow_val = rows.sup_V + rows.int_DA if cfg.blowup_levels else None
+            for i, level in enumerate(cfg.blowup_levels):
+                for row in np.flatnonzero(rows.level_open[:, i] & (blow_val >= level)):
+                    hits[rows.path[row]][f"blowup@{level:g}"] = t
+                    rows.level_open[row, i] = False
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
-                rec = record(U, dist, theta_val, forcing_weak, prev=records[-1])
-                rec.int_DA_sq = int_DA
-                if not rec.finite():
-                    # a stored functional out of representable range: numerical blow-up
-                    blowup = True
-                    blowup_time = t
-                    break
-                records.append(rec)
-                if states is not None:
-                    states.append(U.copy())
+                bad = np.zeros(len(rows.path), dtype=bool)
+                for row, p in enumerate(rows.path):
+                    state = SpectralState(g, rows.U[row], t)
+                    rec = record(
+                        state, float(rows.dist[row]), float(rows.theta[row]), forcing_weak, prev=records[p][-1]
+                    )
+                    rec.int_DA_sq = float(rows.int_DA[row])
+                    if not rec.finite():
+                        # a stored functional out of representable range: numerical blow-up
+                        bad[row] = True
+                        continue
+                    records[p].append(rec)
+                    if states is not None:
+                        states[p].append(rows.U[row].copy())
+                leave(bad, t, j + 1, blowup=True)
 
-            if cfg.terminate_on_tau and hits["tau_cutoff"] is not None:
+            if cfg.terminate_on_tau:
+                leave(~rows.tau_open, t, j + 1, blowup=False)
+            if not len(rows.path):
                 break
+        leave(np.ones(len(rows.path), dtype=bool), t, n_steps, blowup=False)
+    return out
 
-    traj = Trajectory(
-        config=cfg,
-        times=np.array([r.t for r in records]),
-        records=records,
-        hits=hits,
-        blowup=blowup,
-        blowup_time=blowup_time,
-        sup_V_sq=sup_V,
-        sup_H_sq=sup_H,
-        int_DA_sq=int_DA,
-        int_DA_V2=int_DA_V2,
-        final_state=U if not blowup else None,
-        kappa=stepper.kappa,
-        states=states,
-        ito_integral=SpectralState(g, ito_coeffs) if ito_coeffs is not None else None,
-        ito_quadratic=ito_quad,
-        n_steps_done=steps_done,
-    )
-    for name, K in cfg.stopping_levels.items():
-        hits[name] = detect_stopping(*traj.series(name), K)
-    return traj
+
+def run_trajectory(
+    cfg: SolverConfig, U0: SpectralState | None = None, increments: np.ndarray | None = None
+) -> Trajectory:
+    """Integrate one path, recording diagnostics and first-hitting times:
+    ``run_paths`` with P = 1.
+
+    Step j uses row j of ``increments``, an (n_steps, K) array; by default it
+    is the path's Wiener stream, drawn once."""
+    if increments is not None:
+        if increments.shape != (cfg.n_steps, cfg.noise.K):
+            raise ValueError(f"increments must have shape {(cfg.n_steps, cfg.noise.K)}")
+        increments = increments[None]
+    return run_paths(cfg, [cfg.trajectory_id], U0, increments)[0]

@@ -438,10 +438,6 @@ class Grid:
     def dzz(self, c: np.ndarray) -> np.ndarray:
         return -c * (self.mz_phys[None, None, :] ** 2)
 
-    def dz_sin_to_cos(self, s: np.ndarray) -> np.ndarray:
-        """d/dz of a sine series, returned as cosine-series coefficients."""
-        return s * self.mz_phys[None, None, :]
-
     def enforce_reality(self, coeffs: np.ndarray) -> np.ndarray:
         """Project onto conjugate-symmetric coefficients (real physical fields)."""
         flipped = np.conj(coeffs[..., self.negx, :, :][..., :, self.negy, :])
@@ -547,12 +543,21 @@ def complement_q(state: SpectralState, n: int) -> SpectralState:
     return SpectralState(state.grid, state.coeffs * mask, state.time)
 
 
-def _parseval_sq(grid: Grid, coeffs: np.ndarray, lam_power: float = 0.0) -> float:
+def _mode_sums(a: np.ndarray):
+    """Sum of a (..., 3, nkx, nky, nm) array over its four trailing axes: a float
+    for one array, an array of the leading shape for a stack.  Each entry is
+    one contiguous reduction, bit-identical to ``np.sum`` of its own slice."""
+    if a.ndim == 4:
+        return float(np.sum(a))
+    return np.add.reduce(a.reshape(a.shape[:-4] + (-1,)), axis=-1)
+
+
+def _parseval_sq(grid: Grid, coeffs: np.ndarray, lam_power: float = 0.0):
     w = grid.weight_m[None, None, None, :]
     if lam_power == 0.0:
-        return float(np.sum(np.abs(coeffs) ** 2 * w))
+        return _mode_sums(np.abs(coeffs) ** 2 * w)
     lam = grid.lam[None]
-    return float(np.sum(np.abs(coeffs) ** 2 * lam**lam_power * w))
+    return _mode_sums(np.abs(coeffs) ** 2 * lam**lam_power * w)
 
 
 def h_norm_sq(state: SpectralState) -> float:
@@ -568,12 +573,14 @@ def da_norm_sq(state: SpectralState) -> float:
 
 
 def sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
-    """(H, V, D(A)) squared norms of one coefficient array from one |c|^2
-    pass; bit-identical to ``h_norm_sq``, ``v_norm_sq`` and ``da_norm_sq``."""
+    """(H, V, D(A)) squared norms from one |c|^2 pass: floats for one
+    coefficient array (3, nkx, nky, nm), (P,) arrays for a stack of P.  Each
+    value is bit-identical to ``h_norm_sq``, ``v_norm_sq`` and ``da_norm_sq``
+    of its own state."""
     w = grid.weight_m[None, None, None, :]
     lam = grid.lam[None]
     a2 = np.abs(coeffs) ** 2
-    return float(np.sum(a2 * w)), float(np.sum(a2 * lam**1.0 * w)), float(np.sum(a2 * lam**2.0 * w))
+    return _mode_sums(a2 * w), _mode_sums(a2 * lam**1.0 * w), _mode_sums(a2 * lam**2.0 * w)
 
 
 def grad3_dz_sq(state: SpectralState, comps=(0, 1), mu: float = 1.0, nu: float = 1.0) -> float:

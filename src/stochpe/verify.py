@@ -153,12 +153,12 @@ def linear_flow_residuals(cfg: SolverConfig) -> tuple:
     which holds exactly when every step is the free decay of its start."""
     traj = run_trajectory(replace(cfg, store_stride=1, store_states=True))
     g = cfg.grid
-    U0 = traj.states[0]
+    U0 = SpectralState(g, traj.states[0], traj.times[0])
     exact = solve_linear_Ustar(U0, [cfg.t_end])[0]
     err = float(np.abs(traj.final_state.coeffs - exact.coeffs).max())
     lost = (1.0 - np.exp(-2.0 * g.lam * cfg.dt))[None] * g.weight_m
-    decayed = sum(float(np.sum(np.abs(s.coeffs) ** 2 * lost)) for s in traj.states[:-1])
-    lhs = h_norm_sq(traj.states[-1]) + decayed
+    decayed = sum(float(np.sum(np.abs(s) ** 2 * lost)) for s in traj.states[:-1])
+    lhs = h_norm_sq(SpectralState(g, traj.states[-1])) + decayed
     rhs = h_norm_sq(U0)
     return err, err / float(np.abs(exact.coeffs).max()), abs(lhs - rhs) / rhs
 

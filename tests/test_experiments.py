@@ -64,6 +64,11 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(ou_cfg, 0)
 
+    def test_worker_count_validation(self, ou_cfg):
+        for workers in (0, -5):
+            with pytest.raises(ValueError, match="workers"):
+                run_ensemble(ou_cfg, 2, workers=workers)
+
 
 class TestOUMoments:
     def test_second_moment_within_three_se(self, ou_cfg):

@@ -171,6 +171,40 @@ class TestCLI:
         del d1["workers"], d2["workers"]
         assert d1 == d2
 
+    def test_ensemble_rejects_worker_count_below_one(self, tmp_path):
+        root = str(tmp_path / "out")
+        args = ["ensemble", "--preset", "ou-single-mode", "--paths", "2", "--output-root", root]
+        assert main(args + ["--workers", "0"]) == EXIT_CONFIG
+        assert not os.path.exists(os.path.join(root, "ensemble-ou-single-mode", "ensemble.json"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ensemble_paths_csv(self, tmp_path):
+        # stopping and blow-up levels low enough that some paths reach them and some do not
+        root = str(tmp_path)
+        code = main(
+            [
+                "ensemble", "--preset", "example1-small", "--paths", "5",
+                "--set", "stopping.weak=2.44", "--set", "stopping.blowup=5.527,1e6",
+                "--output-root", root, "--label", "e",
+            ]
+        )
+        assert code == EXIT_OK
+        doc = json.load(open(os.path.join(root, "e", "ensemble.json")))
+        manifest = json.load(open(os.path.join(root, "e", "manifest.json")))
+        csv_path = os.path.join(root, "e", "paths.csv")
+        assert csv_path in manifest["outputs"]
+        lines = open(csv_path).read().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [int(r["trajectory"]) for r in rows] == list(range(5))
+        assert sum(int(r["blowup"]) for r in rows) == doc["blowups"]
+        for name, count in doc["hit_counts"].items():
+            assert sum(r[f"hit_{name}"] != "" for r in rows) == count
+        assert 0 < doc["hit_counts"]["weak"] < 5
+        assert 0 < doc["hit_counts"]["blowup@5.527"] < 5
+        assert header[-4:] == ["final_H_sq", "final_V_sq", "sup_V_sq", "int_DA_sq"]
+        assert all(np.isfinite(float(r["final_H_sq"])) for r in rows)
+
     def test_verify_unknown_suite(self, tmp_path):
         assert main(["verify", "--suite", "nonsense", "--output-root", str(tmp_path)]) == EXIT_CONFIG
 

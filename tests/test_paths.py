@@ -1,0 +1,277 @@
+"""One step loop for one path or many: a stack of P paths against P single runs.
+
+Every kernel the step calls takes a leading path axis, and ``run_paths``
+steps a chunk of paths as one array.  Each path of a chunk must equal its
+own P = 1 run bit for bit (``np.array_equal`` and ``==``, never a
+tolerance), whatever the chunk size and whichever paths leave the chunk
+early.
+"""
+
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from stochpe import DomainSpec, Grid, random_state
+from stochpe import solver
+from stochpe.cli import _preset_text
+from stochpe.config import build_solver_config, parse_config_text
+from stochpe.experiments import path_summary, run_ensemble
+from stochpe.noise import WienerStream, example1_noise, example2_noise, sigma_coeffs
+from stochpe.operators import (
+    PhysicsParams,
+    _advection_samples,
+    _linear_terms,
+    _pressure_integral_cos,
+    _w_parts,
+    advection_coeffs,
+    bilinear_B,
+    forcing_coeffs,
+    forcing_F,
+    leray_project,
+)
+from stochpe.solver import Stepper, run_paths, run_trajectory
+from stochpe.spectral import SpectralState, h_norm_sq, sq_norms, v_norm_sq
+
+PRESETS = [
+    "example1-large-theta1", "example1-small", "example2-small", "linear-decay", "ou-single-mode", "smallnoise-888"
+]
+VARIANTS = {
+    "plain": {},
+    "track_ito": {"solver.track_ito": True},
+    "modified": {"solver.equation": "modified", "solver.kappa_cutoff": "0.05", "solver.store_stride": 1},
+    "semi-implicit": {"solver.scheme": "semi-implicit", "solver.store_stride": 3},
+}
+
+
+def preset_cfg(name, **values):
+    v = parse_config_text(_preset_text(name))
+    v.update(values)
+    return build_solver_config(v)
+
+
+def assert_same_path(a, b):
+    """Every output of two trajectories is identical."""
+    assert a.config.trajectory_id == b.config.trajectory_id
+    assert len(a.records) == len(b.records)
+    for ra, rb in zip(a.records, b.records):
+        assert ra.row() == rb.row()
+        assert ra.stopping == rb.stopping
+        assert ra.extras == rb.extras
+    assert np.array_equal(a.times, b.times)
+    assert a.hits == b.hits
+    assert (a.blowup, a.blowup_time, a.n_steps_done) == (b.blowup, b.blowup_time, b.n_steps_done)
+    assert (a.sup_V_sq, a.sup_H_sq, a.int_DA_sq, a.int_DA_V2) == (b.sup_V_sq, b.sup_H_sq, b.int_DA_sq, b.int_DA_V2)
+    assert a.kappa == b.kappa
+    assert a.ito_quadratic == b.ito_quadratic
+    assert (a.ito_integral is None) == (b.ito_integral is None)
+    if a.ito_integral is not None:
+        assert np.array_equal(a.ito_integral.coeffs, b.ito_integral.coeffs)
+    assert (a.final_state is None) == (b.final_state is None)
+    if a.final_state is not None:
+        assert np.array_equal(a.final_state.coeffs, b.final_state.coeffs)
+        assert a.final_state.time == b.final_state.time
+    assert (a.states is None) == (b.states is None)
+    if a.states is not None:
+        assert np.array_equal(a.states, b.states)
+
+
+def assert_paths_match_single_runs(cfg, ids, increments=None):
+    trajs = run_paths(cfg, ids, increments=increments)
+    assert [t.config.trajectory_id for t in trajs] == list(ids)
+    for p, (tid, traj) in enumerate(zip(ids, trajs)):
+        inc = None if increments is None else increments[p]
+        assert_same_path(traj, run_trajectory(replace(cfg, trajectory_id=tid), increments=inc))
+    return trajs
+
+
+# -- stepping chunks of paths --------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("preset", PRESETS)
+def test_each_path_equals_its_single_run(preset, variant):
+    cfg = preset_cfg(preset, **VARIANTS[variant])
+    assert_paths_match_single_runs(cfg, [2, 0, 7])
+
+
+@pytest.mark.parametrize("preset,kappa", [("example1-small", 0.01), ("smallnoise-888", 0.05)])
+def test_terminate_on_tau_leaves_the_chunk(preset, kappa):
+    cfg = preset_cfg(preset, **{"solver.equation": "modified", "solver.store_stride": 1})
+    cfg = replace(cfg, kappa_cutoff=kappa, terminate_on_tau=True, track_ito=True, store_states=True)
+    trajs = assert_paths_match_single_runs(cfg, range(4))
+    # the paths leave at different steps, and none runs to the end
+    assert len({t.n_steps_done for t in trajs}) > 1
+    assert all(t.n_steps_done < cfg.n_steps and not t.blowup for t in trajs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blowups_leave_and_live_paths_go_on():
+    # paths 1 and 3 get scaled increments and path 4 an infinite one: they
+    # blow up at different steps and by different rules (nonfinite norms,
+    # nonfinite state), while paths 0 and 2 run to the end
+    cfg = preset_cfg("example1-small", **{"solver.store_stride": 1})
+    cfg = replace(cfg, blowup_levels=(1.0, 5.0), track_ito=True)
+    inc = np.stack([WienerStream(cfg.seed, i, cfg.noise.K).sample(cfg.n_steps, cfg.dt) for i in range(5)])
+    inc[1] *= 1e3
+    inc[3] *= 1e10
+    inc[4, 0, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trajs = assert_paths_match_single_runs(cfg, range(5), increments=inc)
+    assert [t.blowup for t in trajs] == [False, True, False, True, True]
+    assert len({t.n_steps_done for t in trajs}) == 4
+    assert trajs[4].n_steps_done == 0 and trajs[4].final_state is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_records_in_a_chunk():
+    cfg = preset_cfg(
+        "example1-large-theta1", **{"solver.dt": 0.5, "solver.t_end": 16, "init.amplitude": 50}
+    )
+    trajs = assert_paths_match_single_runs(cfg, range(3))
+    assert all(t.blowup for t in trajs)
+
+
+def test_theta_zero_path_skips_advection(grid_small, rng):
+    # far outside the cutoff radius theta = 0: no advection term, not 0 * B(U)
+    spec = example1_noise(grid_small, K=2, amp_phi=0.05, amp_chi=0.5, osc=1)
+    cfg = solver.SolverConfig(
+        grid=grid_small, noise=spec, equation="modified", kappa_cutoff=1e-6, dt=0.01, t_end=0.05, seed=3,
+        physics=PhysicsParams(f=0.0, beta_T=0.0),
+    )
+    U = leray_project(random_state(grid_small, rng))
+    stepper = Stepper(cfg, U)
+    c = np.stack([U.coeffs, np.full_like(U.coeffs, np.inf)])
+    expl, carries = stepper.explicit_drift(c, np.array([1.0, 0.0]))
+    assert carries.tolist() == [True, False]
+    assert np.isfinite(expl[0]).all()
+
+
+@pytest.mark.parametrize("size", [1, 3, None])
+def test_ensemble_chunk_sizes(monkeypatch, size):
+    cfg = preset_cfg("example1-small", **{"solver.track_ito": True})
+    if size is not None:
+        g = cfg.grid
+        monkeypatch.setattr(solver, "CHUNK_SAMPLES", size * g.nx_pad * g.ny_pad * g.nz_pad)
+        assert solver.chunk_size(g) == size
+    summaries = run_ensemble(cfg, 7, workers=2)
+    direct = [path_summary(run_trajectory(replace(cfg, trajectory_id=i))) for i in range(7)]
+    assert summaries == direct
+
+
+def test_chunk_size_depends_on_the_grid_only():
+    sizes = [solver.chunk_size(preset_cfg(p).grid) for p in ("smallnoise-888", "example1-small", "ou-single-mode")]
+    assert sizes[0] < sizes[1] < sizes[2]
+    assert sizes[0] >= 1
+
+
+def test_increments_shape_checked():
+    cfg = preset_cfg("ou-single-mode")
+    with pytest.raises(ValueError):
+        run_paths(cfg, range(2), increments=np.zeros((2, cfg.n_steps + 1, cfg.noise.K)))
+    with pytest.raises(ValueError):
+        run_paths(cfg, [])
+
+
+# -- kernels with a path axis -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def stack():
+    """Five projected states of one 3^3 grid and their coefficient stack."""
+    g = Grid(DomainSpec(N1=3, N2=3, M=3))
+    rng = np.random.default_rng(6)
+    states = [leray_project(random_state(g, rng, amplitude=10.0 ** rng.uniform(-2, 2))) for _ in range(5)]
+    # exactly zero barotropic divergence on one path, round-off on the others
+    states[2].coeffs[:2, :, :, 0] = 0.0
+    return g, states, np.stack([s.coeffs for s in states])
+
+
+def test_w_parts_stack(stack):
+    g, states, c = stack
+    w_sin, w_aff = _w_parts(g, c[:, :2])
+    for p, st in enumerate(states):
+        one_sin, one_aff = _w_parts(g, st.coeffs[:2])
+        assert np.array_equal(w_sin[p], one_sin) and np.array_equal(w_aff[p], one_aff)
+
+
+def test_advection_stack(stack):
+    g, states, c = stack
+    samples = _advection_samples(g, c[:, :2], c)
+    coeffs = advection_coeffs(g, c)
+    for p, st in enumerate(states):
+        assert np.array_equal(samples[p], _advection_samples(g, st.coeffs[None, :2], st.coeffs[None])[0])
+        assert np.array_equal(coeffs[p], bilinear_B(st).coeffs)
+
+
+def test_linear_terms_stack(stack):
+    g, states, c = stack
+    phys = PhysicsParams(f=0.7, beta_T=0.2)
+    G = _pressure_integral_cos(g, c[:, 2])
+    lin = _linear_terms(g, c, 0.3, 0.7)
+    F = forcing_coeffs(g, c, phys)
+    for p, st in enumerate(states):
+        assert np.array_equal(G[p], _pressure_integral_cos(g, st.coeffs[2]))
+        assert np.array_equal(lin[p], _linear_terms(g, st.coeffs, 0.3, 0.7))
+        assert np.array_equal(F[p], forcing_F(st, phys).coeffs)
+
+
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_sigma_coeffs_stack(stack, family):
+    g, states, c = stack
+    make = example1_noise if family == "example1" else example2_noise
+    spec = make(g, K=4, amp_phi=0.3, amp_chi=0.3, amp_alpha=0.1, osc=1)
+    W = np.random.default_rng(2).standard_normal((len(states), 5, 4))
+    rows = sigma_coeffs(spec, c, W)
+    grads = g.grad_samples(c)
+    with_grads = sigma_coeffs(spec, c, W, grads)
+    for p, st in enumerate(states):
+        one = sigma_coeffs(spec, st.coeffs, W[p])
+        assert np.array_equal(rows[p], one)
+        assert np.array_equal(with_grads[p], sigma_coeffs(spec, st.coeffs, W[p], tuple(a[p] for a in grads)))
+    with pytest.raises(ValueError):
+        sigma_coeffs(spec, c, W[:, :, :3])
+
+
+def test_sq_norms_stack(stack):
+    g, states, c = stack
+    H, V, DA = sq_norms(g, c)
+    assert H.shape == V.shape == DA.shape == (len(states),)
+    for p, st in enumerate(states):
+        assert (H[p], V[p]) == (h_norm_sq(st), v_norm_sq(st))
+        assert (H[p], V[p], DA[p]) == sq_norms(g, st.coeffs)
+
+
+def test_stepper_distance_stack(stack):
+    g, states, c = stack
+    cfg = solver.SolverConfig(grid=g, equation="modified", dt=0.01, t_end=0.1)
+    stepper = Stepper(cfg, states[0])
+    dist = stepper.distance(c, 0.37)
+    assert dist.shape == (len(states),)
+    for p in range(len(states)):
+        assert dist[p] == stepper.distance(c[p : p + 1], 0.37)[0]
+
+
+def test_stepper_advance_stack(stack):
+    g, states, c = stack
+    spec = example1_noise(g, K=3, amp_phi=0.1, amp_psi=0.1, amp_chi=0.3, amp_alpha=0.1, osc=1)
+    cfg = solver.SolverConfig(grid=g, noise=spec, equation="modified", dt=0.01, t_end=0.1, track_ito=True)
+    stepper = Stepper(cfg, states[0])
+    theta = np.array([1.0, 0.0, 0.5, 1.0, 0.0])
+    dW = np.random.default_rng(3).standard_normal((len(states), 3)) * 0.1
+    new, incr, cols = stepper.advance(c, theta, dW)
+    for p in range(len(states)):
+        one = stepper.advance(c[p : p + 1], theta[p : p + 1], dW[p : p + 1])
+        for a, b in zip((new, incr, cols), one):
+            assert np.array_equal(a[p], b[0])
+
+
+def test_states_are_one_array():
+    cfg = replace(preset_cfg("example1-small"), store_states=True)
+    traj = run_trajectory(cfg)
+    assert isinstance(traj.states, np.ndarray)
+    assert traj.states.shape == (len(traj.records),) + traj.final_state.coeffs.shape
+    assert np.array_equal(traj.states[-1], traj.final_state.coeffs)
+    assert [h_norm_sq(SpectralState(cfg.grid, s)) for s in traj.states] == [r.H_sq for r in traj.records]

@@ -105,8 +105,11 @@ class TestLinearFlow:
 
 def full_drift(stepper: Stepper, state: SpectralState) -> np.ndarray:
     """Galerkin drift -lam U - theta B(U) - F(U), theta at the state's cutoff distance."""
-    theta = stepper.theta(stepper.distance(state))
-    return -state.grid.lam[None] * state.coeffs + stepper.explicit_drift(state, theta)
+    c = state.coeffs[None]
+    theta = stepper.theta(stepper.distance(c, state.time))
+    expl, carries = stepper.explicit_drift(c, theta)
+    assert carries.all()
+    return -state.grid.lam[None] * state.coeffs + expl[0]
 
 
 class TestDrifts:
@@ -219,14 +222,15 @@ class TestStepping:
         U = leray_project(random_state(grid_small, rng))
         dW = rng.standard_normal(3) * 0.1
         stepper = Stepper(small_cfg(grid_small, noise=spec, track_ito=True), U)
-        _, incr, cols = stepper.advance(U, 1.0, dW)
+        _, incr, cols = stepper.advance(U.coeffs[None], np.ones(1), dW[None])
+        incr, cols = incr[0], cols[0]
         expected = sum(w * col for w, col in zip(dW, cols))
         assert np.abs(incr - expected).max() <= 1e-13 * np.abs(expected).max()
         # without track_ito the same increment comes without columns
         plain = Stepper(small_cfg(grid_small, noise=spec), U)
-        out, incr2, cols2 = plain.advance(U, 1.0, dW)
+        out, incr2, cols2 = plain.advance(U.coeffs[None], np.ones(1), dW[None])
         assert cols2 is None
-        assert np.abs(incr2 - incr).max() <= 1e-14 * np.abs(incr).max()
+        assert np.abs(incr2[0] - incr).max() <= 1e-14 * np.abs(incr).max()
 
     def test_reality_preserved(self, grid_small):
         spec = example1_noise(grid_small, K=2, amp_phi=0.2, amp_chi=0.4, osc=1)
