@@ -3,8 +3,13 @@
 Norm-type functionals are evaluated spectrally (Parseval); sixth-power and
 mixed-gradient functionals by quadrature on the dealiased grid.  Cumulative
 time integrals are accumulated with the trapezoid rule on the stored stride,
-except ``int_DA_sq``: each stored record carries ``run_trajectory``'s
-per-step integral, the value the trajectory reports.
+except ``int_DA_sq``: each stored record carries ``run_paths``' per-step
+integral, the value the trajectory reports.
+
+``record_stack`` evaluates the records of a whole stack of paths at once,
+once per stored step of a chunk, and ``record`` is its one-row case; each
+path still keeps its own records, equal bit for bit to the records of its
+state alone.
 
 The five cumulative stopping functionals instrument the solution theory:
 
@@ -24,14 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import fluctuation_R, mode_split
-from .spectral import SpectralState, grad3_dz_sq, sq_norms
+from .spectral import Grid, SpectralState, _mode_sums, grad3_dz_sq, sq_norms
 
 __all__ = [
     "DiagnosticRecord",
     "EnsembleReport",
     "STOPPING_FUNCTIONALS",
     "record",
+    "record_stack",
     "stopping_integrands",
     "detect_stopping",
     "blowup_functional",
@@ -65,7 +70,11 @@ CSV_COLUMNS = (
 
 @dataclass
 class DiagnosticRecord:
-    """Per-step values of every monitored functional plus running integrals."""
+    """Per-step values of every monitored functional plus running integrals.
+
+    ``record_stack`` returns a stacked record, whose columns, extras and
+    stopping values are (P,) arrays with one entry per path; ``split`` cuts
+    it into per-path records."""
 
     t: float
     H_sq: float
@@ -96,64 +105,89 @@ class DiagnosticRecord:
     def row(self) -> list:
         return [getattr(self, c) for c in CSV_COLUMNS]
 
-    def finite(self) -> bool:
-        return all(np.isfinite(v) for v in self.row())
+    def finite(self):
+        """Whether every column is finite: a bool, or a (P,) mask for a stacked record."""
+        ok = np.isfinite(np.array(self.row(), dtype=float)).all(axis=0)
+        return bool(ok) if ok.ndim == 0 else ok
+
+    def split(self, rows: np.ndarray | None = None) -> list:
+        """The per-path records of a stacked record, for the rows selected by
+        the (P,) boolean mask ``rows`` (all rows by default)."""
+
+        def columns(values: dict) -> list:
+            cols = [np.asarray(v if rows is None else v[rows]).tolist() for v in values.values()]
+            return [dict(zip(values, entry)) for entry in zip(*cols)]
+
+        return [
+            DiagnosticRecord(**cols, extras=extras, stopping=stopping)
+            for cols, extras, stopping in zip(
+                columns({c: getattr(self, c) for c in CSV_COLUMNS}), columns(self.extras), columns(self.stopping)
+            )
+        ]
 
 
-def _grid_quadrature_functionals(state: SpectralState) -> dict:
-    """Sixth-power and mixed-gradient functionals on the dealiased grid."""
-    g = state.grid
-    w = g.quad_weight(padded=True)
-    vt = fluctuation_R(state).coeffs[:2]
-    vt1, vt2, Tg = g.synth_cos(np.concatenate([vt, state.coeffs[2:]]), padded=True)
-    vt_sq = vt1**2 + vt2**2
-    grad_sq = sum((d**2).sum(axis=0) for d in g.grad_samples(vt))
+def _stack(records: list) -> DiagnosticRecord:
+    """One stacked record of per-path records."""
+    first = records[0]
+    return DiagnosticRecord(
+        **{c: np.fromiter((getattr(r, c) for r in records), float) for c in CSV_COLUMNS},
+        extras={k: np.fromiter((r.extras[k] for r in records), float) for k in first.extras},
+        stopping={k: np.fromiter((r.stopping[k] for r in records), float) for k in first.stopping},
+    )
+
+
+def _grid_quadrature_functionals(grid: Grid, coeffs: np.ndarray) -> dict:
+    """Sixth-power and mixed-gradient functionals on the dealiased grid, (P,)
+    arrays for a coefficient stack (P, 3, nkx, nky, nm)."""
+    w = grid.quad_weight(padded=True)
+    # baroclinic velocity vtilde (the depth mean removed) and the temperature
+    fluct = coeffs.copy()
+    fluct[:, :2, :, :, 0] = 0.0
+    samples = grid.synth_cos(fluct, padded=True)
+    vt_sq = samples[:, 0] ** 2 + samples[:, 1] ** 2
+    grad_sq = sum((d**2).sum(axis=1) for d in grid.grad_samples(fluct[:, :2]))
     return {
-        "L6_vtilde_6": float(np.sum(vt_sq**3) * w),
-        "grad_vtilde_vtilde4": float(np.sum(grad_sq * vt_sq**2) * w),
-        "L6_T_6": float(np.sum(Tg**6) * w),
+        "L6_vtilde_6": _mode_sums(vt_sq**3, 3) * w,
+        "grad_vtilde_vtilde4": _mode_sums(grad_sq * vt_sq**2, 3) * w,
+        "L6_T_6": _mode_sums(samples[:, 2] ** 6, 3) * w,
     }
 
 
-def record(
-    state: SpectralState,
-    dist: float = 0.0,
-    theta_value: float = 1.0,
+def record_stack(
+    grid: Grid,
+    coeffs: np.ndarray,
+    t: float,
+    dist: np.ndarray,
+    theta: np.ndarray,
     forcing_weak: float = 0.0,
-    prev: DiagnosticRecord | None = None,
+    prev: list | None = None,
 ) -> DiagnosticRecord:
-    """Evaluate every monitored functional at cutoff distance ``dist``; chain
-    ``prev`` to accumulate the int_* columns and the stopping functionals by
-    the trapezoid rule.  ``int_DA_sq`` is left at 0 for the caller to set
-    (``run_trajectory`` stores its per-step integral there).
+    """``record`` of every row of a coefficient stack (P, 3, nkx, nky, nm) at
+    time t, with cutoff distances ``dist`` (P,) and switches ``theta`` (P,),
+    chained to the per-path records ``prev``: one stacked record whose row p
+    equals bit for bit the record of state p alone.  Every functional is
+    evaluated for all rows at once, each row reduced over its trailing axes
+    as one contiguous sum."""
+    spec = grid.spec
+    P = len(coeffs)
+    quad = _grid_quadrature_functionals(grid, coeffs)
 
-    Squares of norms overflow to inf rather than raising, so a record of a
-    state near blow-up can be checked with ``DiagnosticRecord.finite``."""
-    g = state.grid
-    spec = g.spec
-    quad = _grid_quadrature_functionals(state)
+    area = grid.area_h
+    ksq = grid.ksq_h
+    vbar_sq = np.abs(coeffs[:, :2, :, :, 0]) ** 2  # barotropic velocity, v1 then v2
+    vbar_h1_sq = _mode_sums((1.0 + ksq) * vbar_sq, 3) * area
+    vbar_V_sq = spec.mu * _mode_sums(ksq * vbar_sq, 3) * area
+    AS_sq = spec.mu**2 * _mode_sums(ksq**2 * vbar_sq, 3) * area
 
-    split = mode_split(state)
-    area = g.area_h
-    ksq = g.ksq_h[None]
-    vbar_sq = np.abs(split.vbar) ** 2
-    vbar_h1_sq = float(np.sum((1.0 + ksq) * vbar_sq) * area)
-    vbar_V_sq = float(spec.mu * np.sum(ksq * vbar_sq) * area)
-    AS_sq = float(spec.mu**2 * np.sum(ksq**2 * vbar_sq) * area)
+    dz_sq = _mode_sums(np.abs(grid.dz_to_sin(coeffs)) ** 2 * grid.weight_m_sin[None, None, :], 3)  # (P, 3)
+    dzv_sq = 0.0 + dz_sq[:, 0] + dz_sq[:, 1]
+    dzT_sq = dz_sq[:, 2]
+    g3dzv = grad3_dz_sq(grid, coeffs, (0, 1))
 
-    dzv_sq = 0.0
-    for c in range(2):
-        s = g.dz_to_sin(state.coeffs[c])
-        dzv_sq += float(np.sum(np.abs(s) ** 2 * g.weight_m_sin[None, None, :]))
-    dzT_sq = float(
-        np.sum(np.abs(g.dz_to_sin(state.coeffs[2])) ** 2 * g.weight_m_sin[None, None, :])
-    )
-    g3dzv = grad3_dz_sq(state, (0, 1))
-    dzT_a_sq = grad3_dz_sq(state, (2,), mu=spec.mu, nu=spec.nu)
-
-    H_sq, V_sq, DA_sq = sq_norms(g, state.coeffs)
+    H_sq, V_sq, DA_sq = sq_norms(grid, coeffs)
+    zeros = np.zeros(P)
     rec = DiagnosticRecord(
-        t=state.time,
+        t=np.full(P, t),
         H_sq=H_sq,
         V_sq=V_sq,
         DA_sq=DA_sq,
@@ -164,20 +198,30 @@ def record(
         grad3_dz_v_L2_2=g3dzv,
         L6_T_6=quad["L6_T_6"],
         dz_T_L2_4=dzT_sq * dzT_sq,
-        theta_value=theta_value,
-        dist_to_Ustar=dist,
+        theta_value=np.asarray(theta, dtype=float),
+        dist_to_Ustar=np.asarray(dist, dtype=float),
+        int_DA_sq=zeros,
+        int_H2_V2=zeros,
+        int_grad_vtilde_vtilde4=zeros,
+        int_vbar_AS=zeros,
+        int_dzv_grad_dzv=zeros,
+        int_T_funcs=zeros,
         extras={
             "grad_vtilde_vtilde4": quad["grad_vtilde_vtilde4"],
             "vbar_V_sq": vbar_V_sq,
             "AS_sq": AS_sq,
-            "dzT_a_sq": dzT_a_sq,
+            "dzT_a_sq": grad3_dz_sq(grid, coeffs, (2,), mu=spec.mu, nu=spec.nu),
             "dz_T_L2_2": dzT_sq,
-            "forcing_weak": forcing_weak,
+            "forcing_weak": np.full(P, forcing_weak),
         },
+        stopping=dict.fromkeys(STOPPING_FUNCTIONALS, zeros),
     )
     if prev is not None:
+        if len(prev) != P:
+            raise ValueError("need one previous record per row")
+        prev = _stack(prev)
         dt = rec.t - prev.t
-        if dt < 0:
+        if (dt < 0).any():
             raise ValueError("records must be chained in increasing time")
 
         def trap(a, b):
@@ -200,6 +244,33 @@ def record(
         # the temperature functional integrates exactly the int_T_funcs integrand
         rec.int_T_funcs = rec.stopping["temperature"]
     return rec
+
+
+def record(
+    state: SpectralState,
+    dist: float = 0.0,
+    theta_value: float = 1.0,
+    forcing_weak: float = 0.0,
+    prev: DiagnosticRecord | None = None,
+) -> DiagnosticRecord:
+    """Evaluate every monitored functional at cutoff distance ``dist``; chain
+    ``prev`` to accumulate the int_* columns and the stopping functionals by
+    the trapezoid rule.  ``int_DA_sq`` is left at 0 for the caller to set
+    (``run_paths`` stores its per-step integral there).  This is
+    ``record_stack`` with one row.
+
+    Squares of norms overflow to inf rather than raising, so a record of a
+    state near blow-up can be checked with ``DiagnosticRecord.finite``."""
+    stack = record_stack(
+        state.grid,
+        state.coeffs[None],
+        state.time,
+        np.array([dist]),
+        np.array([theta_value]),
+        forcing_weak,
+        None if prev is None else [prev],
+    )
+    return stack.split()[0]
 
 
 def stopping_integrands(rec: DiagnosticRecord) -> dict:

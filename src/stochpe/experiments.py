@@ -21,7 +21,7 @@ import numpy as np
 from .diagnostics import summarize_ensemble
 from .noise import WienerStream
 from .solver import BlowUpError, SolverConfig, Trajectory, chunk_size, initial_state, run_paths, run_trajectory
-from .spectral import SpectralState, _parseval_sq, h_norm_sq, v_norm_sq
+from .spectral import SpectralState, _parseval_sq, h_norm_sq, sq_norms, v_norm_sq
 
 __all__ = [
     "path_summary",
@@ -38,6 +38,9 @@ __all__ = [
 def path_summary(traj: Trajectory) -> dict:
     """Small picklable reduction of one trajectory."""
     final = traj.final_state
+    final_H_sq = final_V_sq = float("nan")
+    if final is not None:
+        final_H_sq, final_V_sq, _ = sq_norms(final.grid, final.coeffs)
     with np.errstate(over="ignore"):  # overflows to inf where a float power raises
         sup_V_p = np.float64(traj.sup_V_sq) ** (traj.config.apriori_p / 2.0)
     out = {
@@ -46,8 +49,8 @@ def path_summary(traj: Trajectory) -> dict:
         "sup_H_sq": traj.sup_H_sq,
         "int_DA_sq": traj.int_DA_sq,
         "int_DA_V2": traj.int_DA_V2,
-        "final_H_sq": h_norm_sq(final) if final is not None else float("nan"),
-        "final_V_sq": v_norm_sq(final) if final is not None else float("nan"),
+        "final_H_sq": final_H_sq,
+        "final_V_sq": final_V_sq,
         "blowup": traj.blowup,
         "hits": dict(traj.hits),
         "H0_sq": traj.records[0].H_sq,

@@ -489,11 +489,11 @@ def estimate_growth_constants(
         y2, x2 = _vbar_norms(spec_noise, cols, U)
         data["y2"].append(y2)
         data["x2"].append(x2)
-        y3 = sum(grad3_dz_sq(col, (0, 1)) for col in cols)
+        y3 = sum(grad3_dz_sq(g, col.coeffs, (0, 1)) for col in cols)
         if spec_noise.include_temperature:
-            y3 += sum(grad3_dz_sq(col, (2,)) for col in cols)
+            y3 += sum(grad3_dz_sq(g, col.coeffs, (2,)) for col in cols)
         data["y3"].append(y3)
-        data["x3"].append(grad3_dz_sq(U, (0, 1)) + grad3_dz_sq(U, (2,)))
+        data["x3"].append(grad3_dz_sq(g, U.coeffs, (0, 1)) + grad3_dz_sq(g, U.coeffs, (2,)))
         data["xA"].append(da_norm_sq(U))
         data["xV"].append(v_norm_sq(U))
         data["zH"].append(1.0 + h_norm_sq(U))

@@ -23,12 +23,12 @@ bit-reproducible and order-independent across parallel ensembles.
 
 One loop, ``run_paths``, steps a chunk of P paths that share U0 as one
 (P, 3, nkx, nky, nm) array; ``run_trajectory`` is its P = 1 case.  Each path
-keeps its own records, hitting times, running integrals and Ito sums, and
-leaves the chunk when it blows up (a nonfinite state, norm or stored record)
-or reaches tau_cutoff under ``terminate_on_tau``.  Wherever a vectorised
-evaluation would change the last bit (the cutoff theta, the a-priori power)
-the scalar one runs per path, so every path equals its own P = 1 run bit for
-bit.
+keeps its own records (evaluated for the whole chunk at each stored step),
+hitting times, running integrals and Ito sums, and leaves the chunk when it
+blows up (a nonfinite state, norm or stored record) or reaches tau_cutoff
+under ``terminate_on_tau``.  Wherever a vectorised evaluation would change
+the last bit (the cutoff theta, the a-priori power) the scalar one runs per
+path, so every path equals its own P = 1 run bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .diagnostics import STOPPING_FUNCTIONALS, detect_stopping, record
+from .diagnostics import STOPPING_FUNCTIONALS, detect_stopping, record, record_stack
 from .noise import NoiseSpec, WienerStream, sigma_coeffs, zero_noise
 from .operators import PhysicsParams, advection_coeffs, forcing_coeffs, leray_coeffs
 from .spectral import (
@@ -526,21 +526,18 @@ def run_paths(
                     rows.level_open[row, i] = False
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
-                bad = np.zeros(len(rows.path), dtype=bool)
-                for row, p in enumerate(rows.path):
-                    state = SpectralState(g, rows.U[row], t)
-                    rec = record(
-                        state, float(rows.dist[row]), float(rows.theta[row]), forcing_weak, prev=records[p][-1]
-                    )
-                    rec.int_DA_sq = float(rows.int_DA[row])
-                    if not rec.finite():
-                        # a stored functional out of representable range: numerical blow-up
-                        bad[row] = True
-                        continue
+                stack = record_stack(
+                    g, rows.U, t, rows.dist, rows.theta, forcing_weak, [records[p][-1] for p in rows.path]
+                )
+                stack.int_DA_sq = rows.int_DA
+                # a stored functional out of representable range: numerical blow-up
+                ok = stack.finite()
+                for row, rec in zip(np.flatnonzero(ok), stack.split(ok)):
+                    p = rows.path[row]
                     records[p].append(rec)
                     if states is not None:
                         states[p].append(rows.U[row].copy())
-                leave(bad, t, j + 1, blowup=True)
+                leave(~ok, t, j + 1, blowup=True)
 
             if cfg.terminate_on_tau:
                 leave(~rows.tau_open, t, j + 1, blowup=False)

@@ -543,13 +543,14 @@ def complement_q(state: SpectralState, n: int) -> SpectralState:
     return SpectralState(state.grid, state.coeffs * mask, state.time)
 
 
-def _mode_sums(a: np.ndarray):
-    """Sum of a (..., 3, nkx, nky, nm) array over its four trailing axes: a float
-    for one array, an array of the leading shape for a stack.  Each entry is
-    one contiguous reduction, bit-identical to ``np.sum`` of its own slice."""
-    if a.ndim == 4:
+def _mode_sums(a: np.ndarray, n_axes: int = 4):
+    """Sum of an array over its ``n_axes`` trailing axes (by default the four of
+    (..., 3, nkx, nky, nm)): a float when it has no other axes, an array of
+    the leading shape for a stack.  Each entry is one contiguous reduction,
+    bit-identical to ``np.sum`` of its own slice."""
+    if a.ndim == n_axes:
         return float(np.sum(a))
-    return np.add.reduce(a.reshape(a.shape[:-4] + (-1,)), axis=-1)
+    return np.add.reduce(a.reshape(a.shape[:-n_axes] + (-1,)), axis=-1)
 
 
 def _parseval_sq(grid: Grid, coeffs: np.ndarray, lam_power: float = 0.0):
@@ -583,19 +584,20 @@ def sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
     return _mode_sums(a2 * w), _mode_sums(a2 * lam**1.0 * w), _mode_sums(a2 * lam**2.0 * w)
 
 
-def grad3_dz_sq(state: SpectralState, comps=(0, 1), mu: float = 1.0, nu: float = 1.0) -> float:
-    """mu*|grad dz u|^2 + nu*|dzz u|^2 over the requested components (spectral).
+def grad3_dz_sq(grid: Grid, coeffs: np.ndarray, comps=(0, 1), mu: float = 1.0, nu: float = 1.0):
+    """mu*|grad dz u|^2 + nu*|dzz u|^2 over the requested components (spectral),
+    summed in component order: a float for one coefficient array
+    (3, nkx, nky, nm), a (P,) array for a stack of P.
 
     With mu = nu = 1 this is |grad_3 dz u|^2.
     """
-    g = state.grid
-    ksq = g.ksq_h[:, :, None]
-    mz = g.mz_phys[None, None, :]
-    w = g.weight_m_sin[None, None, :]
+    ksq = grid.ksq_h[:, :, None]
+    mz = grid.mz_phys[None, None, :]
+    w = grid.weight_m_sin[None, None, :]
     total = 0.0
     for c in comps:
-        a2 = np.abs(state.coeffs[c]) ** 2
-        total += float(np.sum((mu * ksq + nu * mz**2) * mz**2 * a2 * w))
+        a2 = np.abs(coeffs[..., c, :, :, :]) ** 2
+        total += _mode_sums((mu * ksq + nu * mz**2) * mz**2 * a2 * w, 3)
     return total
 
 

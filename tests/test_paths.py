@@ -17,6 +17,7 @@ from stochpe import DomainSpec, Grid, random_state
 from stochpe import solver
 from stochpe.cli import _preset_text
 from stochpe.config import build_solver_config, parse_config_text
+from stochpe.diagnostics import record, record_stack
 from stochpe.experiments import path_summary, run_ensemble
 from stochpe.noise import WienerStream, example1_noise, example2_noise, sigma_coeffs
 from stochpe.operators import (
@@ -32,7 +33,7 @@ from stochpe.operators import (
     leray_project,
 )
 from stochpe.solver import Stepper, run_paths, run_trajectory
-from stochpe.spectral import SpectralState, h_norm_sq, sq_norms, v_norm_sq
+from stochpe.spectral import SpectralState, da_norm_sq, grad3_dz_sq, h_norm_sq, sq_norms, v_norm_sq
 
 PRESETS = [
     "example1-large-theta1", "example1-small", "example2-small", "linear-decay", "ou-single-mode", "smallnoise-888"
@@ -242,6 +243,118 @@ def test_sq_norms_stack(stack):
     for p, st in enumerate(states):
         assert (H[p], V[p]) == (h_norm_sq(st), v_norm_sq(st))
         assert (H[p], V[p], DA[p]) == sq_norms(g, st.coeffs)
+
+
+def test_grad3_dz_sq_stack(stack):
+    g, states, c = stack
+    for comps, mu, nu in (((0, 1), 1.0, 1.0), ((2,), 0.7, 0.3)):
+        vals = grad3_dz_sq(g, c, comps, mu=mu, nu=nu)
+        assert vals.shape == (len(states),)
+        for p, st in enumerate(states):
+            one = grad3_dz_sq(g, st.coeffs, comps, mu=mu, nu=nu)
+            assert isinstance(one, float) and vals[p] == one
+
+
+def _per_state_functionals(state):
+    """The monitored functionals of one state, one field at a time, each a
+    whole-array ``np.sum``: the per-state arithmetic that every row of the
+    stacked record kernel must reproduce bit for bit."""
+    g, c = state.grid, state.coeffs
+    spec = g.spec
+    w = g.quad_weight(padded=True)
+    vt = c[:2].copy()
+    vt[:, :, :, 0] = 0.0
+    vt1, vt2, Tg = g.synth_cos(np.concatenate([vt, c[2:]]), padded=True)
+    vt_sq = vt1**2 + vt2**2
+    grad_sq = sum((d**2).sum(axis=0) for d in g.grad_samples(vt))
+    ksq = g.ksq_h[None]
+    vbar_sq = np.abs(c[:2, :, :, 0]) ** 2
+    vbar_h1_sq = float(np.sum((1.0 + ksq) * vbar_sq) * g.area_h)
+    w_sin = g.weight_m_sin[None, None, :]
+    dzv_sq = 0.0
+    for k in range(2):
+        dzv_sq += float(np.sum(np.abs(g.dz_to_sin(c[k])) ** 2 * w_sin))
+    dzT_sq = float(np.sum(np.abs(g.dz_to_sin(c[2])) ** 2 * w_sin))
+
+    def g3(comps, mu=1.0, nu=1.0):
+        k3, mz = g.ksq_h[:, :, None], g.mz_phys[None, None, :]
+        total = 0.0
+        for k in comps:
+            total += float(np.sum((mu * k3 + nu * mz**2) * mz**2 * np.abs(c[k]) ** 2 * w_sin))
+        return total
+
+    return {
+        "H_sq": h_norm_sq(state),
+        "V_sq": v_norm_sq(state),
+        "DA_sq": da_norm_sq(state),
+        "L6_vtilde_6": float(np.sum(vt_sq**3) * w),
+        "Vbar_H1_4": vbar_h1_sq * vbar_h1_sq,
+        "dz_v_L2_2": dzv_sq,
+        "dz_v_L2_4": dzv_sq * dzv_sq,
+        "grad3_dz_v_L2_2": g3((0, 1)),
+        "L6_T_6": float(np.sum(Tg**6) * w),
+        "dz_T_L2_4": dzT_sq * dzT_sq,
+        "grad_vtilde_vtilde4": float(np.sum(grad_sq * vt_sq**2) * w),
+        "vbar_V_sq": float(spec.mu * np.sum(ksq * vbar_sq) * g.area_h),
+        "AS_sq": float(spec.mu**2 * np.sum(ksq**2 * vbar_sq) * g.area_h),
+        "dzT_a_sq": g3((2,), spec.mu, spec.nu),
+        "dz_T_L2_2": dzT_sq,
+    }
+
+
+def _same(a, b):
+    """Equal floats, or both NaN."""
+    return a == b or (a != a and b != b)
+
+
+def assert_same_record(a, b):
+    assert all(_same(x, y) for x, y in zip(a.row(), b.row()))
+    for da, db in ((a.extras, b.extras), (a.stopping, b.stopping)):
+        assert da.keys() == db.keys()
+        assert all(_same(da[k], db[k]) for k in da)
+
+
+def test_record_stack_rows_equal_single_records(grid_small, rng):
+    # random projected states, the zero state, a z-independent velocity, and one
+    # row at 1e80 whose norms are finite but whose squares are not
+    g = grid_small
+    states = [leray_project(random_state(g, rng, amplitude=10.0 ** rng.uniform(-2, 2))) for _ in range(3)]
+    states.append(g.zero_state())
+    flat = leray_project(random_state(g, rng))
+    flat.coeffs[:2, :, :, 1:] = 0.0
+    states.append(leray_project(flat))
+    huge = leray_project(random_state(g, rng))
+    huge.coeffs *= 1e80
+    states.append(huge)
+    c = np.stack([s.coeffs for s in states])
+    P = len(states)
+    dist = rng.uniform(0.0, 2.0, P)
+    theta = np.array([1.0, 0.0, 0.5, 1.0, 0.25, 1.0])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = record_stack(g, c, 0.0, dist, theta, 0.25)
+        singles = [record(st, dist[p], theta[p], 0.25) for p, st in enumerate(states)]
+        rows = first.split()
+        assert len(rows) == P
+        for st, a, b in zip(states, rows, singles):
+            assert_same_record(a, b)
+            for name, value in _per_state_functionals(st).items():
+                assert _same(a.extras[name] if name in a.extras else getattr(a, name), value), name
+        # chained one step later, each row to its own previous record
+        t = 0.1
+        c2 = 0.9 * c
+        second = record_stack(g, c2, t, 0.5 * dist, theta[::-1], 0.25, prev=rows)
+        for p, a in enumerate(second.split()):
+            st = SpectralState(g, c2[p], t)
+            assert_same_record(a, record(st, 0.5 * dist[p], theta[::-1][p], 0.25, prev=singles[p]))
+        # only the overflowing row leaves; split keeps the selected rows in order
+        ok = second.finite()
+        assert ok.tolist() == [True] * (P - 1) + [False]
+        assert [r.row() for r in second.split(ok)] == [r.row() for r in second.split()[:-1]]
+        with pytest.raises(ValueError):
+            record_stack(g, c, 0.05, dist, theta, prev=second.split())
+        with pytest.raises(ValueError):
+            record_stack(g, c, 0.2, dist, theta, prev=second.split()[:1])
 
 
 def test_stepper_distance_stack(stack):
