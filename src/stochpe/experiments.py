@@ -1,8 +1,8 @@
 """Ensemble experiments and verification studies built on the path integrator.
 
 Ensembles step fixed chunks of paths as one array (``solver.run_paths``);
-the chunk size depends on the grid only, and worker processes, when asked
-for, split the chunks between them.  Every path draws its Wiener increments
+the chunk size depends on the step grid only, and worker processes, when
+asked for, split the chunks between them.  Every path draws its Wiener increments
 in one call from a counter-based stream keyed by (seed, path index), and
 equals its own single-path run bit for bit, so results are independent of
 chunking, worker count and evaluation order; reductions always run in path
@@ -20,7 +20,16 @@ import numpy as np
 
 from .diagnostics import summarize_ensemble
 from .noise import WienerStream
-from .solver import BlowUpError, SolverConfig, Trajectory, chunk_size, initial_state, run_paths, run_trajectory
+from .solver import (
+    BlowUpError,
+    SolverConfig,
+    Trajectory,
+    chunk_size,
+    initial_state,
+    run_paths,
+    run_trajectory,
+    step_grid,
+)
 from .spectral import SpectralState, _parseval_sq, h_norm_sq, sq_norms, v_norm_sq
 
 __all__ = [
@@ -69,14 +78,14 @@ def _chunk_summaries(cfg: SolverConfig, ids: range) -> list:
 def run_ensemble(cfg: SolverConfig, n_paths: int, workers: int = 1) -> list:
     """Per-path summaries for trajectory ids 0..n_paths-1, in path order.
 
-    The ids run in chunks of ``solver.chunk_size(cfg.grid)`` paths, each
-    stepped as one array; with ``workers`` > 1 a process pool splits the
-    chunks."""
+    The ids run in chunks of ``solver.chunk_size`` paths of the step grid,
+    each stepped as one array; with ``workers`` > 1 a process pool splits
+    the chunks."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    size = chunk_size(cfg.grid)
+    size = chunk_size(step_grid(cfg))
     chunks = [range(i, min(i + size, n_paths)) for i in range(0, n_paths, size)]
     if workers == 1 or len(chunks) == 1:
         parts = [_chunk_summaries(cfg, ids) for ids in chunks]

@@ -129,6 +129,25 @@ class NoiseSpec:
     def alpha_sq(self) -> float:
         return float(np.sum(self.alpha**2))
 
+    def restricted(self, grid: Grid) -> "NoiseSpec":
+        """The operator on ``grid``, a horizontal sub-grid of ``self.grid``
+        (``Grid.subgrid``), with every coefficient field cut to its modes; the
+        spec itself when ``grid`` is its own.  For a state on the sub-grid, and
+        phi and psi inside it, its columns equal the full operator's on the
+        sub-grid's modes up to round-off: both grids form the products alias-free."""
+        if grid is self.grid:
+            return self
+        cut = self.grid.extract
+        return NoiseSpec(
+            grid,
+            self.family,
+            cut(grid, self.phi),
+            cut(grid, self.psi),
+            cut(grid, self.chi),
+            self.alpha,
+            self.include_temperature,
+        )
+
     def without_additive(self) -> "NoiseSpec":
         """Linear part only (chi = 0); used for Lipschitz estimation."""
         return NoiseSpec(
@@ -140,6 +159,11 @@ class NoiseSpec:
             self.alpha,
             self.include_temperature,
         )
+
+    @cached_property
+    def transport_support(self) -> np.ndarray:
+        """The horizontal wavevectors (nkx, nky) where phi or psi has a nonzero coefficient."""
+        return self.phi.any(axis=(0, 1, 4)) | self.psi.any(axis=(0, 3))
 
     @cached_property
     def is_additive(self) -> bool:

@@ -29,12 +29,20 @@ blows up (a nonfinite state, norm or stored record) or reaches tau_cutoff
 under ``terminate_on_tau``.  Wherever a vectorised evaluation would change
 the last bit (the cutoff theta, the a-priori power) the scalar one runs per
 path, so every path equals its own P = 1 run bit for bit.
+
+The step runs on the step grid (``step_grid``): ``cfg.grid`` cut
+horizontally to the largest |kx| and |ky| of the retained modes and of the
+support of the transport fields phi and psi, with the vertical grid whole.
+Its padded grid follows the same alias-free rule, so the step agrees with
+one on ``cfg.grid`` to round-off.  Records, stored and final states and Ito
+integrals stay on ``cfg.grid``: the rows are embedded into its layout.  A
+full-Galerkin run steps on ``cfg.grid`` itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,6 +70,7 @@ __all__ = [
     "solve_linear_Ustar",
     "Stepper",
     "initial_state",
+    "step_grid",
     "chunk_size",
     "run_paths",
     "run_trajectory",
@@ -209,31 +218,51 @@ def _pn_mask(cfg: SolverConfig) -> np.ndarray:
     return cfg.grid.rank < cfg.n_galerkin
 
 
+def step_grid(cfg: SolverConfig) -> Grid:
+    """The grid the step map runs on: ``cfg.grid`` cut horizontally
+    (``Grid.subgrid``) to the largest |kx| and |ky| over the retained modes
+    and over the support of the state-dependent noise fields phi and psi.
+    The vertical grid stays whole.  Every product the step forms then stays
+    alias-free, so the step agrees with one on ``cfg.grid`` to round-off; a
+    full-Galerkin run gets ``cfg.grid`` itself."""
+    g = cfg.grid
+    kx, ky = np.nonzero(_pn_mask(cfg).any(axis=(0, 3)) | cfg.noise.transport_support)
+    return g.subgrid(int(np.abs(g.kx_int[kx]).max()), int(np.abs(g.ky_int[ky]).max()))
+
+
 # padded-grid samples per stacked field in one chunk of paths (see ``chunk_size``)
 CHUNK_SAMPLES = 2**12
 
 
 def chunk_size(grid: Grid) -> int:
-    """Paths stepped as one stack on this grid: a fixed budget of padded-grid
-    samples, so small grids stack many paths and large ones few.  Past the
-    budget a stack stops paying: its transform products grow large enough for
-    a multi-threaded BLAS to split them, and two worker processes then
-    contend for the cores (README "Design notes" has the measurements)."""
+    """Paths stepped as one stack on the step grid ``grid`` (``step_grid``): a
+    fixed budget of padded-grid samples, so small grids stack many paths and
+    large ones few.  Past the budget a stack stops paying: its transform
+    products grow large enough for a multi-threaded BLAS to split them, and
+    two worker processes then contend for the cores (README "Design notes"
+    has the measurements)."""
     return max(1, CHUNK_SAMPLES // (grid.nx_pad * grid.ny_pad * grid.nz_pad))
 
 
 class Stepper:
     """The precomputed one-step map of paths that share U0.  Every method acts
-    on a stack of P paths, coefficients (P, 3, nkx, nky, nm), one row per path;
-    ``run_paths`` is its only caller."""
+    on a stack of P paths in the layout of the step grid ``self.grid``
+    (``step_grid``), coefficients (P, 3, nkx', nky', nm), one row per path;
+    ``run_paths`` is its only caller.  The noise operator and the forcing are
+    cut to the step grid.  ``U0n`` (the masked, projected initial state) and
+    ``kappa`` stay on ``cfg.grid``; ``c0`` is U0n in the step-grid layout."""
 
     def __init__(self, cfg: SolverConfig, U0: SpectralState):
         self.cfg = cfg
-        g = cfg.grid
+        full = cfg.grid
+        g = step_grid(cfg)
         self.grid = g
-        self.mask = _pn_mask(cfg)
-        c0 = g.enforce_reality(leray_coeffs(g, U0.coeffs) * self.mask)
-        self.U0n = SpectralState(g, c0, U0.time)
+        mask = _pn_mask(cfg)
+        self.mask = full.extract(g, mask)
+        self.U0n = SpectralState(full, full.enforce_reality(leray_coeffs(full, U0.coeffs) * mask), U0.time)
+        self.c0 = full.extract(g, self.U0n.coeffs)
+        self.noise = cfg.noise.restricted(g)
+        self.forcing = None if cfg.forcing is None else SpectralState(g, full.extract(g, cfg.forcing.coeffs))
         if cfg.scheme == "exponential":
             self.lin = np.exp(-g.lam * cfg.dt)[None]
         else:
@@ -246,7 +275,7 @@ class Stepper:
         # state-independent noise columns can be prepared once, as one (K, 3, ...) array
         self._static_cols = None
         if cfg.noise.family != "zero" and cfg.noise.is_additive:
-            self._static_cols = sigma_coeffs(cfg.noise, np.zeros_like(c0)) * self.mask
+            self._static_cols = sigma_coeffs(self.noise, np.zeros_like(self.c0)) * self.mask
         # family 1 transports with the gradient samples of U itself
         self._noise_uses_grads = cfg.noise.family == "example1" and self._static_cols is None
         # the aggregate linear term vanishes identically in this configuration
@@ -257,12 +286,13 @@ class Stepper:
         )
 
     def initial(self) -> SpectralState:
+        """A copy of ``U0n``, the masked and projected initial state on ``cfg.grid``."""
         return self.U0n.copy()
 
     def distance(self, coeffs: np.ndarray, t: float) -> np.ndarray:
         """Cutoff distances ||U - U*|| (P,) of the rows to the free decay of U0 at time t."""
         factor = np.exp(-self.grid.lam * (t - self.U0n.time))
-        diff = coeffs - self.U0n.coeffs * factor[None]
+        diff = coeffs - self.c0 * factor[None]
         return np.sqrt(_parseval_sq(self.grid, diff, 1.0))
 
     def theta(self, dist: np.ndarray) -> np.ndarray:
@@ -274,8 +304,8 @@ class Stepper:
         return np.ones(len(dist))
 
     def noise_increment(self, coeffs: np.ndarray, dW: np.ndarray, grads: tuple | None):
-        """Masked increments sum_k sigma(U) e_k dW_k of the rows (P, 3, nkx, nky, nm),
-        for weights dW (P, K), and the masked columns (P, K, 3, nkx, nky, nm);
+        """Masked increments sum_k sigma(U) e_k dW_k of the rows (P, 3, nkx', nky', nm),
+        for weights dW (P, K), and the masked columns (P, K, 3, nkx', nky', nm);
         (None, None) for zero noise.
 
         State-dependent noise forms the increments in one ``sigma_coeffs`` call
@@ -292,7 +322,7 @@ class Stepper:
         weights = dW[:, None]
         if cfg.track_ito:
             weights = np.concatenate([weights, np.broadcast_to(np.eye(K), (len(dW), K, K))], axis=1)
-        rows = sigma_coeffs(cfg.noise, coeffs, weights, grads) * self.mask
+        rows = sigma_coeffs(self.noise, coeffs, weights, grads) * self.mask
         return rows[:, 0], rows[:, 1:] if cfg.track_ito else None
 
     def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, grads: tuple | None = None):
@@ -306,7 +336,7 @@ class Stepper:
         advecting = cfg.advection and theta.any()
         if self._skip_forcing and not advecting:
             return None, None
-        expl = None if self._skip_forcing else -forcing_coeffs(g, coeffs, cfg.physics, cfg.forcing)
+        expl = None if self._skip_forcing else -forcing_coeffs(g, coeffs, cfg.physics, self.forcing)
         carries = np.full(len(coeffs), expl is not None)
         if advecting:
             adv = theta != 0.0
@@ -372,6 +402,15 @@ def _forcing_weak(cfg: SolverConfig) -> float:
     return fw + float(np.sum((1.0 + g.lam) ** 0.5 * np.abs(cfg.forcing.coeffs[2]) ** 2 * w))
 
 
+def _copy(obj, **changes):
+    """A shallow copy of the dataclass instance ``obj`` with ``changes`` set,
+    sharing every other field: ``dataclasses.replace`` without re-running
+    ``__init__`` and ``__post_init__``, which costs more than the copy."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(obj.__dict__, **changes)
+    return out
+
+
 def _keep(rows: SimpleNamespace, mask: np.ndarray):
     for name, a in vars(rows).items():
         if a is not None:
@@ -382,8 +421,10 @@ def run_paths(
     cfg: SolverConfig, trajectory_ids, U0: SpectralState | None = None, increments: np.ndarray | None = None
 ) -> list:
     """Integrate the paths ``trajectory_ids`` from one initial state, stepped
-    together as one (P, 3, nkx, nky, nm) array; returns one Trajectory per id,
-    in order, each equal bit for bit to that path's own P = 1 run.
+    together as one (P, 3, nkx', nky', nm) array on the step grid; returns one
+    Trajectory per id, in order, each equal bit for bit to that path's own
+    P = 1 run.  Records, stored and final states and Ito integrals are on
+    ``cfg.grid``: the step-grid rows are embedded into its layout.
 
     Path p uses the (n_steps, K) block ``increments[p]``; by default it is the
     path's Wiener stream, drawn in one call (convergence studies feed block
@@ -396,7 +437,7 @@ def run_paths(
     if U0 is None:
         U0 = initial_state(cfg)
     stepper = Stepper(cfg, U0)
-    g = cfg.grid
+    full, g = cfg.grid, stepper.grid
     n_steps, dt, K = cfg.n_steps, cfg.dt, cfg.noise.K
     if increments is None:
         increments = np.stack([WienerStream(cfg.seed, i, K).sample(n_steps, dt) for i in ids])
@@ -408,14 +449,14 @@ def run_paths(
     # every path starts from the same state: its first record is computed once
     U = stepper.initial()
     t = U.time
-    dist0 = stepper.distance(U.coeffs[None], t)
+    dist0 = stepper.distance(stepper.c0[None], t)
     theta0 = stepper.theta(dist0)
     rec0 = record(U, float(dist0[0]), float(theta0[0]), forcing_weak)
-    records = [[replace(rec0, extras=dict(rec0.extras), stopping=dict(rec0.stopping))] for _ in ids]
+    records = [[_copy(rec0, extras=dict(rec0.extras), stopping=dict(rec0.stopping))] for _ in ids]
     hit_names = (*STOPPING_FUNCTIONALS, "tau_cutoff", *(f"blowup@{level:g}" for level in cfg.blowup_levels))
     hits = [dict.fromkeys(hit_names) for _ in ids]
     states = [[U.coeffs] for _ in ids] if cfg.store_states else None
-    configs = [cfg if i == cfg.trajectory_id else replace(cfg, trajectory_id=i) for i in ids]
+    configs = [cfg if i == cfg.trajectory_id else _copy(cfg, trajectory_id=i) for i in ids]
     out = [None] * len(ids)
 
     def leave(mask: np.ndarray, when: float, steps: int, blowup: bool):
@@ -435,10 +476,10 @@ def run_paths(
                 sup_H_sq=float(rows.sup_H[row]),
                 int_DA_sq=float(rows.int_DA[row]),
                 int_DA_V2=float(rows.int_DA_V2[row]),
-                final_state=None if blowup else SpectralState(g, rows.U[row].copy(), when),
+                final_state=None if blowup else SpectralState(full, full.embed(g, rows.U[row]).copy(), when),
                 kappa=stepper.kappa,
                 states=np.array(states[p]) if states is not None else None,
-                ito_integral=SpectralState(g, rows.ito[row].copy()) if rows.ito is not None else None,
+                ito_integral=SpectralState(full, full.embed(g, rows.ito[row]).copy()) if rows.ito is not None else None,
                 ito_quadratic=float(rows.ito_quad[row]),
                 n_steps_done=steps,
             )
@@ -454,7 +495,7 @@ def run_paths(
         P = len(ids)
         rows = SimpleNamespace(
             path=np.arange(P),
-            U=np.repeat(U.coeffs[None], P, axis=0),
+            U=np.repeat(stepper.c0[None], P, axis=0),
             increments=increments,
             dist=np.repeat(dist0, P),
             theta=np.repeat(theta0, P),
@@ -464,7 +505,7 @@ def run_paths(
             int_DA_V2=np.zeros(P),
             prev_DA=np.full(P, rec0.DA_sq),
             prev_DA_V2=np.full(P, rec0.DA_sq * np.float64(rec0.V_sq) ** power),
-            ito=np.zeros((P,) + U.coeffs.shape, dtype=np.complex128) if cfg.track_ito else None,
+            ito=np.zeros((P,) + stepper.c0.shape, dtype=np.complex128) if cfg.track_ito else None,
             ito_quad=np.zeros(P),
             tau_open=np.ones(P, dtype=bool),
             level_open=np.ones((P, len(cfg.blowup_levels)), dtype=bool),
@@ -526,8 +567,9 @@ def run_paths(
                     rows.level_open[row, i] = False
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
+                stored = full.embed(g, rows.U)
                 stack = record_stack(
-                    g, rows.U, t, rows.dist, rows.theta, forcing_weak, [records[p][-1] for p in rows.path]
+                    full, stored, t, rows.dist, rows.theta, forcing_weak, [records[p][-1] for p in rows.path]
                 )
                 stack.int_DA_sq = rows.int_DA
                 # a stored functional out of representable range: numerical blow-up
@@ -536,7 +578,7 @@ def run_paths(
                     p = rows.path[row]
                     records[p].append(rec)
                     if states is not None:
-                        states[p].append(rows.U[row].copy())
+                        states[p].append(stored[row].copy())
                 leave(~ok, t, j + 1, blowup=True)
 
             if cfg.terminate_on_tau:

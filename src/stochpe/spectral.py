@@ -33,7 +33,7 @@ sine matrix acts on the small coefficient block, before padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -189,8 +189,8 @@ class Grid:
         self.ddy = (1j * KY).astype(np.complex128)
 
         # index maps for conjugate flipping c(k) -> c(-k)
-        self.negx = np.array([int(np.where(self.kx_int == -k)[0][0]) for k in self.kx_int])
-        self.negy = np.array([int(np.where(self.ky_int == -k)[0][0]) for k in self.ky_int])
+        self.negx = -self.kx_int % self.nkx
+        self.negy = -self.ky_int % self.nky
 
         # collocation sizes: exact unpadded round trip, alias-free padded products
         self.nx = self.nkx
@@ -224,6 +224,7 @@ class Grid:
         self._rank = None
         self._basis = None
         self._lam_sorted = None
+        self._subgrids = {}  # (N1, N2) -> (sub-grid, its rows and columns here)
 
     # -- basis enumeration -------------------------------------------------
 
@@ -477,6 +478,50 @@ class Grid:
             if m % 2 == 1:
                 c[m] = -4.0 * h / (m * np.pi) ** 2
         return c
+
+    # -- horizontal sub-grids ------------------------------------------------
+
+    def subgrid(self, N1: int, N2: int) -> "Grid":
+        """This grid cut to the horizontal truncation N1 <= spec.N1, N2 <= spec.N2,
+        with the same lengths, viscosities and vertical resolution; the grid
+        itself when nothing is cut.  Its padded sizes follow the same rule, so
+        products of its modes stay alias-free on its own padded grid.
+        ``embed`` and ``extract`` move coefficients between the two layouts."""
+        if not (0 <= N1 <= self.spec.N1 and 0 <= N2 <= self.spec.N2):
+            raise ValueError(f"sub-grid truncation {(N1, N2)} exceeds {(self.spec.N1, self.spec.N2)}")
+        if (N1, N2) == (self.spec.N1, self.spec.N2):
+            return self
+        if (N1, N2) not in self._subgrids:
+            sub = Grid(replace(self.spec, N1=N1, N2=N2))
+            self._subgrids[N1, N2] = sub, ((sub.kx_int % self.nkx)[:, None], (sub.ky_int % self.nky)[None, :])
+        return self._subgrids[N1, N2][0]
+
+    def _sub_index(self, sub: "Grid") -> tuple:
+        """Rows (nkx', 1) and columns (1, nky') of this grid's coefficient block
+        that hold the modes of ``sub``, a sub-grid made by ``subgrid``."""
+        sub_grid, index = self._subgrids.get((sub.spec.N1, sub.spec.N2), (None, None))
+        if sub_grid is not sub:
+            raise ValueError("not a sub-grid made by this grid's subgrid")
+        return index
+
+    def extract(self, sub: "Grid", c: np.ndarray) -> np.ndarray:
+        """Coefficients (..., nkx, nky, nm) restricted to the modes of the sub-grid
+        ``sub``: (..., nkx', nky', nm); ``c`` itself when ``sub`` is this grid."""
+        if sub is self:
+            return c
+        ix, iy = self._sub_index(sub)
+        return c[..., ix, iy, :]
+
+    def embed(self, sub: "Grid", c: np.ndarray) -> np.ndarray:
+        """Coefficients (..., nkx', nky', nm) of the sub-grid ``sub`` in this grid's
+        layout (..., nkx, nky, nm), zero on the other modes; ``c`` itself when
+        ``sub`` is this grid."""
+        if sub is self:
+            return c
+        ix, iy = self._sub_index(sub)
+        out = np.zeros(c.shape[:-3] + (self.nkx, self.nky, c.shape[-1]), dtype=c.dtype)
+        out[..., ix, iy, :] = c
+        return out
 
     # -- convenience --------------------------------------------------------
 

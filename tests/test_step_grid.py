@@ -1,0 +1,130 @@
+"""Truncated Galerkin runs step on the smallest horizontal grid that holds
+the retained modes.
+
+``solver.step_grid(cfg)`` cuts ``cfg.grid`` horizontally to the retained
+modes and the support of phi and psi.  Every product of the step stays
+alias-free on that grid, so a run must agree to round-off with the same run
+stepped on ``cfg.grid`` itself (``step_grid`` monkeypatched back), while κ
+and the first record, computed from the full-grid initial state, agree bit
+for bit.
+"""
+
+import numpy as np
+import pytest
+
+from stochpe import DomainSpec, Grid, solver
+from stochpe.noise import example1_noise, example2_noise
+from stochpe.solver import InitSpec, SolverConfig, Stepper, initial_state, run_paths
+from stochpe.spectral import single_mode_state
+
+GRID = Grid(DomainSpec(L2=4.0, h=1.5, N1=5, N2=4, M=3, mu=0.7, nu=0.3))
+# the 60 lowest modes sit in |kx| <= 2, |ky| <= 1
+BASE = dict(
+    grid=GRID,
+    init=InitSpec(kind="random", seed=5, amplitude=0.8),
+    n_galerkin=60,
+    dt=0.01,
+    t_end=0.08,
+    seed=2,
+    store_stride=2,
+)
+
+
+def ex1(**kw):
+    return example1_noise(GRID, K=4, amp_phi=0.2, amp_psi=0.2, amp_chi=0.3, **kw)
+
+
+CASES = {
+    "example1": dict(noise=ex1(amp_alpha=0.1, osc=1)),
+    # phi and psi reach |ky| = 2, outside the retained modes, and feed them
+    "example1-osc2": dict(noise=ex1(osc=2)),
+    "example2": dict(noise=example2_noise(GRID, K=4, amp_phi=0.2, amp_chi=0.3, osc=1)),
+    "temperature": dict(noise=ex1(osc=1, include_temperature=True)),
+    "forcing-outside": dict(noise=ex1(osc=1), forcing=single_mode_state(GRID, "v1", 4, 3, 2, 1.0)),
+    "track_ito": dict(noise=ex1(osc=1), track_ito=True, store_states=True),
+    "modified": dict(
+        noise=ex1(osc=1), equation="modified", kappa_cutoff=0.05, store_stride=1, track_ito=True, store_states=True
+    ),
+    "semi-implicit": dict(noise=ex1(osc=1), scheme="semi-implicit", store_stride=3),
+}
+
+
+def case_cfg(case) -> SolverConfig:
+    return SolverConfig(**{**BASE, **CASES[case]})
+
+
+def assert_close(a, b, rel, axis=None):
+    """|a - b| within ``rel`` of the largest |b| (per column along ``axis``)."""
+    a, b = np.asarray(a), np.asarray(b)
+    scale = np.abs(b).max(axis=axis)
+    assert (np.abs(a - b).max(axis=axis) <= rel * np.where(scale > 0, scale, 1.0)).all()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_step_grid_holds_the_retained_modes_and_the_noise_support(case):
+    cfg = case_cfg(case)
+    stepper = Stepper(cfg, initial_state(cfg))
+    g = stepper.grid
+    assert g is solver.step_grid(cfg)
+    assert (g.nx_pad, g.ny_pad, g.nz_pad) < (GRID.nx_pad, GRID.ny_pad, GRID.nz_pad)
+    assert (g.spec.M, g.nm, g.nz_pad) == (GRID.spec.M, GRID.nm, GRID.nz_pad)
+    assert np.array_equal(GRID.embed(g, stepper.mask), GRID.rank < cfg.n_galerkin)
+    for f in (cfg.noise.phi, cfg.noise.psi):
+        assert np.array_equal(GRID.embed(g, GRID.extract(g, f)), f)
+    expected = (2, 2) if case == "example1-osc2" else (2, 1)
+    assert (g.spec.N1, g.spec.N2) == expected
+
+
+def test_full_galerkin_steps_on_the_config_grid():
+    cfg = SolverConfig(**{**BASE, **CASES["example1"], "n_galerkin": None})
+    stepper = Stepper(cfg, initial_state(cfg))
+    assert stepper.grid is cfg.grid
+    assert stepper.noise is cfg.noise
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_step_grid_run_matches_the_full_grid_run(case, monkeypatch):
+    cfg = case_cfg(case)
+    ids = [0, 3]
+    trajs = run_paths(cfg, ids)
+    monkeypatch.setattr(solver, "step_grid", lambda c: c.grid)
+    refs = run_paths(cfg, ids)
+    for a, b in zip(trajs, refs):
+        assert a.final_state.grid is b.final_state.grid is GRID
+        assert_close(a.final_state.coeffs, b.final_state.coeffs, 1e-13)
+        assert (a.ito_integral is None) == (b.ito_integral is None)
+        if b.ito_integral is not None:
+            assert_close(a.ito_integral.coeffs, b.ito_integral.coeffs, 1e-13)
+        assert (a.states is None) == (b.states is None)
+        if b.states is not None:
+            assert_close(a.states, b.states, 1e-13)
+        # κ and the first record come from the full-grid initial state
+        assert a.kappa == b.kappa
+        assert a.records[0].row() == b.records[0].row()
+        assert (a.blowup, a.n_steps_done, len(a.records)) == (b.blowup, b.n_steps_done, len(b.records))
+        assert_close([r.row() for r in a.records], [r.row() for r in b.records], 1e-12, axis=0)
+        assert_close(
+            [list(r.stopping.values()) for r in a.records], [list(r.stopping.values()) for r in b.records], 1e-12, 0
+        )
+        scalars = ("sup_V_sq", "sup_H_sq", "int_DA_sq", "int_DA_V2", "ito_quadratic")
+        assert_close([getattr(a, s) for s in scalars], [getattr(b, s) for s in scalars], 1e-12, axis=0)
+
+
+def test_subgrid_embed_and_extract():
+    sub = GRID.subgrid(2, 1)
+    assert GRID.subgrid(5, 4) is GRID and GRID.subgrid(2, 1) is sub
+    assert (sub.nkx, sub.nky, sub.nm) == (5, 3, GRID.nm)
+    c = np.random.default_rng(1).standard_normal((2, 3, sub.nkx, sub.nky, sub.nm)) + 0j
+    full = GRID.embed(sub, c)
+    assert full.shape == (2, 3, GRID.nkx, GRID.nky, GRID.nm)
+    assert np.array_equal(GRID.extract(sub, full), c)
+    assert np.abs(full).sum() == np.abs(c).sum()
+    # modes keep their wavenumbers
+    assert np.array_equal(GRID.extract(sub, GRID.lam), sub.lam)
+    assert GRID.embed(GRID, c) is c and GRID.extract(GRID, full) is full
+    with pytest.raises(ValueError):
+        GRID.subgrid(6, 1)
+    with pytest.raises(ValueError):
+        sub.extract(GRID, c)
+    with pytest.raises(ValueError):
+        GRID.extract(Grid(DomainSpec(N1=2, N2=1, M=3)), full)
