@@ -73,8 +73,8 @@ class DiagnosticRecord:
     """Per-step values of every monitored functional plus running integrals.
 
     ``record_stack`` returns a stacked record, whose columns, extras and
-    stopping values are (P,) arrays with one entry per path; ``split`` cuts
-    it into per-path records."""
+    stopping values are (P,) arrays with one entry per path; indexing selects
+    rows, and ``split`` cuts it into per-path records."""
 
     t: float
     H_sq: float
@@ -110,30 +110,33 @@ class DiagnosticRecord:
         ok = np.isfinite(np.array(self.row(), dtype=float)).all(axis=0)
         return bool(ok) if ok.ndim == 0 else ok
 
+    def __getitem__(self, rows) -> "DiagnosticRecord":
+        """The rows ``rows`` (a mask or a slice) of a stacked record; a float column is every row's."""
+
+        def pick(values: dict) -> dict:
+            return {k: v[rows] if np.ndim(v) else v for k, v in values.items()}
+
+        return DiagnosticRecord(
+            **pick({c: getattr(self, c) for c in CSV_COLUMNS}),
+            extras=pick(self.extras),
+            stopping=pick(self.stopping),
+        )
+
     def split(self, rows: np.ndarray | None = None) -> list:
         """The per-path records of a stacked record, for the rows selected by
         the (P,) boolean mask ``rows`` (all rows by default)."""
+        rec = self if rows is None else self[rows]
 
         def columns(values: dict) -> list:
-            cols = [np.asarray(v if rows is None else v[rows]).tolist() for v in values.values()]
+            cols = [np.asarray(v).tolist() for v in values.values()]
             return [dict(zip(values, entry)) for entry in zip(*cols)]
 
         return [
             DiagnosticRecord(**cols, extras=extras, stopping=stopping)
             for cols, extras, stopping in zip(
-                columns({c: getattr(self, c) for c in CSV_COLUMNS}), columns(self.extras), columns(self.stopping)
+                columns({c: getattr(rec, c) for c in CSV_COLUMNS}), columns(rec.extras), columns(rec.stopping)
             )
         ]
-
-
-def _stack(records: list) -> DiagnosticRecord:
-    """One stacked record of per-path records."""
-    first = records[0]
-    return DiagnosticRecord(
-        **{c: np.fromiter((getattr(r, c) for r in records), float) for c in CSV_COLUMNS},
-        extras={k: np.fromiter((r.extras[k] for r in records), float) for k in first.extras},
-        stopping={k: np.fromiter((r.stopping[k] for r in records), float) for k in first.stopping},
-    )
 
 
 def _grid_quadrature_functionals(grid: Grid, coeffs: np.ndarray) -> dict:
@@ -160,11 +163,12 @@ def record_stack(
     dist: np.ndarray,
     theta: np.ndarray,
     forcing_weak: float = 0.0,
-    prev: list | None = None,
+    prev: DiagnosticRecord | None = None,
 ) -> DiagnosticRecord:
     """``record`` of every row of a coefficient stack (P, 3, nkx, nky, nm) at
     time t, with cutoff distances ``dist`` (P,) and switches ``theta`` (P,),
-    chained to the per-path records ``prev``: one stacked record whose row p
+    chained to ``prev``, the stacked record of the rows' previous states (a
+    record with float columns is every row's): one stacked record whose row p
     equals bit for bit the record of state p alone.  Every functional is
     evaluated for all rows at once, each row reduced over its trailing axes
     as one contiguous sum."""
@@ -217,9 +221,8 @@ def record_stack(
         stopping=dict.fromkeys(STOPPING_FUNCTIONALS, zeros),
     )
     if prev is not None:
-        if len(prev) != P:
+        if np.shape(prev.t) not in ((), (P,)):
             raise ValueError("need one previous record per row")
-        prev = _stack(prev)
         dt = rec.t - prev.t
         if (dt < 0).any():
             raise ValueError("records must be chained in increasing time")
@@ -268,7 +271,7 @@ def record(
         np.array([dist]),
         np.array([theta_value]),
         forcing_weak,
-        None if prev is None else [prev],
+        prev,
     )
     return stack.split()[0]
 

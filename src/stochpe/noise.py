@@ -71,7 +71,7 @@ class NoiseSpec:
     """Truncated noise operator: K directions with stored coefficient fields.
 
     phi: (K, 2, nkx, nky, nm), psi: (K, nkx, nky, nm), chi: (K, 2, nkx, nky, nm)
-    spectral coefficient arrays; alpha: (K,).  All-zero blocks are allowed.
+    spectral coefficient arrays; alpha: (K,).  All-zero blocks are allowed, and family 2 needs psi = 0.
     """
 
     grid: Grid
@@ -85,8 +85,13 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in ("zero", "example1", "example2"):
             raise ValueError(f"unknown noise family {self.family!r}")
-        if self.family == "example2" and np.abs(self.phi[..., 1:]).max(initial=0.0) > 0:
-            raise ValueError("family 2 requires z-independent phi_k")
+        K = self.phi.shape[:1]
+        modes = (self.grid.nkx, self.grid.nky, self.grid.nm)
+        for name, shape in (("phi", (*K, 2, *modes)), ("psi", (*K, *modes)), ("chi", (*K, 2, *modes)), ("alpha", K)):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"noise field {name} has shape {np.shape(getattr(self, name))}, expected {shape}")
+        if self.family == "example2" and (np.abs(self.phi[..., 1:]).max(initial=0.0) > 0 or self.psi.any()):
+            raise ValueError("family 2 transports the depth mean only: z-independent phi_k and zero psi_k")
 
     @property
     def K(self) -> int:

@@ -26,9 +26,7 @@ One loop, ``run_paths``, steps a chunk of P paths that share U0 as one
 keeps its own records (evaluated for the whole chunk at each stored step),
 hitting times, running integrals and Ito sums, and leaves the chunk when it
 blows up (a nonfinite state, norm or stored record) or reaches tau_cutoff
-under ``terminate_on_tau``.  Wherever a vectorised evaluation would change
-the last bit (the cutoff theta, the a-priori power) the scalar one runs per
-path, so every path equals its own P = 1 run bit for bit.
+under ``terminate_on_tau``; every path equals its own P = 1 run bit for bit.
 
 The step runs on the step grid (``step_grid``): ``cfg.grid`` cut
 horizontally to the largest |kx| and |ky| of the retained modes and of the
@@ -185,20 +183,20 @@ class Trajectory:
         return t, np.array([getattr(r, name) for r in self.records])
 
 
-def cutoff_theta(r: float, kappa: float) -> float:
+def cutoff_theta(r: float | np.ndarray, kappa: float) -> float | np.ndarray:
     """Smooth even bump: 1 on [0, kappa/2], 0 from kappa on, strictly
-    decreasing in between (standard exp(-1/x) transition)."""
+    decreasing in between (standard exp(-1/x) transition).  Elementwise: a
+    float for a float, an array for an array."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    r = abs(float(r))
-    if r <= kappa / 2:
-        return 1.0
-    if r >= kappa:
-        return 0.0
+    r = np.abs(np.asarray(r, dtype=float))
     u = (2.0 * r - kappa) / kappa  # maps (kappa/2, kappa) to (0, 1)
-    fu = math.exp(-1.0 / u)
-    f1u = math.exp(-1.0 / (1.0 - u))
-    return f1u / (f1u + fu)
+    # every branch is evaluated; only the band (kappa/2, kappa) is kept
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        fu = np.exp(-1.0 / u)
+        f1u = np.exp(-1.0 / (1.0 - u))
+        theta = np.where(r <= kappa / 2, 1.0, np.where(r >= kappa, 0.0, f1u / (f1u + fu)))
+    return theta if theta.ndim else float(theta)
 
 
 def solve_linear_Ustar(U0: SpectralState, times) -> list:
@@ -296,11 +294,9 @@ class Stepper:
         return np.sqrt(_parseval_sq(self.grid, diff, 1.0))
 
     def theta(self, dist: np.ndarray) -> np.ndarray:
-        """Advection switch (P,) at the cutoff distances (1 for the original
-        equation).  The scalar ``cutoff_theta`` runs per path: a vectorised
-        exp differs from ``math.exp`` in the last bit."""
+        """Advection switch (P,) at the cutoff distances (1 for the original equation)."""
         if self.cfg.equation == "modified":
-            return np.array([cutoff_theta(d, self.kappa) for d in dist])
+            return cutoff_theta(dist, self.kappa)
         return np.ones(len(dist))
 
     def noise_increment(self, coeffs: np.ndarray, dW: np.ndarray, grads: tuple | None):
@@ -310,7 +306,8 @@ class Stepper:
 
         State-dependent noise forms the increments in one ``sigma_coeffs`` call
         with weight rows dW and, only under ``track_ito``, the K identity rows
-        for the columns (None otherwise).  Additive noise returns its fixed columns."""
+        for the columns (None otherwise).  Additive noise returns its fixed columns,
+        broadcast to every row as a read-only view."""
         cfg = self.cfg
         K = cfg.noise.K
         if cfg.noise.family == "zero":
@@ -318,7 +315,7 @@ class Stepper:
         if self._static_cols is not None:
             cols = self._static_cols
             incr = sum(dW[:, k, None, None, None, None] * cols[k] for k in range(K))
-            return incr, np.repeat(cols[None], len(dW), axis=0)
+            return incr, np.broadcast_to(cols, (len(dW),) + cols.shape)
         weights = dW[:, None]
         if cfg.track_ito:
             weights = np.concatenate([weights, np.broadcast_to(np.eye(K), (len(dW), K, K))], axis=1)
@@ -453,10 +450,8 @@ def run_paths(
     theta0 = stepper.theta(dist0)
     rec0 = record(U, float(dist0[0]), float(theta0[0]), forcing_weak)
     records = [[_copy(rec0, extras=dict(rec0.extras), stopping=dict(rec0.stopping))] for _ in ids]
-    hit_names = (*STOPPING_FUNCTIONALS, "tau_cutoff", *(f"blowup@{level:g}" for level in cfg.blowup_levels))
-    hits = [dict.fromkeys(hit_names) for _ in ids]
     states = [[U.coeffs] for _ in ids] if cfg.store_states else None
-    configs = [cfg if i == cfg.trajectory_id else _copy(cfg, trajectory_id=i) for i in ids]
+    hit_names = ("tau_cutoff", *(f"blowup@{level:g}" for level in cfg.blowup_levels))
     out = [None] * len(ids)
 
     def leave(mask: np.ndarray, when: float, steps: int, blowup: bool):
@@ -465,11 +460,14 @@ def run_paths(
             return
         for row in np.flatnonzero(mask):
             p = rows.path[row]
+            hits = dict.fromkeys(STOPPING_FUNCTIONALS)
+            for name, hit in zip(hit_names, (rows.tau_hit[row], *rows.level_hit[row])):
+                hits[name] = None if np.isnan(hit) else float(hit)
             traj = Trajectory(
-                config=configs[p],
+                config=cfg if ids[p] == cfg.trajectory_id else _copy(cfg, trajectory_id=ids[p]),
                 times=np.array([rec.t for rec in records[p]]),
                 records=records[p],
-                hits=hits[p],
+                hits=hits,
                 blowup=blowup,
                 blowup_time=when if blowup else None,
                 sup_V_sq=float(rows.sup_V[row]),
@@ -484,7 +482,7 @@ def run_paths(
                 n_steps_done=steps,
             )
             for name, level in cfg.stopping_levels.items():
-                hits[p][name] = detect_stopping(*traj.series(name), level)
+                hits[name] = detect_stopping(*traj.series(name), level)
             out[p] = traj
         _keep(rows, ~mask)
 
@@ -507,14 +505,15 @@ def run_paths(
             prev_DA_V2=np.full(P, rec0.DA_sq * np.float64(rec0.V_sq) ** power),
             ito=np.zeros((P,) + stepper.c0.shape, dtype=np.complex128) if cfg.track_ito else None,
             ito_quad=np.zeros(P),
-            tau_open=np.ones(P, dtype=bool),
-            level_open=np.ones((P, len(cfg.blowup_levels)), dtype=bool),
+            # hitting times (NaN: not reached) and the last stored record (the first broadcasts)
+            tau_hit=np.full(P, np.nan),
+            level_hit=np.full((P, len(cfg.blowup_levels)), np.nan),
+            prev=rec0,
         )
         for j in range(n_steps):
             new, incr, cols = stepper.advance(rows.U, rows.theta, rows.increments[:, j])
             norms = sq_norms(g, new)
-            # the scalar power per path: numpy's vectorised power differs in the last bit
-            norms += (norms[2] * np.array([np.float64(v) ** power for v in norms[1]]),)
+            norms += (norms[2] * norms[1] ** power,)
             ok = np.isfinite(np.array(norms)).all(axis=0)
             if not ok.all():
                 # a nonfinite state (its H norm is nonfinite too) leaves before its
@@ -548,30 +547,22 @@ def run_paths(
             rows.prev_DA, rows.prev_DA_V2 = DA_sq, da_v2
 
             dist = stepper.distance(rows.U, t)
-            for row in np.flatnonzero(rows.tau_open & (dist >= stepper.kappa)) if rows.tau_open.any() else ():
-                before, now = float(rows.dist[row]), float(dist[row])
-                if now == before:
-                    hit = t
-                else:
-                    frac = (stepper.kappa - before) / (now - before)
-                    hit = t - dt + min(max(frac, 0.0), 1.0) * dt
-                hits[rows.path[row]]["tau_cutoff"] = hit
-                rows.tau_open[row] = False
+            # interpolated in the step; tau is not yet hit, so the previous distance is below kappa
+            reached = np.isnan(rows.tau_hit) & (dist >= stepper.kappa)
+            if reached.any():
+                before, now = rows.dist[reached], dist[reached]
+                rows.tau_hit[reached] = t - dt + (stepper.kappa - before) / (now - before) * dt
             rows.dist = dist
             rows.theta = stepper.theta(dist)
 
-            blow_val = rows.sup_V + rows.int_DA if cfg.blowup_levels else None
-            for i, level in enumerate(cfg.blowup_levels):
-                for row in np.flatnonzero(rows.level_open[:, i] & (blow_val >= level)):
-                    hits[rows.path[row]][f"blowup@{level:g}"] = t
-                    rows.level_open[row, i] = False
+            reached = np.isnan(rows.level_hit) & ((rows.sup_V + rows.int_DA)[:, None] >= cfg.blowup_levels)
+            rows.level_hit[reached] = t
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
                 stored = full.embed(g, rows.U)
-                stack = record_stack(
-                    full, stored, t, rows.dist, rows.theta, forcing_weak, [records[p][-1] for p in rows.path]
-                )
+                stack = record_stack(full, stored, t, rows.dist, rows.theta, forcing_weak, rows.prev)
                 stack.int_DA_sq = rows.int_DA
+                rows.prev = stack
                 # a stored functional out of representable range: numerical blow-up
                 ok = stack.finite()
                 for row, rec in zip(np.flatnonzero(ok), stack.split(ok)):
@@ -582,7 +573,7 @@ def run_paths(
                 leave(~ok, t, j + 1, blowup=True)
 
             if cfg.terminate_on_tau:
-                leave(~rows.tau_open, t, j + 1, blowup=False)
+                leave(~np.isnan(rows.tau_hit), t, j + 1, blowup=False)
             if not len(rows.path):
                 break
         leave(np.ones(len(rows.path), dtype=bool), t, n_steps, blowup=False)

@@ -8,9 +8,9 @@ import pytest
 
 from stochpe import random_state
 from stochpe.checkpoint import load_noise, load_state, save_noise, save_state
-from stochpe.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
+from stochpe.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, _preset_text, main
 from stochpe.config import ConfigError, build_solver_config, config_defaults, parse_config_text
-from stochpe.noise import example1_noise
+from stochpe.noise import example1_noise, example2_noise
 
 
 class TestConfig:
@@ -125,6 +125,24 @@ class TestCLI:
         root = str(tmp_path / "out")
         code = main(["run", "--set", "bogus.key=1", "--output-root", root])
         assert code == EXIT_CONFIG
+        assert not os.path.exists(root)
+
+    @pytest.mark.parametrize("defect", ["short_alpha", "family2_psi"])
+    def test_invalid_noise_file_is_config_error(self, tmp_path, capsys, defect):
+        # a short alpha, or psi in family 2 (which has no vertical transport)
+        grid = build_solver_config(parse_config_text(_preset_text("example1-small"))).grid
+        if defect == "short_alpha":
+            spec = example1_noise(grid, K=4, amp_phi=0.1, amp_alpha=0.1)
+            spec.alpha = spec.alpha[:2]
+        else:
+            spec = example2_noise(grid, K=4, amp_phi=0.1)
+            spec.psi = np.full_like(spec.psi, 0.1)
+        path = str(tmp_path / "noise.json")
+        save_noise(spec, path)
+        root = str(tmp_path / "out")
+        args = ["--preset", "example1-small", "--set", "noise.family=file", "--set", f"noise.file={path}"]
+        assert main(["run", *args, "--output-root", root]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
         assert not os.path.exists(root)
 
     def test_unknown_preset(self, tmp_path):

@@ -105,6 +105,35 @@ def test_terminate_on_tau_leaves_the_chunk(preset, kappa):
     # the paths leave at different steps, and none runs to the end
     assert len({t.n_steps_done for t in trajs}) > 1
     assert all(t.n_steps_done < cfg.n_steps and not t.blowup for t in trajs)
+    # each stored record extends its own path's previous one by a trapezoid
+    for traj in trajs:
+        for a, b in zip(traj.records, traj.records[1:]):
+            assert b.int_H2_V2 == a.int_H2_V2 + 0.5 * (a.H_sq * a.V_sq + b.H_sq * b.V_sq) * (b.t - a.t)
+
+
+def test_hit_times_from_stride_one_records():
+    # tau_cutoff interpolates dist_to_Ustar linearly within the step where it
+    # reaches kappa; a blow-up level is hit at the end of the first step where
+    # sup ||U||^2 + int |AU|^2 reaches it
+    cfg = preset_cfg("example1-small", **{"solver.equation": "modified", "solver.store_stride": 1})
+    cfg = replace(cfg, kappa_cutoff=0.01, blowup_levels=(4.0, 5.108, 5.34, 1e3))
+    kappa, dt = cfg.kappa_cutoff, cfg.dt
+    trajs = run_paths(cfg, range(6))
+    tau_steps, level_steps = set(), set()
+    for traj in trajs:
+        t = traj.times
+        dist = np.array([r.dist_to_Ustar for r in traj.records])
+        blow = np.maximum.accumulate([r.V_sq for r in traj.records]) + np.array([r.int_DA_sq for r in traj.records])
+        i = int(np.flatnonzero(dist >= kappa)[0])
+        assert i > 0
+        assert traj.hits["tau_cutoff"] == t[i] - dt + (kappa - dist[i - 1]) / (dist[i] - dist[i - 1]) * dt
+        tau_steps.add(i)
+        for level in cfg.blowup_levels:
+            reached = np.flatnonzero(blow[1:] >= level) + 1
+            assert traj.hits[f"blowup@{level:g}"] == (t[reached[0]] if reached.size else None)
+            level_steps.add((level, reached[0] if reached.size else None))
+    assert len(tau_steps) > 1
+    assert len(level_steps) > len(cfg.blowup_levels)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -343,7 +372,7 @@ def test_record_stack_rows_equal_single_records(grid_small, rng):
         # chained one step later, each row to its own previous record
         t = 0.1
         c2 = 0.9 * c
-        second = record_stack(g, c2, t, 0.5 * dist, theta[::-1], 0.25, prev=rows)
+        second = record_stack(g, c2, t, 0.5 * dist, theta[::-1], 0.25, prev=first)
         for p, a in enumerate(second.split()):
             st = SpectralState(g, c2[p], t)
             assert_same_record(a, record(st, 0.5 * dist[p], theta[::-1][p], 0.25, prev=singles[p]))
@@ -352,9 +381,9 @@ def test_record_stack_rows_equal_single_records(grid_small, rng):
         assert ok.tolist() == [True] * (P - 1) + [False]
         assert [r.row() for r in second.split(ok)] == [r.row() for r in second.split()[:-1]]
         with pytest.raises(ValueError):
-            record_stack(g, c, 0.05, dist, theta, prev=second.split())
+            record_stack(g, c, 0.05, dist, theta, prev=second)
         with pytest.raises(ValueError):
-            record_stack(g, c, 0.2, dist, theta, prev=second.split()[:1])
+            record_stack(g, c, 0.2, dist, theta, prev=second[:2])
 
 
 def test_stepper_distance_stack(stack):

@@ -64,6 +64,17 @@ class TestCutoff:
         assert 0.0 <= val <= 1.0
         assert val == cutoff_theta(-r, kappa)
 
+    def test_array_equals_scalar_calls(self):
+        kappa = 0.8
+        edges = [kappa / 2, np.nextafter(kappa / 2, 1.0), np.nextafter(kappa, 0.0), kappa]
+        r = np.concatenate([np.linspace(-1.2 * kappa, 1.2 * kappa, 101), edges])
+        th = cutoff_theta(r, kappa)
+        assert isinstance(th, np.ndarray) and th.shape == r.shape
+        assert th.tolist() == [cutoff_theta(x, kappa) for x in r]
+        # the bump leaves 1 at kappa/2 and reaches 0 at kappa continuously
+        assert cutoff_theta(np.array(edges), kappa).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert type(cutoff_theta(0.7, kappa)) is float
+
     def test_requires_positive_radius(self):
         with pytest.raises(ValueError):
             cutoff_theta(0.1, 0.0)
