@@ -30,10 +30,11 @@ from .solver import (
     run_trajectory,
     step_grid,
 )
-from .spectral import SpectralState, _parseval_sq, h_norm_sq, sq_norms, v_norm_sq
+from .spectral import SpectralState, _parseval_sq, sq_norms, v_norm_sq
 
 __all__ = [
     "path_summary",
+    "path_summaries",
     "run_ensemble",
     "ou_moment_check",
     "ito_isometry_check",
@@ -44,35 +45,51 @@ __all__ = [
     "gronwall_envelope_check",
 ]
 
-def path_summary(traj: Trajectory) -> dict:
-    """Small picklable reduction of one trajectory."""
-    final = traj.final_state
-    final_H_sq = final_V_sq = float("nan")
-    if final is not None:
-        final_H_sq, final_V_sq, _ = sq_norms(final.grid, final.coeffs)
-    with np.errstate(over="ignore"):  # overflows to inf where a float power raises
-        sup_V_p = np.float64(traj.sup_V_sq) ** (traj.config.apriori_p / 2.0)
-    out = {
-        "trajectory": traj.config.trajectory_id,
-        "sup_V_sq": traj.sup_V_sq,
-        "sup_H_sq": traj.sup_H_sq,
-        "int_DA_sq": traj.int_DA_sq,
-        "int_DA_V2": traj.int_DA_V2,
-        "final_H_sq": final_H_sq,
-        "final_V_sq": final_V_sq,
-        "blowup": traj.blowup,
-        "hits": dict(traj.hits),
-        "H0_sq": traj.records[0].H_sq,
-        "apriori": sup_V_p + traj.int_DA_V2,
-    }
-    if traj.ito_integral is not None:
-        out["ito_lhs"] = h_norm_sq(traj.ito_integral)
-        out["ito_quad"] = traj.ito_quadratic
+def path_summaries(trajs: list) -> list:
+    """``path_summary`` of each trajectory, in order, for trajectories on one
+    grid: the final H and V norms come from one ``sq_norms`` pass over the
+    surviving final states, and ``ito_lhs`` from one ``_parseval_sq`` pass
+    over the Ito integrals; each value equals its own single pass bit for bit."""
+    grid = trajs[0].config.grid
+    final_H_sq, final_V_sq = np.full(len(trajs), np.nan), np.full(len(trajs), np.nan)
+    live = [i for i, traj in enumerate(trajs) if traj.final_state is not None]
+    if live:
+        final_H_sq[live], final_V_sq[live], _ = sq_norms(grid, np.stack([trajs[i].final_state.coeffs for i in live]))
+    tracked = [i for i, traj in enumerate(trajs) if traj.ito_integral is not None]
+    ito_lhs = np.zeros(len(trajs))
+    if tracked:
+        ito_lhs[tracked] = _parseval_sq(grid, np.stack([trajs[i].ito_integral.coeffs for i in tracked]))
+    out = []
+    for i, traj in enumerate(trajs):
+        with np.errstate(over="ignore"):  # overflows to inf where a float power raises
+            sup_V_p = np.float64(traj.sup_V_sq) ** (traj.config.apriori_p / 2.0)
+        summary = {
+            "trajectory": traj.config.trajectory_id,
+            "sup_V_sq": traj.sup_V_sq,
+            "sup_H_sq": traj.sup_H_sq,
+            "int_DA_sq": traj.int_DA_sq,
+            "int_DA_V2": traj.int_DA_V2,
+            "final_H_sq": float(final_H_sq[i]),
+            "final_V_sq": float(final_V_sq[i]),
+            "blowup": traj.blowup,
+            "hits": dict(traj.hits),
+            "H0_sq": traj.records[0].H_sq,
+            "apriori": sup_V_p + traj.int_DA_V2,
+        }
+        if traj.ito_integral is not None:
+            summary["ito_lhs"] = float(ito_lhs[i])
+            summary["ito_quad"] = traj.ito_quadratic
+        out.append(summary)
     return out
 
 
+def path_summary(traj: Trajectory) -> dict:
+    """Small picklable reduction of one trajectory: ``path_summaries`` of one."""
+    return path_summaries([traj])[0]
+
+
 def _chunk_summaries(cfg: SolverConfig, ids: range) -> list:
-    return [path_summary(traj) for traj in run_paths(cfg, ids)]
+    return path_summaries(run_paths(cfg, ids))
 
 
 def run_ensemble(cfg: SolverConfig, n_paths: int, workers: int = 1) -> list:

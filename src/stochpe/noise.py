@@ -135,7 +135,7 @@ class NoiseSpec:
         return float(np.sum(self.alpha**2))
 
     def restricted(self, grid: Grid) -> "NoiseSpec":
-        """The operator on ``grid``, a horizontal sub-grid of ``self.grid``
+        """The operator on ``grid``, a sub-grid of ``self.grid``
         (``Grid.subgrid``), with every coefficient field cut to its modes; the
         spec itself when ``grid`` is its own.  For a state on the sub-grid, and
         phi and psi inside it, its columns equal the full operator's on the
@@ -167,8 +167,8 @@ class NoiseSpec:
 
     @cached_property
     def transport_support(self) -> np.ndarray:
-        """The horizontal wavevectors (nkx, nky) where phi or psi has a nonzero coefficient."""
-        return self.phi.any(axis=(0, 1, 4)) | self.psi.any(axis=(0, 3))
+        """The modes (nkx, nky, nm) where phi or psi has a nonzero coefficient."""
+        return self.phi.any(axis=(0, 1)) | self.psi.any(axis=0)
 
     @cached_property
     def is_additive(self) -> bool:

@@ -28,13 +28,15 @@ hitting times, running integrals and Ito sums, and leaves the chunk when it
 blows up (a nonfinite state, norm or stored record) or reaches tau_cutoff
 under ``terminate_on_tau``; every path equals its own P = 1 run bit for bit.
 
-The step runs on the step grid (``step_grid``): ``cfg.grid`` cut
-horizontally to the largest |kx| and |ky| of the retained modes and of the
-support of the transport fields phi and psi, with the vertical grid whole.
-Its padded grid follows the same alias-free rule, so the step agrees with
-one on ``cfg.grid`` to round-off.  Records, stored and final states and Ito
-integrals stay on ``cfg.grid``: the rows are embedded into its layout.  A
-full-Galerkin run steps on ``cfg.grid`` itself.
+The step runs on the step grid (``step_grid``): ``cfg.grid`` cut to the
+largest |kx|, |ky| and m of the retained modes and of the support of the
+transport fields phi and psi.  Its horizontal padding follows the same
+alias-free rule, and it keeps the padded vertical nodes of ``cfg.grid``, so
+it transforms only the coefficient levels it carries while forming every
+product on the same z-samples, and the step agrees with one on ``cfg.grid``
+to round-off.  Records, stored and final states and Ito integrals stay on
+``cfg.grid``: the rows are embedded into its layout.  A full-Galerkin run
+steps on ``cfg.grid`` itself.
 """
 
 from __future__ import annotations
@@ -217,15 +219,16 @@ def _pn_mask(cfg: SolverConfig) -> np.ndarray:
 
 
 def step_grid(cfg: SolverConfig) -> Grid:
-    """The grid the step map runs on: ``cfg.grid`` cut horizontally
-    (``Grid.subgrid``) to the largest |kx| and |ky| over the retained modes
-    and over the support of the state-dependent noise fields phi and psi.
-    The vertical grid stays whole.  Every product the step forms then stays
-    alias-free, so the step agrees with one on ``cfg.grid`` to round-off; a
-    full-Galerkin run gets ``cfg.grid`` itself."""
+    """The grid the step map runs on: ``cfg.grid`` cut (``Grid.subgrid``) to
+    the largest |kx|, |ky| and vertical index m over the retained modes and
+    over the support of the state-dependent noise fields phi and psi.  It
+    keeps the padded vertical nodes of ``cfg.grid``, through which the
+    transport noise is projected, and its horizontal padding follows the
+    alias-free rule, so the step agrees with one on ``cfg.grid`` to
+    round-off; a full-Galerkin run gets ``cfg.grid`` itself."""
     g = cfg.grid
-    kx, ky = np.nonzero(_pn_mask(cfg).any(axis=(0, 3)) | cfg.noise.transport_support)
-    return g.subgrid(int(np.abs(g.kx_int[kx]).max()), int(np.abs(g.ky_int[ky]).max()))
+    kx, ky, m = np.nonzero(_pn_mask(cfg).any(axis=0) | cfg.noise.transport_support)
+    return g.subgrid(int(np.abs(g.kx_int[kx]).max()), int(np.abs(g.ky_int[ky]).max()), int(m.max()))
 
 
 # padded-grid samples per stacked field in one chunk of paths (see ``chunk_size``)
@@ -245,7 +248,7 @@ def chunk_size(grid: Grid) -> int:
 class Stepper:
     """The precomputed one-step map of paths that share U0.  Every method acts
     on a stack of P paths in the layout of the step grid ``self.grid``
-    (``step_grid``), coefficients (P, 3, nkx', nky', nm), one row per path;
+    (``step_grid``), coefficients (P, 3, nkx', nky', nm'), one row per path;
     ``run_paths`` is its only caller.  The noise operator and the forcing are
     cut to the step grid.  ``U0n`` (the masked, projected initial state) and
     ``kappa`` stay on ``cfg.grid``; ``c0`` is U0n in the step-grid layout."""
@@ -300,8 +303,8 @@ class Stepper:
         return np.ones(len(dist))
 
     def noise_increment(self, coeffs: np.ndarray, dW: np.ndarray, grads: tuple | None):
-        """Masked increments sum_k sigma(U) e_k dW_k of the rows (P, 3, nkx', nky', nm),
-        for weights dW (P, K), and the masked columns (P, K, 3, nkx', nky', nm);
+        """Masked increments sum_k sigma(U) e_k dW_k of the rows (P, 3, nkx', nky', nm'),
+        for weights dW (P, K), and the masked columns (P, K, 3, nkx', nky', nm');
         (None, None) for zero noise.
 
         State-dependent noise forms the increments in one ``sigma_coeffs`` call
@@ -418,7 +421,7 @@ def run_paths(
     cfg: SolverConfig, trajectory_ids, U0: SpectralState | None = None, increments: np.ndarray | None = None
 ) -> list:
     """Integrate the paths ``trajectory_ids`` from one initial state, stepped
-    together as one (P, 3, nkx', nky', nm) array on the step grid; returns one
+    together as one (P, 3, nkx', nky', nm') array on the step grid; returns one
     Trajectory per id, in order, each equal bit for bit to that path's own
     P = 1 run.  Records, stored and final states and Ito integrals are on
     ``cfg.grid``: the step-grid rows are embedded into its layout.

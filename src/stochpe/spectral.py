@@ -27,8 +27,10 @@ horizontal axes) and act on stacks: coefficients (..., nkx, nky, nm) map to
 samples (..., nx, ny, nz) in one call.  Only the ky >= 0 half-plane is
 transformed.  Synthesis returns the real part of the full inverse transform
 for any input, by folding the Hermitian part (c(k) + conj c(-k))/2 onto the
-half-plane; analysis rebuilds ky < 0 by conjugation.  The vertical cosine or
-sine matrix acts on the small coefficient block, before padding.
+half-plane; analysis rebuilds ky < 0 by conjugation.  The horizontal FFTs
+run over the nm coefficient levels, never over more padded z-levels, and the
+vertical cosine or sine matrix acts on the real samples: synthesis
+transforms first and then applies the matrix, analysis applies it first.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ class Grid:
         self._rank = None
         self._basis = None
         self._lam_sorted = None
-        self._subgrids = {}  # (N1, N2) -> (sub-grid, its rows and columns here)
+        self._subgrids = {}  # (N1, N2, M) -> (sub-grid, its rows, columns and levels here)
 
     # -- basis enumeration -------------------------------------------------
 
@@ -349,32 +351,35 @@ class Grid:
         matrix V (nz, nm), or none -> real samples (..., nx, ny, nz).
 
         The real part is the transform of the Hermitian part (c(k) + conj c(-k))/2,
-        formed on the ky >= 0 half-plane and synthesised by irfft2.
+        formed on the ky >= 0 half-plane and synthesised by irfft2 on the nm
+        coefficient levels; V then maps the levels to the nz real z-samples.
         """
         half, fold, _ = self._half_plane
         lead = c.shape[:-3]
         herm = c.reshape(lead + (self.nkx * self.nky, c.shape[-1]))[..., fold, :]  # c(-k)
         np.conjugate(herm, out=herm)
         herm += c[..., :half, :]
-        if V is None:
-            herm *= 0.5
-        else:
-            herm = (herm.reshape(-1, herm.shape[-1]) @ (0.5 * V.T)).reshape(herm.shape[:-1] + (V.shape[0],))
+        herm *= 0.5
         buf = np.zeros(lead + (nx, ny // 2 + 1, herm.shape[-1]), dtype=np.complex128)
         n1 = self.spec.N1 + 1  # kx >= 0 rows first, then kx < 0 at the end of the axis
         buf[..., :n1, :half, :] = herm[..., :n1, :, :]
         buf[..., nx - n1 + 1 :, :half, :] = herm[..., n1:, :, :]
-        return irfft2(buf, s=(nx, ny), axes=(-3, -2), norm="forward")
+        levels = irfft2(buf, s=(nx, ny), axes=(-3, -2), norm="forward")
+        if V is None:
+            return levels
+        return (levels.reshape(-1, levels.shape[-1]) @ V.T).reshape(levels.shape[:-1] + (V.shape[0],))
 
     def _analyze_h(self, values: np.ndarray, A: np.ndarray | None) -> np.ndarray:
         """Forward transform of real samples (..., nx, ny, nz), with vertical analysis
         matrix A (nm, nz) or none -> coefficients (..., nkx, nky, nm).
 
-        rfft2 gives the ky >= 0 half-plane; ky < 0 follows by conjugation."""
+        A first maps the nz real z-samples to the nm coefficient levels, which
+        rfft2 then transforms; it gives the ky >= 0 half-plane, and ky < 0
+        follows by conjugation."""
         half, _, unfold = self._half_plane
-        spec = rfft2(values, axes=(-3, -2), norm="forward")[..., self.kx_int % values.shape[-3], :half, :]
         if A is not None:
-            spec = (spec.reshape(-1, spec.shape[-1]) @ A.T).reshape(spec.shape[:-1] + (A.shape[0],))
+            values = (values.reshape(-1, values.shape[-1]) @ A.T).reshape(values.shape[:-1] + (A.shape[0],))
+        spec = rfft2(values, axes=(-3, -2), norm="forward")[..., self.kx_int % values.shape[-3], :half, :]
         lead = spec.shape[:-3]
         out = np.empty(lead + (self.nkx, self.nky, spec.shape[-1]), dtype=np.complex128)
         out[..., :half, :] = spec
@@ -479,48 +484,60 @@ class Grid:
                 c[m] = -4.0 * h / (m * np.pi) ** 2
         return c
 
-    # -- horizontal sub-grids ------------------------------------------------
+    # -- sub-grids --------------------------------------------------------------
 
-    def subgrid(self, N1: int, N2: int) -> "Grid":
-        """This grid cut to the horizontal truncation N1 <= spec.N1, N2 <= spec.N2,
-        with the same lengths, viscosities and vertical resolution; the grid
-        itself when nothing is cut.  Its padded sizes follow the same rule, so
-        products of its modes stay alias-free on its own padded grid.
+    def subgrid(self, N1: int, N2: int, M: int | None = None) -> "Grid":
+        """This grid cut to the truncation N1 <= spec.N1, N2 <= spec.N2 and
+        M <= spec.M (by default spec.M), with the same lengths and viscosities;
+        the grid itself when nothing is cut.  Its horizontal padded sizes follow
+        the same rule, and it keeps this grid's padded vertical grid: nz_pad,
+        the midpoint nodes, and the leading columns of the cosine, sine and
+        analysis matrices.  Products of its modes are then alias-free on its
+        own padded grid and projected through the same vertical nodes.
         ``embed`` and ``extract`` move coefficients between the two layouts."""
-        if not (0 <= N1 <= self.spec.N1 and 0 <= N2 <= self.spec.N2):
-            raise ValueError(f"sub-grid truncation {(N1, N2)} exceeds {(self.spec.N1, self.spec.N2)}")
-        if (N1, N2) == (self.spec.N1, self.spec.N2):
+        M = self.spec.M if M is None else M
+        if not (0 <= N1 <= self.spec.N1 and 0 <= N2 <= self.spec.N2 and 0 <= M <= self.spec.M):
+            raise ValueError(
+                f"sub-grid truncation {(N1, N2, M)} exceeds {(self.spec.N1, self.spec.N2, self.spec.M)}"
+            )
+        if (N1, N2, M) == (self.spec.N1, self.spec.N2, self.spec.M):
             return self
-        if (N1, N2) not in self._subgrids:
-            sub = Grid(replace(self.spec, N1=N1, N2=N2))
-            self._subgrids[N1, N2] = sub, ((sub.kx_int % self.nkx)[:, None], (sub.ky_int % self.nky)[None, :])
-        return self._subgrids[N1, N2][0]
+        if (N1, N2, M) not in self._subgrids:
+            sub = Grid(replace(self.spec, N1=N1, N2=N2, M=M))
+            z, C, S, Acos = self._vertical[self.nz_pad]
+            sub.nz_pad = self.nz_pad
+            sub._vertical = {sub.nz: sub._vertical[sub.nz]}
+            sub._vertical[sub.nz_pad] = z, C[:, : sub.nm], S[:, : sub.nm], Acos[: sub.nm]
+            index = (sub.kx_int % self.nkx)[:, None], (sub.ky_int % self.nky)[None, :], slice(sub.nm)
+            self._subgrids[N1, N2, M] = sub, index
+        return self._subgrids[N1, N2, M][0]
 
     def _sub_index(self, sub: "Grid") -> tuple:
-        """Rows (nkx', 1) and columns (1, nky') of this grid's coefficient block
-        that hold the modes of ``sub``, a sub-grid made by ``subgrid``."""
-        sub_grid, index = self._subgrids.get((sub.spec.N1, sub.spec.N2), (None, None))
+        """Rows (nkx', 1), columns (1, nky') and leading levels (a slice of nm') of
+        this grid's coefficient block that hold the modes of ``sub``, a sub-grid
+        made by ``subgrid``."""
+        sub_grid, index = self._subgrids.get((sub.spec.N1, sub.spec.N2, sub.spec.M), (None, None))
         if sub_grid is not sub:
             raise ValueError("not a sub-grid made by this grid's subgrid")
         return index
 
     def extract(self, sub: "Grid", c: np.ndarray) -> np.ndarray:
         """Coefficients (..., nkx, nky, nm) restricted to the modes of the sub-grid
-        ``sub``: (..., nkx', nky', nm); ``c`` itself when ``sub`` is this grid."""
+        ``sub``: (..., nkx', nky', nm'); ``c`` itself when ``sub`` is this grid."""
         if sub is self:
             return c
-        ix, iy = self._sub_index(sub)
-        return c[..., ix, iy, :]
+        ix, iy, iz = self._sub_index(sub)
+        return c[..., ix, iy, iz]
 
     def embed(self, sub: "Grid", c: np.ndarray) -> np.ndarray:
-        """Coefficients (..., nkx', nky', nm) of the sub-grid ``sub`` in this grid's
+        """Coefficients (..., nkx', nky', nm') of the sub-grid ``sub`` in this grid's
         layout (..., nkx, nky, nm), zero on the other modes; ``c`` itself when
         ``sub`` is this grid."""
         if sub is self:
             return c
-        ix, iy = self._sub_index(sub)
-        out = np.zeros(c.shape[:-3] + (self.nkx, self.nky, c.shape[-1]), dtype=c.dtype)
-        out[..., ix, iy, :] = c
+        ix, iy, iz = self._sub_index(sub)
+        out = np.zeros(c.shape[:-3] + (self.nkx, self.nky, self.nm), dtype=c.dtype)
+        out[..., ix, iy, iz] = c
         return out
 
     # -- convenience --------------------------------------------------------

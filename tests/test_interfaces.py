@@ -11,6 +11,7 @@ from stochpe.checkpoint import load_noise, load_state, save_noise, save_state
 from stochpe.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, _preset_text, main
 from stochpe.config import ConfigError, build_solver_config, config_defaults, parse_config_text
 from stochpe.noise import example1_noise, example2_noise
+from stochpe.spectral import h_norm_sq
 
 
 class TestConfig:
@@ -113,6 +114,15 @@ class TestCLI:
         last = dict(zip(lines[1].split(","), lines[-1].split(",")))
         manifest = json.load(open(os.path.join(root, "a", "manifest.json")))
         assert float(last["int_DA_sq"]) == manifest["verdicts"]["int_DA_sq"]
+
+    def test_final_H_sq_is_the_norm_of_the_checkpoint(self, tmp_path):
+        # the final record is evaluated on the configured grid, also for a run
+        # that steps on a cut grid, so it equals the norm of the saved state bit for bit
+        root = str(tmp_path)
+        assert main(["run", "--preset", "smallnoise-888", "--output-root", root, "--label", "a"]) == EXIT_OK
+        state = load_state(os.path.join(root, "a", "checkpoint.json"))
+        manifest = json.load(open(os.path.join(root, "a", "manifest.json")))
+        assert h_norm_sq(state) == manifest["verdicts"]["final_H_sq"]
 
     def test_linear_decay_preset_decays(self, tmp_path):
         root = str(tmp_path)

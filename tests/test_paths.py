@@ -18,7 +18,7 @@ from stochpe import solver
 from stochpe.cli import _preset_text
 from stochpe.config import build_solver_config, parse_config_text
 from stochpe.diagnostics import record, record_stack
-from stochpe.experiments import path_summary, run_ensemble
+from stochpe.experiments import path_summaries, path_summary, run_ensemble
 from stochpe.noise import WienerStream, example1_noise, example2_noise, sigma_coeffs
 from stochpe.operators import (
     PhysicsParams,
@@ -189,6 +189,21 @@ def test_ensemble_chunk_sizes(monkeypatch, size):
     summaries = run_ensemble(cfg, 7, workers=2)
     direct = [path_summary(run_trajectory(replace(cfg, trajectory_id=i))) for i in range(7)]
     assert summaries == direct
+
+
+def test_path_summaries_equal_single_state_norms():
+    cfg = preset_cfg("example1-small", **{"solver.track_ito": True})
+    trajs = run_paths(cfg, range(5))
+    trajs[2] = replace(trajs[2], final_state=None, blowup=True)
+    summaries = path_summaries(trajs)
+    for summary, traj in zip(summaries, trajs):
+        assert summary["ito_lhs"] == h_norm_sq(traj.ito_integral)
+        if traj.final_state is None:
+            assert np.isnan(summary["final_H_sq"]) and np.isnan(summary["final_V_sq"])
+        else:
+            assert summary == path_summary(traj)
+            assert summary["final_H_sq"] == h_norm_sq(traj.final_state)
+            assert summary["final_V_sq"] == v_norm_sq(traj.final_state)
 
 
 def test_chunk_size_depends_on_the_grid_only():

@@ -1,9 +1,10 @@
-"""Truncated Galerkin runs step on the smallest horizontal grid that holds
-the retained modes.
+"""Truncated Galerkin runs step on the smallest grid that holds the
+retained modes.
 
-``solver.step_grid(cfg)`` cuts ``cfg.grid`` horizontally to the retained
-modes and the support of phi and psi.  Every product of the step stays
-alias-free on that grid, so a run must agree to round-off with the same run
+``solver.step_grid(cfg)`` cuts ``cfg.grid`` to the retained modes and the
+support of phi and psi, horizontally and vertically, and keeps its padded
+vertical nodes.  Every product of the step stays alias-free on that grid
+and is projected through the same nodes, so a run must agree to round-off with the same run
 stepped on ``cfg.grid`` itself (``step_grid`` monkeypatched back), while κ
 and the first record, computed from the full-grid initial state, agree bit
 for bit.
@@ -15,7 +16,7 @@ import pytest
 from stochpe import DomainSpec, Grid, solver
 from stochpe.noise import example1_noise, example2_noise
 from stochpe.solver import InitSpec, SolverConfig, Stepper, initial_state, run_paths
-from stochpe.spectral import single_mode_state
+from stochpe.spectral import h_norm_sq, single_mode_state
 
 GRID = Grid(DomainSpec(L2=4.0, h=1.5, N1=5, N2=4, M=3, mu=0.7, nu=0.3))
 # the 60 lowest modes sit in |kx| <= 2, |ky| <= 1
@@ -67,7 +68,10 @@ def test_step_grid_holds_the_retained_modes_and_the_noise_support(case):
     g = stepper.grid
     assert g is solver.step_grid(cfg)
     assert (g.nx_pad, g.ny_pad, g.nz_pad) < (GRID.nx_pad, GRID.ny_pad, GRID.nz_pad)
-    assert (g.spec.M, g.nm, g.nz_pad) == (GRID.spec.M, GRID.nm, GRID.nz_pad)
+    # the vertical cut keeps the padded z nodes; phi and psi of osc 2 sit at m = 2
+    assert g.nz_pad == GRID.nz_pad
+    assert np.array_equal(g.nodes(padded=True)[2], GRID.nodes(padded=True)[2])
+    assert g.spec.M == (2 if case == "example1-osc2" else 1)
     assert np.array_equal(GRID.embed(g, stepper.mask), GRID.rank < cfg.n_galerkin)
     for f in (cfg.noise.phi, cfg.noise.psi):
         assert np.array_equal(GRID.embed(g, GRID.extract(g, f)), f)
@@ -102,6 +106,8 @@ def test_step_grid_run_matches_the_full_grid_run(case, monkeypatch):
         assert a.kappa == b.kappa
         assert a.records[0].row() == b.records[0].row()
         assert (a.blowup, a.n_steps_done, len(a.records)) == (b.blowup, b.n_steps_done, len(b.records))
+        # the final record is evaluated on cfg.grid: it is the norm of the final state
+        assert a.records[-1].H_sq == h_norm_sq(a.final_state)
         assert_close([r.row() for r in a.records], [r.row() for r in b.records], 1e-12, axis=0)
         assert_close(
             [list(r.stopping.values()) for r in a.records], [list(r.stopping.values()) for r in b.records], 1e-12, 0
@@ -113,7 +119,8 @@ def test_step_grid_run_matches_the_full_grid_run(case, monkeypatch):
 def test_subgrid_embed_and_extract():
     sub = GRID.subgrid(2, 1)
     assert GRID.subgrid(5, 4) is GRID and GRID.subgrid(2, 1) is sub
-    assert (sub.nkx, sub.nky, sub.nm) == (5, 3, GRID.nm)
+    assert GRID.subgrid(5, 4, 3) is GRID and GRID.subgrid(2, 1, 3) is sub
+    assert (sub.nkx, sub.nky, sub.nm, sub.nz_pad) == (5, 3, GRID.nm, GRID.nz_pad)
     c = np.random.default_rng(1).standard_normal((2, 3, sub.nkx, sub.nky, sub.nm)) + 0j
     full = GRID.embed(sub, c)
     assert full.shape == (2, 3, GRID.nkx, GRID.nky, GRID.nm)
@@ -128,3 +135,56 @@ def test_subgrid_embed_and_extract():
         sub.extract(GRID, c)
     with pytest.raises(ValueError):
         GRID.extract(Grid(DomainSpec(N1=2, N2=1, M=3)), full)
+
+
+def test_vertical_subgrid_keeps_the_padded_vertical_grid():
+    sub = GRID.subgrid(2, 1, 1)
+    assert GRID.subgrid(2, 1, 1) is sub and sub is not GRID.subgrid(2, 1)
+    assert (sub.nkx, sub.nky, sub.nm, sub.spec.M) == (5, 3, 2, 1)
+    # the parent's padded vertical grid, bit for bit: nodes and leading matrix columns
+    assert sub.nz_pad == GRID.nz_pad
+    z, C, S, A = sub._vertical[sub.nz_pad]
+    z0, C0, S0, A0 = GRID._vertical[GRID.nz_pad]
+    assert np.array_equal(sub.nodes(padded=True)[2], z0) and np.array_equal(z, z0)
+    assert np.array_equal(C, C0[:, :2]) and np.array_equal(S, S0[:, :2]) and np.array_equal(A, A0[:2])
+    c = np.random.default_rng(2).standard_normal((2, 3, 5, 3, 2)) + 0j
+    full = GRID.embed(sub, c)
+    assert full.shape == (2, 3, GRID.nkx, GRID.nky, GRID.nm)
+    assert np.array_equal(GRID.extract(sub, full), c)
+    assert np.abs(full).sum() == np.abs(c).sum() and not full[..., 2:].any()
+    assert np.array_equal(GRID.extract(sub, GRID.lam), sub.lam)
+    for bad in (4, -1):
+        with pytest.raises(ValueError):
+            GRID.subgrid(2, 1, bad)
+
+
+@pytest.mark.parametrize("M", [0, 1, 2])
+def test_vertical_subgrid_transforms_match_the_parent(M):
+    # a vertical cut on the parent's horizontal grid samples on the same padded grid
+    sub = GRID.subgrid(GRID.spec.N1, GRID.spec.N2, M)
+    rng = np.random.default_rng(M)
+    shape = (2, 3, sub.nkx, sub.nky, sub.nm)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    full = GRID.embed(sub, c)
+    pairs = [
+        (sub.synth_cos(c, padded=True), GRID.synth_cos(full, padded=True)),
+        (sub.synth_sin(c, padded=True), GRID.synth_sin(full, padded=True)),
+        *zip(sub.grad_samples(c), GRID.grad_samples(full)),
+    ]
+    samples = rng.standard_normal((2, GRID.nx_pad, GRID.ny_pad, GRID.nz_pad))
+    pairs.append((sub.analyze_cos(samples), GRID.extract(sub, GRID.analyze_cos(samples))))
+    for a, b in pairs:
+        assert a.shape == b.shape
+        assert_close(a, b, 1e-14)
+
+
+def test_vertical_subgrid_projects_transport_through_the_same_nodes():
+    # psi dz U (cosine times sine) formed on a sub-grid cut both ways and
+    # projected onto its cosines equals the parent's projection to round-off
+    sub = GRID.subgrid(2, 1, 1)
+    rng = np.random.default_rng(3)
+    u, psi = (rng.standard_normal((sub.nkx, sub.nky, sub.nm)) + 0j for _ in range(2))
+    mine = sub.analyze_cos(sub.synth_cos(psi, padded=True) * sub.grad_samples(u)[2])
+    full_u, full_psi = GRID.embed(sub, u), GRID.embed(sub, psi)
+    parent = GRID.analyze_cos(GRID.synth_cos(full_psi, padded=True) * GRID.grad_samples(full_u)[2])
+    assert_close(mine, GRID.extract(sub, parent), 1e-14)
