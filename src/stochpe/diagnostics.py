@@ -1,7 +1,14 @@
 """Monitored functionals, stopping-time detection and ensemble summaries.
 
-Norm-type functionals are evaluated spectrally (Parseval); sixth-power and
-mixed-gradient functionals by quadrature on the dealiased grid.  Cumulative
+Norm-type functionals (``H_sq``, ``V_sq``, ``DA_sq``, the dz and barotropic
+sums and ``grad3_dz_v_L2_2``) are Parseval sums on the record's own grid
+layout.  The three sixth-degree functionals (``L6_vtilde_6``,
+``grad_vtilde_vtilde4`` and ``L6_T_6``) are quadratures on a padded grid:
+the record grid of the retained band (``Grid.record_grid``) when the caller
+passes the band, as ``run_paths`` does, and the grid's own padded grid
+otherwise.  On an axis where the record grid differs from the configured
+one, both integrate these products exactly, so the values agree to
+round-off; a full band keeps the configured grid.  Cumulative
 time integrals are accumulated with the trapezoid rule on the stored stride,
 except ``int_DA_sq``: each stored record carries ``run_paths``' per-step
 integral, the value the trajectory reports.
@@ -139,13 +146,19 @@ class DiagnosticRecord:
         ]
 
 
-def _grid_quadrature_functionals(grid: Grid, coeffs: np.ndarray) -> dict:
-    """Sixth-power and mixed-gradient functionals on the dealiased grid, (P,)
-    arrays for a coefficient stack (P, 3, nkx, nky, nm)."""
-    w = grid.quad_weight(padded=True)
+def _grid_quadrature_functionals(grid: Grid, coeffs: np.ndarray, band: tuple | None = None) -> dict:
+    """Sixth-power and mixed-gradient functionals by quadrature on the padded
+    grid, (P,) arrays for a coefficient stack (P, 3, nkx, nky, nm).  With a
+    ``band`` (N1, N2, M) that holds every nonzero coefficient, the band moves
+    to its record grid (``Grid.record_grid``) and the quadrature runs there;
+    without one, on ``grid``."""
     # baroclinic velocity vtilde (the depth mean removed) and the temperature
     fluct = coeffs.copy()
     fluct[:, :2, :, :, 0] = 0.0
+    if band is not None and (rec_grid := grid.record_grid(*band)) is not grid:
+        fluct = rec_grid.embed(rec_grid.subgrid(*band), grid.extract(grid.subgrid(*band), fluct))
+        grid = rec_grid
+    w = grid.quad_weight(padded=True)
     samples = grid.synth_cos(fluct, padded=True)
     vt_sq = samples[:, 0] ** 2 + samples[:, 1] ** 2
     grad_sq = sum((d**2).sum(axis=1) for d in grid.grad_samples(fluct[:, :2]))
@@ -164,6 +177,7 @@ def record_stack(
     theta: np.ndarray,
     forcing_weak: float = 0.0,
     prev: DiagnosticRecord | None = None,
+    band: tuple | None = None,
 ) -> DiagnosticRecord:
     """``record`` of every row of a coefficient stack (P, 3, nkx, nky, nm) at
     time t, with cutoff distances ``dist`` (P,) and switches ``theta`` (P,),
@@ -171,10 +185,12 @@ def record_stack(
     record with float columns is every row's): one stacked record whose row p
     equals bit for bit the record of state p alone.  Every functional is
     evaluated for all rows at once, each row reduced over its trailing axes
-    as one contiguous sum."""
+    as one contiguous sum.  ``band`` (N1, N2, M), when given, must hold every
+    nonzero coefficient: the three quadrature columns are then evaluated on
+    its record grid (``Grid.record_grid``), every other column on ``grid``."""
     spec = grid.spec
     P = len(coeffs)
-    quad = _grid_quadrature_functionals(grid, coeffs)
+    quad = _grid_quadrature_functionals(grid, coeffs, band)
 
     area = grid.area_h
     ksq = grid.ksq_h
@@ -255,12 +271,13 @@ def record(
     theta_value: float = 1.0,
     forcing_weak: float = 0.0,
     prev: DiagnosticRecord | None = None,
+    band: tuple | None = None,
 ) -> DiagnosticRecord:
     """Evaluate every monitored functional at cutoff distance ``dist``; chain
     ``prev`` to accumulate the int_* columns and the stopping functionals by
     the trapezoid rule.  ``int_DA_sq`` is left at 0 for the caller to set
     (``run_paths`` stores its per-step integral there).  This is
-    ``record_stack`` with one row.
+    ``record_stack`` with one row, ``band`` included.
 
     Squares of norms overflow to inf rather than raising, so a record of a
     state near blow-up can be checked with ``DiagnosticRecord.finite``."""
@@ -272,6 +289,7 @@ def record(
         np.array([theta_value]),
         forcing_weak,
         prev,
+        band,
     )
     return stack.split()[0]
 

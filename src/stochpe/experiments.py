@@ -11,7 +11,10 @@ order.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from dataclasses import replace
 from functools import partial
 from multiprocessing import get_context
@@ -92,12 +95,25 @@ def _chunk_summaries(cfg: SolverConfig, ids: range) -> list:
     return path_summaries(run_paths(cfg, ids))
 
 
+def _one_blas_thread():
+    """Pool initializer: one thread for numpy's bundled OpenBLAS in this
+    worker, so that pooled workers do not split their small products across
+    cores they share; nothing when numpy bundles no scipy-openblas."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for path in glob.glob(libs):
+        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
 def run_ensemble(cfg: SolverConfig, n_paths: int, workers: int = 1) -> list:
     """Per-path summaries for trajectory ids 0..n_paths-1, in path order.
 
     The ids run in chunks of ``solver.chunk_size`` paths of the step grid,
     each stepped as one array; with ``workers`` > 1 a process pool splits
-    the chunks."""
+    the chunks, each worker with one BLAS thread (the calling process keeps
+    its own setting)."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if workers < 1:
@@ -107,7 +123,7 @@ def run_ensemble(cfg: SolverConfig, n_paths: int, workers: int = 1) -> list:
     if workers == 1 or len(chunks) == 1:
         parts = [_chunk_summaries(cfg, ids) for ids in chunks]
     else:
-        with get_context("fork").Pool(min(workers, len(chunks))) as pool:
+        with get_context("fork").Pool(min(workers, len(chunks)), initializer=_one_blas_thread) as pool:
             parts = pool.map(partial(_chunk_summaries, cfg), chunks)
     return [summary for part in parts for summary in part]
 

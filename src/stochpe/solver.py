@@ -34,9 +34,14 @@ transport fields phi and psi.  Its horizontal padding follows the same
 alias-free rule, and it keeps the padded vertical nodes of ``cfg.grid``, so
 it transforms only the coefficient levels it carries while forming every
 product on the same z-samples, and the step agrees with one on ``cfg.grid``
-to round-off.  Records, stored and final states and Ito integrals stay on
-``cfg.grid``: the rows are embedded into its layout.  A full-Galerkin run
-steps on ``cfg.grid`` itself.
+to round-off.  Stored and final states, Ito integrals and records stay on
+``cfg.grid``: the rows are embedded into its layout, and every spectral
+record column is a Parseval sum there.  The three sixth-degree quadrature
+columns run on the record grid of the retained band (``record_band``,
+``Grid.record_grid``), which is cut on the axes where a grid of twice the
+band has fewer padded samples; both grids integrate those products exactly,
+so the values agree with ``cfg.grid``'s to round-off.  A full-Galerkin run
+steps and records on ``cfg.grid`` itself.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ __all__ = [
     "Stepper",
     "initial_state",
     "step_grid",
+    "record_band",
     "chunk_size",
     "run_paths",
     "run_trajectory",
@@ -218,6 +224,12 @@ def _pn_mask(cfg: SolverConfig) -> np.ndarray:
     return cfg.grid.rank < cfg.n_galerkin
 
 
+def _band(g: Grid, support: np.ndarray) -> tuple:
+    """The largest |kx|, |ky| and m over the support (nkx, nky, nm) of ``g``."""
+    kx, ky, m = np.nonzero(support)
+    return int(np.abs(g.kx_int[kx]).max()), int(np.abs(g.ky_int[ky]).max()), int(m.max())
+
+
 def step_grid(cfg: SolverConfig) -> Grid:
     """The grid the step map runs on: ``cfg.grid`` cut (``Grid.subgrid``) to
     the largest |kx|, |ky| and vertical index m over the retained modes and
@@ -226,9 +238,14 @@ def step_grid(cfg: SolverConfig) -> Grid:
     transport noise is projected, and its horizontal padding follows the
     alias-free rule, so the step agrees with one on ``cfg.grid`` to
     round-off; a full-Galerkin run gets ``cfg.grid`` itself."""
-    g = cfg.grid
-    kx, ky, m = np.nonzero(_pn_mask(cfg).any(axis=0) | cfg.noise.transport_support)
-    return g.subgrid(int(np.abs(g.kx_int[kx]).max()), int(np.abs(g.ky_int[ky]).max()), int(m.max()))
+    return cfg.grid.subgrid(*_band(cfg.grid, _pn_mask(cfg).any(axis=0) | cfg.noise.transport_support))
+
+
+def record_band(cfg: SolverConfig) -> tuple:
+    """The retained band (N1', N2', M'): the largest |kx|, |ky| and m over the
+    retained modes, which hold every recorded state.  Records evaluate their
+    sixth-degree quadratures on its record grid, ``cfg.grid.record_grid(*band)``."""
+    return _band(cfg.grid, _pn_mask(cfg).any(axis=0))
 
 
 # padded-grid samples per stacked field in one chunk of paths (see ``chunk_size``)
@@ -238,9 +255,11 @@ CHUNK_SAMPLES = 2**12
 def chunk_size(grid: Grid) -> int:
     """Paths stepped as one stack on the step grid ``grid`` (``step_grid``): a
     fixed budget of padded-grid samples, so small grids stack many paths and
-    large ones few.  Past the budget a stack stops paying: its transform
-    products grow large enough for a multi-threaded BLAS to split them, and
-    two worker processes then contend for the cores (README "Design notes"
+    large ones few, and the same paths stack together whatever the worker
+    count.  The budget is where stacking stopped paying on 3^3 while pool
+    workers split their transform products across BLAS threads that they
+    shared.  Workers now run one BLAS thread each, and a budget of 2^13 has
+    since measured faster on 3^3 but is not adopted (README "Design notes"
     has the measurements)."""
     return max(1, CHUNK_SAMPLES // (grid.nx_pad * grid.ny_pad * grid.nz_pad))
 
@@ -444,6 +463,7 @@ def run_paths(
     elif increments.shape != (len(ids), n_steps, K):
         raise ValueError(f"increments must have shape {(len(ids), n_steps, K)}")
     forcing_weak = _forcing_weak(cfg)
+    band = record_band(cfg)
     power = (cfg.apriori_p - 2.0) / 2.0
 
     # every path starts from the same state: its first record is computed once
@@ -451,7 +471,7 @@ def run_paths(
     t = U.time
     dist0 = stepper.distance(stepper.c0[None], t)
     theta0 = stepper.theta(dist0)
-    rec0 = record(U, float(dist0[0]), float(theta0[0]), forcing_weak)
+    rec0 = record(U, float(dist0[0]), float(theta0[0]), forcing_weak, band=band)
     records = [[_copy(rec0, extras=dict(rec0.extras), stopping=dict(rec0.stopping))] for _ in ids]
     states = [[U.coeffs] for _ in ids] if cfg.store_states else None
     hit_names = ("tau_cutoff", *(f"blowup@{level:g}" for level in cfg.blowup_levels))
@@ -563,7 +583,7 @@ def run_paths(
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
                 stored = full.embed(g, rows.U)
-                stack = record_stack(full, stored, t, rows.dist, rows.theta, forcing_weak, rows.prev)
+                stack = record_stack(full, stored, t, rows.dist, rows.theta, forcing_weak, rows.prev, band)
                 stack.int_DA_sq = rows.int_DA
                 rows.prev = stack
                 # a stored functional out of representable range: numerical blow-up

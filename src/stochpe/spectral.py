@@ -20,7 +20,8 @@ enforced as conjugate symmetry in the signed horizontal wavenumbers.
 Nonlinear products are evaluated on a zero-padded collocation grid sized so
 that quadratic products are alias-free and integrals of triple products are
 exact for band-limited inputs (horizontal padding > 3*N, vertical midpoint
-nodes with 2*nz > 3*M).
+nodes with 2*nz > 3*M).  Sixth-degree quadratures of states in a narrower
+band run on that band's ``Grid.record_grid``, which is exact for them.
 
 Transforms are real-to-complex (``scipy.fft.rfft2``/``irfft2`` over the two
 horizontal axes) and act on stacks: coefficients (..., nkx, nky, nm) map to
@@ -227,6 +228,7 @@ class Grid:
         self._basis = None
         self._lam_sorted = None
         self._subgrids = {}  # (N1, N2, M) -> (sub-grid, its rows, columns and levels here)
+        self._record_grids = {}  # band (N1, N2, M) -> its record grid
 
     # -- basis enumeration -------------------------------------------------
 
@@ -539,6 +541,29 @@ class Grid:
         out = np.zeros(c.shape[:-3] + (self.nkx, self.nky, self.nm), dtype=c.dtype)
         out[..., ix, iy, iz] = c
         return out
+
+    def record_grid(self, N1: int, N2: int, M: int) -> "Grid":
+        """The grid for sixth-degree quadratures of states in the band |kx| <= N1,
+        |ky| <= N2, m <= M: an ordinary ``Grid`` with, per axis, twice the
+        band's modes (2*N1, 2*N2, 2*M) when their padded samples
+        (``next_fast_len(6*N + 1)`` horizontally, 3*M + 1 vertical nodes) are
+        strictly fewer than this grid's, and this grid's modes otherwise.  On
+        an axis that changes, both sample sets integrate sixth-degree products
+        of the band exactly, so a quadrature agrees with one on this grid to
+        round-off; this grid itself when no axis changes, as for the full
+        band.  Coefficients move with ``extract`` and ``embed`` through the
+        two grids' ``subgrid`` of the band."""
+        self.subgrid(N1, N2, M)  # checks the band
+        if (N1, N2, M) not in self._record_grids:
+            s = self.spec
+            spec = replace(
+                s,
+                N1=2 * N1 if next_fast_len(6 * N1 + 1) < self.nx_pad else s.N1,
+                N2=2 * N2 if next_fast_len(6 * N2 + 1) < self.ny_pad else s.N2,
+                M=2 * M if 3 * M + 1 < self.nz_pad else s.M,
+            )
+            self._record_grids[N1, N2, M] = self if spec == s else Grid(spec)
+        return self._record_grids[N1, N2, M]
 
     # -- convenience --------------------------------------------------------
 

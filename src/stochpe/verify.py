@@ -331,8 +331,9 @@ def suite_diagnostics(grid: Grid | None = None) -> list:
     st2 = leray_project(random_state(g, rng))
     r1 = fluctuation_R(st2)
     r2 = SpectralState(g, st2.coeffs - average_A3(st2).coeffs)
-    d = abs(record(r1).L6_vtilde_6 - record(r2).L6_vtilde_6)
-    checks.append(_check("fluctuation_two_routes", d <= 1e-12 * max(record(r1).L6_vtilde_6, 1e-30), diff=d))
+    l6 = record(r1).L6_vtilde_6
+    d = abs(l6 - record(r2).L6_vtilde_6)
+    checks.append(_check("fluctuation_two_routes", d <= 1e-12 * max(l6, 1e-30), diff=d))
     return checks
 
 

@@ -52,6 +52,17 @@ class TestEnsemble:
         for sa, sb in zip(a, b):
             assert sa == sb
 
+    @pytest.mark.parametrize("preset,n_paths", [("example1-small", 16), ("smallnoise-888", 4)])
+    def test_worker_count_invariance_with_blas_transforms(self, preset, n_paths):
+        # two chunks each, so the pool runs; its workers use one BLAS thread,
+        # the calling process its default
+        cfg = build_solver_config({**parse_config_text(_preset_text(preset)), "solver.track_ito": True})
+        a = run_ensemble(cfg, n_paths, workers=1)
+        b = run_ensemble(cfg, n_paths, workers=2)
+        assert len(a) == len(b) == n_paths
+        for sa, sb in zip(a, b):
+            assert sa == sb
+
     def test_single_path_matches_trajectory(self, ou_cfg):
         from stochpe.experiments import path_summary
         from stochpe.solver import run_trajectory
