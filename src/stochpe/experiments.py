@@ -231,6 +231,8 @@ def convergence_study(cfg: SolverConfig, dt_list, n_paths: int = 4) -> dict:
     finest step, RMS-averaged over a few frozen paths; dt values must be
     nested (each an integer multiple of the finest) so coarse increments are
     exact block sums of fine ones."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     dts = sorted(set(float(d) for d in dt_list), reverse=True)
     if len(dts) < 3:
         raise ValueError("need at least 3 step sizes")

@@ -10,10 +10,15 @@ family 2 transports only the depth mean (phi_k independent of z)
 
     column_k(v) = P_H[(phi_k . grad) A3 v + alpha_k v + chi_k].
 
-Columns are evaluated pseudo-spectrally: gradients spectrally, products on
-the dealiased grid, then re-expansion on the retained cosine modes.  The
-vertical-derivative term psi_k dz v has sine-type vertical structure, so the
-re-expansion is the discrete Galerkin projection of that profile.
+Columns with spatially varying phi_k, psi_k are evaluated pseudo-spectrally:
+gradients spectrally, products on the dealiased grid, then re-expansion on
+the retained cosine modes.  The vertical-derivative term psi_k dz v has
+sine-type vertical structure, so the re-expansion is the discrete Galerkin
+projection of that profile through the padded vertical nodes.  When every
+phi_k and psi_k is constant in space, the same projection is a diagonal
+multiplier horizontally and the matrix ``Grid.dz_nodal`` vertically, so the
+columns are formed in spectral space with no transform; the two evaluations
+agree to round-off.
 
 Temperature noise has no closed-form family here; as an explicit
 extrapolation, the velocity structure can be mirrored onto the temperature
@@ -169,6 +174,12 @@ class NoiseSpec:
     def transport_support(self) -> np.ndarray:
         """The modes (nkx, nky, nm) where phi or psi has a nonzero coefficient."""
         return self.phi.any(axis=(0, 1)) | self.psi.any(axis=0)
+
+    @cached_property
+    def constant_transport(self) -> bool:
+        """True when phi and psi are constant in space: ``transport_support``
+        holds no mode other than (0, 0, 0)."""
+        return not self.transport_support.ravel()[1:].any()
 
     @cached_property
     def is_additive(self) -> bool:
@@ -330,8 +341,11 @@ def sigma_coeffs(
     spec: NoiseSpec, coeffs: np.ndarray, weights: np.ndarray | None = None, grads: tuple | None = None
 ) -> np.ndarray:
     """``apply_sigma`` on state coefficients: the J rows as one projected (J, 3, nkx, nky, nm)
-    array, formed on the grid and analysed in one transform (the operator is linear in W).
-    ``grads``, the ``Grid.grad_samples`` of ``coeffs``, skip their synthesis for family 1.
+    array (the operator is linear in W).  The transport part of every row is formed in
+    one piece: in spectral space with no transform when phi and psi are constant
+    (``NoiseSpec.constant_transport``), otherwise on the padded grid and analysed in one
+    transform.  ``grads``, the ``Grid.grad_samples`` of ``coeffs``, skip their synthesis
+    for family 1 on the grid; the spectral form does not read them.
 
     With a leading path axis, coefficients (P, 3, nkx, nky, nm) and weights (P, J, K)
     (and grads of the stack) give rows (P, J, 3, nkx, nky, nm); each path's rows
@@ -350,28 +364,56 @@ def sigma_coeffs(
     P, J = W.shape[:2]
     rows = np.zeros((P, J) + coeffs.shape[1:], dtype=np.complex128)
     if spec.family != "zero":
-        # transported components and their gradient samples; a (P, J, K) @ (K, N)
-        # product per field, which keeps each path's BLAS call as in the single case
         n = 3 if spec.include_temperature else 2
-        shape = spec._psi_grid.shape[1:]
-        phi = (W @ spec._phi_grid.reshape(K, -1)).reshape((P, J, 2) + shape)
-        if spec.family == "example1":
-            gx, gy, gz = g.grad_samples(coeffs[:, :n]) if grads is None else (a[:, :n] for a in grads)
-            psi = (W @ spec._psi_grid.reshape(K, -1)).reshape((P, J) + shape)
-            samples = (
-                phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None] + psi[:, :, None] * gz[:, None]
-            )
+        if spec.constant_transport:
+            rows[:, :, :n] = _transport_spectral(spec, coeffs[:, :n], W)
         else:
-            base = _lift(g, coeffs[:, :n, :, :, 0])  # depth mean A3 v
-            gx, gy = g.synth_cos(np.stack([g.dx(base), g.dy(base)]), padded=True)
-            samples = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None]
-
-        rows[:, :, :n] = g.analyze_cos(samples)
+            rows[:, :, :n] = _transport_grid(spec, coeffs[:, :n], W, grads)
         linear = (W @ spec.alpha)[:, :, None, None, None, None] * coeffs[:, None, :n]
         linear[:, :, :2] += (W @ spec.chi.reshape(K, -1)).reshape((P, J) + spec.chi.shape[1:])
         rows[:, :, :n] += linear
         rows = leray_coeffs(g, rows)
     return rows[0] if single else rows
+
+
+def _transport_grid(spec: NoiseSpec, v: np.ndarray, W: np.ndarray, grads: tuple | None) -> np.ndarray:
+    """Transport part (P, J, n, nkx, nky, nm) of the rows for the transported
+    components v (P, n, nkx, nky, nm) and weights W (P, J, K): the weighted
+    products formed on the padded grid and analysed in one transform."""
+    g = spec.grid
+    K = spec.K
+    P, J = W.shape[:2]
+    n = v.shape[1]
+    # a (P, J, K) @ (K, N) product per field, which keeps each path's BLAS call as in the single case
+    shape = spec._psi_grid.shape[1:]
+    phi = (W @ spec._phi_grid.reshape(K, -1)).reshape((P, J, 2) + shape)
+    if spec.family == "example1":
+        gx, gy, gz = g.grad_samples(v) if grads is None else (a[:, :n] for a in grads)
+        psi = (W @ spec._psi_grid.reshape(K, -1)).reshape((P, J) + shape)
+        samples = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None] + psi[:, :, None] * gz[:, None]
+    else:
+        base = _lift(g, v[..., 0])  # depth mean A3 v
+        gx, gy = g.synth_cos(np.stack([g.dx(base), g.dy(base)]), padded=True)
+        samples = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None]
+    return g.analyze_cos(samples)
+
+
+def _transport_spectral(spec: NoiseSpec, v: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``_transport_grid`` for constant phi and psi, with no transform: family 1
+    gives i(phi_k . k) v + psi_k D v, family 2 i(phi_k . k) A3 v, with D =
+    ``Grid.dz_nodal``.  As on the grid, the constants are the real parts of the
+    (0, 0, 0) coefficients and the transported field is the Hermitian part of v,
+    the parts that synthesis keeps."""
+    g = spec.grid
+    P, J = W.shape[:2]
+    # family 2 transports the depth mean, and its psi is zero
+    h = g.enforce_reality(v if spec.family == "example1" else _lift(g, v[..., 0]))
+    consts = np.concatenate([spec.phi[:, :, 0, 0, 0], spec.psi[:, None, 0, 0, 0]], axis=1).real  # (K, 3)
+    dz = (h.reshape(-1, g.nm) @ g.dz_nodal.T).reshape(h.shape)
+    # the (P, J, 3) direction sums applied to the derivative stack (P, 3, n * modes), real and
+    # imaginary parts alike: one real (J, 3) @ (3, 2 * n * modes) product per path
+    stack = np.stack([g.dx(h), g.dy(h), dz], axis=1).view(np.float64).reshape(P, 3, -1)
+    return (W @ consts @ stack).view(np.complex128).reshape((P, J) + v.shape[1:])
 
 
 def hs_norm_sq(columns: list, space: str = "H") -> float:

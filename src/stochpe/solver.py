@@ -296,8 +296,10 @@ class Stepper:
         self._static_cols = None
         if cfg.noise.family != "zero" and cfg.noise.is_additive:
             self._static_cols = sigma_coeffs(self.noise, np.zeros_like(self.c0)) * self.mask
-        # family 1 transports with the gradient samples of U itself
-        self._noise_uses_grads = cfg.noise.family == "example1" and self._static_cols is None
+        # family 1 with varying phi, psi transports with the gradient samples of U itself
+        self._noise_uses_grads = (
+            cfg.noise.family == "example1" and self._static_cols is None and not self.noise.constant_transport
+        )
         # the aggregate linear term vanishes identically in this configuration
         self._skip_forcing = (
             cfg.forcing is None
@@ -328,8 +330,10 @@ class Stepper:
 
         State-dependent noise forms the increments in one ``sigma_coeffs`` call
         with weight rows dW and, only under ``track_ito``, the K identity rows
-        for the columns (None otherwise).  Additive noise returns its fixed columns,
-        broadcast to every row as a read-only view."""
+        for the columns (None otherwise); family 1 with varying phi, psi reads
+        the shared gradient samples ``grads``, constant fields and family 2 do
+        not.  Additive noise returns its fixed columns, broadcast to every row
+        as a read-only view."""
         cfg = self.cfg
         K = cfg.noise.K
         if cfg.noise.family == "zero":
@@ -376,8 +380,10 @@ class Stepper:
         returns the new coefficients and the noise increments and columns of
         ``noise_increment``.
 
-        The padded gradient samples of U are synthesised once and shared by
-        the advection and the transport noise."""
+        The padded gradient samples of U are synthesised at most once, when
+        the advection or the transport noise needs them, and shared by both.
+        Transport noise with constant phi and psi is formed in spectral space
+        and needs none, so with advection off such a step makes no transform."""
         cfg = self.cfg
         g = self.grid
         out = coeffs.copy()

@@ -476,6 +476,19 @@ class Grid:
         return mat
 
     @cached_property
+    def dz_nodal(self) -> np.ndarray:
+        """(nm, nm) matrix D of d/dz on cosine coefficients, re-expanded on the
+        cosine modes through the padded vertical nodes: ``Acos @ S`` there,
+        times -m*pi/h per column.  It is the projection that synthesising the
+        sine profile on the padded grid and analysing it realises, so a
+        spectral product with it agrees with that grid evaluation to
+        round-off; ``sin_to_cos`` is the exact projection, which those nodes
+        do not reproduce.  A sub-grid keeps its parent's nodes, so its D is
+        the parent's leading block."""
+        _, _, S, Acos = self._vertical[self.nz_pad]
+        return (Acos @ S) * -self.mz_phys
+
+    @cached_property
     def neg_z_cos(self) -> np.ndarray:
         """Cosine coefficients of the profile f(z) = -z on (-h, 0), truncated."""
         h = self.spec.h

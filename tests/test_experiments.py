@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochpe import DomainSpec, Grid
+from stochpe import DomainSpec, Grid, experiments
 from stochpe.cli import _preset_text
 from stochpe.config import build_solver_config, parse_config_text
 from stochpe.noise import additive_single_mode_noise, example1_noise, zero_noise
@@ -196,6 +196,13 @@ class TestConvergence:
     def test_requires_three_points(self, conv_cfg):
         with pytest.raises(ValueError):
             convergence_study(conv_cfg, (1 / 16, 1 / 32))
+
+    @pytest.mark.parametrize("n_paths", [0, -2])
+    def test_requires_a_path(self, conv_cfg, n_paths, monkeypatch):
+        # rejected before any path runs
+        monkeypatch.setattr(experiments, "run_paths", None)
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            convergence_study(conv_cfg, (1 / 16, 1 / 32, 1 / 64), n_paths=n_paths)
 
     def test_requires_nested_steps(self, conv_cfg):
         with pytest.raises(ValueError):

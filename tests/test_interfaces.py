@@ -253,6 +253,19 @@ class TestCLI:
         )
         assert code == EXIT_CONFIG
 
+    def test_converge_rejects_zero_paths(self, tmp_path, capsys):
+        root = str(tmp_path / "out")
+        code = main(
+            [
+                "converge", "--preset", "ou-single-mode",
+                "--dt-list", "0.0625,0.03125,0.015625", "--paths", "0",
+                "--output-root", root,
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "n_paths must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(root)
+
     def test_converge_spatial(self, tmp_path):
         code = main(
             [

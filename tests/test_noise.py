@@ -5,7 +5,9 @@ import pytest
 from scipy.stats import chi2
 
 from stochpe import DomainSpec, Grid, random_state
+from stochpe import noise
 from stochpe.noise import (
+    NoiseSpec,
     WienerStream,
     additive_single_mode_noise,
     apply_sigma,
@@ -15,6 +17,7 @@ from stochpe.noise import (
     hs_norm,
     hs_norm_sq,
     hypothesis_thresholds,
+    sigma_coeffs,
     zero_noise,
     _envelope_fit,
 )
@@ -78,6 +81,11 @@ class TestApplySigma:
                 g, K=4, amp_phi=0.5, amp_psi=0.4, amp_alpha=0.2, osc=2, include_temperature=True
             ),
             lambda g: example2_noise(g, K=3, amp_phi=0.8, amp_chi=0.3, amp_alpha=0.4, osc=1),
+            # constant phi and psi: the spectral transport
+            lambda g: example1_noise(
+                g, K=4, amp_phi=0.5, amp_psi=0.4, amp_chi=0.3, amp_alpha=0.2, osc=0, include_temperature=True
+            ),
+            lambda g: example2_noise(g, K=3, amp_phi=0.8, amp_chi=0.3, amp_alpha=0.4, osc=0),
         ],
     )
     def test_weighted_rows_are_column_combinations(self, grid_small, rng, make):
@@ -110,6 +118,57 @@ class TestApplySigma:
         with pytest.raises(ValueError):
             apply_sigma(spec, v, np.ones((2, 4)))
         assert len(apply_sigma(zero_noise(grid_small, 3), v, np.ones((2, 3)))) == 2
+
+
+GRID_333 = Grid(DomainSpec(N1=3, N2=3, M=3))
+GRID_VERTICAL_8 = Grid(DomainSpec(L1=2 * np.pi, L2=4.0, h=1.5, N1=3, N2=2, M=8, mu=0.7, nu=0.3))
+CONSTANT_SPECS = {
+    "family1-temperature": lambda g: example1_noise(
+        g, K=4, amp_phi=0.5, amp_psi=0.4, amp_chi=0.3, amp_alpha=0.2, osc=0, include_temperature=True
+    ),
+    "family2": lambda g: example2_noise(g, K=3, amp_phi=0.8, amp_chi=0.3, amp_alpha=0.4, osc=0),
+}
+
+
+class TestConstantTransport:
+    """Constant phi, psi: the spectral transport against the grid evaluation."""
+
+    def test_constant_transport_from_the_support(self, grid_small):
+        assert example1_noise(grid_small, K=3, osc=0).constant_transport
+        assert example2_noise(grid_small, K=3, osc=0).constant_transport
+        assert example1_noise(grid_small, K=2, amp_phi=0.0, amp_psi=0.0, amp_alpha=0.1).constant_transport
+        assert not example1_noise(grid_small, K=3, osc=1).constant_transport
+        assert not example2_noise(grid_small, K=3, osc=1).constant_transport
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
+    @pytest.mark.parametrize("grid", [GRID_333, GRID_VERTICAL_8], ids=["333", "vertical8"])
+    @pytest.mark.parametrize("name", list(CONSTANT_SPECS))
+    def test_spectral_transport_matches_the_grid(self, rng, monkeypatch, name, grid, symmetric):
+        spec = CONSTANT_SPECS[name](grid)
+        # imaginary parts at (0, 0, 0), which synthesis drops
+        phi, psi = spec.phi.copy(), spec.psi.copy()
+        phi[:, :, 0, 0, 0] += 0.3j
+        if spec.family == "example1":
+            psi[:, 0, 0, 0] += 0.2j
+        spec = NoiseSpec(grid, spec.family, phi, psi, spec.chi, spec.alpha, spec.include_temperature)
+        assert spec.constant_transport
+        shape = (4, 3, grid.nkx, grid.nky, grid.nm)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if symmetric:
+            c = grid.enforce_reality(c)
+        W = rng.standard_normal((4, 5, spec.K))
+        n = 3 if spec.include_temperature else 2
+        spectral = noise._transport_spectral(spec, c[:, :n], W)
+        on_grid = noise._transport_grid(spec, c[:, :n], W, None)
+        assert np.abs(spectral - on_grid).max() <= 1e-14 * np.abs(on_grid).max()
+        # whole rows, from the stack and from the public single-state call
+        rows = sigma_coeffs(spec, c, W)
+        single = [[col.coeffs for col in apply_sigma(spec, SpectralState(grid, cp), Wp)] for cp, Wp in zip(c, W)]
+        monkeypatch.setattr(noise, "_transport_spectral", lambda spec, v, W: noise._transport_grid(spec, v, W, None))
+        grid_rows = sigma_coeffs(spec, c, W)
+        scale = np.abs(grid_rows).max()
+        assert np.abs(rows - grid_rows).max() <= 1e-14 * scale
+        assert np.abs(np.stack(single) - grid_rows).max() <= 1e-14 * scale
 
 
 class TestHSNorm:

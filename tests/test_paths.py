@@ -263,11 +263,20 @@ def test_linear_terms_stack(stack):
         assert np.array_equal(F[p], forcing_F(st, phys).coeffs)
 
 
-@pytest.mark.parametrize("family", ["example1", "example2"])
-def test_sigma_coeffs_stack(stack, family):
+@pytest.mark.parametrize(
+    "family, osc",
+    [
+        pytest.param("example1", 1, id="example1"),
+        pytest.param("example2", 1, id="example2"),
+        pytest.param("example1", 0, id="example1-osc0"),
+        pytest.param("example2", 0, id="example2-osc0"),
+    ],
+)
+def test_sigma_coeffs_stack(stack, family, osc):
     g, states, c = stack
     make = example1_noise if family == "example1" else example2_noise
-    spec = make(g, K=4, amp_phi=0.3, amp_chi=0.3, amp_alpha=0.1, osc=1)
+    spec = make(g, K=4, amp_phi=0.3, amp_chi=0.3, amp_alpha=0.1, osc=osc)
+    assert spec.constant_transport == (osc == 0)
     W = np.random.default_rng(2).standard_normal((len(states), 5, 4))
     rows = sigma_coeffs(spec, c, W)
     grads = g.grad_samples(c)
@@ -423,6 +432,23 @@ def test_stepper_advance_stack(stack):
         one = stepper.advance(c[p : p + 1], theta[p : p + 1], dW[p : p + 1])
         for a, b in zip((new, incr, cols), one):
             assert np.array_equal(a[p], b[0])
+
+
+@pytest.mark.parametrize("osc", [0, 1])
+def test_constant_transport_step_makes_no_transforms(monkeypatch, osc):
+    # example1-small (constant phi, psi) with advection off: the step forms the noise
+    # rows in spectral space; osc = 1 shows that the count sees the grid evaluation
+    cfg = preset_cfg("example1-small", **{"solver.advection": False, "solver.track_ito": True, "noise.osc": osc})
+    stepper = Stepper(cfg, solver.initial_state(cfg))
+    c = np.repeat(stepper.c0[None], 3, axis=0)
+    dW = np.random.default_rng(4).standard_normal((3, cfg.noise.K)) * 0.1
+    calls = []
+    for name in ("_synth_h", "_analyze_h"):
+        transform = getattr(Grid, name)
+        monkeypatch.setattr(Grid, name, lambda self, *a, _f=transform, _n=name: calls.append(_n) or _f(self, *a))
+    new, incr, cols = stepper.advance(c, np.ones(3), dW)
+    assert np.isfinite(new).all() and incr.any() and cols.any()
+    assert (calls == []) == (osc == 0)
 
 
 def test_states_are_one_array():

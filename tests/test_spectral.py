@@ -191,6 +191,19 @@ class TestStackedTransforms:
         np.testing.assert_allclose(fy, [g.synth_cos(g.dy(f), padded=True) for f in c], atol=1e-13)
         np.testing.assert_allclose(fz, [g.synth_sin(g.dz_to_sin(f), padded=True) for f in c], atol=1e-13)
 
+    @pytest.mark.parametrize("M", [3, 8])
+    def test_dz_nodal_is_the_padded_grid_projection(self, rng, M):
+        g = Grid(DomainSpec(L1=2 * np.pi, L2=4.0, h=1.5, N1=3, N2=2, M=M, mu=0.7, nu=0.3))
+        shape = (3, g.nkx, g.nky, g.nm)
+        c = g.enforce_reality(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        on_grid = g.analyze_cos(g.synth_sin(g.dz_to_sin(c), padded=True))
+        spectral = c @ g.dz_nodal.T
+        assert np.abs(spectral - on_grid).max() <= 1e-14 * np.abs(on_grid).max()
+        # not the exact projection of the sine profile
+        assert np.abs(g.dz_nodal - g.sin_to_cos * -g.mz_phys).max() > 1e-2
+        sub = g.subgrid(2, 1, M - 1)
+        assert np.array_equal(sub.dz_nodal, g.dz_nodal[:M, :M])
+
     def test_sample_shape_checked(self, grid_small):
         with pytest.raises(ValueError):
             grid_small.analyze_cos(np.zeros((4, 4)))
