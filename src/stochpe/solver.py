@@ -249,18 +249,16 @@ def record_band(cfg: SolverConfig) -> tuple:
 
 
 # padded-grid samples per stacked field in one chunk of paths (see ``chunk_size``)
-CHUNK_SAMPLES = 2**12
+CHUNK_SAMPLES = 2**13
 
 
 def chunk_size(grid: Grid) -> int:
     """Paths stepped as one stack on the step grid ``grid`` (``step_grid``): a
     fixed budget of padded-grid samples, so small grids stack many paths and
     large ones few, and the same paths stack together whatever the worker
-    count.  The budget is where stacking stopped paying on 3^3 while pool
-    workers split their transform products across BLAS threads that they
-    shared.  Workers now run one BLAS thread each, and a budget of 2^13 has
-    since measured faster on 3^3 but is not adopted (README "Design notes"
-    has the measurements)."""
+    count.  2^13 gives 16 paths on ``example1-small``, 4 on the
+    ``smallnoise-888`` step grid and 512 on ``ou-single-mode`` (README
+    "Design notes" has the measurements)."""
     return max(1, CHUNK_SAMPLES // (grid.nx_pad * grid.ny_pad * grid.nz_pad))
 
 

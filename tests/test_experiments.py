@@ -23,7 +23,7 @@ from stochpe.experiments import (
     spatial_projection_study,
     uniqueness_experiment,
 )
-from stochpe.solver import BlowUpError, InitSpec, SolverConfig, run_trajectory
+from stochpe.solver import BlowUpError, InitSpec, SolverConfig, chunk_size, run_trajectory, step_grid
 
 PHYS0 = PhysicsParams(f=0.0, beta_T=0.0)
 
@@ -45,23 +45,39 @@ def ou_cfg():
     )
 
 
-class TestEnsemble:
-    def test_worker_count_invariance(self, ou_cfg):
-        a = run_ensemble(ou_cfg, 8, workers=1)
-        b = run_ensemble(ou_cfg, 8, workers=2)
-        for sa, sb in zip(a, b):
-            assert sa == sb
+@pytest.fixture
+def pools(monkeypatch):
+    """The start methods of the process pools that ``run_ensemble`` opens."""
+    opened = []
+    get_context = experiments.get_context
+    monkeypatch.setattr(experiments, "get_context", lambda method: opened.append(method) or get_context(method))
+    return opened
 
-    @pytest.mark.parametrize("preset,n_paths", [("example1-small", 16), ("smallnoise-888", 4)])
-    def test_worker_count_invariance_with_blas_transforms(self, preset, n_paths):
-        # two chunks each, so the pool runs; its workers use one BLAS thread,
-        # the calling process its default
+
+def assert_worker_count_invariance(cfg, pools):
+    """Two full chunks and a partial one of ``cfg``'s step grid give the same
+    summaries in one process as in a two-worker pool; ``run_ensemble`` opens
+    the pool only for more than one chunk."""
+    size = chunk_size(step_grid(cfg))
+    n_paths = 2 * size + (size + 1) // 2
+    a = run_ensemble(cfg, n_paths, workers=1)
+    assert pools == []
+    b = run_ensemble(cfg, n_paths, workers=2)
+    assert pools == ["fork"]
+    assert len(a) == len(b) == n_paths
+    for sa, sb in zip(a, b):
+        assert sa == sb
+
+
+class TestEnsemble:
+    def test_worker_count_invariance(self, ou_cfg, pools):
+        assert_worker_count_invariance(ou_cfg, pools)
+
+    @pytest.mark.parametrize("preset", ["example1-small", "smallnoise-888"])
+    def test_worker_count_invariance_with_blas_transforms(self, preset, pools):
+        # the pool's workers use one BLAS thread, the calling process its default
         cfg = build_solver_config({**parse_config_text(_preset_text(preset)), "solver.track_ito": True})
-        a = run_ensemble(cfg, n_paths, workers=1)
-        b = run_ensemble(cfg, n_paths, workers=2)
-        assert len(a) == len(b) == n_paths
-        for sa, sb in zip(a, b):
-            assert sa == sb
+        assert_worker_count_invariance(cfg, pools)
 
     def test_single_path_matches_trajectory(self, ou_cfg):
         from stochpe.experiments import path_summary

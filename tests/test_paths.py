@@ -179,16 +179,28 @@ def test_theta_zero_path_skips_advection(grid_small, rng):
     assert np.isfinite(expl[0]).all()
 
 
-@pytest.mark.parametrize("size", [1, 3, None])
-def test_ensemble_chunk_sizes(monkeypatch, size):
-    cfg = preset_cfg("example1-small", **{"solver.track_ito": True})
+def assert_ensemble_chunk_size(monkeypatch, preset, size):
+    """With a budget of ``size`` paths on the step grid (the default budget
+    for None), a 7-path pooled ensemble equals 7 single runs."""
+    cfg = preset_cfg(preset, **{"solver.track_ito": True})
     if size is not None:
-        g = cfg.grid
+        g = solver.step_grid(cfg)
         monkeypatch.setattr(solver, "CHUNK_SAMPLES", size * g.nx_pad * g.ny_pad * g.nz_pad)
         assert solver.chunk_size(g) == size
     summaries = run_ensemble(cfg, 7, workers=2)
     direct = [path_summary(run_trajectory(replace(cfg, trajectory_id=i))) for i in range(7)]
     assert summaries == direct
+
+
+@pytest.mark.parametrize("size", [1, 3, None])
+def test_ensemble_chunk_sizes(monkeypatch, size):
+    assert_ensemble_chunk_size(monkeypatch, "example1-small", size)
+
+
+@pytest.mark.parametrize("size", [1, 3, None])
+def test_ensemble_chunk_sizes_on_a_truncated_step_grid(monkeypatch, size):
+    # smallnoise-888 steps on a 10 x 14 x 13 grid cut from its 25 x 25 x 13 one
+    assert_ensemble_chunk_size(monkeypatch, "smallnoise-888", size)
 
 
 def test_path_summaries_equal_single_state_norms():
@@ -207,7 +219,8 @@ def test_path_summaries_equal_single_state_norms():
 
 
 def test_chunk_size_depends_on_the_grid_only():
-    sizes = [solver.chunk_size(preset_cfg(p).grid) for p in ("smallnoise-888", "example1-small", "ou-single-mode")]
+    presets = ("smallnoise-888", "example1-small", "ou-single-mode")
+    sizes = [solver.chunk_size(solver.step_grid(preset_cfg(p))) for p in presets]
     assert sizes[0] < sizes[1] < sizes[2]
     assert sizes[0] >= 1
 
