@@ -262,6 +262,8 @@ def example1_noise(
     osc >= 1 modulates each coefficient field with a single wave of that
     frequency multiplier, so theta1 grows linearly with osc.
     """
+    if K < 1:
+        raise ValueError("K must be >= 1")
     phi, psi, chi, alpha = _empty_fields(grid, K)
     w = _direction_weights(K, decay)
     for k in range(K):
@@ -293,6 +295,8 @@ def example2_noise(
     include_temperature: bool = False,
 ) -> NoiseSpec:
     """Depth-mean transport noise: phi_k independent of z by construction."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
     phi, psi, chi, alpha = _empty_fields(grid, K)
     w = _direction_weights(K, decay)
     for k in range(K):
@@ -349,7 +353,10 @@ def sigma_coeffs(
 
     With a leading path axis, coefficients (P, 3, nkx, nky, nm) and weights (P, J, K)
     (and grads of the stack) give rows (P, J, 3, nkx, nky, nm); each path's rows
-    equal its own single call bit for bit."""
+    equal its own single call bit for bit.  The cost is linear in J: the step
+    passes the K identity rows under ``track_ito`` and derives the increment
+    from those columns, and one row of weights dW otherwise
+    (``Stepper.noise_increment``)."""
     g = spec.grid
     K = spec.K
     single = coeffs.ndim == 4

@@ -290,10 +290,12 @@ class Stepper:
         else:
             v0 = math.sqrt(v_norm_sq(self.U0n))
             self.kappa = 0.5 * v0 if v0 > 0 else 1.0
-        # state-independent noise columns can be prepared once, as one (K, 3, ...) array
-        self._static_cols = None
+        # state-independent noise columns can be prepared once, as one (K, 3, ...) array,
+        # with their squared H norms (K,)
+        self._static_cols = self.static_sq = None
         if cfg.noise.family != "zero" and cfg.noise.is_additive:
             self._static_cols = sigma_coeffs(self.noise, np.zeros_like(self.c0)) * self.mask
+            self.static_sq = _parseval_sq(g, self._static_cols)
         # family 1 with varying phi, psi transports with the gradient samples of U itself
         self._noise_uses_grads = (
             cfg.noise.family == "example1" and self._static_cols is None and not self.noise.constant_transport
@@ -326,25 +328,29 @@ class Stepper:
         for weights dW (P, K), and the masked columns (P, K, 3, nkx', nky', nm');
         (None, None) for zero noise.
 
-        State-dependent noise forms the increments in one ``sigma_coeffs`` call
-        with weight rows dW and, only under ``track_ito``, the K identity rows
-        for the columns (None otherwise); family 1 with varying phi, psi reads
-        the shared gradient samples ``grads``, constant fields and family 2 do
-        not.  Additive noise returns its fixed columns, broadcast to every row
-        as a read-only view."""
+        Under ``track_ito`` state-dependent noise forms the K columns in one
+        ``sigma_coeffs`` call with the K identity weight rows, and additive noise
+        broadcasts its fixed columns to every row as a read-only view; the
+        increments are then the dW-weighted sum of the columns, one formula for
+        both.  Without it, state-dependent noise forms only the increments, as
+        one ``sigma_coeffs`` row with weights dW, and no columns (None): K
+        columns would cost K analyses on the grid.  Family 1 with varying phi,
+        psi reads the shared gradient samples ``grads``, constant fields and
+        family 2 do not."""
         cfg = self.cfg
         K = cfg.noise.K
         if cfg.noise.family == "zero":
             return None, None
         if self._static_cols is not None:
-            cols = self._static_cols
-            incr = sum(dW[:, k, None, None, None, None] * cols[k] for k in range(K))
-            return incr, np.broadcast_to(cols, (len(dW),) + cols.shape)
-        weights = dW[:, None]
-        if cfg.track_ito:
-            weights = np.concatenate([weights, np.broadcast_to(np.eye(K), (len(dW), K, K))], axis=1)
-        rows = sigma_coeffs(self.noise, coeffs, weights, grads) * self.mask
-        return rows[:, 0], rows[:, 1:] if cfg.track_ito else None
+            cols = np.broadcast_to(self._static_cols, (len(dW),) + self._static_cols.shape)
+        elif cfg.track_ito:
+            cols = sigma_coeffs(self.noise, coeffs, np.broadcast_to(np.eye(K), (len(dW), K, K)), grads)
+            cols *= self.mask
+        else:
+            incr = sigma_coeffs(self.noise, coeffs, dW[:, None], grads)[:, 0]
+            incr *= self.mask
+            return incr, None
+        return sum(dW[:, k, None, None, None, None] * cols[:, k] for k in range(K)), cols
 
     def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, grads: tuple | None = None):
         """Galerkin-masked explicit drift -theta B(U) - F(U) of the rows, and the
@@ -371,7 +377,8 @@ class Stepper:
             else:
                 expl[rows] += badv
             carries |= adv
-        return expl * self.mask, carries
+        expl *= self.mask
+        return expl, carries
 
     def advance(self, coeffs: np.ndarray, theta: np.ndarray, dW: np.ndarray):
         """One step of every row, at switches theta (P,) with increments dW (P, K);
@@ -395,7 +402,9 @@ class Stepper:
         if incr is not None:
             out += incr
         out *= self.lin
-        return g.enforce_reality(leray_coeffs(g, out) * self.mask), incr, cols
+        out = leray_coeffs(g, out)
+        out *= self.mask
+        return g.enforce_reality(out), incr, cols
 
 
 def initial_state(cfg: SolverConfig) -> SpectralState:
@@ -556,8 +565,9 @@ def run_paths(
 
             if cfg.track_ito and cols is not None:
                 rows.ito += incr
-                sq = _parseval_sq(g, cols)  # (P, K), summed in column order
-                rows.ito_quad += sum(sq[:, k] for k in range(K)) * dt
+                # (P, K), or the static columns' (K,), summed in column order
+                sq = _parseval_sq(g, cols) if stepper.static_sq is None else stepper.static_sq
+                rows.ito_quad += sum(sq[..., k] for k in range(K)) * dt
 
             if not ok.all():
                 # monitored functionals out of representable range: numerical blow-up

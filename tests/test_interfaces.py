@@ -54,6 +54,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_solver_config(values)
 
+    @pytest.mark.parametrize("family", ["example1", "example2"])
+    def test_no_noise_directions_becomes_config_error(self, family):
+        values = parse_config_text(f"noise.family = {family}\nnoise.K = 0")
+        with pytest.raises(ConfigError, match="K must be >= 1"):
+            build_solver_config(values)
+
     def test_stopping_levels(self):
         values = parse_config_text("stopping.weak = 12.5\nstopping.blowup = 1,10,100")
         cfg = build_solver_config(values)
@@ -153,6 +159,15 @@ class TestCLI:
         args = ["--preset", "example1-small", "--set", "noise.family=file", "--set", f"noise.file={path}"]
         assert main(["run", *args, "--output-root", root]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+        assert not os.path.exists(root)
+
+    @pytest.mark.parametrize("command", ["run", "ensemble"])
+    @pytest.mark.parametrize("preset", ["example1-small", "example2-small"])
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_no_noise_directions_is_config_error(self, tmp_path, capsys, command, preset, K):
+        root = str(tmp_path / "out")
+        assert main([command, "--preset", preset, "--set", f"noise.K={K}", "--output-root", root]) == EXIT_CONFIG
+        assert "configuration error: K must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(root)
 
     def test_unknown_preset(self, tmp_path):

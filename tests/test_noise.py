@@ -119,6 +119,12 @@ class TestApplySigma:
             apply_sigma(spec, v, np.ones((2, 4)))
         assert len(apply_sigma(zero_noise(grid_small, 3), v, np.ones((2, 3)))) == 2
 
+    @pytest.mark.parametrize("make", [example1_noise, example2_noise])
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_direction_count_validated(self, grid_small, make, K):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            make(grid_small, K=K)
+
 
 GRID_333 = Grid(DomainSpec(N1=3, N2=3, M=3))
 GRID_VERTICAL_8 = Grid(DomainSpec(L1=2 * np.pi, L2=4.0, h=1.5, N1=3, N2=2, M=8, mu=0.7, nu=0.3))

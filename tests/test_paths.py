@@ -33,7 +33,7 @@ from stochpe.operators import (
     leray_project,
 )
 from stochpe.solver import Stepper, run_paths, run_trajectory
-from stochpe.spectral import SpectralState, da_norm_sq, grad3_dz_sq, h_norm_sq, sq_norms, v_norm_sq
+from stochpe.spectral import SpectralState, _parseval_sq, da_norm_sq, grad3_dz_sq, h_norm_sq, sq_norms, v_norm_sq
 
 PRESETS = [
     "example1-large-theta1", "example1-small", "example2-small", "linear-decay", "ou-single-mode", "smallnoise-888"
@@ -462,6 +462,71 @@ def test_constant_transport_step_makes_no_transforms(monkeypatch, osc):
     new, incr, cols = stepper.advance(c, np.ones(3), dW)
     assert np.isfinite(new).all() and incr.any() and cols.any()
     assert (calls == []) == (osc == 0)
+
+
+# -- the noise increment under track_ito -----------------------------------------
+
+
+def noise_step(preset, track_ito=True):
+    """A step's inputs for three rows of the preset: the stepper, the rows
+    (scaled copies of U0 on the step grid) and Wiener increments."""
+    cfg = preset_cfg(preset, **{"solver.track_ito": track_ito})
+    stepper = Stepper(cfg, solver.initial_state(cfg))
+    c = stepper.c0[None] * np.array([1.0, 0.5, 2.0])[:, None, None, None, None]
+    dW = np.random.default_rng(5).standard_normal((3, cfg.noise.K)) * np.sqrt(cfg.dt)
+    return stepper, c, dW
+
+
+def spy_sigma_weights(monkeypatch) -> list:
+    """The weights of every ``sigma_coeffs`` call the step makes, in order."""
+    weights = []
+
+    def spy(spec, coeffs, w=None, grads=None):
+        weights.append(np.array(w))
+        return sigma_coeffs(spec, coeffs, w, grads)
+
+    monkeypatch.setattr(solver, "sigma_coeffs", spy)
+    return weights
+
+
+@pytest.mark.parametrize("preset", ["example1-small", "smallnoise-888"])
+def test_tracked_step_forms_the_k_columns_once(monkeypatch, preset):
+    # example1-small forms the transport in spectral space, smallnoise-888 on the grid
+    stepper, c, dW = noise_step(preset)
+    P, K = dW.shape
+    weights = spy_sigma_weights(monkeypatch)
+    new, incr, cols = stepper.advance(c, np.ones(P), dW)
+    assert len(weights) == 1
+    assert np.array_equal(weights[0], np.broadcast_to(np.eye(K), (P, K, K)))
+    assert np.isfinite(new).all() and cols.shape == (P, K) + c.shape[1:]
+    # the increment is the dW-weighted sum of the columns, and the weighted row up to round-off
+    assert np.array_equal(incr, sum(dW[:, k, None, None, None, None] * cols[:, k] for k in range(K)))
+    row = sigma_coeffs(stepper.noise, c, dW[:, None])[:, 0] * stepper.mask
+    assert np.abs(incr - row).max() <= 1e-14 * np.abs(row).max()
+
+
+def test_untracked_step_forms_the_weighted_row_only(monkeypatch):
+    stepper, c, dW = noise_step("smallnoise-888", track_ito=False)
+    weights = spy_sigma_weights(monkeypatch)
+    _, incr, cols = stepper.advance(c, np.ones(len(dW)), dW)
+    assert cols is None and len(weights) == 1
+    assert np.array_equal(weights[0], dW[:, None])
+
+
+def test_static_column_norms_give_the_ito_quadratic():
+    # additive noise: the (K,) squared column norms, computed once, accumulate
+    # to the per-step sums of the (P, K) norms of the broadcast columns
+    cfg = preset_cfg("ou-single-mode", **{"solver.track_ito": True})
+    trajs = run_paths(cfg, range(3))
+    stepper = Stepper(cfg, solver.initial_state(cfg))
+    K = cfg.noise.K
+    _, _, cols = stepper.advance(np.repeat(stepper.c0[None], 3, axis=0), np.ones(3), np.zeros((3, K)))
+    sq = _parseval_sq(stepper.grid, cols)
+    quad = np.zeros(3)
+    for _ in range(cfg.n_steps):
+        quad += sum(sq[:, k] for k in range(K)) * cfg.dt
+    assert all(t.n_steps_done == cfg.n_steps for t in trajs)
+    assert [t.ito_quadratic for t in trajs] == list(quad)
 
 
 def test_states_are_one_array():
