@@ -129,6 +129,9 @@ def load_config_file(path: str, overrides: list | None = None) -> dict:
 
 def _build_noise(values: dict, grid: Grid) -> NoiseSpec:
     fam = values["noise.family"]
+    if values["noise.K"] < 1:
+        # checked for every family: the additive family never reads noise.K
+        raise ConfigError(f"K must be >= 1, got noise.K = {values['noise.K']}")
     common = dict(
         K=values["noise.K"],
         amp_chi=values["noise.amp_chi"],

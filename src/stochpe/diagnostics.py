@@ -159,13 +159,14 @@ def _grid_quadrature_functionals(grid: Grid, coeffs: np.ndarray, band: tuple | N
         fluct = rec_grid.embed(rec_grid.subgrid(*band), grid.extract(grid.subgrid(*band), fluct))
         grid = rec_grid
     w = grid.quad_weight(padded=True)
-    samples = grid.synth_cos(fluct, padded=True)
-    vt_sq = samples[:, 0] ** 2 + samples[:, 1] ** 2
-    grad_sq = sum((d**2).sum(axis=1) for d in grid.grad_samples(fluct[:, :2]))
+    samples = grid.padded_samples(fluct)  # one synthesis: values and gradients
+    values = samples.values
+    vt_sq = values[:, 0] ** 2 + values[:, 1] ** 2
+    grad_sq = sum((d[:, :2] ** 2).sum(axis=1) for d in samples.grads)
     return {
         "L6_vtilde_6": _mode_sums(vt_sq**3, 3) * w,
         "grad_vtilde_vtilde4": _mode_sums(grad_sq * vt_sq**2, 3) * w,
-        "L6_T_6": _mode_sums(samples[:, 2] ** 6, 3) * w,
+        "L6_T_6": _mode_sums(values[:, 2] ** 6, 3) * w,
     }
 
 

@@ -348,8 +348,11 @@ def sigma_coeffs(
     array (the operator is linear in W).  The transport part of every row is formed in
     one piece: in spectral space with no transform when phi and psi are constant
     (``NoiseSpec.constant_transport``), otherwise on the padded grid and analysed in one
-    transform.  ``grads``, the ``Grid.grad_samples`` of ``coeffs``, skip their synthesis
-    for family 1 on the grid; the spectral form does not read them.
+    transform.  ``grads``, the gradient samples (dx, dy, dz) of ``coeffs``
+    (``PaddedSamples.grads``, as ``Grid.grad_samples`` gives them), skip their
+    synthesis for family 1 on the grid; the step passes those of the one
+    ``Grid.padded_samples`` call it shares with the advection.  The spectral
+    form does not read them.
 
     With a leading path axis, coefficients (P, 3, nkx, nky, nm) and weights (P, J, K)
     (and grads of the stack) give rows (P, J, 3, nkx, nky, nm); each path's rows

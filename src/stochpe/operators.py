@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralState
+from .spectral import Grid, PaddedSamples, SpectralState
 
 __all__ = [
     "PhysicsParams",
@@ -183,25 +183,24 @@ def fluctuation_R(state: SpectralState) -> SpectralState:
 
 
 def _advection_samples(
-    grid: Grid, adv_coeffs: np.ndarray, target_coeffs: np.ndarray, grads: tuple | None = None
+    grid: Grid, adv_coeffs: np.ndarray | None, target_coeffs: np.ndarray, samples: PaddedSamples | None = None
 ) -> np.ndarray:
     """Samples of (v.grad)X + w(v) dz X on the dealiased grid, per component,
     for a stack of P paths: velocities v (P, 2, nkx, nky, nm) and targets X
-    (P, C, nkx, nky, nm) give (P, C, nx, ny, nz).
+    (P, C, nkx, nky, nm) give (P, C, nx, ny, nz).  ``adv_coeffs`` None
+    advects X by its own velocity X[:, :2].
 
-    ``grads`` are the ``Grid.grad_samples`` of X when the caller already has
-    them.  The affine part of w is added only on the paths where round-off
-    leaves it nonzero, so each path's samples equal its own P = 1 call bit for bit.
+    Everything is read from ``Grid.padded_samples``: the gradients of X from
+    the targets' samples (``samples`` when the caller already has them), v and
+    w(v) from the same samples when X advects itself, and from one synthesis
+    of the velocities otherwise.  w carries its affine part -(z + h) div(vbar)
+    from the m = 0 divergence level on every path, so each path's samples
+    equal its own P = 1 call bit for bit.
     """
-    vel = grid.synth_cos(adv_coeffs, padded=True)
-    w_sin, w_aff = _w_parts(grid, adv_coeffs)
-    wg = grid.synth_sin(w_sin, padded=True)
-    live = np.abs(w_aff).max(axis=(-2, -1)) > 0.0
-    if live.any():
-        _, _, z = grid.nodes(padded=True)
-        wg[live] = wg[live] + grid.synth_cos2d(w_aff[live], padded=True)[..., None] * (z + grid.spec.h)
-    fx, fy, fz = grid.grad_samples(target_coeffs) if grads is None else grads
-    return vel[:, 0, None] * fx + vel[:, 1, None] * fy + wg[:, None] * fz
+    target = grid.padded_samples(target_coeffs) if samples is None else samples
+    adv = target if adv_coeffs is None else grid.padded_samples(adv_coeffs)
+    vel = adv.values
+    return vel[:, 0, None] * target.dx + vel[:, 1, None] * target.dy + adv.w[:, None] * target.dz
 
 
 def _hadv_samples(grid: Grid, adv_coeffs: np.ndarray, target_coeffs: np.ndarray) -> np.ndarray:
@@ -220,30 +219,32 @@ def trilinear_b(U: SpectralState, Usharp: SpectralState, Uflat: SpectralState) -
 
 
 def bilinear_B(
-    U: SpectralState, Usharp: SpectralState | None = None, grads: tuple | None = None
+    U: SpectralState, Usharp: SpectralState | None = None, samples: PaddedSamples | None = None
 ) -> SpectralState:
     """Dealiased spectral advection term, projected onto the constrained space.
 
-    ``grads``, the ``Grid.grad_samples`` of Usharp's coefficients, skip
-    their synthesis when the caller already has them."""
-    if Usharp is None:
-        Usharp = U
+    ``samples``, the ``Grid.padded_samples`` of Usharp's coefficients (U's by
+    default), skip their synthesis when the caller already has them."""
     g = U.grid
-    if grads is not None:
-        grads = tuple(a[None] for a in grads)
-    return SpectralState(g, advection_coeffs(g, U.coeffs[None], Usharp.coeffs[None], grads)[0], U.time)
+    if samples is not None:
+        samples = PaddedSamples(g, samples.levels[:, None])  # as the samples of a one-path stack
+    target = None if Usharp is None else Usharp.coeffs[None]
+    return SpectralState(g, advection_coeffs(g, U.coeffs[None], target, samples)[0], U.time)
 
 
 def advection_coeffs(
-    grid: Grid, coeffs: np.ndarray, target: np.ndarray | None = None, grads: tuple | None = None
+    grid: Grid, coeffs: np.ndarray, target: np.ndarray | None = None, samples: PaddedSamples | None = None
 ) -> np.ndarray:
     """``bilinear_B`` on a stack of P paths: the projected advection of the
     targets (P, 3, nkx, nky, nm) by the velocities of ``coeffs`` (the targets
-    default to ``coeffs``); each path's rows equal its own P = 1 call bit for bit.
-    ``grads`` are the stacked ``Grid.grad_samples`` of the targets."""
-    target = coeffs if target is None else target
-    samples = _advection_samples(grid, coeffs[:, :2], target, grads)
-    return leray_coeffs(grid, grid.analyze_cos(samples))
+    default to ``coeffs``, which then need one synthesis in all); each path's
+    rows equal its own P = 1 call bit for bit.  ``samples`` are the stacked
+    ``Grid.padded_samples`` of the targets."""
+    if target is None:
+        adv = _advection_samples(grid, None, coeffs, samples)
+    else:
+        adv = _advection_samples(grid, coeffs[:, :2], target, samples)
+    return leray_coeffs(grid, grid.analyze_cos(adv))
 
 
 # -- linear operators ----------------------------------------------------------
@@ -335,7 +336,7 @@ def baroclinic_rhs_terms(state: SpectralState, physics: PhysicsParams) -> dict:
     vtilde = split.vtilde
 
     # (vt.grad)vt + w(vt) dz vt -- vertical transport by the fluctuation only
-    tt_full = g.analyze_cos(_advection_samples(g, vtilde[None], vtilde[None])[0])
+    tt_full = g.analyze_cos(_advection_samples(g, None, vtilde[None])[0])
 
     # (vt.grad)vt + (div vt) vt -- the depth-mean carrier of the same interaction
     div_t_g = g.synth_cos(

@@ -57,6 +57,7 @@ from .noise import NoiseSpec, WienerStream, sigma_coeffs, zero_noise
 from .operators import PhysicsParams, advection_coeffs, forcing_coeffs, leray_coeffs
 from .spectral import (
     Grid,
+    PaddedSamples,
     SpectralState,
     _parseval_sq,
     h_norm_sq,
@@ -352,12 +353,13 @@ class Stepper:
             return incr, None
         return sum(dW[:, k, None, None, None, None] * cols[:, k] for k in range(K)), cols
 
-    def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, grads: tuple | None = None):
+    def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, samples: PaddedSamples | None = None):
         """Galerkin-masked explicit drift -theta B(U) - F(U) of the rows, and the
         rows that carry one as a (P,) boolean mask; (None, None) where it
         vanishes identically.  The full drift is -lam U plus this on those rows.
         A row with theta = 0 gets no advection term at all: 0 * B(U) is NaN
-        where B(U) overflows."""
+        where B(U) overflows.  ``samples``, the rows' ``Grid.padded_samples``
+        when the caller has them, skip their synthesis."""
         cfg = self.cfg
         g = self.grid
         advecting = cfg.advection and theta.any()
@@ -368,9 +370,9 @@ class Stepper:
         if advecting:
             adv = theta != 0.0
             rows = slice(None) if adv.all() else adv
-            if grads is not None:
-                grads = tuple(a[rows] for a in grads)
-            badv = -theta[rows, None, None, None, None] * advection_coeffs(g, coeffs[rows], grads=grads)
+            if samples is not None and not adv.all():
+                samples = samples.rows(adv)
+            badv = -theta[rows, None, None, None, None] * advection_coeffs(g, coeffs[rows], samples=samples)
             if expl is None:
                 expl = np.zeros_like(coeffs)
                 expl[rows] = badv
@@ -385,18 +387,21 @@ class Stepper:
         returns the new coefficients and the noise increments and columns of
         ``noise_increment``.
 
-        The padded gradient samples of U are synthesised at most once, when
-        the advection or the transport noise needs them, and shared by both.
-        Transport noise with constant phi and psi is formed in spectral space
-        and needs none, so with advection off such a step makes no transform."""
+        The step makes at most one synthesis: ``Grid.padded_samples`` of U,
+        when the advection or the grid-evaluated transport noise needs it.  The
+        advection reads v, w(v) and the gradients from it, the noise the
+        gradients.  With advection and such noise a step makes one synthesis
+        and two analyses.  Transport noise
+        with constant phi and psi is formed in spectral space and needs none,
+        so with advection off such a step makes no transform."""
         cfg = self.cfg
         g = self.grid
         out = coeffs.copy()
-        grads = None
+        samples = None
         if self._noise_uses_grads or (cfg.advection and theta.any()):
-            grads = g.grad_samples(coeffs)
-        expl, carries = self.explicit_drift(coeffs, theta, grads)
-        incr, cols = self.noise_increment(coeffs, dW, grads)
+            samples = g.padded_samples(coeffs)
+        expl, carries = self.explicit_drift(coeffs, theta, samples)
+        incr, cols = self.noise_increment(coeffs, dW, None if samples is None else samples.grads)
         if expl is not None:
             np.add(out, cfg.dt * expl, out=out, where=carries[:, None, None, None, None])
         if incr is not None:

@@ -32,6 +32,14 @@ half-plane; analysis rebuilds ky < 0 by conjugation.  The horizontal FFTs
 run over the nm coefficient levels, never over more padded z-levels, and the
 vertical cosine or sine matrix acts on the real samples: synthesis
 transforms first and then applies the matrix, analysis applies it first.
+
+Every padded sample a model step reads is a linear image of the horizontal
+levels of [c, dx c, dy c], so ``Grid.padded_samples`` makes one fold and one
+``irfft2`` of that stack and derives the values, the three gradients and the
+vertical velocity w of the velocity rows from those levels with fixed
+vertical matrices (``PaddedSamples``).  A step with advection and
+grid-evaluated transport noise then makes one synthesis, of 9 fields, and
+two analyses; a stored record makes one synthesis.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ __all__ = [
     "PhysicalFields",
     "NormBundle",
     "Grid",
+    "PaddedSamples",
     "build_basis",
     "to_physical",
     "to_spectral",
@@ -348,6 +357,16 @@ class Grid:
         unfold = self.negx[:, None] * half - self.ky_int[None, half:]
         return half, fold, unfold
 
+    def _place(self, buf: np.ndarray, herm: np.ndarray):
+        """Write half-plane coefficients (..., nkx, half, nm) into the zeroed
+        ``irfft2`` input ``buf`` (..., nx, ny // 2 + 1, nm): the kx >= 0 rows
+        first, the kx < 0 rows at the end of the axis."""
+        half = herm.shape[-2]
+        n1 = self.spec.N1 + 1
+        nx = buf.shape[-3]
+        buf[..., :n1, :half, :] = herm[..., :n1, :, :]
+        buf[..., nx - n1 + 1 :, :half, :] = herm[..., n1:, :, :]
+
     def _synth_h(self, c: np.ndarray, V: np.ndarray | None, nx: int, ny: int) -> np.ndarray:
         """Real part of the synthesis of coefficients (..., nkx, nky, nm) with vertical
         matrix V (nz, nm), or none -> real samples (..., nx, ny, nz).
@@ -363,13 +382,9 @@ class Grid:
         herm += c[..., :half, :]
         herm *= 0.5
         buf = np.zeros(lead + (nx, ny // 2 + 1, herm.shape[-1]), dtype=np.complex128)
-        n1 = self.spec.N1 + 1  # kx >= 0 rows first, then kx < 0 at the end of the axis
-        buf[..., :n1, :half, :] = herm[..., :n1, :, :]
-        buf[..., nx - n1 + 1 :, :half, :] = herm[..., n1:, :, :]
+        self._place(buf, herm)
         levels = irfft2(buf, s=(nx, ny), axes=(-3, -2), norm="forward")
-        if V is None:
-            return levels
-        return (levels.reshape(-1, levels.shape[-1]) @ V.T).reshape(levels.shape[:-1] + (V.shape[0],))
+        return levels if V is None else _apply_vertical(levels, V)
 
     def _analyze_h(self, values: np.ndarray, A: np.ndarray | None) -> np.ndarray:
         """Forward transform of real samples (..., nx, ny, nz), with vertical analysis
@@ -380,7 +395,7 @@ class Grid:
         follows by conjugation."""
         half, _, unfold = self._half_plane
         if A is not None:
-            values = (values.reshape(-1, values.shape[-1]) @ A.T).reshape(values.shape[:-1] + (A.shape[0],))
+            values = _apply_vertical(values, A)
         spec = rfft2(values, axes=(-3, -2), norm="forward")[..., self.kx_int % values.shape[-3], :half, :]
         lead = spec.shape[:-3]
         out = np.empty(lead + (self.nkx, self.nky, spec.shape[-1]), dtype=np.complex128)
@@ -403,11 +418,54 @@ class Grid:
         nx, ny, _ = self._grid_shape(padded)
         return self._synth_h(c2[..., None], None, nx, ny)[..., 0]
 
+    def padded_samples(self, c: np.ndarray) -> "PaddedSamples":
+        """The padded-grid samples of cosine coefficients (..., nkx, nky, nm) from one
+        synthesis: the Hermitian parts of c, dx c and dy c are folded into one
+        ``irfft2`` input and transformed on the nm levels in one call, and
+        ``PaddedSamples`` derives every sample from those levels."""
+        half, fold, _ = self._half_plane
+        nx, ny = self.nx_pad, self.ny_pad
+        lead = c.shape[:-3]
+        neg = c.reshape(lead + (self.nkx * self.nky, c.shape[-1]))[..., fold, :]  # c(-k)
+        pos = c[..., :half, :]
+        # (d(k) c(k) + conj(d(-k) c(-k))) / 2 for d = 1, i kx and i ky: the fold of
+        # the spectral derivative, product for product
+        herm = np.empty((3,) + neg.shape, dtype=np.complex128)
+        np.conjugate(neg, out=herm[0])
+        herm[0] += pos
+        for out, (at_k, at_neg) in zip(herm[1:], self._fold_factors):
+            np.multiply(neg, at_neg, out=out)
+            np.conjugate(out, out=out)
+            out += pos * at_k
+        herm *= 0.5
+        buf = np.zeros(herm.shape[:-3] + (nx, ny // 2 + 1, c.shape[-1]), dtype=np.complex128)
+        self._place(buf, herm)
+        return PaddedSamples(self, irfft2(buf, s=(nx, ny), axes=(-3, -2), norm="forward"))
+
+    @cached_property
+    def _fold_factors(self) -> tuple:
+        """Derivative factors on the half-plane at k and at -k:
+        (i kx(k), i kx(-k)) and (i ky(k), i ky(-k))."""
+        half = self.spec.N2 + 1
+        return (self.ddx, self.ddx[self.negx]), (self.ddy[:, :half], self.ddy[:, self.negy[:half]])
+
+    @cached_property
+    def _sample_matrices(self) -> tuple:
+        """Vertical matrices (nz_pad, nm) of ``PaddedSamples``: the cosine matrix,
+        d/dz of the cosines (the sine matrix times -m pi/h), and the vertical
+        velocity of a divergence profile, w = -int_{-h}^z div dz' (the sine
+        matrix times -h/(m pi), and -(z + h) in the m = 0 column)."""
+        z, C, S, _ = self._vertical[self.nz_pad]
+        inv = np.zeros(self.nm)
+        inv[1:] = self.spec.h / (np.pi * self.m_int[1:])
+        W = S * -inv
+        W[:, 0] = -(z + self.spec.h)
+        return C, S * -self.mz_phys, W
+
     def grad_samples(self, c: np.ndarray) -> tuple:
         """Padded-grid samples (dx, dy, dz) of cosine coefficients (..., nkx, nky, nm),
-        each (..., nx, ny, nz): one stacked cosine and one sine synthesis."""
-        horizontal = self.synth_cos(np.stack([self.dx(c), self.dy(c)]), padded=True)
-        return horizontal[0], horizontal[1], self.synth_sin(self.dz_to_sin(c), padded=True)
+        each (..., nx, ny, nz): the gradients of ``padded_samples``."""
+        return self.padded_samples(c).grads
 
     def analyze_cos(self, values: np.ndarray) -> np.ndarray:
         """Real samples (..., nx, ny, nz) -> cosine coefficients (..., nkx, nky, nm),
@@ -582,6 +640,66 @@ class Grid:
 
     def zero_state(self, time: float = 0.0) -> SpectralState:
         return SpectralState(self, np.zeros((3, self.nkx, self.nky, self.nm), dtype=np.complex128), time)
+
+
+def _apply_vertical(levels: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The vertical matrix V (n, nm) applied to real levels (..., nm) -> (..., n),
+    as one product over every leading entry."""
+    return (levels.reshape(-1, levels.shape[-1]) @ V.T).reshape(levels.shape[:-1] + (V.shape[0],))
+
+
+class PaddedSamples:
+    """Padded-grid samples of a cosine-coefficient stack c (..., nkx, nky, nm),
+    made by ``Grid.padded_samples`` from the real levels (3, ..., nx, ny, nm) of
+    one synthesis of [c, dx c, dy c].  Each sample applies a vertical matrix
+    (``Grid._sample_matrices``) to those levels when first read:
+
+    - ``values``, ``dx`` and ``dy``: the cosine matrix on the three blocks, in one product;
+    - ``dz``: the sine matrix times -m pi/h on the levels of c;
+    - ``w``: the vertical velocity w(v) = -int_{-h}^z div v dz' of the
+      velocity rows v = c[..., :2, :, :, :], from the divergence levels
+      dx v1 + dy v2: the sine matrix times -h/(m pi), plus -(z + h) times
+      the m = 0 level (zero for a Leray-projected v, up to round-off).
+
+    Every sample is (..., nx, ny, nz) (w drops the component axis), and each
+    row of the leading axes equals its own single call bit for bit."""
+
+    def __init__(self, grid: Grid, levels: np.ndarray):
+        self.grid = grid
+        self.levels = levels
+
+    def rows(self, rows) -> "PaddedSamples":
+        """The samples of the rows ``rows`` (an index or mask) of the leading axis."""
+        return PaddedSamples(self.grid, self.levels[:, rows])
+
+    @cached_property
+    def _cos(self) -> np.ndarray:
+        return _apply_vertical(self.levels, self.grid._sample_matrices[0])
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._cos[0]
+
+    @property
+    def dx(self) -> np.ndarray:
+        return self._cos[1]
+
+    @property
+    def dy(self) -> np.ndarray:
+        return self._cos[2]
+
+    @cached_property
+    def dz(self) -> np.ndarray:
+        return _apply_vertical(self.levels[0], self.grid._sample_matrices[1])
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        div = self.levels[1][..., 0, :, :, :] + self.levels[2][..., 1, :, :, :]
+        return _apply_vertical(div, self.grid._sample_matrices[2])
+
+    @property
+    def grads(self) -> tuple:
+        return self.dx, self.dy, self.dz
 
 
 # -- module-level operations -------------------------------------------------

@@ -170,6 +170,16 @@ class TestCLI:
         assert "configuration error: K must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(root)
 
+    @pytest.mark.parametrize("command", ["run", "ensemble"])
+    @pytest.mark.parametrize("preset", ["linear-decay", "ou-single-mode"])
+    @pytest.mark.parametrize("K", [0, -2])
+    def test_every_family_rejects_no_noise_directions(self, tmp_path, capsys, command, preset, K):
+        # family zero (linear-decay) and the additive family (ou-single-mode) check noise.K too
+        root = str(tmp_path / "out")
+        assert main([command, "--preset", preset, "--set", f"noise.K={K}", "--output-root", root]) == EXIT_CONFIG
+        assert f"configuration error: K must be >= 1, got noise.K = {K}" in capsys.readouterr().err
+        assert not os.path.exists(root)
+
     def test_unknown_preset(self, tmp_path):
         assert main(["run", "--preset", "no-such", "--output-root", str(tmp_path)]) == EXIT_CONFIG
 

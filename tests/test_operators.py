@@ -272,9 +272,9 @@ class TestBilinear:
         for _ in range(5):
             U = leray_project(random_state(grid_small, rng))
             Us = random_state(grid_small, rng)
-            shared = bilinear_B(U, Us, grads=grid_small.grad_samples(Us.coeffs))
+            shared = bilinear_B(U, Us, samples=grid_small.padded_samples(Us.coeffs))
             np.testing.assert_array_equal(shared.coeffs, bilinear_B(U, Us).coeffs)
-        own = bilinear_B(U, grads=grid_small.grad_samples(U.coeffs))
+        own = bilinear_B(U, samples=grid_small.padded_samples(U.coeffs))
         np.testing.assert_array_equal(own.coeffs, bilinear_B(U).coeffs)
 
     def test_estimate_sweep_constant_finite(self, grid_small, rng):

@@ -1,0 +1,141 @@
+"""The padded-grid sampler (``Grid.padded_samples``) and the transforms a step makes.
+
+One synthesis of the levels of [U, dx U, dy U] gives every padded sample the
+step reads.  These tests pin it to the separate syntheses it replaces, to
+the diagnostic vertical velocity, and to per-row bit equality, and count the
+FFT calls of one step and one record.
+"""
+
+import numpy as np
+import pytest
+
+from stochpe import spectral
+from stochpe.cli import _preset_text
+from stochpe.config import build_solver_config, parse_config_text
+from stochpe.diagnostics import record_stack
+from stochpe.operators import leray_coeffs, vertical_velocity, vertical_velocity_top
+from stochpe.solver import Stepper, initial_state, record_band, step_grid
+from stochpe.spectral import Grid, SpectralState
+
+
+def preset_cfg(name, **values):
+    v = parse_config_text(_preset_text(name))
+    v.update(values)
+    return build_solver_config(v)
+
+
+def assert_close(a, b, rel):
+    """|a - b| within ``rel`` of the largest |b|."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
+@pytest.fixture(scope="module")
+def grid_888_step():
+    """The smallnoise-888 step grid: a sub-grid that keeps its parent's nz_pad."""
+    g = step_grid(preset_cfg("smallnoise-888"))
+    assert g.nz_pad == 13 and Grid(g.spec).nz_pad < g.nz_pad
+    return g
+
+
+@pytest.fixture(params=["grid_small", "grid_888_step"])
+def grid(request):
+    return request.getfixturevalue(request.param)
+
+
+def hermitian_stack(g, rng, P=3, projected=False):
+    shape = (P, 3, g.nkx, g.nky, g.nm)
+    c = g.enforce_reality(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return leray_coeffs(g, c) if projected else c
+
+
+def test_samples_match_the_separate_syntheses(grid, rng):
+    g = grid
+    c = hermitian_stack(g, rng)
+    s = g.padded_samples(c)
+    assert_close(s.values, g.synth_cos(c, padded=True), 1e-13)
+    assert_close(s.dx, g.synth_cos(g.dx(c), padded=True), 1e-13)
+    assert_close(s.dy, g.synth_cos(g.dy(c), padded=True), 1e-13)
+    assert_close(s.dz, g.synth_sin(g.dz_to_sin(c), padded=True), 1e-13)
+    assert all(np.array_equal(a, b) for a, b in zip(s.grads, (s.dx, s.dy, s.dz)))
+    # the gradient syntheses themselves, bit for bit: the fold is the spectral derivative's
+    assert np.array_equal(s.dx, g.synth_cos(np.stack([g.dx(c), g.dy(c)]), padded=True)[0])
+
+
+@pytest.mark.parametrize("projected", [True, False], ids=["projected", "not-projected"])
+def test_w_matches_vertical_velocity(grid, rng, projected):
+    g = grid
+    c = hermitian_stack(g, rng, projected=projected)
+    s = g.padded_samples(c)
+    for p in range(len(c)):
+        st = SpectralState(g, c[p])
+        top = np.abs(vertical_velocity_top(st)).max()
+        # the affine part -(z + h) div(vbar) is round-off after the projection, O(1) without it
+        assert (top < 1e-12) if projected else (top > 0.1)
+        assert_close(s.w[p], vertical_velocity(st), 1e-13)
+
+
+def test_rows_equal_their_single_calls(grid, rng):
+    g = grid
+    c = hermitian_stack(g, rng, P=4)
+    s = g.padded_samples(c)
+    names = ("values", "dx", "dy", "dz", "w")
+    for p in range(len(c)):
+        one = g.padded_samples(c[p : p + 1])
+        for name in names:
+            assert np.array_equal(getattr(s, name)[p], getattr(one, name)[0]), name
+    mask = np.array([True, False, True, True])
+    picked = s.rows(mask)
+    for name in names:
+        assert np.array_equal(getattr(picked, name), getattr(s, name)[mask]), name
+
+
+# -- transform counts ------------------------------------------------------------
+
+
+def spy_transforms(monkeypatch) -> dict:
+    """Count the ``irfft2`` (synthesis) and ``rfft2`` (analysis) calls of ``stochpe.spectral``."""
+    counts = {"irfft2": 0, "rfft2": 0}
+    for name in counts:
+
+        def spy(*args, _f=getattr(spectral, name), _n=name, **kwargs):
+            counts[_n] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "preset, track_ito, synth, analyses",
+    [
+        # advection and grid-evaluated transport noise share one synthesis
+        ("smallnoise-888", False, 1, 2),
+        # constant phi, psi: the noise is spectral, the advection reads the synthesis
+        ("example1-small", True, 1, 1),
+        # additive noise and no advection: no transform
+        ("ou-single-mode", True, 0, 0),
+    ],
+)
+def test_step_transform_count(monkeypatch, preset, track_ito, synth, analyses):
+    cfg = preset_cfg(preset, **{"solver.track_ito": track_ito})
+    stepper = Stepper(cfg, initial_state(cfg))
+    c = stepper.c0[None] * np.array([1.0, 0.5, 2.0])[:, None, None, None, None]
+    dW = np.random.default_rng(5).standard_normal((3, cfg.noise.K)) * np.sqrt(cfg.dt)
+    stepper.advance(c, np.ones(3), dW)  # the first step also samples phi and psi once per spec
+    counts = spy_transforms(monkeypatch)
+    new, _, _ = stepper.advance(c, np.ones(3), dW)
+    assert np.isfinite(new).all()
+    assert counts == {"irfft2": synth, "rfft2": analyses}
+
+
+@pytest.mark.parametrize("preset", ["example1-small", "smallnoise-888"])
+def test_record_makes_one_synthesis(monkeypatch, preset):
+    cfg = preset_cfg(preset)
+    stepper = Stepper(cfg, initial_state(cfg))
+    rows = cfg.grid.embed(stepper.grid, stepper.c0[None] * np.array([1.0, 0.5])[:, None, None, None, None])
+    counts = spy_transforms(monkeypatch)
+    rec = record_stack(cfg.grid, rows, 0.0, np.zeros(2), np.ones(2), band=record_band(cfg))
+    assert rec.finite().all()
+    assert counts == {"irfft2": 1, "rfft2": 0}
