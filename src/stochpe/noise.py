@@ -139,24 +139,32 @@ class NoiseSpec:
     def alpha_sq(self) -> float:
         return float(np.sum(self.alpha**2))
 
+    @cached_property
+    def _restrictions(self) -> dict:
+        return {}
+
     def restricted(self, grid: Grid) -> "NoiseSpec":
-        """The operator on ``grid``, a sub-grid of ``self.grid``
-        (``Grid.subgrid``), with every coefficient field cut to its modes; the
-        spec itself when ``grid`` is its own.  For a state on the sub-grid, and
-        phi and psi inside it, its columns equal the full operator's on the
-        sub-grid's modes up to round-off: both grids form the products alias-free."""
+        """The operator on ``grid``, a sub-grid of ``self.grid`` (``Grid.subgrid``)
+        or a half-plane layout (``Grid.half_plane``), with every coefficient field
+        cut to its modes (``Grid.extract``); the spec itself when ``grid`` is its
+        own.  For a state on the sub-grid, and phi and psi inside it, its columns
+        equal the full operator's on the sub-grid's modes up to round-off: both
+        grids form the products alias-free.  One spec is made per grid, so every
+        run on a grid shares its cached samples of phi and psi."""
         if grid is self.grid:
             return self
-        cut = self.grid.extract
-        return NoiseSpec(
-            grid,
-            self.family,
-            cut(grid, self.phi),
-            cut(grid, self.psi),
-            cut(grid, self.chi),
-            self.alpha,
-            self.include_temperature,
-        )
+        if grid not in self._restrictions:
+            cut = self.grid.extract
+            self._restrictions[grid] = NoiseSpec(
+                grid,
+                self.family,
+                cut(grid, self.phi),
+                cut(grid, self.psi),
+                cut(grid, self.chi),
+                self.alpha,
+                self.include_temperature,
+            )
+        return self._restrictions[grid]
 
     def without_additive(self) -> "NoiseSpec":
         """Linear part only (chi = 0); used for Lipschitz estimation."""

@@ -28,20 +28,25 @@ hitting times, running integrals and Ito sums, and leaves the chunk when it
 blows up (a nonfinite state, norm or stored record) or reaches tau_cutoff
 under ``terminate_on_tau``; every path equals its own P = 1 run bit for bit.
 
-The step runs on the step grid (``step_grid``): ``cfg.grid`` cut to the
-largest |kx|, |ky| and m of the retained modes and of the support of the
-transport fields phi and psi.  Its horizontal padding follows the same
-alias-free rule, and it keeps the padded vertical nodes of ``cfg.grid``, so
-it transforms only the coefficient levels it carries while forming every
-product on the same z-samples, and the step agrees with one on ``cfg.grid``
-to round-off.  Stored and final states, Ito integrals and records stay on
-``cfg.grid``: the rows are embedded into its layout, and every spectral
-record column is a Parseval sum there.  The three sixth-degree quadrature
-columns run on the record grid of the retained band (``record_band``,
-``Grid.record_grid``), which is cut on the axes where a grid of twice the
-band has fewer padded samples; both grids integrate those products exactly,
-so the values agree with ``cfg.grid``'s to round-off.  A full-Galerkin run
-steps and records on ``cfg.grid`` itself.
+The step runs on the step grid (``step_grid``): the ky >= 0 half-plane of
+``cfg.grid`` cut to the largest |kx|, |ky| and m of the retained modes and of
+the support of the transport fields phi and psi.  The cut's horizontal
+padding follows the same alias-free rule, and it keeps the padded vertical
+nodes of ``cfg.grid``, so it transforms only the coefficient levels it
+carries while forming every product on the same z-samples, and the step
+agrees with one on ``cfg.grid`` to round-off.  The half-plane holds each
+conjugate pair of the real state once (``Grid.half_plane``), so the per-mode
+work of a step is (N2' + 1)/(2 N2' + 1) of the cut's; its stepped states
+equal the cut's bit for bit, and only the Parseval sums of the step loop
+(norms, cutoff distances, Ito quadratic variation) add in another order.
+Stored and final states, Ito integrals and records stay on ``cfg.grid``: the
+rows are embedded into its layout, and every spectral record column is a
+Parseval sum there.  The three sixth-degree quadrature columns run on the
+record grid of the retained band (``record_band``, ``Grid.record_grid``),
+which is cut on the axes where a grid of twice the band has fewer padded
+samples; both grids integrate those products exactly, so the values agree
+with ``cfg.grid``'s to round-off.  A full-Galerkin run records on
+``cfg.grid`` itself and steps on its half-plane.
 """
 
 from __future__ import annotations
@@ -232,14 +237,16 @@ def _band(g: Grid, support: np.ndarray) -> tuple:
 
 
 def step_grid(cfg: SolverConfig) -> Grid:
-    """The grid the step map runs on: ``cfg.grid`` cut (``Grid.subgrid``) to
-    the largest |kx|, |ky| and vertical index m over the retained modes and
-    over the support of the state-dependent noise fields phi and psi.  It
-    keeps the padded vertical nodes of ``cfg.grid``, through which the
-    transport noise is projected, and its horizontal padding follows the
-    alias-free rule, so the step agrees with one on ``cfg.grid`` to
-    round-off; a full-Galerkin run gets ``cfg.grid`` itself."""
-    return cfg.grid.subgrid(*_band(cfg.grid, _pn_mask(cfg).any(axis=0) | cfg.noise.transport_support))
+    """The grid the step map runs on: the ky >= 0 half-plane (``Grid.half_plane``)
+    of ``cfg.grid`` cut (``Grid.subgrid``) to the largest |kx|, |ky| and
+    vertical index m over the retained modes and over the support of the
+    state-dependent noise fields phi and psi.  The cut keeps the padded
+    vertical nodes of ``cfg.grid``, through which the transport noise is
+    projected, and its horizontal padding follows the alias-free rule, so the
+    step agrees with one on ``cfg.grid`` to round-off.  The half-plane holds
+    each conjugate pair of the real state once and gives the cut's values on
+    its modes, so the stepped states equal the cut's bit for bit."""
+    return cfg.grid.subgrid(*_band(cfg.grid, _pn_mask(cfg).any(axis=0) | cfg.noise.transport_support)).half_plane()
 
 
 def record_band(cfg: SolverConfig) -> tuple:
@@ -499,7 +506,11 @@ def run_paths(
         """Finish the paths of the masked rows and drop those rows."""
         if not mask.any():
             return
-        for row in np.flatnonzero(mask):
+        leaving = np.flatnonzero(mask)
+        # the final states and Ito integrals of the leaving rows, embedded as one stack
+        finals = None if blowup else full.embed(g, rows.U[leaving])
+        itos = None if rows.ito is None else full.embed(g, rows.ito[leaving])
+        for i, row in enumerate(leaving):
             p = rows.path[row]
             hits = dict.fromkeys(STOPPING_FUNCTIONALS)
             for name, hit in zip(hit_names, (rows.tau_hit[row], *rows.level_hit[row])):
@@ -515,10 +526,10 @@ def run_paths(
                 sup_H_sq=float(rows.sup_H[row]),
                 int_DA_sq=float(rows.int_DA[row]),
                 int_DA_V2=float(rows.int_DA_V2[row]),
-                final_state=None if blowup else SpectralState(full, full.embed(g, rows.U[row]).copy(), when),
+                final_state=None if finals is None else SpectralState(full, finals[i], when),
                 kappa=stepper.kappa,
                 states=np.array(states[p]) if states is not None else None,
-                ito_integral=SpectralState(full, full.embed(g, rows.ito[row]).copy()) if rows.ito is not None else None,
+                ito_integral=None if itos is None else SpectralState(full, itos[i]),
                 ito_quadratic=float(rows.ito_quad[row]),
                 n_steps_done=steps,
             )

@@ -33,6 +33,17 @@ run over the nm coefficient levels, never over more padded z-levels, and the
 vertical cosine or sine matrix acts on the real samples: synthesis
 transforms first and then applies the matrix, analysis applies it first.
 
+A grid has two coefficient layouts.  The full layout holds every signed ky;
+its ``Grid.half_plane`` holds ky = 0..N2 only, each conjugate pair of a real
+field once, with the same wavenumbers, padded grid and vertical matrices.
+On the half-plane, synthesis folds only the ky = 0 column, analysis returns
+the rfft2 half-plane as it is, the reality fold acts on the ky = 0 column, and
+Parseval sums count each ky > 0 mode twice (``Grid.parseval_weight``).  Its
+samples and coefficients then equal the full layout's bit for bit on
+conjugate-symmetric input, and every per-mode operator gives the full
+layout's values on its modes; ``Grid.extract`` and ``Grid.embed`` convert.
+The model step runs on the half-plane, every other caller on the full layout.
+
 Every padded sample a model step reads is a linear image of the horizontal
 levels of [c, dx c, dy c], so ``Grid.padded_samples`` makes one fold and one
 ``irfft2`` of that stack and derives the values, the three gradients and the
@@ -165,20 +176,26 @@ class NormBundle:
 
 
 class Grid:
-    """Precomputed transform machinery for one DomainSpec.
+    """Precomputed transform machinery for one DomainSpec, in the full
+    coefficient layout, or in the ky >= 0 half-plane layout of the full-layout
+    grid ``full_plane`` (made by ``half_plane``; ``full_plane`` is None on a
+    full layout).
 
     Immutable after construction; safe to share across threads/processes.
     """
 
-    def __init__(self, spec: DomainSpec):
+    def __init__(self, spec: DomainSpec, full_plane: "Grid | None" = None):
         self.spec = spec
+        self.full_plane = full_plane
         self.nkx = 2 * spec.N1 + 1
-        self.nky = 2 * spec.N2 + 1
+        self.nky = 2 * spec.N2 + 1 if full_plane is None else spec.N2 + 1
         self.nm = spec.M + 1
 
-        # signed wavenumbers in FFT order: [0, 1, .., N, -N, .., -1]
+        # signed wavenumbers in FFT order: [0, 1, .., N, -N, .., -1]; ky 0..N on the half-plane
         self.kx_int = np.rint(np.fft.fftfreq(self.nkx) * self.nkx).astype(int)
         self.ky_int = np.rint(np.fft.fftfreq(self.nky) * self.nky).astype(int)
+        if full_plane is not None:
+            self.ky_int = np.arange(self.nky)
         self.m_int = np.arange(self.nm)
 
         kx = 2.0 * np.pi * self.kx_int / spec.L1
@@ -200,32 +217,42 @@ class Grid:
         self.ddx = (1j * KX).astype(np.complex128)
         self.ddy = (1j * KY).astype(np.complex128)
 
-        # index maps for conjugate flipping c(k) -> c(-k)
+        # index maps for conjugate flipping c(k) -> c(-k); on the half-plane only the
+        # ky = 0 column holds both modes of a pair
         self.negx = -self.kx_int % self.nkx
-        self.negy = -self.ky_int % self.nky
+        self.negy = -self.ky_int % self.nky if full_plane is None else np.zeros(1, dtype=int)
 
         # collocation sizes: exact unpadded round trip, alias-free padded products
         self.nx = self.nkx
-        self.ny = self.nky
+        self.ny = 2 * spec.N2 + 1
         self.nz = self.nm
         self.nx_pad = next_fast_len(3 * spec.N1 + 1)
         self.ny_pad = next_fast_len(3 * spec.N2 + 1)
         self.nz_pad = max(self.nm, (3 * spec.M) // 2 + 1)
 
-        self._vertical = {}
-        for nz in {self.nz, self.nz_pad}:
-            z = -spec.h + (np.arange(nz) + 0.5) * spec.h / nz  # midpoint nodes
-            C = np.cos(np.outer(z, mz))  # (nz, nm) cosine synthesis
-            S = np.sin(np.outer(z, mz))  # (nz, nm) sine synthesis (col m=0 is 0)
-            scale = np.full(self.nm, 2.0 / nz)
-            scale[0] = 1.0 / nz
-            Acos = scale[:, None] * C.T  # (nm, nz) exact analysis on midpoint nodes
-            self._vertical[nz] = (z, C, S, Acos)
+        if full_plane is None:
+            self._vertical = {}
+            for nz in {self.nz, self.nz_pad}:
+                z = -spec.h + (np.arange(nz) + 0.5) * spec.h / nz  # midpoint nodes
+                C = np.cos(np.outer(z, mz))  # (nz, nm) cosine synthesis
+                S = np.sin(np.outer(z, mz))  # (nz, nm) sine synthesis (col m=0 is 0)
+                scale = np.full(self.nm, 2.0 / nz)
+                scale[0] = 1.0 / nz
+                Acos = scale[:, None] * C.T  # (nm, nz) exact analysis on midpoint nodes
+                self._vertical[nz] = (z, C, S, Acos)
+        else:
+            self.nz_pad, self._vertical = full_plane.nz_pad, full_plane._vertical
 
-        # Parseval weights: integral of |exp(ik.x) cos(m pi z/h)|^2 over the box
+        # Parseval weights: integral of |exp(ik.x) cos(m pi z/h)|^2 over the box, per
+        # vertical index and per stored mode; the half-plane counts each ky > 0 mode
+        # for its conjugate partner too
         wm = np.full(self.nm, 0.5)
         wm[0] = 1.0
         self.weight_m = spec.L1 * spec.L2 * spec.h * wm  # (nm,)
+        self.parseval_weight = np.broadcast_to(self.weight_m, (self.nkx, self.nky, self.nm))
+        if full_plane is not None:
+            self.parseval_weight = self.parseval_weight.copy()
+            self.parseval_weight[:, 1:] *= 2.0
         self.weight_m_sin = spec.L1 * spec.L2 * spec.h * np.full(self.nm, 0.5)
         self.weight_m_sin[0] = 0.0
         self.volume = spec.L1 * spec.L2 * spec.h
@@ -238,6 +265,7 @@ class Grid:
         self._lam_sorted = None
         self._subgrids = {}  # (N1, N2, M) -> (sub-grid, its rows, columns and levels here)
         self._record_grids = {}  # band (N1, N2, M) -> its record grid
+        self._half = None  # the ky >= 0 half-plane layout of this grid
 
     # -- basis enumeration -------------------------------------------------
 
@@ -346,26 +374,44 @@ class Grid:
         return (self.nx_pad, self.ny_pad, self.nz_pad) if padded else (self.nx, self.ny, self.nz)
 
     @cached_property
-    def _half_plane(self):
-        """Index maps between full coefficient blocks and the ky >= 0 half-plane.
+    def _fold(self) -> np.ndarray:
+        """``fold[i, j]``: the flat (kx, ky) index of -k for the entry k = (kx_i,
+        ky_j) of a ky >= 0 column whose partner -k is stored: every column of the
+        half-plane on the full layout, only ky = 0 on the half-plane layout, whose
+        ky > 0 partners are implied by conjugation."""
+        return self.negx[:, None] * self.nky + self.negy[None, : self.spec.N2 + 1]
 
-        ``fold[i, j]`` is the flat (kx, ky) index of -k for half-plane entry k
-        = (kx_i, ky_j); ``unfold[i, j]`` the flat half-plane index of -k for
-        the ky < 0 entry k = (kx_i, ky_{half+j})."""
+    def _folded(self, c: np.ndarray) -> np.ndarray:
+        """The Hermitian part (c(k) + conj c(-k))/2 of coefficients (..., nkx, nky, nm)
+        on the columns of ``_fold`` that pair stored modes: (..., nkx, half, nm) on
+        the full layout, the ky = 0 column (..., nkx, 1, nm) on the half-plane."""
+        fold = self._fold
+        herm = c.reshape(c.shape[:-3] + (self.nkx * self.nky, c.shape[-1]))[..., fold, :]  # c(-k)
+        np.conjugate(herm, out=herm)
+        herm += c[..., : fold.shape[1], :]
+        herm *= 0.5
+        return herm
+
+    def _unfold(self, half_coeffs: np.ndarray) -> np.ndarray:
+        """Full-layout coefficients (..., nkx, nky, nm) from their ky >= 0 half-plane
+        (..., nkx, half, nm): ky < 0 follows by conjugation, c(-k) = conj c(k)."""
         half = self.spec.N2 + 1
-        fold = self.negx[:, None] * self.nky + self.negy[None, :half]
-        unfold = self.negx[:, None] * half - self.ky_int[None, half:]
-        return half, fold, unfold
+        unfold = self.negx[:, None] * half - self.ky_int[None, half:]  # flat half-plane index of -k
+        lead = half_coeffs.shape[:-3]
+        out = np.empty(lead + (self.nkx, self.nky, half_coeffs.shape[-1]), dtype=half_coeffs.dtype)
+        out[..., :half, :] = half_coeffs
+        out[..., half:, :] = np.conj(half_coeffs.reshape(lead + (self.nkx * half, -1))[..., unfold, :])
+        return out
 
     def _place(self, buf: np.ndarray, herm: np.ndarray):
-        """Write half-plane coefficients (..., nkx, half, nm) into the zeroed
-        ``irfft2`` input ``buf`` (..., nx, ny // 2 + 1, nm): the kx >= 0 rows
-        first, the kx < 0 rows at the end of the axis."""
-        half = herm.shape[-2]
+        """Write half-plane coefficients (..., nkx, n, nm) into the leading n
+        columns of the zeroed ``irfft2`` input ``buf`` (..., nx, ny // 2 + 1, nm):
+        the kx >= 0 rows first, the kx < 0 rows at the end of the axis."""
+        n = herm.shape[-2]
         n1 = self.spec.N1 + 1
         nx = buf.shape[-3]
-        buf[..., :n1, :half, :] = herm[..., :n1, :, :]
-        buf[..., nx - n1 + 1 :, :half, :] = herm[..., n1:, :, :]
+        buf[..., :n1, :n, :] = herm[..., :n1, :, :]
+        buf[..., nx - n1 + 1 :, :n, :] = herm[..., n1:, :, :]
 
     def _synth_h(self, c: np.ndarray, V: np.ndarray | None, nx: int, ny: int) -> np.ndarray:
         """Real part of the synthesis of coefficients (..., nkx, nky, nm) with vertical
@@ -373,16 +419,16 @@ class Grid:
 
         The real part is the transform of the Hermitian part (c(k) + conj c(-k))/2,
         formed on the ky >= 0 half-plane and synthesised by irfft2 on the nm
-        coefficient levels; V then maps the levels to the nz real z-samples.
+        coefficient levels; V then maps the levels to the nz real z-samples.  On
+        the half-plane layout only the ky = 0 column is folded: its ky > 0 columns
+        are their own Hermitian part.
         """
-        half, fold, _ = self._half_plane
-        lead = c.shape[:-3]
-        herm = c.reshape(lead + (self.nkx * self.nky, c.shape[-1]))[..., fold, :]  # c(-k)
-        np.conjugate(herm, out=herm)
-        herm += c[..., :half, :]
-        herm *= 0.5
-        buf = np.zeros(lead + (nx, ny // 2 + 1, herm.shape[-1]), dtype=np.complex128)
+        half = self.spec.N2 + 1
+        herm = self._folded(c)
+        f = herm.shape[-2]
+        buf = np.zeros(c.shape[:-3] + (nx, ny // 2 + 1, c.shape[-1]), dtype=np.complex128)
         self._place(buf, herm)
+        self._place(buf[..., f:, :], c[..., f:half, :])
         levels = irfft2(buf, s=(nx, ny), axes=(-3, -2), norm="forward")
         return levels if V is None else _apply_vertical(levels, V)
 
@@ -391,17 +437,13 @@ class Grid:
         matrix A (nm, nz) or none -> coefficients (..., nkx, nky, nm).
 
         A first maps the nz real z-samples to the nm coefficient levels, which
-        rfft2 then transforms; it gives the ky >= 0 half-plane, and ky < 0
-        follows by conjugation."""
-        half, _, unfold = self._half_plane
+        rfft2 then transforms; it gives the ky >= 0 half-plane, which is the
+        half-plane layout's output, and ky < 0 follows by conjugation."""
+        half = self.spec.N2 + 1
         if A is not None:
             values = _apply_vertical(values, A)
         spec = rfft2(values, axes=(-3, -2), norm="forward")[..., self.kx_int % values.shape[-3], :half, :]
-        lead = spec.shape[:-3]
-        out = np.empty(lead + (self.nkx, self.nky, spec.shape[-1]), dtype=np.complex128)
-        out[..., :half, :] = spec
-        out[..., half:, :] = np.conj(spec.reshape(lead + (self.nkx * half, spec.shape[-1]))[..., unfold, :])
-        return out
+        return spec if self.full_plane is not None else self._unfold(spec)
 
     def synth_cos(self, c: np.ndarray, padded: bool = False) -> np.ndarray:
         """Cosine-series coefficients (..., nkx, nky, nm) -> real samples (..., nx, ny, nz)."""
@@ -423,11 +465,12 @@ class Grid:
         synthesis: the Hermitian parts of c, dx c and dy c are folded into one
         ``irfft2`` input and transformed on the nm levels in one call, and
         ``PaddedSamples`` derives every sample from those levels."""
-        half, fold, _ = self._half_plane
+        fold = self._fold
+        half, f = self.spec.N2 + 1, fold.shape[1]
         nx, ny = self.nx_pad, self.ny_pad
         lead = c.shape[:-3]
         neg = c.reshape(lead + (self.nkx * self.nky, c.shape[-1]))[..., fold, :]  # c(-k)
-        pos = c[..., :half, :]
+        pos = c[..., :f, :]
         # (d(k) c(k) + conj(d(-k) c(-k))) / 2 for d = 1, i kx and i ky: the fold of
         # the spectral derivative, product for product
         herm = np.empty((3,) + neg.shape, dtype=np.complex128)
@@ -438,16 +481,20 @@ class Grid:
             np.conjugate(out, out=out)
             out += pos * at_k
         herm *= 0.5
-        buf = np.zeros(herm.shape[:-3] + (nx, ny // 2 + 1, c.shape[-1]), dtype=np.complex128)
+        buf = np.zeros((3,) + lead + (nx, ny // 2 + 1, c.shape[-1]), dtype=np.complex128)
         self._place(buf, herm)
+        # the half-plane layout's ky > 0 columns, which need no fold
+        rest = c[..., f:half, :]
+        for out, d in zip(buf[..., f:, :], (1.0, self.ddx, self.ddy[:, f:half])):
+            self._place(out, rest * d)
         return PaddedSamples(self, irfft2(buf, s=(nx, ny), axes=(-3, -2), norm="forward"))
 
     @cached_property
     def _fold_factors(self) -> tuple:
-        """Derivative factors on the half-plane at k and at -k:
+        """Derivative factors on the folded half-plane columns at k and at -k:
         (i kx(k), i kx(-k)) and (i ky(k), i ky(-k))."""
-        half = self.spec.N2 + 1
-        return (self.ddx, self.ddx[self.negx]), (self.ddy[:, :half], self.ddy[:, self.negy[:half]])
+        f = self._fold.shape[1]
+        return (self.ddx, self.ddx[self.negx]), (self.ddy[:, :f], self.ddy[:, self.negy[:f]])
 
     @cached_property
     def _sample_matrices(self) -> tuple:
@@ -505,7 +552,15 @@ class Grid:
         return -c * (self.mz_phys[None, None, :] ** 2)
 
     def enforce_reality(self, coeffs: np.ndarray) -> np.ndarray:
-        """Project onto conjugate-symmetric coefficients (real physical fields)."""
+        """Project onto conjugate-symmetric coefficients (real physical fields).  On
+        the half-plane layout only the ky = 0 column holds both modes of a pair:
+        it is folded, and the ky > 0 columns are copied."""
+        if self.full_plane is not None:
+            out = coeffs.copy()
+            column = out[..., 0, :]
+            column += np.conj(coeffs[..., self.negx, 0, :])
+            column *= 0.5
+            return out
         flipped = np.conj(coeffs[..., self.negx, :, :][..., :, self.negy, :])
         return 0.5 * (coeffs + flipped)
 
@@ -568,6 +623,8 @@ class Grid:
         analysis matrices.  Products of its modes are then alias-free on its
         own padded grid and projected through the same vertical nodes.
         ``embed`` and ``extract`` move coefficients between the two layouts."""
+        if self.full_plane is not None:
+            raise ValueError("cut the full-layout grid, then take the half-plane of the cut")
         M = self.spec.M if M is None else M
         if not (0 <= N1 <= self.spec.N1 and 0 <= N2 <= self.spec.N2 and 0 <= M <= self.spec.M):
             raise ValueError(
@@ -585,10 +642,30 @@ class Grid:
             self._subgrids[N1, N2, M] = sub, index
         return self._subgrids[N1, N2, M][0]
 
+    def half_plane(self) -> "Grid":
+        """The ky >= 0 half-plane layout of this grid: the coefficients of a real
+        field with ky = 0..N2 only, (..., nkx, N2 + 1, nm), since c(-k) = conj c(k)
+        gives the rest.  It has this grid's wavenumbers, padded sizes, nodes and
+        vertical matrices, so its transforms, products and spectral operators
+        give this grid's values on its modes; its Parseval weights
+        (``parseval_weight``) count each ky > 0 mode twice.  ``extract`` and
+        ``embed`` move coefficients between the layouts; the mode order
+        (``rank``, ``basis``) and the sub-grids are the full layout's."""
+        if self.full_plane is not None:
+            return self
+        if self._half is None:
+            self._half = Grid(self.spec, full_plane=self)
+        return self._half
+
     def _sub_index(self, sub: "Grid") -> tuple:
         """Rows (nkx', 1), columns (1, nky') and leading levels (a slice of nm') of
         this grid's coefficient block that hold the modes of ``sub``, a sub-grid
-        made by ``subgrid``."""
+        made by ``subgrid`` or the half-plane of this grid or of such a sub-grid."""
+        if sub.full_plane is not None:
+            if sub.full_plane is self:
+                return np.arange(self.nkx)[:, None], np.arange(sub.nky)[None, :], slice(None)
+            ix, iy, iz = self._sub_index(sub.full_plane)
+            return ix, iy[:, : sub.nky], iz
         sub_grid, index = self._subgrids.get((sub.spec.N1, sub.spec.N2, sub.spec.M), (None, None))
         if sub_grid is not sub:
             raise ValueError("not a sub-grid made by this grid's subgrid")
@@ -596,18 +673,32 @@ class Grid:
 
     def extract(self, sub: "Grid", c: np.ndarray) -> np.ndarray:
         """Coefficients (..., nkx, nky, nm) restricted to the modes of the sub-grid
-        ``sub``: (..., nkx', nky', nm'); ``c`` itself when ``sub`` is this grid."""
+        ``sub``: (..., nkx', nky', nm'); ``c`` itself when ``sub`` is this grid.
+        A complex stack goes to a half-plane layout as its Hermitian part, the
+        coefficients of the real field it synthesises, which equals the stack
+        itself where it is conjugate-symmetric."""
         if sub is self:
             return c
+        if sub.full_plane is not None and np.iscomplexobj(c):
+            return sub.full_plane._folded(self.extract(sub.full_plane, c))
         ix, iy, iz = self._sub_index(sub)
         return c[..., ix, iy, iz]
 
     def embed(self, sub: "Grid", c: np.ndarray) -> np.ndarray:
         """Coefficients (..., nkx', nky', nm') of the sub-grid ``sub`` in this grid's
         layout (..., nkx, nky, nm), zero on the other modes; ``c`` itself when
-        ``sub`` is this grid."""
+        ``sub`` is this grid.  From a half-plane layout the ky < 0 modes are
+        refilled by conjugation, so the output is conjugate-symmetric when the
+        ky = 0 column of ``c`` is."""
         if sub is self:
             return c
+        if sub.full_plane is not None:
+            full = sub.full_plane._unfold(c)
+            if np.iscomplexobj(full):
+                # an exact zero imaginary part at ky < 0 is written +0, as the full
+                # layout's fold writes it for coefficients that are +0 at k and -k
+                full.imag[..., sub.nky :, :] += 0.0
+            return self.embed(sub.full_plane, full)
         ix, iy, iz = self._sub_index(sub)
         out = np.zeros(c.shape[:-3] + (self.nkx, self.nky, self.nm), dtype=c.dtype)
         out[..., ix, iy, iz] = c
@@ -772,7 +863,7 @@ def _mode_sums(a: np.ndarray, n_axes: int = 4):
 
 
 def _parseval_sq(grid: Grid, coeffs: np.ndarray, lam_power: float = 0.0):
-    w = grid.weight_m[None, None, None, :]
+    w = grid.parseval_weight[None]
     if lam_power == 0.0:
         return _mode_sums(np.abs(coeffs) ** 2 * w)
     lam = grid.lam[None]
@@ -796,7 +887,7 @@ def sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
     coefficient array (3, nkx, nky, nm), (P,) arrays for a stack of P.  Each
     value is bit-identical to ``h_norm_sq``, ``v_norm_sq`` and ``da_norm_sq``
     of its own state."""
-    w = grid.weight_m[None, None, None, :]
+    w = grid.parseval_weight[None]
     lam = grid.lam[None]
     a2 = np.abs(coeffs) ** 2
     return _mode_sums(a2 * w), _mode_sums(a2 * lam**1.0 * w), _mode_sums(a2 * lam**2.0 * w)

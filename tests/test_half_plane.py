@@ -1,0 +1,127 @@
+"""The ky >= 0 half-plane layout (``Grid.half_plane``) against the full layout.
+
+A real field has conjugate-symmetric coefficients, c(-k) = conj c(k), so the
+half-plane holds each pair once.  Its transforms, Parseval sums and reality
+fold must give the full layout's values on its modes, and ``extract`` and
+``embed`` must move conjugate-symmetric stacks between the layouts exactly.
+"""
+
+import numpy as np
+import pytest
+
+from stochpe import DomainSpec, Grid
+from stochpe.spectral import _parseval_sq, sq_norms
+
+GRIDS = {
+    "anisotropic": Grid(DomainSpec(L1=2 * np.pi, L2=4.0, h=1.5, N1=3, N2=2, M=3, mu=0.7, nu=0.3)),
+    "cut": Grid(DomainSpec(L2=4.0, h=1.5, N1=5, N2=4, M=3, mu=0.7, nu=0.3)).subgrid(2, 1, 1),
+    "N2=0": Grid(DomainSpec(N1=2, N2=0, M=2)),
+    "N1=0": Grid(DomainSpec(N1=0, N2=3, M=1)),
+}
+
+
+@pytest.fixture(params=GRIDS)
+def full(request):
+    return GRIDS[request.param]
+
+
+def symmetric_stack(g, rng, P=3):
+    shape = (P, 3, g.nkx, g.nky, g.nm)
+    return g.enforce_reality(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def conj_flip(g, c):
+    """conj c(-k) for every mode of a full-layout stack."""
+    return np.conj(c[..., g.negx, :, :][..., :, g.negy, :])
+
+
+def test_half_plane_keeps_the_wavenumbers_and_the_padded_grid(full):
+    hp = full.half_plane()
+    assert full.half_plane() is hp and hp.half_plane() is hp and hp.full_plane is full
+    assert (hp.nkx, hp.nky, hp.nm) == (full.nkx, full.spec.N2 + 1, full.nm)
+    assert np.array_equal(hp.ky_int, np.arange(full.spec.N2 + 1))
+    assert (hp.nx, hp.ny, hp.nx_pad, hp.ny_pad, hp.nz_pad) == (full.nx, full.ny, full.nx_pad, full.ny_pad, full.nz_pad)
+    assert hp._vertical is full._vertical
+    for name in ("lam", "ddx", "ddy", "ksq_h"):
+        assert np.array_equal(getattr(hp, name), getattr(full, name)[:, : hp.nky]), name
+    with pytest.raises(ValueError):
+        hp.subgrid(0, 0)
+
+
+def test_extract_then_embed_is_exact_on_symmetric_stacks(full, rng):
+    hp = full.half_plane()
+    c = symmetric_stack(full, rng)
+    half = full.extract(hp, c)
+    assert half.shape == (3, 3, hp.nkx, hp.nky, hp.nm)
+    assert np.array_equal(half, c[..., : hp.nky, :])
+    assert np.array_equal(full.embed(hp, half), c)
+    # the mask and other real arrays are cut as they are
+    assert np.array_equal(full.extract(hp, full.lam), hp.lam)
+    mask = np.abs(c[0]) > 1.0
+    assert np.array_equal(full.embed(hp, full.extract(hp, mask)), mask)
+
+
+def test_embed_output_is_conjugate_symmetric(full, rng):
+    hp = full.half_plane()
+    shape = (2, 3, hp.nkx, hp.nky, hp.nm)
+    h = hp.enforce_reality(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c = full.embed(hp, h)
+    assert np.array_equal(c, conj_flip(full, c))
+    assert np.array_equal(full.extract(hp, c), h)
+
+
+def test_extract_takes_the_hermitian_part(full, rng):
+    # a stack that is not conjugate-symmetric goes over as the field it synthesises
+    hp = full.half_plane()
+    shape = (2, 3, full.nkx, full.nky, full.nm)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(full.extract(hp, c), full.enforce_reality(c)[..., : hp.nky, :])
+    assert np.array_equal(hp.synth_cos(full.extract(hp, c), padded=True), full.synth_cos(c, padded=True))
+
+
+def test_enforce_reality_is_the_half_plane_of_the_full_fold(full, rng):
+    hp = full.half_plane()
+    shape = (2, 3, hp.nkx, hp.nky, hp.nm)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    folded = hp.enforce_reality(h)
+    assert np.array_equal(folded, full.enforce_reality(full.embed(hp, h))[..., : hp.nky, :])
+    assert np.array_equal(folded[..., 1:, :], h[..., 1:, :])
+
+
+@pytest.mark.parametrize("power", [0.0, 1.0, 2.0])
+def test_parseval_sums_match_the_full_plane(full, rng, power):
+    hp = full.half_plane()
+    c = symmetric_stack(full, rng, P=4)
+    half = full.extract(hp, c)
+    mine, ref = _parseval_sq(hp, half, power), _parseval_sq(full, c, power)
+    assert mine.shape == ref.shape == (4,)
+    assert np.abs(mine - ref).max() <= 1e-15 * np.abs(ref).max()
+    ref_norms = sq_norms(full, c)
+    for a, b, p in zip(sq_norms(hp, half), ref_norms, (0.0, 1.0, 2.0)):
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+        if p == power:
+            assert np.array_equal(a, mine)
+
+
+def test_transforms_match_the_full_plane_bit_for_bit(full, rng):
+    # the ky = 0 column is left unfolded, so both layouts fold it as they synthesise
+    hp = full.half_plane()
+    shape = (3, 3, hp.nkx, hp.nky, hp.nm)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = full.embed(hp, half)
+    s, ref = hp.padded_samples(half), full.padded_samples(c)
+    assert np.array_equal(s.levels, ref.levels)
+    for name in ("values", "dx", "dy", "dz", "w"):
+        assert np.array_equal(getattr(s, name), getattr(ref, name)), name
+    for padded in (False, True):
+        assert np.array_equal(hp.synth_cos(half, padded=padded), full.synth_cos(c, padded=padded))
+        assert np.array_equal(hp.synth_sin(half, padded=padded), full.synth_sin(c, padded=padded))
+    assert np.array_equal(hp.synth_cos2d(half[..., 0], padded=True), full.synth_cos2d(c[..., 0], padded=True))
+    # the gradients of one synthesis equal those of separate syntheses
+    assert np.array_equal(s.dx, hp.synth_cos(hp.dx(half), padded=True))
+    assert np.array_equal(s.dy, hp.synth_cos(hp.dy(half), padded=True))
+    for padded in (False, True):
+        nx, ny, nz = full._grid_shape(padded)
+        samples = rng.standard_normal((2, 3, nx, ny, nz))
+        assert np.array_equal(hp.analyze_cos(samples), full.analyze_cos(samples)[..., : hp.nky, :])
+    assert np.array_equal(hp.analyze_cos2d(samples[..., 0]), full.analyze_cos2d(samples[..., 0])[..., : hp.nky])

@@ -173,7 +173,8 @@ def test_theta_zero_path_skips_advection(grid_small, rng):
     )
     U = leray_project(random_state(grid_small, rng))
     stepper = Stepper(cfg, U)
-    c = np.stack([U.coeffs, np.full_like(U.coeffs, np.inf)])
+    u = grid_small.extract(stepper.grid, U.coeffs)
+    c = np.stack([u, np.full_like(u, np.inf)])
     expl, carries = stepper.explicit_drift(c, np.array([1.0, 0.0]))
     assert carries.tolist() == [True, False]
     assert np.isfinite(expl[0]).all()
@@ -427,6 +428,7 @@ def test_stepper_distance_stack(stack):
     g, states, c = stack
     cfg = solver.SolverConfig(grid=g, equation="modified", dt=0.01, t_end=0.1)
     stepper = Stepper(cfg, states[0])
+    c = g.extract(stepper.grid, c)
     dist = stepper.distance(c, 0.37)
     assert dist.shape == (len(states),)
     for p in range(len(states)):
@@ -438,6 +440,7 @@ def test_stepper_advance_stack(stack):
     spec = example1_noise(g, K=3, amp_phi=0.1, amp_psi=0.1, amp_chi=0.3, amp_alpha=0.1, osc=1)
     cfg = solver.SolverConfig(grid=g, noise=spec, equation="modified", dt=0.01, t_end=0.1, track_ito=True)
     stepper = Stepper(cfg, states[0])
+    c = g.extract(stepper.grid, c)
     theta = np.array([1.0, 0.0, 0.5, 1.0, 0.0])
     dW = np.random.default_rng(3).standard_normal((len(states), 3)) * 0.1
     new, incr, cols = stepper.advance(c, theta, dW)

@@ -6,6 +6,8 @@ the diagnostic vertical velocity, and to per-row bit equality, and count the
 FFT calls of one step and one record.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,10 @@ from stochpe import spectral
 from stochpe.cli import _preset_text
 from stochpe.config import build_solver_config, parse_config_text
 from stochpe.diagnostics import record_stack
+from stochpe.experiments import run_ensemble
+from stochpe.noise import NoiseSpec
 from stochpe.operators import leray_coeffs, vertical_velocity, vertical_velocity_top
-from stochpe.solver import Stepper, initial_state, record_band, step_grid
+from stochpe.solver import Stepper, chunk_size, initial_state, record_band, step_grid
 from stochpe.spectral import Grid, SpectralState
 
 
@@ -139,3 +143,32 @@ def test_record_makes_one_synthesis(monkeypatch, preset):
     rec = record_stack(cfg.grid, rows, 0.0, np.zeros(2), np.ones(2), band=record_band(cfg))
     assert rec.finite().all()
     assert counts == {"irfft2": 1, "rfft2": 0}
+
+
+# -- one restricted noise operator per step grid -----------------------------------
+
+
+def test_steppers_of_one_config_share_the_restricted_noise():
+    cfg = preset_cfg("smallnoise-888")
+    U0 = initial_state(cfg)
+    first, second = Stepper(cfg, U0), Stepper(cfg, U0)
+    assert first.noise is second.noise is cfg.noise.restricted(step_grid(cfg))
+    assert first.noise.grid is first.grid
+
+
+def test_tracked_ensemble_samples_phi_and_psi_once(monkeypatch):
+    cfg = preset_cfg("smallnoise-888", **{"solver.track_ito": True})
+    n_paths = chunk_size(step_grid(cfg)) + 1  # two chunks
+    calls = []
+    for name in ("_phi_grid", "_psi_grid"):
+
+        def spy(self, _f=getattr(NoiseSpec, name).func, _n=name):
+            calls.append(_n)
+            return _f(self)
+
+        prop = cached_property(spy)
+        prop.__set_name__(NoiseSpec, name)
+        monkeypatch.setattr(NoiseSpec, name, prop)
+    summaries = run_ensemble(cfg, n_paths)
+    assert len(summaries) == n_paths and all(np.isfinite(s["ito_quad"]) for s in summaries)
+    assert sorted(calls) == ["_phi_grid", "_psi_grid"]

@@ -115,12 +115,14 @@ class TestLinearFlow:
 
 
 def full_drift(stepper: Stepper, state: SpectralState) -> np.ndarray:
-    """Galerkin drift -lam U - theta B(U) - F(U), theta at the state's cutoff distance."""
-    c = state.coeffs[None]
+    """Galerkin drift -lam U - theta B(U) - F(U), theta at the state's cutoff
+    distance, formed on the step grid and returned in the state's layout."""
+    g = stepper.grid
+    c = state.grid.extract(g, state.coeffs)[None]
     theta = stepper.theta(stepper.distance(c, state.time))
     expl, carries = stepper.explicit_drift(c, theta)
     assert carries.all()
-    return -state.grid.lam[None] * state.coeffs + expl[0]
+    return state.grid.embed(g, -g.lam[None] * c[0] + expl[0])
 
 
 class TestDrifts:
@@ -233,13 +235,14 @@ class TestStepping:
         U = leray_project(random_state(grid_small, rng))
         dW = rng.standard_normal(3) * 0.1
         stepper = Stepper(small_cfg(grid_small, noise=spec, track_ito=True), U)
-        _, incr, cols = stepper.advance(U.coeffs[None], np.ones(1), dW[None])
+        c = grid_small.extract(stepper.grid, U.coeffs)[None]
+        _, incr, cols = stepper.advance(c, np.ones(1), dW[None])
         incr, cols = incr[0], cols[0]
         expected = sum(w * col for w, col in zip(dW, cols))
         assert np.abs(incr - expected).max() <= 1e-13 * np.abs(expected).max()
         # without track_ito the same increment comes without columns
         plain = Stepper(small_cfg(grid_small, noise=spec), U)
-        out, incr2, cols2 = plain.advance(U.coeffs[None], np.ones(1), dW[None])
+        out, incr2, cols2 = plain.advance(c, np.ones(1), dW[None])
         assert cols2 is None
         assert np.abs(incr2[0] - incr).max() <= 1e-14 * np.abs(incr).max()
 

@@ -67,6 +67,8 @@ def test_step_grid_holds_the_retained_modes_and_the_noise_support(case):
     stepper = Stepper(cfg, initial_state(cfg))
     g = stepper.grid
     assert g is solver.step_grid(cfg)
+    # the ky >= 0 half-plane of the cut
+    assert g.full_plane is GRID.subgrid(g.spec.N1, g.spec.N2, g.spec.M) and g.nky == g.spec.N2 + 1
     assert (g.nx_pad, g.ny_pad, g.nz_pad) < (GRID.nx_pad, GRID.ny_pad, GRID.nz_pad)
     # the vertical cut keeps the padded z nodes; phi and psi of osc 2 sit at m = 2
     assert g.nz_pad == GRID.nz_pad
@@ -80,10 +82,11 @@ def test_step_grid_holds_the_retained_modes_and_the_noise_support(case):
 
 
 def test_full_galerkin_steps_on_the_config_grid():
+    # on the half-plane of cfg.grid itself: nothing is cut
     cfg = SolverConfig(**{**BASE, **CASES["example1"], "n_galerkin": None})
     stepper = Stepper(cfg, initial_state(cfg))
-    assert stepper.grid is cfg.grid
-    assert stepper.noise is cfg.noise
+    assert stepper.grid is cfg.grid.half_plane() and stepper.grid.full_plane is cfg.grid
+    assert stepper.noise is cfg.noise.restricted(stepper.grid)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -114,6 +117,40 @@ def test_step_grid_run_matches_the_full_grid_run(case, monkeypatch):
         )
         scalars = ("sup_V_sq", "sup_H_sq", "int_DA_sq", "int_DA_V2", "ito_quadratic")
         assert_close([getattr(a, s) for s in scalars], [getattr(b, s) for s in scalars], 1e-12, axis=0)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_half_plane_run_equals_the_full_plane_run(case, monkeypatch):
+    # the step on the half-plane of the cut grid against the same step on the cut
+    # grid in the full layout: the same arithmetic on every kept mode, and only
+    # the Parseval sums of the step loop run in another order
+    cfg = case_cfg(case)
+    ids = [0, 3]
+    trajs = run_paths(cfg, ids)
+    monkeypatch.setattr(solver, "step_grid", lambda c, _half=solver.step_grid: _half(c).full_plane)
+    refs = run_paths(cfg, ids)
+
+    def assert_same(x, y):
+        # the modified equation's states move with theta, a function of the norm sums
+        assert (x is None) == (y is None)
+        if y is None:
+            return
+        if cfg.equation == "original":
+            assert np.array_equal(x, y)
+        else:
+            assert_close(x, y, 1e-14)
+
+    for a, b in zip(trajs, refs):
+        assert_same(a.final_state.coeffs, b.final_state.coeffs)
+        assert_same(*(None if t.ito_integral is None else t.ito_integral.coeffs for t in (a, b)))
+        assert_same(a.states, b.states)
+        assert (a.blowup, a.n_steps_done, len(a.records)) == (b.blowup, b.n_steps_done, len(b.records))
+        assert_close([r.row() for r in a.records], [r.row() for r in b.records], 1e-14, axis=0)
+        assert_close(
+            [list(r.stopping.values()) for r in a.records], [list(r.stopping.values()) for r in b.records], 1e-14, 0
+        )
+        scalars = ("sup_V_sq", "sup_H_sq", "int_DA_sq", "int_DA_V2", "ito_quadratic")
+        assert_close([getattr(a, s) for s in scalars], [getattr(b, s) for s in scalars], 1e-14, axis=0)
 
 
 def test_subgrid_embed_and_extract():
