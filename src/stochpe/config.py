@@ -44,8 +44,6 @@ SCHEMA = {
     "physics.f": (float, 1.0),
     "physics.beta_T": (float, 0.1),
     "physics.g": (float, 1.0),
-    "physics.rho0": (float, 1.0),
-    "physics.T_r": (float, 0.0),
     "noise.family": (str, "zero"),  # zero | example1 | example2 | additive | file
     "noise.K": (int, 4),
     "noise.amp_phi": (float, 0.0),
@@ -196,8 +194,6 @@ def build_solver_config(values: dict) -> SolverConfig:
             f=values["physics.f"],
             beta_T=values["physics.beta_T"],
             g=values["physics.g"],
-            rho0=values["physics.rho0"],
-            T_r=values["physics.T_r"],
         )
         noise = _build_noise(values, grid)
         init = InitSpec(

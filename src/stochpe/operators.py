@@ -45,17 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Coriolis, thermal expansion, gravity, reference density/temperature."""
+    """Coriolis parameter, thermal expansion coefficient and gravity."""
 
     f: float = 1.0
     beta_T: float = 0.1
     g: float = 1.0
-    rho0: float = 1.0
-    T_r: float = 0.0
 
     def __post_init__(self):
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
         if self.g < 0:
             raise ValueError("g must be nonnegative")
 
@@ -262,13 +258,18 @@ def _pressure_integral_cos(grid: Grid, Tc: np.ndarray) -> np.ndarray:
     return cos_part
 
 
-def _linear_terms(grid: Grid, coeffs: np.ndarray, scale: float, f: float) -> np.ndarray:
-    """P_H(scale grad int_z^0 T dz' + f (-v2, v1), 0) of a coefficient stack
-    (..., 3, nkx, nky, nm), projected once."""
+def _linear_terms(
+    grid: Grid, coeffs: np.ndarray, scale: float, f: float, F_U: np.ndarray | None = None
+) -> np.ndarray:
+    """P_H((scale grad int_z^0 T dz' + f (-v2, v1), 0) - F_U) of a coefficient
+    stack (..., 3, nkx, nky, nm) and an optional field F_U (3, nkx, nky, nm):
+    the terms are linear, so their sum is projected once."""
     G = _pressure_integral_cos(grid, coeffs[..., 2, :, :, :])
     out = np.zeros_like(coeffs)
     out[..., 0, :, :, :] = scale * grid.dx(G) - f * coeffs[..., 1, :, :, :]
     out[..., 1, :, :, :] = scale * grid.dy(G) + f * coeffs[..., 0, :, :, :]
+    if F_U is not None:
+        out -= F_U
     return leray_coeffs(grid, out)
 
 
@@ -288,9 +289,10 @@ def forcing_F(
     physics: PhysicsParams,
     F_U: SpectralState | None = None,
 ) -> SpectralState:
-    """Aggregate linear term A_pr U + E U - F_U (Lipschitz in U by construction).
+    """Aggregate linear term P_H(A_pr U + E U - F_U) (Lipschitz in U by
+    construction), divergence-free whatever F_U is.
 
-    Both operators are linear, so their unprojected sum is projected once."""
+    All three terms are linear, so their unprojected sum is projected once."""
     g = state.grid
     if F_U is not None and F_U.grid is not g and F_U.coeffs.shape != state.coeffs.shape:
         raise ValueError("forcing field resolution mismatch")
@@ -300,9 +302,11 @@ def forcing_F(
 def forcing_coeffs(
     grid: Grid, coeffs: np.ndarray, physics: PhysicsParams, F_U: SpectralState | None = None
 ) -> np.ndarray:
-    """``forcing_F`` on a coefficient stack (..., 3, nkx, nky, nm)."""
-    out = _linear_terms(grid, coeffs, -physics.beta_T * physics.g, physics.f)
-    return out if F_U is None else out - F_U.coeffs
+    """``forcing_F`` on a coefficient stack (..., 3, nkx, nky, nm): one projection
+    of A_pr U + E U - F_U."""
+    return _linear_terms(
+        grid, coeffs, -physics.beta_T * physics.g, physics.f, None if F_U is None else F_U.coeffs
+    )
 
 
 # -- barotropic / baroclinic splitting -----------------------------------------

@@ -14,12 +14,18 @@ forcing and noise are explicit:
 
     U+ = Lin(dt) * [U + dt * (-theta B(U) - F(U)) + sum_k sigma(U) e_k dW_k].
 
-Every step re-applies the divergence-free projection, the Galerkin mask and
-the reality symmetry, so the state stays on the constraint manifold to
-round-off.  The Wiener increments of a path are drawn in one call from a
-counter-based stream keyed by (seed, trajectory); step j's increment is a
-pure function of (seed, trajectory, j), which makes trajectories
-bit-reproducible and order-independent across parallel ensembles.
+Every term the step adds comes projected onto the divergence-free space and
+masked to the retained modes: the advection, the forcing and the noise
+operators each project their own result, and the Galerkin cut
+(``Grid.snap_mode_count``) never splits the modes the projection couples, so
+the mask commutes with it.  The integrating factor is diagonal, so the step
+re-applies only the reality symmetry, and the state stays on the constraint
+manifold to round-off.
+
+The Wiener increments of a path are drawn in one call from a counter-based
+stream keyed by (seed, trajectory); step j's increment is a pure function of
+(seed, trajectory, j), which makes trajectories bit-reproducible and
+order-independent across parallel ensembles.
 
 One loop, ``run_paths``, steps a chunk of P paths that share U0 as one
 (P, 3, nkx, nky, nm) array; ``run_trajectory`` is its P = 1 case.  Each path
@@ -361,12 +367,12 @@ class Stepper:
         return sum(dW[:, k, None, None, None, None] * cols[:, k] for k in range(K)), cols
 
     def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, samples: PaddedSamples | None = None):
-        """Galerkin-masked explicit drift -theta B(U) - F(U) of the rows, and the
-        rows that carry one as a (P,) boolean mask; (None, None) where it
-        vanishes identically.  The full drift is -lam U plus this on those rows.
-        A row with theta = 0 gets no advection term at all: 0 * B(U) is NaN
-        where B(U) overflows.  ``samples``, the rows' ``Grid.padded_samples``
-        when the caller has them, skip their synthesis."""
+        """Projected, Galerkin-masked explicit drift -theta B(U) - F(U) of the
+        rows, and the rows that carry one as a (P,) boolean mask; (None, None)
+        where it vanishes identically.  The full drift is -lam U plus this on
+        those rows.  A row with theta = 0 gets no advection term at all:
+        0 * B(U) is NaN where B(U) overflows.  ``samples``, the rows'
+        ``Grid.padded_samples`` when the caller has them, skip their synthesis."""
         cfg = self.cfg
         g = self.grid
         advecting = cfg.advection and theta.any()
@@ -400,7 +406,11 @@ class Stepper:
         gradients.  With advection and such noise a step makes one synthesis
         and two analyses.  Transport noise
         with constant phi and psi is formed in spectral space and needs none,
-        so with advection off such a step makes no transform."""
+        so with advection off such a step makes no transform.
+
+        The step projects and masks nothing itself: the drift and the noise
+        come projected by their operators and masked, the integrating factor is
+        diagonal, and the reality fold keeps the rows divergence-free."""
         cfg = self.cfg
         g = self.grid
         out = coeffs.copy()
@@ -414,8 +424,6 @@ class Stepper:
         if incr is not None:
             out += incr
         out *= self.lin
-        out = leray_coeffs(g, out)
-        out *= self.mask
         return g.enforce_reality(out), incr, cols
 
 

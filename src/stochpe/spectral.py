@@ -343,17 +343,27 @@ class Grid:
         return self._basis
 
     def snap_mode_count(self, n: int) -> int:
-        """Round n up so the retained set never splits a conjugate mode pair."""
-        n = int(n)
-        if n <= 0 or n >= self.n_modes_total:
-            return min(max(n, 0), self.n_modes_total)
-        if self._rank is None:
-            self._build_order()
-        i, j = self._order[n - 1], self._order[n]
-        kx, ky, m, f = (self._order_cols[col] for col in (6, 7, 3, 4))
-        if (kx[i], ky[i]) != (0, 0) and (kx[j], ky[j], m[j], f[j]) == (-kx[i], -ky[i], m[i], f[i]):
-            return n + 1
-        return n
+        """Round n up to the next cut that splits no conjugate mode pair and no
+        barotropic velocity pair (v1, v2) at kx != 0 and ky != 0.  Those pairs
+        are the modes that the Leray projection couples, so the mask
+        ``rank < snap_mode_count(n)`` commutes with it."""
+        n = min(max(int(n), 0), self.n_modes_total)
+        return int(self._closed_cuts[np.searchsorted(self._closed_cuts, n)])
+
+    @cached_property
+    def _closed_cuts(self) -> np.ndarray:
+        """Every n whose n lowest modes hold each mode's conjugate and, on the
+        barotropic level at kx != 0 and ky != 0, both velocity components."""
+        rank = self.rank
+        reach = np.maximum(rank, rank[:, self.negx][:, :, self.negy])  # rank of a mode or its conjugate
+        coupled = (self.kx_int != 0)[:, None] & (self.ky_int != 0)[None, :]
+        bar = np.maximum(reach[0, :, :, 0], reach[1, :, :, 0])
+        reach[:2, :, :, 0] = np.where(coupled, bar, reach[:2, :, :, 0])
+        furthest = np.empty(self.n_modes_total, dtype=np.int64)
+        furthest[rank.ravel()] = reach.ravel()
+        # the n lowest modes are closed when none of them reaches rank n or beyond
+        closed = np.maximum.accumulate(furthest) < np.arange(1, self.n_modes_total + 1)
+        return np.concatenate([[0], np.flatnonzero(closed) + 1])
 
     # -- collocation nodes -------------------------------------------------
 

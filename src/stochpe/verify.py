@@ -55,6 +55,7 @@ __all__ = [
     "SUITES",
     "run_suite",
     "leray_residuals",
+    "divergence_residual",
     "split_exact",
     "advection_residuals",
     "recombination_residual",
@@ -82,6 +83,12 @@ def leray_residuals(g: Grid, rng, n: int) -> tuple:
         max_div = max(max_div, float(np.abs(barotropic_divergence(st)).sum()))
         max_idem = max(max_idem, float(np.abs(leray_project(st).coeffs - st.coeffs).max()))
     return max_div, max_idem
+
+
+def divergence_residual(state: SpectralState) -> float:
+    """Largest barotropic divergence of a state, relative to its largest coefficient."""
+    scale = float(np.abs(state.coeffs).max())
+    return float(np.abs(barotropic_divergence(state)).max()) / max(scale, 1e-300)
 
 
 def split_exact(g: Grid, rng, n: int) -> bool:
@@ -280,6 +287,8 @@ def suite_solver(grid: Grid | None = None) -> list:
     t3 = run_trajectory(cfg3)
     leak = float(np.abs(complement_q(t3.final_state, n).coeffs).max())
     checks.append(_check("galerkin_invariance", leak == 0.0, leak=leak))
+    div = divergence_residual(t3.final_state)
+    checks.append(_check("galerkin_divergence_free", div <= 1e-13, rel_divergence=div))
 
     weak = example1_noise(g, K=2, amp_phi=0.02, amp_chi=0.05, osc=1)
     base = dict(

@@ -38,6 +38,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("does.not.exist = 1")
 
+    @pytest.mark.parametrize("key", ["physics.rho0", "physics.T_r"])
+    def test_unread_physics_keys_rejected(self, key):
+        # no equation of the model reads a reference density or temperature
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(f"{key} = 1.0")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("solver.dt = banana")
