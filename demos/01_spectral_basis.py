@@ -32,11 +32,11 @@ for b in basis[:5]:
 rng = np.random.default_rng(0)
 state = random_state(grid, rng)
 
-fields = to_physical(state, dealias=True)
+fields = to_physical(state)
 back = to_spectral(fields)
 print("\nround-trip max error:", np.abs(back.coeffs - state.coeffs).max())
 
-quad = sum(np.sum(f**2) * grid.quad_weight(padded=True) for f in (fields.v1, fields.v2, fields.T))
+quad = sum(np.sum(f**2) * grid.quad_weight() for f in (fields.v1, fields.v2, fields.T))
 print("Parseval: grid L2^2 =", quad, " spectral H^2 =", h_norm_sq(state))
 
 half = apply_A_power(state, 0.5)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -36,19 +37,6 @@ def _decode(blob: str, shape) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").reshape(shape).astype(np.complex128)
 
 
-def _domain_dict(spec: DomainSpec) -> dict:
-    return {
-        "L1": spec.L1,
-        "L2": spec.L2,
-        "h": spec.h,
-        "N1": spec.N1,
-        "N2": spec.N2,
-        "M": spec.M,
-        "mu": spec.mu,
-        "nu": spec.nu,
-    }
-
-
 def _check_header(doc: dict, expected_format: str, grid: Grid | None) -> Grid:
     if doc.get("format") != expected_format:
         raise ValueError(f"not a {expected_format} container")
@@ -57,7 +45,7 @@ def _check_header(doc: dict, expected_format: str, grid: Grid | None) -> Grid:
     spec = DomainSpec(**doc["domain"])
     if grid is None:
         return Grid(spec)
-    if _domain_dict(grid.spec) != _domain_dict(spec):
+    if grid.spec != spec:
         raise ValueError("checkpoint domain does not match the target grid")
     return grid
 
@@ -67,7 +55,7 @@ def save_state(state: SpectralState, path: str) -> None:
         "format": _FORMAT_STATE,
         "version": 1,
         "basis_order": BASIS_ORDER_TAG,
-        "domain": _domain_dict(state.grid.spec),
+        "domain": asdict(state.grid.spec),
         "time": state.time,
         "shape": list(state.coeffs.shape),
         "dtype": "complex128",
@@ -93,7 +81,7 @@ def save_noise(spec: NoiseSpec, path: str) -> None:
         "format": _FORMAT_NOISE,
         "version": 1,
         "basis_order": BASIS_ORDER_TAG,
-        "domain": _domain_dict(spec.grid.spec),
+        "domain": asdict(spec.grid.spec),
         "family": spec.family,
         "K": spec.K,
         "include_temperature": spec.include_temperature,

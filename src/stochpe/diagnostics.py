@@ -158,7 +158,7 @@ def _grid_quadrature_functionals(grid: Grid, coeffs: np.ndarray, band: tuple | N
     if band is not None and (rec_grid := grid.record_grid(*band)) is not grid:
         fluct = rec_grid.embed(rec_grid.subgrid(*band), grid.extract(grid.subgrid(*band), fluct))
         grid = rec_grid
-    w = grid.quad_weight(padded=True)
+    w = grid.quad_weight()
     samples = grid.padded_samples(fluct)  # one synthesis: values and gradients
     values = samples.values
     vt_sq = values[:, 0] ** 2 + values[:, 1] ** 2

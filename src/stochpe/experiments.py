@@ -206,18 +206,27 @@ def divergence_slope(cfg: SolverConfig, deltas=(1e-8, 1e-6, 1e-4)) -> dict:
 def apriori_sweep(
     cfg: SolverConfig, n_values, n_paths: int, workers: int = 1, band=(0.5, 2.0), p: float | None = None
 ) -> dict:
-    """Stability of E[sup ||U||^p + int |AU|^2 ||U||^(p-2)] under Galerkin refinement."""
+    """Stability of E[sup ||U||^p + int |AU|^2 ||U||^(p-2)] under Galerkin refinement.
+
+    Estimates and standard errors are keyed by the cut each run uses, the
+    requested n snapped by ``Grid.snap_mode_count``; two requested levels
+    that snap to one cut raise ``ValueError`` before any ensemble runs."""
     if n_paths < 30:
         raise ValueError("ensemble too small for a stability verdict (need >= 30 paths)")
     if p is not None:
         cfg = replace(cfg, apriori_p=float(p))
-    estimates = {}
-    ses = {}
+    configs = {}
     for n in n_values:
         c = replace(cfg, n_galerkin=int(n))
+        if c.n_galerkin in configs:
+            raise ValueError(f"n = {int(n)} snaps to the cut {c.n_galerkin} of another requested level")
+        configs[c.n_galerkin] = c
+    estimates = {}
+    ses = {}
+    for n, c in configs.items():
         rep = summarize_ensemble(run_ensemble(c, n_paths, workers), ("apriori",))
-        estimates[int(n)] = rep.means["apriori"]
-        ses[int(n)] = rep.std_errors["apriori"]
+        estimates[n] = rep.means["apriori"]
+        ses[n] = rep.std_errors["apriori"]
     ns = sorted(estimates)
     ratios = [estimates[b] / estimates[a] for a, b in zip(ns, ns[1:])]
     ok = all(band[0] <= r <= band[1] for r in ratios) and all(

@@ -106,11 +106,11 @@ class NoiseSpec:
 
     @cached_property
     def _phi_grid(self) -> np.ndarray:
-        return self.grid.synth_cos(self.phi, padded=True)
+        return self.grid.synth_cos(self.phi)
 
     @cached_property
     def _psi_grid(self) -> np.ndarray:
-        return self.grid.synth_cos(self.psi, padded=True)
+        return self.grid.synth_cos(self.psi)
 
     # -- derived constants, recomputed from the stored fields -----------------
 
@@ -121,7 +121,7 @@ class NoiseSpec:
 
     @cached_property
     def theta1_sq(self) -> float:
-        gx, gy, gz = self.grid.grad_samples(np.concatenate([self.phi, self.psi[:, None]], axis=1))
+        gx, gy, gz = self.grid.padded_samples(np.concatenate([self.phi, self.psi[:, None]], axis=1)).grads
         sq = gx**2 + gy**2 + gz**2  # (K, 3, grid): phi components, then psi
         return float(np.sum(_grid_max(sq[:, :2].sum(axis=1))) + np.sum(_grid_max(sq[:, 2])))
 
@@ -357,7 +357,7 @@ def sigma_coeffs(
     one piece: in spectral space with no transform when phi and psi are constant
     (``NoiseSpec.constant_transport``), otherwise on the padded grid and analysed in one
     transform.  ``grads``, the gradient samples (dx, dy, dz) of ``coeffs``
-    (``PaddedSamples.grads``, as ``Grid.grad_samples`` gives them), skip their
+    (the ``PaddedSamples.grads`` of ``Grid.padded_samples``), skip their
     synthesis for family 1 on the grid; the step passes those of the one
     ``Grid.padded_samples`` call it shares with the advection.  The spectral
     form does not read them.
@@ -406,12 +406,12 @@ def _transport_grid(spec: NoiseSpec, v: np.ndarray, W: np.ndarray, grads: tuple 
     shape = spec._psi_grid.shape[1:]
     phi = (W @ spec._phi_grid.reshape(K, -1)).reshape((P, J, 2) + shape)
     if spec.family == "example1":
-        gx, gy, gz = g.grad_samples(v) if grads is None else (a[:, :n] for a in grads)
+        gx, gy, gz = g.padded_samples(v).grads if grads is None else (a[:, :n] for a in grads)
         psi = (W @ spec._psi_grid.reshape(K, -1)).reshape((P, J) + shape)
         samples = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None] + psi[:, :, None] * gz[:, None]
     else:
-        base = _lift(g, v[..., 0])  # depth mean A3 v
-        gx, gy = g.synth_cos(np.stack([g.dx(base), g.dy(base)]), padded=True)
+        mean = g.padded_samples(_lift(g, v[..., 0]))  # depth mean A3 v
+        gx, gy = mean.dx, mean.dy
         samples = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None]
     return g.analyze_cos(samples)
 

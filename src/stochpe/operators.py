@@ -132,17 +132,17 @@ def _w_parts(grid: Grid, vcoeffs: np.ndarray):
     return w_sin, w_affine
 
 
-def vertical_velocity(state: SpectralState, padded: bool = True) -> np.ndarray:
-    """Diagnostic vertical velocity sampled on the collocation grid."""
+def vertical_velocity(state: SpectralState) -> np.ndarray:
+    """Diagnostic vertical velocity sampled on the padded collocation grid."""
     g = state.grid
     w_sin, w_aff = _w_parts(g, state.coeffs[:2])
-    w = g.synth_sin(w_sin, padded=padded)
-    _, _, z = g.nodes(padded=padded)
-    aff2d = g.synth_cos2d(w_aff, padded=padded)
+    w = g.synth_sin(w_sin)
+    _, _, z = g.nodes()
+    aff2d = g.synth_cos2d(w_aff)
     return w + aff2d[:, :, None] * (z + g.spec.h)[None, None, :]
 
 
-def vertical_velocity_top(state: SpectralState, padded: bool = True) -> np.ndarray:
+def vertical_velocity_top(state: SpectralState) -> np.ndarray:
     """w evaluated at the top face z = 0.
 
     Every sine mode vanishes there, so only the affine part -h * div(vbar)
@@ -150,7 +150,7 @@ def vertical_velocity_top(state: SpectralState, padded: bool = True) -> np.ndarr
     """
     g = state.grid
     _, w_aff = _w_parts(g, state.coeffs[:2])
-    return g.spec.h * g.synth_cos2d(w_aff, padded=padded)
+    return g.spec.h * g.synth_cos2d(w_aff)
 
 
 # -- depth averaging -----------------------------------------------------------
@@ -183,7 +183,7 @@ def _advection_samples(
 ) -> np.ndarray:
     """Samples of (v.grad)X + w(v) dz X on the dealiased grid, per component,
     for a stack of P paths: velocities v (P, 2, nkx, nky, nm) and targets X
-    (P, C, nkx, nky, nm) give (P, C, nx, ny, nz).  ``adv_coeffs`` None
+    (P, C, nkx, nky, nm) give (P, C, nx_pad, ny_pad, nz_pad).  ``adv_coeffs`` None
     advects X by its own velocity X[:, :2].
 
     Everything is read from ``Grid.padded_samples``: the gradients of X from
@@ -199,19 +199,12 @@ def _advection_samples(
     return vel[:, 0, None] * target.dx + vel[:, 1, None] * target.dy + adv.w[:, None] * target.dz
 
 
-def _hadv_samples(grid: Grid, adv_coeffs: np.ndarray, target_coeffs: np.ndarray) -> np.ndarray:
-    """Horizontal-only advection samples (v.grad)X, no vertical transport."""
-    v1g, v2g = grid.synth_cos(adv_coeffs, padded=True)
-    fx, fy = grid.synth_cos(np.stack([grid.dx(target_coeffs), grid.dy(target_coeffs)]), padded=True)
-    return v1g * fx + v2g * fy
-
-
 def trilinear_b(U: SpectralState, Usharp: SpectralState, Uflat: SpectralState) -> float:
     """Advection pairing (P_H[(v.grad)U# + w(v) dz U#], Ub) by exact quadrature."""
     g = U.grid
     samples = _advection_samples(g, U.coeffs[None, :2], Usharp.coeffs[None])[0]
     flat = leray_project(Uflat)
-    return float(np.sum(samples * g.synth_cos(flat.coeffs, padded=True))) * g.quad_weight(padded=True)
+    return float(np.sum(samples * g.synth_cos(flat.coeffs))) * g.quad_weight()
 
 
 def bilinear_B(
@@ -332,27 +325,29 @@ def baroclinic_rhs_terms(state: SpectralState, physics: PhysicsParams) -> dict:
     Barotropic entries are 2D coefficient arrays (2, nkx, nky), baroclinic
     entries 3D velocity coefficient arrays (2, nkx, nky, nm).  Terms carry
     their natural sign (the transported quantity itself); the tendency
-    assembly with signs lives in ``recombine_split_rhs``.
+    assembly with signs lives in ``recombine_split_rhs``.  Every sample is
+    read from one ``Grid.padded_samples`` each of vtilde and of the lifted
+    vbar.
     """
     g = state.grid
     split = mode_split(state)
-    vbar3 = _lift(g, split.vbar)
     vtilde = split.vtilde
+    vt = g.padded_samples(vtilde)
+    vb = g.padded_samples(_lift(g, split.vbar))
 
+    def hadv(adv: PaddedSamples, target: PaddedSamples) -> np.ndarray:
+        """Horizontal-only advection samples (v.grad)X, no vertical transport."""
+        return adv.values[0] * target.dx + adv.values[1] * target.dy
+
+    tt = hadv(vt, vt)
     # (vt.grad)vt + w(vt) dz vt -- vertical transport by the fluctuation only
-    tt_full = g.analyze_cos(_advection_samples(g, None, vtilde[None])[0])
-
+    tt_full = g.analyze_cos(tt + vt.w * vt.dz)
     # (vt.grad)vt + (div vt) vt -- the depth-mean carrier of the same interaction
-    div_t_g = g.synth_cos(
-        1j * g.kx_phys[:, None, None] * vtilde[0] + 1j * g.ky_phys[None, :, None] * vtilde[1],
-        padded=True,
-    )
-    vt_g = g.synth_cos(vtilde, padded=True)
-    tt_avg_carrier = g.analyze_cos(_hadv_samples(g, vtilde, vtilde) + div_t_g[None] * vt_g)
+    tt_avg_carrier = g.analyze_cos(tt + (vt.dx[0] + vt.dy[1]) * vt.values)
 
-    adv_tb = g.analyze_cos(_hadv_samples(g, vtilde, vbar3))  # (vt.grad)vbar
-    adv_bt = g.analyze_cos(_hadv_samples(g, vbar3, vtilde))  # (vbar.grad)vt
-    adv_bb = g.analyze_cos(_hadv_samples(g, vbar3, vbar3))  # (vbar.grad)vbar
+    adv_tb = g.analyze_cos(hadv(vt, vb))  # (vt.grad)vbar
+    adv_bt = g.analyze_cos(hadv(vb, vt))  # (vbar.grad)vt
+    adv_bb = g.analyze_cos(hadv(vb, vb))  # (vbar.grad)vbar
 
     G = _pressure_integral_cos(g, state.coeffs[2])
     buoy = np.stack([g.dx(G), g.dy(G)]) * (-physics.beta_T * physics.g)

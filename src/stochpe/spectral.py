@@ -17,21 +17,23 @@ i.e. the forward transform carries the 1/N normalisation, so a unit
 coefficient is a unit-amplitude wave.  Physical fields are real, which is
 enforced as conjugate symmetry in the signed horizontal wavenumbers.
 
-Nonlinear products are evaluated on a zero-padded collocation grid sized so
-that quadratic products are alias-free and integrals of triple products are
+Every ``Grid`` has one collocation grid, the zero-padded one, sized so that
+quadratic products are alias-free and integrals of triple products are
 exact for band-limited inputs (horizontal padding > 3*N, vertical midpoint
-nodes with 2*nz > 3*M).  Sixth-degree quadratures of states in a narrower
-band run on that band's ``Grid.record_grid``, which is exact for them.
+nodes with 2*nz > 3*M); every transform, product and quadrature runs on it.
+Sixth-degree quadratures of states in a narrower band run on that band's
+``Grid.record_grid``, which is exact for them.
 
 Transforms are real-to-complex (``scipy.fft.rfft2``/``irfft2`` over the two
 horizontal axes) and act on stacks: coefficients (..., nkx, nky, nm) map to
-samples (..., nx, ny, nz) in one call.  Only the ky >= 0 half-plane is
-transformed.  Synthesis returns the real part of the full inverse transform
-for any input, by folding the Hermitian part (c(k) + conj c(-k))/2 onto the
-half-plane; analysis rebuilds ky < 0 by conjugation.  The horizontal FFTs
-run over the nm coefficient levels, never over more padded z-levels, and the
-vertical cosine or sine matrix acts on the real samples: synthesis
-transforms first and then applies the matrix, analysis applies it first.
+samples (..., nx_pad, ny_pad, nz_pad) in one call.  Only the ky >= 0
+half-plane is transformed.  Synthesis returns the real part of the full
+inverse transform for any input, by folding the Hermitian part
+(c(k) + conj c(-k))/2 onto the half-plane; analysis rebuilds ky < 0 by
+conjugation.  The horizontal FFTs run over the nm coefficient levels, never
+over more padded z-levels, and the vertical cosine or sine matrix acts on
+the real samples: synthesis transforms first and then applies the matrix,
+analysis applies it first.
 
 A grid has two coefficient layouts.  The full layout holds every signed ky;
 its ``Grid.half_plane`` holds ky = 0..N2 only, each conjugate pair of a real
@@ -44,13 +46,13 @@ conjugate-symmetric input, and every per-mode operator gives the full
 layout's values on its modes; ``Grid.extract`` and ``Grid.embed`` convert.
 The model step runs on the half-plane, every other caller on the full layout.
 
-Every padded sample a model step reads is a linear image of the horizontal
-levels of [c, dx c, dy c], so ``Grid.padded_samples`` makes one fold and one
-``irfft2`` of that stack and derives the values, the three gradients and the
-vertical velocity w of the velocity rows from those levels with fixed
-vertical matrices (``PaddedSamples``).  A step with advection and
-grid-evaluated transport noise then makes one synthesis, of 9 fields, and
-two analyses; a stored record makes one synthesis.
+Every padded sample that reads a gradient is a linear image of the
+horizontal levels of [c, dx c, dy c], so ``Grid.padded_samples`` synthesises
+that stack in one call of the one synthesis kernel and derives the values,
+the three gradients and the vertical velocity w of the velocity rows from
+those levels with fixed vertical matrices (``PaddedSamples``).  A step with
+advection and grid-evaluated transport noise then makes one synthesis, of 9
+fields, and two analyses; a stored record makes one synthesis.
 """
 
 from __future__ import annotations
@@ -151,13 +153,12 @@ class SpectralState:
 
 @dataclass
 class PhysicalFields:
-    """Real collocation samples of (v1, v2, T) with grid metadata."""
+    """Real samples of (v1, v2, T) on the grid's padded collocation grid."""
 
     grid: "Grid"
     v1: np.ndarray
     v2: np.ndarray
     T: np.ndarray
-    padded: bool = False
 
     def stack(self) -> np.ndarray:
         return np.stack([self.v1, self.v2, self.T])
@@ -222,24 +223,20 @@ class Grid:
         self.negx = -self.kx_int % self.nkx
         self.negy = -self.ky_int % self.nky if full_plane is None else np.zeros(1, dtype=int)
 
-        # collocation sizes: exact unpadded round trip, alias-free padded products
-        self.nx = self.nkx
-        self.ny = 2 * spec.N2 + 1
-        self.nz = self.nm
+        # the one collocation grid: padded so that products are alias-free
         self.nx_pad = next_fast_len(3 * spec.N1 + 1)
         self.ny_pad = next_fast_len(3 * spec.N2 + 1)
         self.nz_pad = max(self.nm, (3 * spec.M) // 2 + 1)
 
         if full_plane is None:
-            self._vertical = {}
-            for nz in {self.nz, self.nz_pad}:
-                z = -spec.h + (np.arange(nz) + 0.5) * spec.h / nz  # midpoint nodes
-                C = np.cos(np.outer(z, mz))  # (nz, nm) cosine synthesis
-                S = np.sin(np.outer(z, mz))  # (nz, nm) sine synthesis (col m=0 is 0)
-                scale = np.full(self.nm, 2.0 / nz)
-                scale[0] = 1.0 / nz
-                Acos = scale[:, None] * C.T  # (nm, nz) exact analysis on midpoint nodes
-                self._vertical[nz] = (z, C, S, Acos)
+            nz = self.nz_pad
+            z = -spec.h + (np.arange(nz) + 0.5) * spec.h / nz  # midpoint nodes
+            C = np.cos(np.outer(z, mz))  # (nz, nm) cosine synthesis
+            S = np.sin(np.outer(z, mz))  # (nz, nm) sine synthesis (col m=0 is 0)
+            scale = np.full(self.nm, 2.0 / nz)
+            scale[0] = 1.0 / nz
+            Acos = scale[:, None] * C.T  # (nm, nz) exact analysis on midpoint nodes
+            self._vertical = (z, C, S, Acos)
         else:
             self.nz_pad, self._vertical = full_plane.nz_pad, full_plane._vertical
 
@@ -367,21 +364,15 @@ class Grid:
 
     # -- collocation nodes -------------------------------------------------
 
-    def nodes(self, padded: bool = False):
-        nx, ny, nz = self._grid_shape(padded)
-        x = np.arange(nx) * self.spec.L1 / nx
-        y = np.arange(ny) * self.spec.L2 / ny
-        z = self._vertical[nz][0]
-        return x, y, z
+    def nodes(self):
+        x = np.arange(self.nx_pad) * self.spec.L1 / self.nx_pad
+        y = np.arange(self.ny_pad) * self.spec.L2 / self.ny_pad
+        return x, y, self._vertical[0]
 
-    def quad_weight(self, padded: bool = False) -> float:
-        nx, ny, nz = self._grid_shape(padded)
-        return (self.spec.L1 / nx) * (self.spec.L2 / ny) * (self.spec.h / nz)
+    def quad_weight(self) -> float:
+        return (self.spec.L1 / self.nx_pad) * (self.spec.L2 / self.ny_pad) * (self.spec.h / self.nz_pad)
 
     # -- transforms ---------------------------------------------------------
-
-    def _grid_shape(self, padded: bool):
-        return (self.nx_pad, self.ny_pad, self.nz_pad) if padded else (self.nx, self.ny, self.nz)
 
     @cached_property
     def _fold(self) -> np.ndarray:
@@ -423,17 +414,19 @@ class Grid:
         buf[..., :n1, :n, :] = herm[..., :n1, :, :]
         buf[..., nx - n1 + 1 :, :n, :] = herm[..., n1:, :, :]
 
-    def _synth_h(self, c: np.ndarray, V: np.ndarray | None, nx: int, ny: int) -> np.ndarray:
+    def _synth_h(self, c: np.ndarray, V: np.ndarray | None) -> np.ndarray:
         """Real part of the synthesis of coefficients (..., nkx, nky, nm) with vertical
-        matrix V (nz, nm), or none -> real samples (..., nx, ny, nz).
+        matrix V (nz_pad, nm), or none -> real samples (..., nx_pad, ny_pad, nz_pad),
+        or the levels (..., nx_pad, ny_pad, nm) without V.
 
         The real part is the transform of the Hermitian part (c(k) + conj c(-k))/2,
         formed on the ky >= 0 half-plane and synthesised by irfft2 on the nm
-        coefficient levels; V then maps the levels to the nz real z-samples.  On
+        coefficient levels; V then maps the levels to the real z-samples.  On
         the half-plane layout only the ky = 0 column is folded: its ky > 0 columns
         are their own Hermitian part.
         """
         half = self.spec.N2 + 1
+        nx, ny = self.nx_pad, self.ny_pad
         herm = self._folded(c)
         f = herm.shape[-2]
         buf = np.zeros(c.shape[:-3] + (nx, ny // 2 + 1, c.shape[-1]), dtype=np.complex128)
@@ -443,10 +436,11 @@ class Grid:
         return levels if V is None else _apply_vertical(levels, V)
 
     def _analyze_h(self, values: np.ndarray, A: np.ndarray | None) -> np.ndarray:
-        """Forward transform of real samples (..., nx, ny, nz), with vertical analysis
-        matrix A (nm, nz) or none -> coefficients (..., nkx, nky, nm).
+        """Forward transform of real samples (..., nx_pad, ny_pad, nz_pad), with
+        vertical analysis matrix A (nm, nz_pad), or of levels (..., nx_pad, ny_pad,
+        nm) with none -> coefficients (..., nkx, nky, nm).
 
-        A first maps the nz real z-samples to the nm coefficient levels, which
+        A first maps the real z-samples to the nm coefficient levels, which
         rfft2 then transforms; it gives the ky >= 0 half-plane, which is the
         half-plane layout's output, and ky < 0 follows by conjugation."""
         half = self.spec.N2 + 1
@@ -455,56 +449,25 @@ class Grid:
         spec = rfft2(values, axes=(-3, -2), norm="forward")[..., self.kx_int % values.shape[-3], :half, :]
         return spec if self.full_plane is not None else self._unfold(spec)
 
-    def synth_cos(self, c: np.ndarray, padded: bool = False) -> np.ndarray:
-        """Cosine-series coefficients (..., nkx, nky, nm) -> real samples (..., nx, ny, nz)."""
-        nx, ny, nz = self._grid_shape(padded)
-        return self._synth_h(c, self._vertical[nz][1], nx, ny)
+    def synth_cos(self, c: np.ndarray) -> np.ndarray:
+        """Cosine-series coefficients (..., nkx, nky, nm) -> real samples (..., nx_pad, ny_pad, nz_pad)."""
+        return self._synth_h(c, self._vertical[1])
 
-    def synth_sin(self, s: np.ndarray, padded: bool = False) -> np.ndarray:
+    def synth_sin(self, s: np.ndarray) -> np.ndarray:
         """Sine-series coefficients (index m, entry 0 ignored) -> real samples."""
-        nx, ny, nz = self._grid_shape(padded)
-        return self._synth_h(s, self._vertical[nz][2], nx, ny)
+        return self._synth_h(s, self._vertical[2])
 
-    def synth_cos2d(self, c2: np.ndarray, padded: bool = False) -> np.ndarray:
-        """Horizontal-only synthesis of 2D coefficients (..., nkx, nky) -> (..., nx, ny)."""
-        nx, ny, _ = self._grid_shape(padded)
-        return self._synth_h(c2[..., None], None, nx, ny)[..., 0]
+    def synth_cos2d(self, c2: np.ndarray) -> np.ndarray:
+        """Horizontal-only synthesis of 2D coefficients (..., nkx, nky) -> (..., nx_pad, ny_pad)."""
+        return self._synth_h(c2[..., None], None)[..., 0]
 
     def padded_samples(self, c: np.ndarray) -> "PaddedSamples":
-        """The padded-grid samples of cosine coefficients (..., nkx, nky, nm) from one
-        synthesis: the Hermitian parts of c, dx c and dy c are folded into one
-        ``irfft2`` input and transformed on the nm levels in one call, and
-        ``PaddedSamples`` derives every sample from those levels."""
-        fold = self._fold
-        half, f = self.spec.N2 + 1, fold.shape[1]
-        nx, ny = self.nx_pad, self.ny_pad
-        lead = c.shape[:-3]
-        neg = c.reshape(lead + (self.nkx * self.nky, c.shape[-1]))[..., fold, :]  # c(-k)
-        pos = c[..., :f, :]
-        # (d(k) c(k) + conj(d(-k) c(-k))) / 2 for d = 1, i kx and i ky: the fold of
-        # the spectral derivative, product for product
-        herm = np.empty((3,) + neg.shape, dtype=np.complex128)
-        np.conjugate(neg, out=herm[0])
-        herm[0] += pos
-        for out, (at_k, at_neg) in zip(herm[1:], self._fold_factors):
-            np.multiply(neg, at_neg, out=out)
-            np.conjugate(out, out=out)
-            out += pos * at_k
-        herm *= 0.5
-        buf = np.zeros((3,) + lead + (nx, ny // 2 + 1, c.shape[-1]), dtype=np.complex128)
-        self._place(buf, herm)
-        # the half-plane layout's ky > 0 columns, which need no fold
-        rest = c[..., f:half, :]
-        for out, d in zip(buf[..., f:, :], (1.0, self.ddx, self.ddy[:, f:half])):
-            self._place(out, rest * d)
-        return PaddedSamples(self, irfft2(buf, s=(nx, ny), axes=(-3, -2), norm="forward"))
-
-    @cached_property
-    def _fold_factors(self) -> tuple:
-        """Derivative factors on the folded half-plane columns at k and at -k:
-        (i kx(k), i kx(-k)) and (i ky(k), i ky(-k))."""
-        f = self._fold.shape[1]
-        return (self.ddx, self.ddx[self.negx]), (self.ddy[:, :f], self.ddy[:, self.negy[:f]])
+        """The samples of cosine coefficients (..., nkx, nky, nm) and of their
+        gradients, from one synthesis: ``_synth_h`` transforms the levels of the
+        stack [c, dx c, dy c] in one call, whose fold of dx c and dy c is the
+        spectral derivative's, and ``PaddedSamples`` derives every sample from
+        those levels."""
+        return PaddedSamples(self, self._synth_h(np.stack([c, c * self.ddx, c * self.ddy]), None))
 
     @cached_property
     def _sample_matrices(self) -> tuple:
@@ -512,35 +475,23 @@ class Grid:
         d/dz of the cosines (the sine matrix times -m pi/h), and the vertical
         velocity of a divergence profile, w = -int_{-h}^z div dz' (the sine
         matrix times -h/(m pi), and -(z + h) in the m = 0 column)."""
-        z, C, S, _ = self._vertical[self.nz_pad]
+        z, C, S, _ = self._vertical
         inv = np.zeros(self.nm)
         inv[1:] = self.spec.h / (np.pi * self.m_int[1:])
         W = S * -inv
         W[:, 0] = -(z + self.spec.h)
         return C, S * -self.mz_phys, W
 
-    def grad_samples(self, c: np.ndarray) -> tuple:
-        """Padded-grid samples (dx, dy, dz) of cosine coefficients (..., nkx, nky, nm),
-        each (..., nx, ny, nz): the gradients of ``padded_samples``."""
-        return self.padded_samples(c).grads
-
     def analyze_cos(self, values: np.ndarray) -> np.ndarray:
-        """Real samples (..., nx, ny, nz) -> cosine coefficients (..., nkx, nky, nm),
-        truncated to retained modes.
-
-        Exact for band-limited input; on the padded grid this realises the
-        dealiased projection of pointwise products.
+        """Real samples (..., nx_pad, ny_pad, nz_pad) on the padded grid -> cosine
+        coefficients (..., nkx, nky, nm), truncated to retained modes: exact
+        for band-limited input, and the dealiased projection of pointwise
+        products.  Samples of any other shape raise ``ValueError``.
         """
-        if values.ndim < 3:
-            raise ValueError("expected sample arrays with three trailing grid axes")
-        nx, ny, nz = values.shape[-3:]
-        if nz not in self._vertical or (nx, ny) not in {(self.nx, self.ny), (self.nx_pad, self.ny_pad)}:
-            raise ValueError(
-                f"sample shape {values.shape[-3:]} matches neither the collocation "
-                f"grid {(self.nx, self.ny, self.nz)} nor the padded grid "
-                f"{(self.nx_pad, self.ny_pad, self.nz_pad)}"
-            )
-        return self._analyze_h(values, self._vertical[nz][3])
+        shape = (self.nx_pad, self.ny_pad, self.nz_pad)
+        if values.shape[-3:] != shape:
+            raise ValueError(f"sample shape {values.shape[-3:]} is not the padded grid {shape}")
+        return self._analyze_h(values, self._vertical[3])
 
     def analyze_cos2d(self, values: np.ndarray) -> np.ndarray:
         """Real samples (..., nx, ny) -> 2D coefficients (..., nkx, nky)."""
@@ -608,7 +559,7 @@ class Grid:
         round-off; ``sin_to_cos`` is the exact projection, which those nodes
         do not reproduce.  A sub-grid keeps its parent's nodes, so its D is
         the parent's leading block."""
-        _, _, S, Acos = self._vertical[self.nz_pad]
+        _, _, S, Acos = self._vertical
         return (Acos @ S) * -self.mz_phys
 
     @cached_property
@@ -644,10 +595,9 @@ class Grid:
             return self
         if (N1, N2, M) not in self._subgrids:
             sub = Grid(replace(self.spec, N1=N1, N2=N2, M=M))
-            z, C, S, Acos = self._vertical[self.nz_pad]
+            z, C, S, Acos = self._vertical
             sub.nz_pad = self.nz_pad
-            sub._vertical = {sub.nz: sub._vertical[sub.nz]}
-            sub._vertical[sub.nz_pad] = z, C[:, : sub.nm], S[:, : sub.nm], Acos[: sub.nm]
+            sub._vertical = z, C[:, : sub.nm], S[:, : sub.nm], Acos[: sub.nm]
             index = (sub.kx_int % self.nkx)[:, None], (sub.ky_int % self.nky)[None, :], slice(sub.nm)
             self._subgrids[N1, N2, M] = sub, index
         return self._subgrids[N1, N2, M][0]
@@ -750,10 +700,12 @@ def _apply_vertical(levels: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 class PaddedSamples:
-    """Padded-grid samples of a cosine-coefficient stack c (..., nkx, nky, nm),
-    made by ``Grid.padded_samples`` from the real levels (3, ..., nx, ny, nm) of
-    one synthesis of [c, dx c, dy c].  Each sample applies a vertical matrix
-    (``Grid._sample_matrices``) to those levels when first read:
+    """Padded-grid samples of a cosine-coefficient stack c (..., nkx, nky, nm)
+    and of its gradients, the one route to gradient samples: made by
+    ``Grid.padded_samples`` from the real levels (3, ..., nx_pad, ny_pad, nm)
+    of one ``Grid._synth_h`` call on [c, dx c, dy c].  Each sample applies a
+    vertical matrix (``Grid._sample_matrices``) to those levels when first
+    read:
 
     - ``values``, ``dx`` and ``dy``: the cosine matrix on the three blocks, in one product;
     - ``dz``: the sine matrix times -m pi/h on the levels of c;
@@ -762,8 +714,8 @@ class PaddedSamples:
       dx v1 + dy v2: the sine matrix times -h/(m pi), plus -(z + h) times
       the m = 0 level (zero for a Leray-projected v, up to round-off).
 
-    Every sample is (..., nx, ny, nz) (w drops the component axis), and each
-    row of the leading axes equals its own single call bit for bit."""
+    Every sample is (..., nx_pad, ny_pad, nz_pad) (w drops the component axis),
+    and each row of the leading axes equals its own single call bit for bit."""
 
     def __init__(self, grid: Grid, levels: np.ndarray):
         self.grid = grid
@@ -811,10 +763,10 @@ def build_basis(spec: DomainSpec) -> list:
     return Grid(spec).basis()
 
 
-def to_physical(state: SpectralState, dealias: bool = False) -> PhysicalFields:
+def to_physical(state: SpectralState) -> PhysicalFields:
     g = state.grid
-    v1, v2, T = g.synth_cos(state.coeffs, padded=dealias)
-    return PhysicalFields(g, v1, v2, T, padded=dealias)
+    v1, v2, T = g.synth_cos(state.coeffs)
+    return PhysicalFields(g, v1, v2, T)
 
 
 def to_spectral(fields: PhysicalFields, time: float = 0.0) -> SpectralState:
@@ -921,17 +873,17 @@ def grad3_dz_sq(grid: Grid, coeffs: np.ndarray, comps=(0, 1), mu: float = 1.0, n
 
 
 def norms(state: SpectralState) -> NormBundle:
-    """Spectral H/V/D(A) norms plus dealiased-grid L6 and top-face norms."""
+    """Spectral H/V/D(A) norms plus padded-grid L6 and top-face norms."""
     g = state.grid
-    fields = to_physical(state, dealias=True)
-    w = g.quad_weight(padded=True)
+    fields = to_physical(state)
+    w = g.quad_weight()
     l6 = tuple(float((np.sum(np.abs(f) ** 6) * w) ** (1.0 / 6.0)) for f in (fields.v1, fields.v2, fields.T))
     dz_sq = 0.0
     for c in state.coeffs:
         s = g.dz_to_sin(c)
         dz_sq += float(np.sum(np.abs(s) ** 2 * g.weight_m_sin[None, None, :]))
     # top face z=0: cos(m pi 0 / h) = 1 for every m
-    bnd = g.synth_cos2d(state.coeffs[2].sum(axis=2), padded=True)
+    bnd = g.synth_cos2d(state.coeffs[2].sum(axis=2))
     bnd_l2 = float(np.sqrt(np.sum(bnd**2) * (g.area_h / bnd.size)))
     return NormBundle(
         H=float(np.sqrt(h_norm_sq(state))),

@@ -165,6 +165,18 @@ class TestAprioriSweep:
         res = apriori_sweep(cfg, n_values=(60, 120), n_paths=30, workers=2)
         assert res["pass"], res
 
+    def test_levels_that_snap_to_one_cut_rejected(self, monkeypatch):
+        # at 3^3, n = 41 would split a barotropic velocity pair and snaps to 47
+        cfg = build_solver_config(parse_config_text(_preset_text("example1-small")))
+        assert replace(cfg, n_galerkin=41).n_galerkin == replace(cfg, n_galerkin=47).n_galerkin == 47
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr(experiments, "run_ensemble", no_ensemble)
+        with pytest.raises(ValueError, match="snaps to the cut 47"):
+            apriori_sweep(cfg, n_values=(41, 47), n_paths=30)
+
     def test_small_ensemble_rejected(self, ou_cfg):
         with pytest.raises(ValueError):
             apriori_sweep(ou_cfg, n_values=(10, 20), n_paths=5)

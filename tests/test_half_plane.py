@@ -40,7 +40,7 @@ def test_half_plane_keeps_the_wavenumbers_and_the_padded_grid(full):
     assert full.half_plane() is hp and hp.half_plane() is hp and hp.full_plane is full
     assert (hp.nkx, hp.nky, hp.nm) == (full.nkx, full.spec.N2 + 1, full.nm)
     assert np.array_equal(hp.ky_int, np.arange(full.spec.N2 + 1))
-    assert (hp.nx, hp.ny, hp.nx_pad, hp.ny_pad, hp.nz_pad) == (full.nx, full.ny, full.nx_pad, full.ny_pad, full.nz_pad)
+    assert (hp.nx_pad, hp.ny_pad, hp.nz_pad) == (full.nx_pad, full.ny_pad, full.nz_pad)
     assert hp._vertical is full._vertical
     for name in ("lam", "ddx", "ddy", "ksq_h"):
         assert np.array_equal(getattr(hp, name), getattr(full, name)[:, : hp.nky]), name
@@ -76,7 +76,7 @@ def test_extract_takes_the_hermitian_part(full, rng):
     shape = (2, 3, full.nkx, full.nky, full.nm)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert np.array_equal(full.extract(hp, c), full.enforce_reality(c)[..., : hp.nky, :])
-    assert np.array_equal(hp.synth_cos(full.extract(hp, c), padded=True), full.synth_cos(c, padded=True))
+    assert np.array_equal(hp.synth_cos(full.extract(hp, c)), full.synth_cos(c))
 
 
 def test_enforce_reality_is_the_half_plane_of_the_full_fold(full, rng):
@@ -113,15 +113,12 @@ def test_transforms_match_the_full_plane_bit_for_bit(full, rng):
     assert np.array_equal(s.levels, ref.levels)
     for name in ("values", "dx", "dy", "dz", "w"):
         assert np.array_equal(getattr(s, name), getattr(ref, name)), name
-    for padded in (False, True):
-        assert np.array_equal(hp.synth_cos(half, padded=padded), full.synth_cos(c, padded=padded))
-        assert np.array_equal(hp.synth_sin(half, padded=padded), full.synth_sin(c, padded=padded))
-    assert np.array_equal(hp.synth_cos2d(half[..., 0], padded=True), full.synth_cos2d(c[..., 0], padded=True))
+    assert np.array_equal(hp.synth_cos(half), full.synth_cos(c))
+    assert np.array_equal(hp.synth_sin(half), full.synth_sin(c))
+    assert np.array_equal(hp.synth_cos2d(half[..., 0]), full.synth_cos2d(c[..., 0]))
     # the gradients of one synthesis equal those of separate syntheses
-    assert np.array_equal(s.dx, hp.synth_cos(hp.dx(half), padded=True))
-    assert np.array_equal(s.dy, hp.synth_cos(hp.dy(half), padded=True))
-    for padded in (False, True):
-        nx, ny, nz = full._grid_shape(padded)
-        samples = rng.standard_normal((2, 3, nx, ny, nz))
-        assert np.array_equal(hp.analyze_cos(samples), full.analyze_cos(samples)[..., : hp.nky, :])
+    assert np.array_equal(s.dx, hp.synth_cos(hp.dx(half)))
+    assert np.array_equal(s.dy, hp.synth_cos(hp.dy(half)))
+    samples = rng.standard_normal((2, 3, full.nx_pad, full.ny_pad, full.nz_pad))
+    assert np.array_equal(hp.analyze_cos(samples), full.analyze_cos(samples)[..., : hp.nky, :])
     assert np.array_equal(hp.analyze_cos2d(samples[..., 0]), full.analyze_cos2d(samples[..., 0])[..., : hp.nky])

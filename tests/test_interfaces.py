@@ -1,7 +1,11 @@
 """Configuration parsing, checkpoint containers, CLI behaviour."""
 
+import hashlib
+import importlib
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from stochpe.checkpoint import load_noise, load_state, save_noise, save_state
 from stochpe.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, _preset_text, main
 from stochpe.config import ConfigError, build_solver_config, config_defaults, parse_config_text
 from stochpe.noise import example1_noise, example2_noise
-from stochpe.spectral import h_norm_sq
+from stochpe.spectral import DomainSpec, Grid, h_norm_sq, single_mode_state
 
 
 class TestConfig:
@@ -91,6 +95,20 @@ class TestCheckpoint:
         assert back.grid.spec == grid_small.spec
         np.testing.assert_array_equal(back.coeffs, st.coeffs)
 
+    def test_state_file_bytes_are_pinned(self, tmp_path):
+        # the domain is written as its fields in declaration order; the digest
+        # pins the whole file of this state
+        g = Grid(DomainSpec(L2=4.0, h=1.5, N1=1, N2=1, M=1, mu=0.7, nu=0.3))
+        path = tmp_path / "state.json"
+        save_state(single_mode_state(g, "T", 1, -1, 1, amplitude=0.25, time=0.5), str(path))
+        raw = path.read_bytes()
+        assert raw.startswith(
+            b'{"format": "stochpe-checkpoint", "version": 1, "basis_order": "lambda-lex-v1", '
+            b'"domain": {"L1": 6.283185307179586, "L2": 4.0, "h": 1.5, "N1": 1, "N2": 1, "M": 1, '
+            b'"mu": 0.7, "nu": 0.3}, "time": 0.5, "shape": [3, 3, 3, 2], '
+        )
+        assert hashlib.sha256(raw).hexdigest() == "922e9b670554f0b1b9cb79fc9c705fa2b02b2db60ef3904cccea3da95a2f3586"
+
     def test_domain_mismatch_rejected(self, grid_small, grid_cube, rng, tmp_path):
         st = random_state(grid_small, rng)
         path = str(tmp_path / "state.json")
@@ -107,6 +125,19 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.phi, spec.phi)
         np.testing.assert_array_equal(back.chi, spec.chi)
         np.testing.assert_array_equal(back.alpha, spec.alpha)
+
+
+class TestBenchmarkTracer:
+    def test_every_trace_target_resolves(self):
+        # ``perfbench/run.py --trace 1`` wraps these names and fails on a missing one
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("_stochpe_bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module, attr in (*tracer.TARGETS, tracer.ALLOC_TARGET):
+            importlib.import_module(module)
+            owner, name, original = tracer._resolve(module, attr)
+            assert callable(original) and getattr(owner, name) is original, (module, attr)
 
 
 class TestCLI:

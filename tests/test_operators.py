@@ -103,8 +103,8 @@ class TestVerticalVelocity:
         ix_m = int(np.where(g.kx_int == -1)[0][0])
         st.coeffs[0, ix_p, 0, 1] = -0.5j  # sin = (e^{ix} - e^{-ix}) / 2i
         st.coeffs[0, ix_m, 0, 1] = 0.5j
-        w = vertical_velocity(st, padded=True)
-        x, y, z = g.nodes(padded=True)
+        w = vertical_velocity(st)
+        x, y, z = g.nodes()
         expected = (
             -(2 * np.pi / spec.L1)
             * np.cos(2 * np.pi * x / spec.L1)[:, None, None]
@@ -115,7 +115,7 @@ class TestVerticalVelocity:
         np.testing.assert_allclose(w, expected, atol=1e-13)
 
         # oracle: trapezoid quadrature of -div v from the bottom
-        ph = to_physical(st, dealias=True)
+        ph = to_physical(st)
         dx = spec.L1 / ph.v1.shape[0]
         div = (np.roll(ph.v1, -1, 0) - np.roll(ph.v1, 1, 0)) / (2 * dx)
         zq = np.linspace(-spec.h, 0, 2001)
@@ -137,8 +137,8 @@ class TestVerticalVelocity:
             # w(., ., 0) = -h * div(vbar): zero after projection
             assert np.abs(vertical_velocity_top(st)).max() < 1e-10
             # w(., ., -h) = 0 exactly: all sine modes and the affine part vanish
-            w_grid = vertical_velocity(st, padded=True)
-            x, y, z = g.nodes(padded=True)
+            w_grid = vertical_velocity(st)
+            x, y, z = g.nodes()
             # reconstruct at z=-h by extrapolating the structure: evaluate the
             # depth-integrated divergence per wavevector instead
             div = (

@@ -293,7 +293,7 @@ def test_sigma_coeffs_stack(stack, family, osc):
     assert spec.constant_transport == (osc == 0)
     W = np.random.default_rng(2).standard_normal((len(states), 5, 4))
     rows = sigma_coeffs(spec, c, W)
-    grads = g.grad_samples(c)
+    grads = g.padded_samples(c).grads
     with_grads = sigma_coeffs(spec, c, W, grads)
     for p, st in enumerate(states):
         one = sigma_coeffs(spec, st.coeffs, W[p])
@@ -328,12 +328,12 @@ def _per_state_functionals(state):
     stacked record kernel must reproduce bit for bit."""
     g, c = state.grid, state.coeffs
     spec = g.spec
-    w = g.quad_weight(padded=True)
+    w = g.quad_weight()
     vt = c[:2].copy()
     vt[:, :, :, 0] = 0.0
-    vt1, vt2, Tg = g.synth_cos(np.concatenate([vt, c[2:]]), padded=True)
+    vt1, vt2, Tg = g.synth_cos(np.concatenate([vt, c[2:]]))
     vt_sq = vt1**2 + vt2**2
-    grad_sq = sum((d**2).sum(axis=0) for d in g.grad_samples(vt))
+    grad_sq = sum((d**2).sum(axis=0) for d in g.padded_samples(vt).grads)
     ksq = g.ksq_h[None]
     vbar_sq = np.abs(c[:2, :, :, 0]) ** 2
     vbar_h1_sq = float(np.sum((1.0 + ksq) * vbar_sq) * g.area_h)

@@ -3,7 +3,7 @@
 One synthesis of the levels of [U, dx U, dy U] gives every padded sample the
 step reads.  These tests pin it to the separate syntheses it replaces, to
 the diagnostic vertical velocity, and to per-row bit equality, and count the
-FFT calls of one step and one record.
+FFT calls of one step, one record and one set of depth-split terms.
 """
 
 from functools import cached_property
@@ -17,7 +17,7 @@ from stochpe.config import build_solver_config, parse_config_text
 from stochpe.diagnostics import record_stack
 from stochpe.experiments import run_ensemble
 from stochpe.noise import NoiseSpec
-from stochpe.operators import leray_coeffs, vertical_velocity, vertical_velocity_top
+from stochpe.operators import PhysicsParams, baroclinic_rhs_terms, leray_coeffs, vertical_velocity, vertical_velocity_top
 from stochpe.solver import Stepper, chunk_size, initial_state, record_band, step_grid
 from stochpe.spectral import Grid, SpectralState
 
@@ -58,13 +58,13 @@ def test_samples_match_the_separate_syntheses(grid, rng):
     g = grid
     c = hermitian_stack(g, rng)
     s = g.padded_samples(c)
-    assert_close(s.values, g.synth_cos(c, padded=True), 1e-13)
-    assert_close(s.dx, g.synth_cos(g.dx(c), padded=True), 1e-13)
-    assert_close(s.dy, g.synth_cos(g.dy(c), padded=True), 1e-13)
-    assert_close(s.dz, g.synth_sin(g.dz_to_sin(c), padded=True), 1e-13)
+    assert_close(s.values, g.synth_cos(c), 1e-13)
+    assert_close(s.dx, g.synth_cos(g.dx(c)), 1e-13)
+    assert_close(s.dy, g.synth_cos(g.dy(c)), 1e-13)
+    assert_close(s.dz, g.synth_sin(g.dz_to_sin(c)), 1e-13)
     assert all(np.array_equal(a, b) for a, b in zip(s.grads, (s.dx, s.dy, s.dz)))
     # the gradient syntheses themselves, bit for bit: the fold is the spectral derivative's
-    assert np.array_equal(s.dx, g.synth_cos(np.stack([g.dx(c), g.dy(c)]), padded=True)[0])
+    assert np.array_equal(s.dx, g.synth_cos(np.stack([g.dx(c), g.dy(c)]))[0])
 
 
 @pytest.mark.parametrize("projected", [True, False], ids=["projected", "not-projected"])
@@ -143,6 +143,15 @@ def test_record_makes_one_synthesis(monkeypatch, preset):
     rec = record_stack(cfg.grid, rows, 0.0, np.zeros(2), np.ones(2), band=record_band(cfg))
     assert rec.finite().all()
     assert counts == {"irfft2": 1, "rfft2": 0}
+
+
+def test_split_terms_make_two_syntheses(monkeypatch, grid_small, rng):
+    # one padded_samples of vtilde and one of the lifted vbar give every split term
+    st = SpectralState(grid_small, hermitian_stack(grid_small, rng, P=1, projected=True)[0])
+    counts = spy_transforms(monkeypatch)
+    terms = baroclinic_rhs_terms(st, PhysicsParams(f=0.7, beta_T=0.2))
+    assert counts["irfft2"] == 2
+    assert np.isfinite(terms["baroclinic"]["adv_tilde_tilde"]).all()
 
 
 # -- one restricted noise operator per step grid -----------------------------------

@@ -112,26 +112,25 @@ class TestTransforms:
         np.testing.assert_allclose(ph.v1, expected, atol=1e-14)
         assert not ph.v2.any() and not ph.T.any()
 
-    @pytest.mark.parametrize("dealias", [False, True])
-    def test_round_trip_random(self, grid_small, rng, dealias):
+    def test_round_trip_random(self, grid_small, rng):
         for _ in range(100):
             st = random_state(grid_small, rng)
-            back = to_spectral(to_physical(st, dealias=dealias))
+            back = to_spectral(to_physical(st))
             err = np.abs(back.coeffs - st.coeffs).max()
             assert err < 1e-12 * max(1.0, np.abs(st.coeffs).max())
 
     def test_parseval(self, grid_small, rng):
         for _ in range(20):
             st = random_state(grid_small, rng)
-            ph = to_physical(st, dealias=True)
-            w = grid_small.quad_weight(padded=True)
+            ph = to_physical(st)
+            w = grid_small.quad_weight()
             quad = sum(float(np.sum(f**2)) * w for f in (ph.v1, ph.v2, ph.T))
             assert abs(quad - h_norm_sq(st)) <= 1e-10 * h_norm_sq(st)
 
 
-def _full_synthesis(g, c, V, padded):
+def _full_synthesis(g, c, V):
     """Reference: real part of the full complex inverse transform, field by field."""
-    nx, ny, _ = g._grid_shape(padded)
+    nx, ny = g.nx_pad, g.ny_pad
     out = []
     for field in c.reshape((-1,) + c.shape[-3:]):
         buf = np.zeros((nx, ny, field.shape[-1]), dtype=complex)
@@ -141,63 +140,60 @@ def _full_synthesis(g, c, V, padded):
 
 
 class TestStackedTransforms:
-    @pytest.mark.parametrize("padded", [False, True])
-    def test_stacked_equals_per_field(self, grid_small, rng, padded):
+    def test_stacked_equals_per_field(self, grid_small, rng):
         g = grid_small
         shape = (2, 3, g.nkx, g.nky, g.nm)
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for synth in (g.synth_cos, g.synth_sin):
-            stacked = synth(c, padded=padded)
-            single = np.array([[synth(f, padded=padded) for f in row] for row in c])
+            stacked = synth(c)
+            single = np.array([[synth(f) for f in row] for row in c])
             np.testing.assert_allclose(stacked, single, rtol=0, atol=1e-13)
         samples = rng.standard_normal(stacked.shape)
         single = np.array([[g.analyze_cos(f) for f in row] for row in samples])
         np.testing.assert_allclose(g.analyze_cos(samples), single, rtol=0, atol=1e-15)
         c2 = c[..., 0]
-        single = np.array([[g.synth_cos2d(f, padded=padded) for f in row] for row in c2])
-        np.testing.assert_allclose(g.synth_cos2d(c2, padded=padded), single, rtol=0, atol=1e-13)
+        single = np.array([[g.synth_cos2d(f) for f in row] for row in c2])
+        np.testing.assert_allclose(g.synth_cos2d(c2), single, rtol=0, atol=1e-13)
         s2 = samples[..., 0]
         single = np.array([[g.analyze_cos2d(f) for f in row] for row in s2])
         np.testing.assert_allclose(g.analyze_cos2d(s2), single, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("padded", [False, True])
-    def test_non_hermitian_synthesis_is_real_part(self, grid_small, rng, padded):
+    def test_non_hermitian_synthesis_is_real_part(self, grid_small, rng):
         g = grid_small
-        nz = g._grid_shape(padded)[2]
-        _, C, S, _ = g._vertical[nz]
+        _, C, S, _ = g._vertical
         shape = (3, g.nkx, g.nky, g.nm)
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for synth, V in ((g.synth_cos, C), (g.synth_sin, S)):
-            np.testing.assert_allclose(synth(c, padded=padded), _full_synthesis(g, c, V, padded), atol=1e-13)
+            np.testing.assert_allclose(synth(c), _full_synthesis(g, c, V), atol=1e-13)
         c2 = c[0, :, :, :1]
         np.testing.assert_allclose(
-            g.synth_cos2d(c2[..., 0], padded=padded),
-            _full_synthesis(g, c2, np.ones((1, 1)), padded)[..., 0],
+            g.synth_cos2d(c2[..., 0]),
+            _full_synthesis(g, c2, np.ones((1, 1)))[..., 0],
             atol=1e-13,
         )
 
     def test_analysis_against_full_transform(self, grid_small, rng):
         g = grid_small
-        nx, ny, nz = g._grid_shape(True)
+        nx, ny, nz = g.nx_pad, g.ny_pad, g.nz_pad
         samples = rng.standard_normal((2, nx, ny, nz))
         spec = np.fft.fft2(samples, axes=(1, 2)) / (nx * ny)
-        expected = spec[:, g.kx_int % nx][:, :, g.ky_int % ny] @ g._vertical[nz][3].T
+        expected = spec[:, g.kx_int % nx][:, :, g.ky_int % ny] @ g._vertical[3].T
         np.testing.assert_allclose(g.analyze_cos(samples), expected, atol=1e-15)
 
     def test_grad_samples(self, grid_small, rng):
         g = grid_small
         c = random_state(g, rng).coeffs
-        fx, fy, fz = g.grad_samples(c)
-        np.testing.assert_array_equal(fx, g.synth_cos(np.stack([g.dx(c), g.dy(c)]), padded=True)[0])
-        np.testing.assert_allclose(fy, [g.synth_cos(g.dy(f), padded=True) for f in c], atol=1e-13)
-        np.testing.assert_allclose(fz, [g.synth_sin(g.dz_to_sin(f), padded=True) for f in c], atol=1e-13)
+        fx, fy, fz = g.padded_samples(c).grads
+        np.testing.assert_array_equal(fx, g.synth_cos(np.stack([g.dx(c), g.dy(c)]))[0])
+        np.testing.assert_allclose(fy, [g.synth_cos(g.dy(f)) for f in c], atol=1e-13)
+        np.testing.assert_allclose(fz, [g.synth_sin(g.dz_to_sin(f)) for f in c], atol=1e-13)
 
     @pytest.mark.parametrize("M", [3, 8])
     def test_dz_nodal_is_the_padded_grid_projection(self, rng, M):
         g = Grid(DomainSpec(L1=2 * np.pi, L2=4.0, h=1.5, N1=3, N2=2, M=M, mu=0.7, nu=0.3))
         shape = (3, g.nkx, g.nky, g.nm)
         c = g.enforce_reality(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        on_grid = g.analyze_cos(g.synth_sin(g.dz_to_sin(c), padded=True))
+        on_grid = g.analyze_cos(g.synth_sin(g.dz_to_sin(c)))
         spectral = c @ g.dz_nodal.T
         assert np.abs(spectral - on_grid).max() <= 1e-14 * np.abs(on_grid).max()
         # not the exact projection of the sine profile
@@ -210,6 +206,15 @@ class TestStackedTransforms:
             grid_small.analyze_cos(np.zeros((4, 4)))
         with pytest.raises(ValueError):
             grid_small.analyze_cos(np.zeros((2, 4, 4, 4)))
+
+    def test_only_the_padded_grid_is_analysed(self, grid_small, rng):
+        # a grid has one collocation grid: samples on nkx x (2 N2 + 1) x nm
+        # nodes, or padded horizontally with nm levels, are refused
+        g = grid_small
+        for shape in ((g.nkx, 2 * g.spec.N2 + 1, g.nm), (g.nx_pad, g.ny_pad, g.nm)):
+            with pytest.raises(ValueError, match="padded grid"):
+                g.analyze_cos(rng.standard_normal((3,) + shape))
+        assert g.analyze_cos(rng.standard_normal((3, g.nx_pad, g.ny_pad, g.nz_pad))).shape == (3, g.nkx, g.nky, g.nm)
 
 
 class TestAPower:

@@ -72,7 +72,7 @@ def test_step_grid_holds_the_retained_modes_and_the_noise_support(case):
     assert (g.nx_pad, g.ny_pad, g.nz_pad) < (GRID.nx_pad, GRID.ny_pad, GRID.nz_pad)
     # the vertical cut keeps the padded z nodes; phi and psi of osc 2 sit at m = 2
     assert g.nz_pad == GRID.nz_pad
-    assert np.array_equal(g.nodes(padded=True)[2], GRID.nodes(padded=True)[2])
+    assert np.array_equal(g.nodes()[2], GRID.nodes()[2])
     assert g.spec.M == (2 if case == "example1-osc2" else 1)
     assert np.array_equal(GRID.embed(g, stepper.mask), GRID.rank < cfg.n_galerkin)
     for f in (cfg.noise.phi, cfg.noise.psi):
@@ -180,9 +180,9 @@ def test_vertical_subgrid_keeps_the_padded_vertical_grid():
     assert (sub.nkx, sub.nky, sub.nm, sub.spec.M) == (5, 3, 2, 1)
     # the parent's padded vertical grid, bit for bit: nodes and leading matrix columns
     assert sub.nz_pad == GRID.nz_pad
-    z, C, S, A = sub._vertical[sub.nz_pad]
-    z0, C0, S0, A0 = GRID._vertical[GRID.nz_pad]
-    assert np.array_equal(sub.nodes(padded=True)[2], z0) and np.array_equal(z, z0)
+    z, C, S, A = sub._vertical
+    z0, C0, S0, A0 = GRID._vertical
+    assert np.array_equal(sub.nodes()[2], z0) and np.array_equal(z, z0)
     assert np.array_equal(C, C0[:, :2]) and np.array_equal(S, S0[:, :2]) and np.array_equal(A, A0[:2])
     c = np.random.default_rng(2).standard_normal((2, 3, 5, 3, 2)) + 0j
     full = GRID.embed(sub, c)
@@ -204,9 +204,9 @@ def test_vertical_subgrid_transforms_match_the_parent(M):
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     full = GRID.embed(sub, c)
     pairs = [
-        (sub.synth_cos(c, padded=True), GRID.synth_cos(full, padded=True)),
-        (sub.synth_sin(c, padded=True), GRID.synth_sin(full, padded=True)),
-        *zip(sub.grad_samples(c), GRID.grad_samples(full)),
+        (sub.synth_cos(c), GRID.synth_cos(full)),
+        (sub.synth_sin(c), GRID.synth_sin(full)),
+        *zip(sub.padded_samples(c).grads, GRID.padded_samples(full).grads),
     ]
     samples = rng.standard_normal((2, GRID.nx_pad, GRID.ny_pad, GRID.nz_pad))
     pairs.append((sub.analyze_cos(samples), GRID.extract(sub, GRID.analyze_cos(samples))))
@@ -221,7 +221,7 @@ def test_vertical_subgrid_projects_transport_through_the_same_nodes():
     sub = GRID.subgrid(2, 1, 1)
     rng = np.random.default_rng(3)
     u, psi = (rng.standard_normal((sub.nkx, sub.nky, sub.nm)) + 0j for _ in range(2))
-    mine = sub.analyze_cos(sub.synth_cos(psi, padded=True) * sub.grad_samples(u)[2])
+    mine = sub.analyze_cos(sub.synth_cos(psi) * sub.padded_samples(u).grads[2])
     full_u, full_psi = GRID.embed(sub, u), GRID.embed(sub, psi)
-    parent = GRID.analyze_cos(GRID.synth_cos(full_psi, padded=True) * GRID.grad_samples(full_u)[2])
+    parent = GRID.analyze_cos(GRID.synth_cos(full_psi) * GRID.padded_samples(full_u).grads[2])
     assert_close(mine, GRID.extract(sub, parent), 1e-14)
