@@ -410,8 +410,10 @@ def _transport_grid(spec: NoiseSpec, v: np.ndarray, W: np.ndarray, grads: tuple 
         psi = (W @ spec._psi_grid.reshape(K, -1)).reshape((P, J) + shape)
         samples = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None] + psi[:, :, None] * gz[:, None]
     else:
-        mean = g.padded_samples(_lift(g, v[..., 0]))  # depth mean A3 v
-        gx, gy = mean.dx, mean.dy
+        # the depth mean A3 v is constant in z: the gradient samples of its one
+        # level, from one horizontal synthesis, broadcast along z
+        mean = v[..., 0]
+        gx, gy = g.synth_cos2d(np.stack([mean * g.ddx[..., 0], mean * g.ddy[..., 0]]))[..., None]
         samples = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None]
     return g.analyze_cos(samples)
 

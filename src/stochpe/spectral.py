@@ -24,22 +24,36 @@ nodes with 2*nz > 3*M); every transform, product and quadrature runs on it.
 Sixth-degree quadratures of states in a narrower band run on that band's
 ``Grid.record_grid``, which is exact for them.
 
-Transforms are real-to-complex (``scipy.fft.rfft2``/``irfft2`` over the two
-horizontal axes) and act on stacks: coefficients (..., nkx, nky, nm) map to
-samples (..., nx_pad, ny_pad, nz_pad) in one call.  Only the ky >= 0
-half-plane is transformed.  Synthesis returns the real part of the full
-inverse transform for any input, by folding the Hermitian part
-(c(k) + conj c(-k))/2 onto the half-plane; analysis rebuilds ky < 0 by
-conjugation.  The horizontal FFTs run over the nm coefficient levels, never
-over more padded z-levels, and the vertical cosine or sine matrix acts on
-the real samples: synthesis transforms first and then applies the matrix,
-analysis applies it first.
+Transforms are real-to-complex matrix products over the two horizontal axes
+and act on stacks: coefficients (..., nkx, nky, nm) map to samples (...,
+nx_pad, ny_pad, nz_pad) in one call.  Only the ky >= 0 half-plane is
+transformed.  Synthesis returns the real part of the full inverse transform
+for any input, by folding the Hermitian part (c(k) + conj c(-k))/2 onto the
+half-plane; analysis rebuilds ky < 0 by conjugation.  Each grid caches two
+matrices per direction (``Grid._horizontal``), built from the integer
+phases j*k mod n: a complex x matrix (nx_pad x nkx) and a real y matrix
+(ny_pad x 2(N2 + 1)) that acts on the real and imaginary parts of the
+columns ky = 0..N2 and counts each ky > 0 column for its conjugate.
+Synthesis applies the x matrix and then the y matrix, analysis the y matrix
+and then the x matrix.  The horizontal products run over the nm coefficient
+levels, never over more padded z-levels, and the vertical cosine or sine
+matrix acts on the real samples: synthesis transforms first and then
+applies the matrix, analysis applies it first.
+
+A matrix transform of one N x N level costs O(N^3) operations where an FFT
+costs O(N^2 log N).  The transforms that run are small: step grids of 4 x 4
+to 10 x 14 samples and record grids of at most 25 x 25, with N <= 8 in every
+preset and test.  There pocketfft's per-call overhead dominates, and two
+matrix products per grid are faster, still at N = 16 (Boyd, *Chebyshev and
+Fourier Spectral Methods*, 2001, ch. 10); the matrices would fall behind
+somewhere beyond N = 16, where nothing runs today.  The padded sizes stay
+the 11-smooth ones an FFT would take (``next_fast_len``).
 
 A grid has two coefficient layouts.  The full layout holds every signed ky;
 its ``Grid.half_plane`` holds ky = 0..N2 only, each conjugate pair of a real
 field once, with the same wavenumbers, padded grid and vertical matrices.
 On the half-plane, synthesis folds only the ky = 0 column, analysis returns
-the rfft2 half-plane as it is, the reality fold acts on the ky = 0 column, and
+the ky >= 0 half-plane as it is, the reality fold acts on the ky = 0 column, and
 Parseval sums count each ky > 0 mode twice (``Grid.parseval_weight``).  Its
 samples and coefficients then equal the full layout's bit for bit on
 conjugate-symmetric input, and every per-mode operator gives the full
@@ -61,7 +75,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
 
 FIELDS = ("v1", "v2", "T")
 
@@ -397,22 +410,33 @@ class Grid:
         """Full-layout coefficients (..., nkx, nky, nm) from their ky >= 0 half-plane
         (..., nkx, half, nm): ky < 0 follows by conjugation, c(-k) = conj c(k)."""
         half = self.spec.N2 + 1
-        unfold = self.negx[:, None] * half - self.ky_int[None, half:]  # flat half-plane index of -k
-        lead = half_coeffs.shape[:-3]
-        out = np.empty(lead + (self.nkx, self.nky, half_coeffs.shape[-1]), dtype=half_coeffs.dtype)
+        out = np.empty(half_coeffs.shape[:-2] + (self.nky, half_coeffs.shape[-1]), dtype=half_coeffs.dtype)
         out[..., :half, :] = half_coeffs
-        out[..., half:, :] = np.conj(half_coeffs.reshape(lead + (self.nkx * half, -1))[..., unfold, :])
+        out[..., half:, :] = np.conj(half_coeffs[..., self.negx[:, None], -self.ky_int[None, half:], :])
         return out
 
-    def _place(self, buf: np.ndarray, herm: np.ndarray):
-        """Write half-plane coefficients (..., nkx, n, nm) into the leading n
-        columns of the zeroed ``irfft2`` input ``buf`` (..., nx, ny // 2 + 1, nm):
-        the kx >= 0 rows first, the kx < 0 rows at the end of the axis."""
-        n = herm.shape[-2]
-        n1 = self.spec.N1 + 1
-        nx = buf.shape[-3]
-        buf[..., :n1, :n, :] = herm[..., :n1, :, :]
-        buf[..., nx - n1 + 1 :, :n, :] = herm[..., n1:, :, :]
+    @cached_property
+    def _horizontal(self) -> tuple:
+        """The horizontal transform matrices, built from integer phases j*k mod n:
+
+        - x synthesis (nx_pad, nkx): exp(2 pi i j kx / nx_pad);
+        - y synthesis (ny_pad, 2 half): the real part of the ky >= 0 series, acting
+          on the interleaved real and imaginary parts of the columns ky = 0..N2,
+          with each ky > 0 column counted for its conjugate (weight 2);
+        - y analysis (ny_pad, 2 half) and x analysis (nkx, nx_pad): the forward
+          transforms, with their 1/N normalisation, to the same columns.
+
+        A half-plane shares its full layout's matrices."""
+        if self.full_plane is not None:
+            return self.full_plane._horizontal
+        half = self.spec.N2 + 1
+        ex = _phases(self.nx_pad, self.kx_int)
+        ey = _phases(self.ny_pad, np.arange(half))
+        weight = np.full(half, 2.0)
+        weight[0] = 1.0
+        y_synth = np.stack([ey.real * weight, -ey.imag * weight], axis=-1).reshape(self.ny_pad, 2 * half)
+        y_analysis = np.stack([ey.real, -ey.imag], axis=-1).reshape(self.ny_pad, 2 * half) / self.ny_pad
+        return ex, y_synth, ex.conj().T / self.nx_pad, y_analysis
 
     def _synth_h(self, c: np.ndarray, V: np.ndarray | None) -> np.ndarray:
         """Real part of the synthesis of coefficients (..., nkx, nky, nm) with vertical
@@ -420,19 +444,27 @@ class Grid:
         or the levels (..., nx_pad, ny_pad, nm) without V.
 
         The real part is the transform of the Hermitian part (c(k) + conj c(-k))/2,
-        formed on the ky >= 0 half-plane and synthesised by irfft2 on the nm
-        coefficient levels; V then maps the levels to the real z-samples.  On
-        the half-plane layout only the ky = 0 column is folded: its ky > 0 columns
-        are their own Hermitian part.
+        formed on the ky >= 0 half-plane: the x matrix maps its kx rows to the
+        nx_pad samples, and the real y matrix maps the real and imaginary parts
+        of its columns to the ny_pad real samples, on the nm coefficient levels;
+        V then maps the levels to the real z-samples.  On the half-plane layout
+        only the ky = 0 column is folded: its ky > 0 columns are their own
+        Hermitian part.
         """
         half = self.spec.N2 + 1
-        nx, ny = self.nx_pad, self.ny_pad
+        ex, y_synth, _, _ = self._horizontal
         herm = self._folded(c)
         f = herm.shape[-2]
-        buf = np.zeros(c.shape[:-3] + (nx, ny // 2 + 1, c.shape[-1]), dtype=np.complex128)
-        self._place(buf, herm)
-        self._place(buf[..., f:, :], c[..., f:half, :])
-        levels = irfft2(buf, s=(nx, ny), axes=(-3, -2), norm="forward")
+        lead, nm = c.shape[:-3], c.shape[-1]
+        # the half-plane with the levels before the columns, so that the y matrix
+        # acts on the contiguous real and imaginary parts of each level's columns
+        plane = np.empty(lead + (self.nkx, nm, half), dtype=np.complex128)
+        columns = plane.swapaxes(-1, -2)
+        columns[..., :f, :] = herm
+        columns[..., f:, :] = c[..., f:half, :]
+        rows = ex @ plane.reshape((-1, self.nkx, nm * half))
+        levels = rows.view(np.float64).reshape(-1, 2 * half) @ y_synth.T
+        levels = np.ascontiguousarray(levels.reshape(lead + (self.nx_pad, nm, self.ny_pad)).swapaxes(-1, -2))
         return levels if V is None else _apply_vertical(levels, V)
 
     def _analyze_h(self, values: np.ndarray, A: np.ndarray | None) -> np.ndarray:
@@ -440,14 +472,21 @@ class Grid:
         vertical analysis matrix A (nm, nz_pad), or of levels (..., nx_pad, ny_pad,
         nm) with none -> coefficients (..., nkx, nky, nm).
 
-        A first maps the real z-samples to the nm coefficient levels, which
-        rfft2 then transforms; it gives the ky >= 0 half-plane, which is the
-        half-plane layout's output, and ky < 0 follows by conjugation."""
+        A first maps the real z-samples to the nm coefficient levels; the real y
+        matrix then maps each level's ny_pad samples to the real and imaginary
+        parts of the columns ky = 0..N2, and the x matrix the nx_pad rows to the
+        kx rows.  That is the ky >= 0 half-plane, the half-plane layout's
+        output; ky < 0 follows by conjugation."""
+        if np.iscomplexobj(values):
+            raise TypeError("samples must be real")
         half = self.spec.N2 + 1
-        if A is not None:
-            values = _apply_vertical(values, A)
-        spec = rfft2(values, axes=(-3, -2), norm="forward")[..., self.kx_int % values.shape[-3], :half, :]
-        return spec if self.full_plane is not None else self._unfold(spec)
+        _, _, ex_analysis, y_analysis = self._horizontal
+        levels = values if A is None else _apply_vertical(values, A)
+        lead, nm = levels.shape[:-3], levels.shape[-1]
+        columns = np.ascontiguousarray(levels.swapaxes(-1, -2)).reshape(-1, self.ny_pad) @ y_analysis
+        plane = ex_analysis @ columns.view(np.complex128).reshape((-1, self.nx_pad, nm * half))
+        plane = plane.reshape(lead + (self.nkx, nm, half)).swapaxes(-1, -2)
+        return np.ascontiguousarray(plane) if self.full_plane is not None else self._unfold(plane)
 
     def synth_cos(self, c: np.ndarray) -> np.ndarray:
         """Cosine-series coefficients (..., nkx, nky, nm) -> real samples (..., nx_pad, ny_pad, nz_pad)."""
@@ -691,6 +730,26 @@ class Grid:
 
     def zero_state(self, time: float = 0.0) -> SpectralState:
         return SpectralState(self, np.zeros((3, self.nkx, self.nky, self.nm), dtype=np.complex128), time)
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 11-smooth integer (prime factors 2, 3, 5, 7, 11) >= n >= 1,
+    as ``scipy.fft.next_fast_len`` gives it: the padded size of both horizontal axes."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def _phases(n: int, k: np.ndarray) -> np.ndarray:
+    """exp(2 pi i j k / n) for the samples j = 0..n-1 and wavenumbers k: (n, len(k)),
+    from the integer phases j*k mod n."""
+    return np.exp(2j * np.pi * (np.outer(np.arange(n), k) % n) / n)
 
 
 def _apply_vertical(levels: np.ndarray, V: np.ndarray) -> np.ndarray:

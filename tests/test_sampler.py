@@ -3,7 +3,8 @@
 One synthesis of the levels of [U, dx U, dy U] gives every padded sample the
 step reads.  These tests pin it to the separate syntheses it replaces, to
 the diagnostic vertical velocity, and to per-row bit equality, and count the
-FFT calls of one step, one record and one set of depth-split terms.
+synthesis and analysis calls of one step, one record and one set of depth-split
+terms.
 """
 
 from functools import cached_property
@@ -11,7 +12,6 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from stochpe import spectral
 from stochpe.cli import _preset_text
 from stochpe.config import build_solver_config, parse_config_text
 from stochpe.diagnostics import record_stack
@@ -99,15 +99,17 @@ def test_rows_equal_their_single_calls(grid, rng):
 
 
 def spy_transforms(monkeypatch) -> dict:
-    """Count the ``irfft2`` (synthesis) and ``rfft2`` (analysis) calls of ``stochpe.spectral``."""
-    counts = {"irfft2": 0, "rfft2": 0}
-    for name in counts:
+    """Count the calls of the synthesis and analysis kernels, ``Grid._synth_h`` and
+    ``Grid._analyze_h``, through which every transform runs."""
+    counts = {"synth": 0, "analyze": 0}
+    for name, key in (("_synth_h", "synth"), ("_analyze_h", "analyze")):
+        kernel = getattr(Grid, name)
 
-        def spy(*args, _f=getattr(spectral, name), _n=name, **kwargs):
-            counts[_n] += 1
-            return _f(*args, **kwargs)
+        def spy(self, *args, _f=kernel, _k=key):
+            counts[_k] += 1
+            return _f(self, *args)
 
-        monkeypatch.setattr(spectral, name, spy)
+        monkeypatch.setattr(Grid, name, spy)
     return counts
 
 
@@ -120,6 +122,8 @@ def spy_transforms(monkeypatch) -> dict:
         ("example1-small", True, 1, 1),
         # additive noise and no advection: no transform
         ("ou-single-mode", True, 0, 0),
+        # family 2: the advection's synthesis, and one of the depth mean's gradients
+        ("example2-small", True, 2, 2),
     ],
 )
 def test_step_transform_count(monkeypatch, preset, track_ito, synth, analyses):
@@ -131,7 +135,7 @@ def test_step_transform_count(monkeypatch, preset, track_ito, synth, analyses):
     counts = spy_transforms(monkeypatch)
     new, _, _ = stepper.advance(c, np.ones(3), dW)
     assert np.isfinite(new).all()
-    assert counts == {"irfft2": synth, "rfft2": analyses}
+    assert counts == {"synth": synth, "analyze": analyses}
 
 
 @pytest.mark.parametrize("preset", ["example1-small", "smallnoise-888"])
@@ -142,7 +146,7 @@ def test_record_makes_one_synthesis(monkeypatch, preset):
     counts = spy_transforms(monkeypatch)
     rec = record_stack(cfg.grid, rows, 0.0, np.zeros(2), np.ones(2), band=record_band(cfg))
     assert rec.finite().all()
-    assert counts == {"irfft2": 1, "rfft2": 0}
+    assert counts == {"synth": 1, "analyze": 0}
 
 
 def test_split_terms_make_two_syntheses(monkeypatch, grid_small, rng):
@@ -150,7 +154,7 @@ def test_split_terms_make_two_syntheses(monkeypatch, grid_small, rng):
     st = SpectralState(grid_small, hermitian_stack(grid_small, rng, P=1, projected=True)[0])
     counts = spy_transforms(monkeypatch)
     terms = baroclinic_rhs_terms(st, PhysicsParams(f=0.7, beta_T=0.2))
-    assert counts["irfft2"] == 2
+    assert counts["synth"] == 2
     assert np.isfinite(terms["baroclinic"]["adv_tilde_tilde"]).all()
 
 

@@ -1,5 +1,10 @@
 """Spectral core: basis enumeration, transforms, fractional powers, projections."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +22,9 @@ from stochpe import (
     to_spectral,
 )
 from stochpe.operators import leray_coeffs
-from stochpe.spectral import da_norm_sq, h_norm_sq, sq_norms, v_norm_sq
+from stochpe.spectral import da_norm_sq, h_norm_sq, next_fast_len, sq_norms, v_norm_sq
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fd_dissipation_eigenvalue(spec, kx, ky, m, n=128, nz=201):
@@ -215,6 +222,89 @@ class TestStackedTransforms:
             with pytest.raises(ValueError, match="padded grid"):
                 g.analyze_cos(rng.standard_normal((3,) + shape))
         assert g.analyze_cos(rng.standard_normal((3, g.nx_pad, g.ny_pad, g.nz_pad))).shape == (3, g.nkx, g.nky, g.nm)
+
+
+# -- the matrix transforms against numpy's FFTs -------------------------------------
+
+TRANSFORM_GRIDS = {
+    "anisotropic": lambda: Grid(DomainSpec(L1=2 * np.pi, L2=4.0, h=1.5, N1=3, N2=2, M=3, mu=0.7, nu=0.3)),
+    "N1=0": lambda: Grid(DomainSpec(N1=0, N2=3, M=2)),
+    "N2=0": lambda: Grid(DomainSpec(N1=3, N2=0, M=2)),
+    "sub-grid": lambda: Grid(DomainSpec(L2=3.0, N1=5, N2=4, M=3)).subgrid(2, 3, 1),
+}
+
+
+def _index(k_int, k):
+    return int(np.flatnonzero(k_int == k)[0])
+
+
+def _hermitian_half_plane(g, c):
+    """Reference: the ky = 0..N2 columns of the Hermitian part of c, entry by
+    entry; on the half-plane layout the ky > 0 columns are the stored modes of
+    their pairs."""
+    half = g.spec.N2 + 1
+    out = np.empty(c.shape[:-2] + (half, c.shape[-1]), dtype=complex)
+    for i, kx in enumerate(g.kx_int):
+        for ky in range(half):
+            j = _index(g.ky_int, ky)
+            if g.full_plane is not None and ky > 0:
+                out[..., i, ky, :] = c[..., i, j, :]
+            else:
+                partner = c[..., _index(g.kx_int, -kx), _index(g.ky_int, -ky), :]
+                out[..., i, ky, :] = 0.5 * (c[..., i, j, :] + np.conj(partner))
+    return out
+
+
+@pytest.mark.parametrize("layout", ["full", "half-plane"])
+@pytest.mark.parametrize("name", list(TRANSFORM_GRIDS))
+def test_matrix_transforms_match_numpy_fft(name, layout, rng):
+    full = TRANSFORM_GRIDS[name]()
+    g = full if layout == "full" else full.half_plane()
+    nx, ny, half = g.nx_pad, g.ny_pad, g.spec.N2 + 1
+    shape = (2, 3, g.nkx, g.nky, g.nm)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    buf = np.zeros(shape[:2] + (nx, ny // 2 + 1, g.nm), dtype=complex)
+    buf[..., g.kx_int % nx, :half, :] = _hermitian_half_plane(g, c)
+    expected = np.fft.irfft2(buf, s=(nx, ny), axes=(-3, -2), norm="forward")
+    levels = g._synth_h(c, None)
+    assert np.abs(levels - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    samples = rng.standard_normal(shape[:2] + (nx, ny, g.nm))
+    plane = np.fft.rfft2(samples, axes=(-3, -2), norm="forward")[..., g.kx_int % nx, :half, :]
+    expected = plane if g.full_plane is not None else full._unfold(plane)
+    coeffs = g._analyze_h(samples, None)
+    assert coeffs.shape == shape
+    assert np.abs(coeffs - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_complex_samples_are_refused(grid_small, rng):
+    g = grid_small
+    samples = rng.standard_normal((2, g.nx_pad, g.ny_pad, g.nz_pad)) * (1 + 1j)
+    with pytest.raises(TypeError, match="real"):
+        g.analyze_cos(samples)
+    with pytest.raises(TypeError, match="real"):
+        g.analyze_cos2d(samples[..., 0])
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    assert [next_fast_len(n) for n in range(1, 1025)] == [scipy_next_fast_len(n) for n in range(1, 1025)]
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, stochpe, stochpe.cli, stochpe.experiments; print('scipy.fft' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "False"
 
 
 class TestAPower:
