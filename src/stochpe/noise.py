@@ -39,6 +39,7 @@ import numpy as np
 from .operators import _lift, leray_coeffs, leray_project
 from .spectral import (
     Grid,
+    PaddedSamples,
     SpectralState,
     add_cos_mode,
     da_norm_sq,
@@ -190,6 +191,13 @@ class NoiseSpec:
         return not self.transport_support.ravel()[1:].any()
 
     @cached_property
+    def reads_samples(self) -> bool:
+        """True when the columns need U's own ``Grid.padded_samples``, which a step
+        then makes even with advection off: family 1 with varying phi or psi.
+        Family 2 reads its m = 0 level when given them, and synthesises it otherwise."""
+        return self.family == "example1" and not self.constant_transport
+
+    @cached_property
     def is_additive(self) -> bool:
         """True when the operator does not depend on the state at all."""
         return (
@@ -335,9 +343,7 @@ def additive_single_mode_noise(
 # -- applying the operator -----------------------------------------------------
 
 
-def apply_sigma(
-    spec: NoiseSpec, state: SpectralState, weights: np.ndarray | None = None, grads: tuple | None = None
-) -> list:
+def apply_sigma(spec: NoiseSpec, state: SpectralState, weights: np.ndarray | None = None) -> list:
     """Noise columns sigma(U) e_k as projected spectral states.
 
     With a (J, K) ``weights`` matrix W the J states sum_k W_jk sigma(U) e_k are
@@ -346,58 +352,54 @@ def apply_sigma(
     g = spec.grid
     if g is not state.grid and g.lam.shape != state.grid.lam.shape:
         raise ValueError("noise specification and state resolution mismatch")
-    return [SpectralState(g, c, state.time) for c in sigma_coeffs(spec, state.coeffs, weights, grads)]
+    W = np.eye(spec.K) if weights is None else np.asarray(weights, dtype=float)
+    if W.ndim != 2 or W.shape[1] != spec.K:
+        raise ValueError(f"weights must have shape (J, {spec.K})")
+    return [SpectralState(g, c, state.time) for c in sigma_coeffs(spec, state.coeffs[None], W[None])[0]]
 
 
 def sigma_coeffs(
-    spec: NoiseSpec, coeffs: np.ndarray, weights: np.ndarray | None = None, grads: tuple | None = None
+    spec: NoiseSpec, coeffs: np.ndarray, weights: np.ndarray | None = None, samples: PaddedSamples | None = None
 ) -> np.ndarray:
-    """``apply_sigma`` on state coefficients: the J rows as one projected (J, 3, nkx, nky, nm)
-    array (the operator is linear in W).  The transport part of every row is formed in
-    one piece: in spectral space with no transform when phi and psi are constant
-    (``NoiseSpec.constant_transport``), otherwise on the padded grid and analysed in one
-    transform.  ``grads``, the gradient samples (dx, dy, dz) of ``coeffs``
-    (the ``PaddedSamples.grads`` of ``Grid.padded_samples``), skip their
-    synthesis for family 1 on the grid; the step passes those of the one
-    ``Grid.padded_samples`` call it shares with the advection.  The spectral
-    form does not read them.
-
-    With a leading path axis, coefficients (P, 3, nkx, nky, nm) and weights (P, J, K)
-    (and grads of the stack) give rows (P, J, 3, nkx, nky, nm); each path's rows
-    equal its own single call bit for bit.  The cost is linear in J: the step
-    passes the K identity rows under ``track_ito`` and derives the increment
-    from those columns, and one row of weights dW otherwise
+    """``apply_sigma`` on a stack: coefficients (P, 3, nkx, nky, nm) and weights
+    (P, J, K), the K identity rows by default, give the projected rows
+    (P, J, 3, nkx, nky, nm); each path's rows equal its own P = 1 call bit for
+    bit.  The transport part of every row is formed in one piece: in spectral
+    space with no transform when phi and psi are constant
+    (``NoiseSpec.constant_transport``), otherwise on the padded grid and
+    analysed in one transform, reading ``samples``, the stacked
+    ``Grid.padded_samples`` of ``coeffs``, when given (the step shares its own
+    with the advection).  The cost is linear in J: the step passes the K
+    identity rows under ``track_ito``, and one row of weights dW otherwise
     (``Stepper.noise_increment``)."""
     g = spec.grid
     K = spec.K
-    single = coeffs.ndim == 4
-    W = np.eye(K) if weights is None else np.asarray(weights, dtype=float)
-    if single:
-        if W.ndim != 2 or W.shape[1] != K:
-            raise ValueError(f"weights must have shape (J, {K})")
-        coeffs, W = coeffs[None], W[None]
-        grads = None if grads is None else tuple(a[None] for a in grads)
-    elif W.ndim != 3 or W.shape[0] != coeffs.shape[0] or W.shape[2] != K:
-        raise ValueError(f"weights must have shape ({coeffs.shape[0]}, J, {K})")
-    P, J = W.shape[:2]
+    P = len(coeffs)
+    W = np.broadcast_to(np.eye(K), (P, K, K)) if weights is None else np.asarray(weights, dtype=float)
+    if W.ndim != 3 or W.shape[0] != P or W.shape[2] != K:
+        raise ValueError(f"weights must have shape ({P}, J, {K})")
+    J = W.shape[1]
     rows = np.zeros((P, J) + coeffs.shape[1:], dtype=np.complex128)
     if spec.family != "zero":
         n = 3 if spec.include_temperature else 2
         if spec.constant_transport:
             rows[:, :, :n] = _transport_spectral(spec, coeffs[:, :n], W)
         else:
-            rows[:, :, :n] = _transport_grid(spec, coeffs[:, :n], W, grads)
+            rows[:, :, :n] = _transport_grid(spec, coeffs[:, :n], W, samples)
         linear = (W @ spec.alpha)[:, :, None, None, None, None] * coeffs[:, None, :n]
         linear[:, :, :2] += (W @ spec.chi.reshape(K, -1)).reshape((P, J) + spec.chi.shape[1:])
         rows[:, :, :n] += linear
         rows = leray_coeffs(g, rows)
-    return rows[0] if single else rows
+    return rows
 
 
-def _transport_grid(spec: NoiseSpec, v: np.ndarray, W: np.ndarray, grads: tuple | None) -> np.ndarray:
+def _transport_grid(spec: NoiseSpec, v: np.ndarray, W: np.ndarray, samples: PaddedSamples | None) -> np.ndarray:
     """Transport part (P, J, n, nkx, nky, nm) of the rows for the transported
     components v (P, n, nkx, nky, nm) and weights W (P, J, K): the weighted
-    products formed on the padded grid and analysed in one transform."""
+    products formed on the padded grid and analysed in one transform.  The
+    gradients are read from ``samples`` (of a stack whose leading n components
+    are v), or else from one ``Grid.padded_samples`` here; family 2's, of the
+    depth mean A3 v, are the m = 0 level of the dx and dy blocks, constant in z."""
     g = spec.grid
     K = spec.K
     P, J = W.shape[:2]
@@ -406,16 +408,14 @@ def _transport_grid(spec: NoiseSpec, v: np.ndarray, W: np.ndarray, grads: tuple 
     shape = spec._psi_grid.shape[1:]
     phi = (W @ spec._phi_grid.reshape(K, -1)).reshape((P, J, 2) + shape)
     if spec.family == "example1":
-        gx, gy, gz = g.padded_samples(v).grads if grads is None else (a[:, :n] for a in grads)
+        gx, gy, gz = (a[:, :n] for a in (g.padded_samples(v) if samples is None else samples).grads)
         psi = (W @ spec._psi_grid.reshape(K, -1)).reshape((P, J) + shape)
-        samples = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None] + psi[:, :, None] * gz[:, None]
+        products = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None] + psi[:, :, None] * gz[:, None]
     else:
-        # the depth mean A3 v is constant in z: the gradient samples of its one
-        # level, from one horizontal synthesis, broadcast along z
-        mean = v[..., 0]
-        gx, gy = g.synth_cos2d(np.stack([mean * g.ddx[..., 0], mean * g.ddy[..., 0]]))[..., None]
-        samples = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None]
-    return g.analyze_cos(samples)
+        levels = (g.padded_samples(v[..., :1]) if samples is None else samples).levels
+        gx, gy = levels[1][:, :n, ..., :1], levels[2][:, :n, ..., :1]
+        products = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None]
+    return g.analyze_cos(products)
 
 
 def _transport_spectral(spec: NoiseSpec, v: np.ndarray, W: np.ndarray) -> np.ndarray:

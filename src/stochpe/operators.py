@@ -207,18 +207,11 @@ def trilinear_b(U: SpectralState, Usharp: SpectralState, Uflat: SpectralState) -
     return float(np.sum(samples * g.synth_cos(flat.coeffs))) * g.quad_weight()
 
 
-def bilinear_B(
-    U: SpectralState, Usharp: SpectralState | None = None, samples: PaddedSamples | None = None
-) -> SpectralState:
-    """Dealiased spectral advection term, projected onto the constrained space.
-
-    ``samples``, the ``Grid.padded_samples`` of Usharp's coefficients (U's by
-    default), skip their synthesis when the caller already has them."""
+def bilinear_B(U: SpectralState, Usharp: SpectralState | None = None) -> SpectralState:
+    """Dealiased spectral advection term, projected onto the constrained space."""
     g = U.grid
-    if samples is not None:
-        samples = PaddedSamples(g, samples.levels[:, None])  # as the samples of a one-path stack
     target = None if Usharp is None else Usharp.coeffs[None]
-    return SpectralState(g, advection_coeffs(g, U.coeffs[None], target, samples)[0], U.time)
+    return SpectralState(g, advection_coeffs(g, U.coeffs[None], target)[0], U.time)
 
 
 def advection_coeffs(
@@ -326,14 +319,17 @@ def baroclinic_rhs_terms(state: SpectralState, physics: PhysicsParams) -> dict:
     entries 3D velocity coefficient arrays (2, nkx, nky, nm).  Terms carry
     their natural sign (the transported quantity itself); the tendency
     assembly with signs lives in ``recombine_split_rhs``.  Every sample is
-    read from one ``Grid.padded_samples`` each of vtilde and of the lifted
-    vbar.
+    read from one ``Grid.padded_samples`` of v, split by level: vtilde is
+    every level but m = 0, the lifted vbar the m = 0 level alone.
     """
     g = state.grid
     split = mode_split(state)
     vtilde = split.vtilde
-    vt = g.padded_samples(vtilde)
-    vb = g.padded_samples(_lift(g, split.vbar))
+    levels = g.padded_samples(state.coeffs[:2]).levels
+    mean = np.zeros_like(levels)
+    mean[..., 0] = levels[..., 0]
+    levels[..., 0] = 0.0
+    vt, vb = PaddedSamples(g, levels), PaddedSamples(g, mean)
 
     def hadv(adv: PaddedSamples, target: PaddedSamples) -> np.ndarray:
         """Horizontal-only advection samples (v.grad)X, no vertical transport."""

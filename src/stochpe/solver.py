@@ -308,12 +308,8 @@ class Stepper:
         # with their squared H norms (K,)
         self._static_cols = self.static_sq = None
         if cfg.noise.family != "zero" and cfg.noise.is_additive:
-            self._static_cols = sigma_coeffs(self.noise, np.zeros_like(self.c0)) * self.mask
+            self._static_cols = sigma_coeffs(self.noise, np.zeros_like(self.c0)[None])[0] * self.mask
             self.static_sq = _parseval_sq(g, self._static_cols)
-        # family 1 with varying phi, psi transports with the gradient samples of U itself
-        self._noise_uses_grads = (
-            cfg.noise.family == "example1" and self._static_cols is None and not self.noise.constant_transport
-        )
         # the aggregate linear term vanishes identically in this configuration
         self._skip_forcing = (
             cfg.forcing is None
@@ -337,7 +333,7 @@ class Stepper:
             return cutoff_theta(dist, self.kappa)
         return np.ones(len(dist))
 
-    def noise_increment(self, coeffs: np.ndarray, dW: np.ndarray, grads: tuple | None):
+    def noise_increment(self, coeffs: np.ndarray, dW: np.ndarray, samples: PaddedSamples | None):
         """Masked increments sum_k sigma(U) e_k dW_k of the rows (P, 3, nkx', nky', nm'),
         for weights dW (P, K), and the masked columns (P, K, 3, nkx', nky', nm');
         (None, None) for zero noise.
@@ -348,9 +344,8 @@ class Stepper:
         increments are then the dW-weighted sum of the columns, one formula for
         both.  Without it, state-dependent noise forms only the increments, as
         one ``sigma_coeffs`` row with weights dW, and no columns (None): K
-        columns would cost K analyses on the grid.  Family 1 with varying phi,
-        psi reads the shared gradient samples ``grads``, constant fields and
-        family 2 do not."""
+        columns would cost K analyses on the grid.  Transport noise with
+        varying phi or psi reads the rows' ``samples`` when the step has them."""
         cfg = self.cfg
         K = cfg.noise.K
         if cfg.noise.family == "zero":
@@ -358,10 +353,10 @@ class Stepper:
         if self._static_cols is not None:
             cols = np.broadcast_to(self._static_cols, (len(dW),) + self._static_cols.shape)
         elif cfg.track_ito:
-            cols = sigma_coeffs(self.noise, coeffs, np.broadcast_to(np.eye(K), (len(dW), K, K)), grads)
+            cols = sigma_coeffs(self.noise, coeffs, np.broadcast_to(np.eye(K), (len(dW), K, K)), samples)
             cols *= self.mask
         else:
-            incr = sigma_coeffs(self.noise, coeffs, dW[:, None], grads)[:, 0]
+            incr = sigma_coeffs(self.noise, coeffs, dW[:, None], samples)[:, 0]
             incr *= self.mask
             return incr, None
         return sum(dW[:, k, None, None, None, None] * cols[:, k] for k in range(K)), cols
@@ -401,12 +396,13 @@ class Stepper:
         ``noise_increment``.
 
         The step makes at most one synthesis: ``Grid.padded_samples`` of U,
-        when the advection or the grid-evaluated transport noise needs it.  The
-        advection reads v, w(v) and the gradients from it, the noise the
-        gradients.  With advection and such noise a step makes one synthesis
-        and two analyses.  Transport noise
-        with constant phi and psi is formed in spectral space and needs none,
-        so with advection off such a step makes no transform.
+        when the advection or the noise (``NoiseSpec.reads_samples``) needs it,
+        and the advection and the noise read the same samples; otherwise
+        family-2 noise synthesises its depth mean.  With advection and
+        grid-evaluated transport noise a step makes one synthesis and two
+        analyses.  Transport noise with constant phi and psi is formed in
+        spectral space and needs none, so with advection off such a step makes
+        no transform.
 
         The step projects and masks nothing itself: the drift and the noise
         come projected by their operators and masked, the integrating factor is
@@ -415,10 +411,10 @@ class Stepper:
         g = self.grid
         out = coeffs.copy()
         samples = None
-        if self._noise_uses_grads or (cfg.advection and theta.any()):
+        if self.noise.reads_samples or (cfg.advection and theta.any()):
             samples = g.padded_samples(coeffs)
         expl, carries = self.explicit_drift(coeffs, theta, samples)
-        incr, cols = self.noise_increment(coeffs, dW, None if samples is None else samples.grads)
+        incr, cols = self.noise_increment(coeffs, dW, samples)
         if expl is not None:
             np.add(out, cfg.dt * expl, out=out, where=carries[:, None, None, None, None])
         if incr is not None:

@@ -64,9 +64,10 @@ Every padded sample that reads a gradient is a linear image of the
 horizontal levels of [c, dx c, dy c], so ``Grid.padded_samples`` synthesises
 that stack in one call of the one synthesis kernel and derives the values,
 the three gradients and the vertical velocity w of the velocity rows from
-those levels with fixed vertical matrices (``PaddedSamples``).  A step with
-advection and grid-evaluated transport noise then makes one synthesis, of 9
-fields, and two analyses; a stored record makes one synthesis.
+those levels with fixed vertical matrices (``PaddedSamples``); the depth
+mean is the m = 0 level.  A step with advection and grid-evaluated transport
+noise then makes one synthesis, of 9 fields, and two analyses; a stored
+record and the depth-split terms make one synthesis each.
 """
 
 from __future__ import annotations

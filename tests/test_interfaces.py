@@ -127,17 +127,61 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.alpha, spec.alpha)
 
 
+def load_perfbench(name: str):
+    """The benchmark module ``perfbench/<name>.py``, loaded by path; ``perfbench/run.py``
+    is never loaded, because it sets the thread variables of the process at import."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_stochpe_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkTracer:
+    """The benchmark's checks, run on its own workloads (``perfbench/run.py``)."""
+
     def test_every_trace_target_resolves(self):
         # ``perfbench/run.py --trace 1`` wraps these names and fails on a missing one
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("_stochpe_bench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
+        tracer = load_perfbench("tracer")
         for module, attr in (*tracer.TARGETS, tracer.ALLOC_TARGET):
             importlib.import_module(module)
             owner, name, original = tracer._resolve(module, attr)
             assert callable(original) and getattr(owner, name) is original, (module, attr)
+
+    @pytest.mark.parametrize("name", ["ou-moments", "isometry-small", "run-888"])
+    def test_operation_passes_the_exact_checks(self, tmp_path, name):
+        workload = load_perfbench("workloads").WORKLOADS[name](str(tmp_path))
+        workload.setup()
+        failed, values = workload.inspect(77, workload.op(77), exact=True)
+        assert failed == [] and values is not None
+
+    @pytest.mark.parametrize("name", ["ou-moments", "run-888"])
+    def test_traced_operations(self, tmp_path, name):
+        # as ``perfbench/run.py --trace 1``: the transforms counted inside
+        # Stepper.advance, the tracer's self-check against cProfile and on a
+        # repeat, and the checks of every traced operation
+        tracer = load_perfbench("tracer")
+        workload = load_perfbench("workloads").WORKLOADS[name](str(tmp_path))
+        workload.setup()
+        seeds = (77, 78)
+        failed = []
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            tr.run_id = "first"
+            profiled = tracer.profiled_counts(tr.originals, lambda: [workload.op(s, n_paths=2) for s in seeds])
+            for s in seeds:
+                tr.run_id = "second"
+                out = workload.op(s, n_paths=2)
+                tr.run_id = None
+                failed += workload.inspect(s, out)[0]
+        finally:
+            tr.uninstall()
+        assert failed == []
+        first = tr.summary({"first"})
+        assert (first["transforms_in_advance"] > 0) == (name == "run-888")
+        assert {n: first["calls"].get(n, 0) for n in profiled} == profiled
+        assert tr.summary({"second"})["calls"] == first["calls"]
 
 
 class TestCLI:

@@ -105,10 +105,11 @@ class TestApplySigma:
     def test_shared_gradients(self, grid_small, rng):
         spec = example1_noise(grid_small, K=3, amp_phi=0.5, amp_psi=0.4, amp_alpha=0.2, osc=1)
         v = leray_project(random_state(grid_small, rng))
-        cols = apply_sigma(spec, v)
-        shared = apply_sigma(spec, v, grads=grid_small.padded_samples(v.coeffs).grads)
+        c = v.coeffs[None]
+        cols = sigma_coeffs(spec, c)[0]
+        shared = sigma_coeffs(spec, c, samples=grid_small.padded_samples(c))[0]
         for a, b in zip(cols, shared):
-            np.testing.assert_allclose(b.coeffs, a.coeffs, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-15)
 
     def test_weights_validated(self, grid_small, rng):
         spec = example1_noise(grid_small, K=3, osc=1)

@@ -6,6 +6,7 @@ import pytest
 from stochpe import DomainSpec, Grid, random_state, single_mode_state, to_physical
 from stochpe.operators import (
     PhysicsParams,
+    advection_coeffs,
     average_A2,
     average_A3,
     baroclinic_rhs_terms,
@@ -272,10 +273,11 @@ class TestBilinear:
         for _ in range(5):
             U = leray_project(random_state(grid_small, rng))
             Us = random_state(grid_small, rng)
-            shared = bilinear_B(U, Us, samples=grid_small.padded_samples(Us.coeffs))
-            np.testing.assert_array_equal(shared.coeffs, bilinear_B(U, Us).coeffs)
-        own = bilinear_B(U, samples=grid_small.padded_samples(U.coeffs))
-        np.testing.assert_array_equal(own.coeffs, bilinear_B(U).coeffs)
+            target = Us.coeffs[None]
+            shared = advection_coeffs(grid_small, U.coeffs[None], target, samples=grid_small.padded_samples(target))
+            np.testing.assert_array_equal(shared[0], bilinear_B(U, Us).coeffs)
+        own = advection_coeffs(grid_small, U.coeffs[None], samples=grid_small.padded_samples(U.coeffs[None]))
+        np.testing.assert_array_equal(own[0], bilinear_B(U).coeffs)
 
     def test_estimate_sweep_constant_finite(self, grid_small, rng):
         ratios = []

@@ -19,7 +19,7 @@ from stochpe.experiments import run_ensemble
 from stochpe.noise import NoiseSpec
 from stochpe.operators import PhysicsParams, baroclinic_rhs_terms, leray_coeffs, vertical_velocity, vertical_velocity_top
 from stochpe.solver import Stepper, chunk_size, initial_state, record_band, step_grid
-from stochpe.spectral import Grid, SpectralState
+from stochpe.spectral import DomainSpec, Grid, SpectralState
 
 
 def preset_cfg(name, **values):
@@ -41,6 +41,11 @@ def grid_888_step():
     g = step_grid(preset_cfg("smallnoise-888"))
     assert g.nz_pad == 13 and Grid(g.spec).nz_pad < g.nz_pad
     return g
+
+
+@pytest.fixture(scope="module")
+def grid_333():
+    return Grid(DomainSpec(N1=3, N2=3, M=3))
 
 
 @pytest.fixture(params=["grid_small", "grid_888_step"])
@@ -122,8 +127,8 @@ def spy_transforms(monkeypatch) -> dict:
         ("example1-small", True, 1, 1),
         # additive noise and no advection: no transform
         ("ou-single-mode", True, 0, 0),
-        # family 2: the advection's synthesis, and one of the depth mean's gradients
-        ("example2-small", True, 2, 2),
+        # family 2: the depth mean's gradients are the m = 0 level of the advection's synthesis
+        ("example2-small", True, 1, 2),
     ],
 )
 def test_step_transform_count(monkeypatch, preset, track_ito, synth, analyses):
@@ -149,13 +154,50 @@ def test_record_makes_one_synthesis(monkeypatch, preset):
     assert counts == {"synth": 1, "analyze": 0}
 
 
-def test_split_terms_make_two_syntheses(monkeypatch, grid_small, rng):
-    # one padded_samples of vtilde and one of the lifted vbar give every split term
+def test_split_terms_make_one_synthesis(monkeypatch, grid_small, rng):
+    # one padded_samples of v, split by level into vtilde and the lifted vbar, gives every split term
     st = SpectralState(grid_small, hermitian_stack(grid_small, rng, P=1, projected=True)[0])
     counts = spy_transforms(monkeypatch)
     terms = baroclinic_rhs_terms(st, PhysicsParams(f=0.7, beta_T=0.2))
-    assert counts["synth"] == 2
+    assert counts["synth"] == 1
     assert np.isfinite(terms["baroclinic"]["adv_tilde_tilde"]).all()
+
+
+def two_synthesis_advection_terms(st):
+    """The advective split terms from one ``padded_samples`` each of vtilde and
+    of the lifted vbar: the reference for the one synthesis split by level."""
+    g = st.grid
+    vtilde = st.coeffs[:2].copy()
+    vtilde[..., 0] = 0.0
+    lifted = np.zeros_like(vtilde)
+    lifted[..., 0] = st.coeffs[:2, ..., 0]
+    vt, vb = g.padded_samples(vtilde), g.padded_samples(lifted)
+
+    def hadv(adv, target):
+        return adv.values[0] * target.dx + adv.values[1] * target.dy
+
+    tt = hadv(vt, vt)
+    carrier = g.analyze_cos(tt + (vt.dx[0] + vt.dy[1]) * vt.values)
+    avg_correction = np.zeros_like(carrier)
+    avg_correction[..., 0] = carrier[..., 0]
+    return {
+        ("barotropic", "adv_vbar"): g.analyze_cos(hadv(vb, vb))[..., 0],
+        ("barotropic", "adv_tilde_avg"): carrier[..., 0],
+        ("baroclinic", "adv_tilde_tilde"): g.analyze_cos(tt + vt.w * vt.dz),
+        ("baroclinic", "adv_tilde_vbar"): g.analyze_cos(hadv(vt, vb)),
+        ("baroclinic", "adv_vbar_tilde"): g.analyze_cos(hadv(vb, vt)),
+        ("baroclinic", "avg_correction"): avg_correction,
+    }
+
+
+@pytest.mark.parametrize("grid", ["grid_small", "grid_333"])
+def test_split_terms_equal_the_two_synthesis_form(request, rng, grid):
+    g = request.getfixturevalue(grid)
+    for c in hermitian_stack(g, rng, P=3, projected=True):
+        st = SpectralState(g, c)
+        terms = baroclinic_rhs_terms(st, PhysicsParams(f=0.7, beta_T=0.2))
+        for (part, name), expected in two_synthesis_advection_terms(st).items():
+            assert np.array_equal(terms[part][name], expected), (part, name)
 
 
 # -- one restricted noise operator per step grid -----------------------------------
