@@ -20,7 +20,14 @@ from datetime import datetime, timezone
 from importlib import resources
 
 from . import __version__
-from .config import ConfigError, build_solver_config, config_defaults, load_config_file, parse_config_text
+from .config import (
+    ConfigError,
+    apply_overrides,
+    build_solver_config,
+    config_defaults,
+    load_config_file,
+    parse_config_text,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -56,16 +63,12 @@ def _resolve_values(args) -> dict:
     if args.config and args.preset:
         raise ConfigError("pass either --config or --preset, not both")
     if args.config:
-        values = load_config_file(args.config, args.set)
+        values = load_config_file(args.config)
     elif args.preset:
         values = parse_config_text(_preset_text(args.preset))
-        for item in args.set or []:
-            values = parse_config_text(item, base=values)
     else:
         values = config_defaults()
-        for item in args.set or []:
-            values = parse_config_text(item, base=values)
-    return values
+    return apply_overrides(values, args.set)
 
 
 def _outdir(args, default_label: str) -> str:

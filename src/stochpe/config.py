@@ -16,7 +16,15 @@ from .operators import PhysicsParams
 from .solver import InitSpec, SolverConfig
 from .spectral import DomainSpec, Grid, single_mode_state
 
-__all__ = ["ConfigError", "SCHEMA", "parse_config_text", "load_config_file", "build_solver_config", "config_defaults"]
+__all__ = [
+    "ConfigError",
+    "SCHEMA",
+    "parse_config_text",
+    "apply_overrides",
+    "load_config_file",
+    "build_solver_config",
+    "config_defaults",
+]
 
 
 class ConfigError(ValueError):
@@ -93,6 +101,18 @@ def config_defaults() -> dict:
     return {k: default for k, (_, default) in SCHEMA.items()}
 
 
+def _set(values: dict, key: str, val: str, where: str):
+    """Parse ``val`` for the schema key ``key`` into ``values``; errors name ``where``."""
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        values[key] = SCHEMA[key][0](val)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {val!r} ({exc})") from exc
+
+
 def parse_config_text(text: str, base: dict | None = None) -> dict:
     """Parse ``key = value`` lines on top of the schema defaults."""
     values = dict(base) if base is not None else config_defaults()
@@ -102,27 +122,37 @@ def parse_config_text(text: str, base: dict | None = None) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        parser = SCHEMA[key][0]
-        try:
-            values[key] = parser(val)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r} ({exc})") from exc
+        key, val = line.split("=", 1)
+        _set(values, key.strip(), val.strip(), f"line {lineno}")
     return values
+
+
+def apply_overrides(values: dict, overrides: list | None) -> dict:
+    """``values`` with each ``key=value`` override applied in order (``--set``).
+    The value is everything after the first ``=``, taken verbatim with its
+    surrounding whitespace stripped: an override has no comments, so ``#``
+    is part of the value."""
+    values = dict(values)
+    for item in overrides or []:
+        key, sep, val = item.partition("=")
+        if not sep:
+            raise ConfigError(f"override must be key=value, got {item!r}")
+        _set(values, key.strip(), val.strip(), f"override {item!r}")
+    return values
+
+
+def _unreadable(exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot read {exc.filename}: {exc.strerror or exc}")
 
 
 def load_config_file(path: str, overrides: list | None = None) -> dict:
-    with open(path, "r") as fh:
-        values = parse_config_text(fh.read())
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        values = parse_config_text(item, base=values)
-    return values
+    """A configuration file's values with ``overrides`` applied (``apply_overrides``)."""
+    try:
+        with open(path, "r") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise _unreadable(exc) from exc
+    return apply_overrides(parse_config_text(text), overrides)
 
 
 def _build_noise(values: dict, grid: Grid) -> NoiseSpec:
@@ -207,6 +237,10 @@ def build_solver_config(values: dict) -> SolverConfig:
             m=values["init.m"],
             path=values["init.path"],
         )
+        if init.kind == "checkpoint":
+            from .checkpoint import load_state
+
+            load_state(init.path, grid)  # a missing or mismatched file is a configuration error
         forcing = None
         if values["forcing.kind"] == "single-mode":
             forcing = single_mode_state(
@@ -246,5 +280,7 @@ def build_solver_config(values: dict) -> SolverConfig:
         )
     except ConfigError:
         raise
+    except OSError as exc:
+        raise _unreadable(exc) from exc
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -2,21 +2,22 @@
 
 Norm-type functionals (``H_sq``, ``V_sq``, ``DA_sq``, the dz and barotropic
 sums and ``grad3_dz_v_L2_2``) are Parseval sums on the record's own grid
-layout.  The three sixth-degree functionals (``L6_vtilde_6``,
+layout, which on a half-plane count each ky > 0 mode twice
+(``Grid.pair_count``).  The three sixth-degree functionals (``L6_vtilde_6``,
 ``grad_vtilde_vtilde4`` and ``L6_T_6``) are quadratures on a padded grid:
 the record grid of the retained band (``Grid.record_grid``) when the caller
 passes the band, as ``run_paths`` does, and the grid's own padded grid
 otherwise.  On an axis where the record grid differs from the configured
 one, both integrate these products exactly, so the values agree to
-round-off; a full band keeps the configured grid.  Cumulative
-time integrals are accumulated with the trapezoid rule on the stored stride,
-except ``int_DA_sq``: each stored record carries ``run_paths``' per-step
-integral, the value the trajectory reports.
+round-off; a full band keeps the configured grid.
 
-``record_stack`` evaluates the records of a whole stack of paths at once,
-once per stored step of a chunk, and ``record`` is its one-row case; each
-path still keeps its own records, equal bit for bit to the records of its
-state alone.
+Every record is a functional of one state, at one instant: ``record_stack``
+evaluates the records of a whole stack of paths at once, row p equal bit for
+bit to the record of state p alone, and ``record`` is its one-row case.  The
+running integrals of a record (the ``int_*`` columns and the stopping
+functionals) read 0 here.  ``solver.run_paths`` accumulates them along each
+path by the trapezoid rule: ``int_DA_sq`` on every step, and the nine
+running integrals of ``running_integrands`` on the stored stride.
 
 The five cumulative stopping functionals instrument the solution theory:
 
@@ -45,6 +46,7 @@ __all__ = [
     "record",
     "record_stack",
     "stopping_integrands",
+    "running_integrands",
     "detect_stopping",
     "blowup_functional",
     "summarize_ensemble",
@@ -104,7 +106,7 @@ class DiagnosticRecord:
     int_T_funcs: float = 0.0
     # instantaneous integrands that are not plain products of the columns
     extras: dict = field(default_factory=dict, repr=False, compare=False)
-    # cumulative stopping functionals, accumulated like the int_* columns
+    # cumulative stopping functionals, accumulated like the int_* columns by run_paths
     stopping: dict = field(
         default_factory=lambda: dict.fromkeys(STOPPING_FUNCTIONALS, 0.0), repr=False, compare=False
     )
@@ -176,17 +178,14 @@ def record_stack(
     t: float,
     dist: np.ndarray,
     theta: np.ndarray,
-    forcing_weak: float = 0.0,
-    prev: DiagnosticRecord | None = None,
     band: tuple | None = None,
 ) -> DiagnosticRecord:
     """``record`` of every row of a coefficient stack (P, 3, nkx, nky, nm) at
-    time t, with cutoff distances ``dist`` (P,) and switches ``theta`` (P,),
-    chained to ``prev``, the stacked record of the rows' previous states (a
-    record with float columns is every row's): one stacked record whose row p
-    equals bit for bit the record of state p alone.  Every functional is
-    evaluated for all rows at once, each row reduced over its trailing axes
-    as one contiguous sum.  ``band`` (N1, N2, M), when given, must hold every
+    time t, with cutoff distances ``dist`` (P,) and switches ``theta`` (P,):
+    one stacked record whose row p equals bit for bit the record of state p
+    alone.  Every functional is evaluated for all rows at once, each row
+    reduced over its trailing axes as one contiguous sum, and its running
+    integrals read 0.  ``band`` (N1, N2, M), when given, must hold every
     nonzero coefficient: the three quadrature columns are then evaluated on
     its record grid (``Grid.record_grid``), every other column on ``grid``."""
     spec = grid.spec
@@ -195,19 +194,20 @@ def record_stack(
 
     area = grid.area_h
     ksq = grid.ksq_h
+    pairs = grid.pair_count
     vbar_sq = np.abs(coeffs[:, :2, :, :, 0]) ** 2  # barotropic velocity, v1 then v2
-    vbar_h1_sq = _mode_sums((1.0 + ksq) * vbar_sq, 3) * area
-    vbar_V_sq = spec.mu * _mode_sums(ksq * vbar_sq, 3) * area
-    AS_sq = spec.mu**2 * _mode_sums(ksq**2 * vbar_sq, 3) * area
+    vbar_h1_sq = _mode_sums((1.0 + ksq) * pairs * vbar_sq, 3) * area
+    vbar_V_sq = spec.mu * _mode_sums(ksq * pairs * vbar_sq, 3) * area
+    AS_sq = spec.mu**2 * _mode_sums(ksq**2 * pairs * vbar_sq, 3) * area
 
-    dz_sq = _mode_sums(np.abs(grid.dz_to_sin(coeffs)) ** 2 * grid.weight_m_sin[None, None, :], 3)  # (P, 3)
+    dz_sq = _mode_sums(np.abs(grid.dz_to_sin(coeffs)) ** 2 * grid.sin_weight, 3)  # (P, 3)
     dzv_sq = 0.0 + dz_sq[:, 0] + dz_sq[:, 1]
     dzT_sq = dz_sq[:, 2]
     g3dzv = grad3_dz_sq(grid, coeffs, (0, 1))
 
     H_sq, V_sq, DA_sq = sq_norms(grid, coeffs)
     zeros = np.zeros(P)
-    rec = DiagnosticRecord(
+    return DiagnosticRecord(
         t=np.full(P, t),
         H_sq=H_sq,
         V_sq=V_sq,
@@ -233,76 +233,55 @@ def record_stack(
             "AS_sq": AS_sq,
             "dzT_a_sq": grad3_dz_sq(grid, coeffs, (2,), mu=spec.mu, nu=spec.nu),
             "dz_T_L2_2": dzT_sq,
-            "forcing_weak": np.full(P, forcing_weak),
         },
         stopping=dict.fromkeys(STOPPING_FUNCTIONALS, zeros),
     )
-    if prev is not None:
-        if np.shape(prev.t) not in ((), (P,)):
-            raise ValueError("need one previous record per row")
-        dt = rec.t - prev.t
-        if (dt < 0).any():
-            raise ValueError("records must be chained in increasing time")
-
-        def trap(a, b):
-            return 0.5 * (a + b) * dt
-
-        rec.int_H2_V2 = prev.int_H2_V2 + trap(prev.H_sq * prev.V_sq, rec.H_sq * rec.V_sq)
-        rec.int_grad_vtilde_vtilde4 = prev.int_grad_vtilde_vtilde4 + trap(
-            prev.extras["grad_vtilde_vtilde4"], rec.extras["grad_vtilde_vtilde4"]
-        )
-        rec.int_vbar_AS = prev.int_vbar_AS + trap(
-            prev.extras["vbar_V_sq"] * prev.extras["AS_sq"], rec.extras["vbar_V_sq"] * rec.extras["AS_sq"]
-        )
-        rec.int_dzv_grad_dzv = prev.int_dzv_grad_dzv + trap(
-            prev.dz_v_L2_2 * prev.grad3_dz_v_L2_2, rec.dz_v_L2_2 * rec.grad3_dz_v_L2_2
-        )
-        before, now = stopping_integrands(prev), stopping_integrands(rec)
-        rec.stopping = {
-            name: prev.stopping[name] + trap(before[name], now[name]) for name in STOPPING_FUNCTIONALS
-        }
-        # the temperature functional integrates exactly the int_T_funcs integrand
-        rec.int_T_funcs = rec.stopping["temperature"]
-    return rec
 
 
 def record(
     state: SpectralState,
     dist: float = 0.0,
     theta_value: float = 1.0,
-    forcing_weak: float = 0.0,
-    prev: DiagnosticRecord | None = None,
     band: tuple | None = None,
 ) -> DiagnosticRecord:
-    """Evaluate every monitored functional at cutoff distance ``dist``; chain
-    ``prev`` to accumulate the int_* columns and the stopping functionals by
-    the trapezoid rule.  ``int_DA_sq`` is left at 0 for the caller to set
-    (``run_paths`` stores its per-step integral there).  This is
-    ``record_stack`` with one row, ``band`` included.
+    """Every monitored functional of ``state`` at cutoff distance ``dist``: a
+    functional of the one state, so its running integrals (the ``int_*``
+    columns and the stopping functionals) read 0; ``run_paths`` accumulates
+    them along a path.  This is ``record_stack`` with one row, ``band``
+    included.
 
     Squares of norms overflow to inf rather than raising, so a record of a
     state near blow-up can be checked with ``DiagnosticRecord.finite``."""
     stack = record_stack(
-        state.grid,
-        state.coeffs[None],
-        state.time,
-        np.array([dist]),
-        np.array([theta_value]),
-        forcing_weak,
-        prev,
-        band,
+        state.grid, state.coeffs[None], state.time, np.array([dist]), np.array([theta_value]), band
     )
     return stack.split()[0]
 
 
-def stopping_integrands(rec: DiagnosticRecord) -> dict:
-    """Instantaneous integrands of the five cumulative stopping functionals."""
+def stopping_integrands(rec: DiagnosticRecord, forcing_weak: float = 0.0) -> dict:
+    """Instantaneous integrands of the five cumulative stopping functionals of
+    the record ``rec``; ``weak`` adds ``forcing_weak``, the forcing's norms."""
     return {
-        "weak": rec.H_sq * rec.V_sq + rec.V_sq + rec.extras.get("forcing_weak", 0.0),
+        "weak": rec.H_sq * rec.V_sq + rec.V_sq + forcing_weak,
         "vtilde_l6": rec.L6_vtilde_6 + rec.extras["grad_vtilde_vtilde4"],
         "grad_vbar": rec.Vbar_H1_4,
         "dz_v": rec.grad3_dz_v_L2_2 + rec.dz_v_L2_2 * rec.grad3_dz_v_L2_2,
         "temperature": rec.L6_T_6 + rec.extras["dz_T_L2_2"] * rec.extras["dzT_a_sq"],
+    }
+
+
+def running_integrands(rec: DiagnosticRecord, forcing_weak: float = 0.0) -> dict:
+    """Instantaneous integrands of the nine running integrals that ``run_paths``
+    accumulates on the stored stride: four ``int_*`` columns, then the five
+    stopping functionals (``stopping_integrands``).  ``int_T_funcs`` is the
+    ``temperature`` functional, and ``int_DA_sq`` is integrated on every
+    step instead."""
+    return {
+        "int_H2_V2": rec.H_sq * rec.V_sq,
+        "int_grad_vtilde_vtilde4": rec.extras["grad_vtilde_vtilde4"],
+        "int_vbar_AS": rec.extras["vbar_V_sq"] * rec.extras["AS_sq"],
+        "int_dzv_grad_dzv": rec.dz_v_L2_2 * rec.grad3_dz_v_L2_2,
+        **stopping_integrands(rec, forcing_weak),
     }
 
 

@@ -129,7 +129,7 @@ class NoiseSpec:
     @cached_property
     def kappa_sq(self) -> float:
         g = self.grid
-        w = g.weight_m[None, None, None, :]
+        w = g.parseval_weight[None]
         lam = g.lam[None]
         total = 0.0
         for k in range(self.K):
@@ -543,12 +543,13 @@ def _vbar_norms(spec_noise: NoiseSpec, columns, state: SpectralState):
     mu = g.spec.mu
     area = g.area_h
     ksq = g.ksq_h
+    pairs = g.pair_count[None]
     y = 0.0
     for col in columns:
         vb = col.coeffs[:2, :, :, 0]
-        y += float(mu * np.sum(ksq[None] * np.abs(vb) ** 2) * area)
+        y += float(mu * np.sum(ksq[None] * pairs * np.abs(vb) ** 2) * area)
     vbar = state.coeffs[:2, :, :, 0]
-    x = float(mu**2 * np.sum(ksq[None] ** 2 * np.abs(vbar) ** 2) * area)
+    x = float(mu**2 * np.sum(ksq[None] ** 2 * pairs * np.abs(vbar) ** 2) * area)
     return y, x
 
 

@@ -63,7 +63,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .diagnostics import STOPPING_FUNCTIONALS, detect_stopping, record, record_stack
+from .diagnostics import STOPPING_FUNCTIONALS, detect_stopping, record, record_stack, running_integrands
 from .noise import NoiseSpec, WienerStream, sigma_coeffs, zero_noise
 from .operators import PhysicsParams, advection_coeffs, forcing_coeffs, leray_coeffs
 from .spectral import (
@@ -459,6 +459,11 @@ def _copy(obj, **changes):
     return out
 
 
+def _trapezoid(total, before, now, span):
+    """A running integral extended by one trapezoid of width ``span``."""
+    return total + 0.5 * (before + now) * span
+
+
 def _keep(rows: SimpleNamespace, mask: np.ndarray):
     for name, a in vars(rows).items():
         if a is not None:
@@ -478,7 +483,13 @@ def run_paths(
     path's Wiener stream, drawn in one call (convergence studies feed block
     sums of a finer path instead).  A path that blows up, or that reaches
     tau_cutoff under ``terminate_on_tau``, leaves the stack, and the others
-    go on."""
+    go on.
+
+    Records are functionals of one state (``diagnostics.record_stack``), and
+    this loop accumulates every running integral by the trapezoid rule:
+    int |AU|^2 and the a-priori int |AU|^2 ||U||_V^(p-2) on every step, and
+    the nine of ``running_integrands`` on the stored stride, which it writes
+    into each stored record with int |AU|^2."""
     ids = [int(i) for i in trajectory_ids]
     if not ids:
         raise ValueError("need at least one trajectory id")
@@ -500,7 +511,8 @@ def run_paths(
     t = U.time
     dist0 = stepper.distance(stepper.c0[None], t)
     theta0 = stepper.theta(dist0)
-    rec0 = record(U, float(dist0[0]), float(theta0[0]), forcing_weak, band=band)
+    rec0 = record(U, float(dist0[0]), float(theta0[0]), band=band)
+    integrands0 = list(running_integrands(rec0, forcing_weak).values())
     records = [[_copy(rec0, extras=dict(rec0.extras), stopping=dict(rec0.stopping))] for _ in ids]
     states = [[U.coeffs] for _ in ids] if cfg.store_states else None
     hit_names = ("tau_cutoff", *(f"blowup@{level:g}" for level in cfg.blowup_levels))
@@ -559,13 +571,16 @@ def run_paths(
             int_DA_V2=np.zeros(P),
             prev_DA=np.full(P, rec0.DA_sq),
             prev_DA_V2=np.full(P, rec0.DA_sq * np.float64(rec0.V_sq) ** power),
+            # the integrals of running_integrands, and their integrands at the last stored step
+            running=np.zeros((P, len(integrands0))),
+            prev_running=np.tile(integrands0, (P, 1)),
             ito=np.zeros((P,) + stepper.c0.shape, dtype=np.complex128) if cfg.track_ito else None,
             ito_quad=np.zeros(P),
-            # hitting times (NaN: not reached) and the last stored record (the first broadcasts)
+            # hitting times (NaN: not reached)
             tau_hit=np.full(P, np.nan),
             level_hit=np.full((P, len(cfg.blowup_levels)), np.nan),
-            prev=rec0,
         )
+        t_stored = t
         for j in range(n_steps):
             new, incr, cols = stepper.advance(rows.U, rows.theta, rows.increments[:, j])
             norms = sq_norms(g, new)
@@ -598,9 +613,8 @@ def run_paths(
             H_sq, V_sq, DA_sq, da_v2 = norms
             rows.sup_V = np.maximum(rows.sup_V, V_sq)
             rows.sup_H = np.maximum(rows.sup_H, H_sq)
-            # per-step trapezoids; stored records carry this int_DA
-            rows.int_DA = rows.int_DA + 0.5 * (rows.prev_DA + DA_sq) * dt
-            rows.int_DA_V2 = rows.int_DA_V2 + 0.5 * (rows.prev_DA_V2 + da_v2) * dt
+            rows.int_DA = _trapezoid(rows.int_DA, rows.prev_DA, DA_sq, dt)
+            rows.int_DA_V2 = _trapezoid(rows.int_DA_V2, rows.prev_DA_V2, da_v2, dt)
             rows.prev_DA, rows.prev_DA_V2 = DA_sq, da_v2
 
             dist = stepper.distance(rows.U, t)
@@ -617,9 +631,14 @@ def run_paths(
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
                 stored = full.embed(g, rows.U)
-                stack = record_stack(full, stored, t, rows.dist, rows.theta, forcing_weak, rows.prev, band)
-                stack.int_DA_sq = rows.int_DA
-                rows.prev = stack
+                stack = record_stack(full, stored, t, rows.dist, rows.theta, band)
+                integrands = running_integrands(stack, forcing_weak)
+                now = np.stack(list(integrands.values()), axis=1)
+                rows.running = _trapezoid(rows.running, rows.prev_running, now, t - t_stored)
+                rows.prev_running, t_stored = now, t
+                totals = dict(zip(integrands, rows.running.T))
+                stack.stopping = {name: totals.pop(name) for name in STOPPING_FUNCTIONALS}
+                vars(stack).update(totals, int_T_funcs=stack.stopping["temperature"], int_DA_sq=rows.int_DA)
                 # a stored functional out of representable range: numerical blow-up
                 ok = stack.finite()
                 for row, rec in zip(np.flatnonzero(ok), stack.split(ok)):

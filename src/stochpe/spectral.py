@@ -54,7 +54,8 @@ its ``Grid.half_plane`` holds ky = 0..N2 only, each conjugate pair of a real
 field once, with the same wavenumbers, padded grid and vertical matrices.
 On the half-plane, synthesis folds only the ky = 0 column, analysis returns
 the ky >= 0 half-plane as it is, the reality fold acts on the ky = 0 column, and
-Parseval sums count each ky > 0 mode twice (``Grid.parseval_weight``).  Its
+every quadratic sum counts each ky > 0 mode twice (``Grid.pair_count``, folded
+into the weights ``parseval_weight`` and ``sin_weight``).  Its
 samples and coefficients then equal the full layout's bit for bit on
 conjugate-symmetric input, and every per-mode operator gives the full
 layout's values on its modes; ``Grid.extract`` and ``Grid.embed`` convert.
@@ -256,16 +257,18 @@ class Grid:
 
         # Parseval weights: integral of |exp(ik.x) cos(m pi z/h)|^2 over the box, per
         # vertical index and per stored mode; the half-plane counts each ky > 0 mode
-        # for its conjugate partner too
+        # for its conjugate partner too (pair_count 2, and 1 on the full layout,
+        # so full-layout sums keep their bits)
+        self.pair_count = np.ones((self.nkx, self.nky))  # (nkx, nky)
+        if full_plane is not None:
+            self.pair_count[:, 1:] = 2.0
         wm = np.full(self.nm, 0.5)
         wm[0] = 1.0
         self.weight_m = spec.L1 * spec.L2 * spec.h * wm  # (nm,)
-        self.parseval_weight = np.broadcast_to(self.weight_m, (self.nkx, self.nky, self.nm))
-        if full_plane is not None:
-            self.parseval_weight = self.parseval_weight.copy()
-            self.parseval_weight[:, 1:] *= 2.0
+        self.parseval_weight = self.weight_m * self.pair_count[:, :, None]
         self.weight_m_sin = spec.L1 * spec.L2 * spec.h * np.full(self.nm, 0.5)
         self.weight_m_sin[0] = 0.0
+        self.sin_weight = self.weight_m_sin * self.pair_count[:, :, None]  # the same for sine series
         self.volume = spec.L1 * spec.L2 * spec.h
         self.area_h = spec.L1 * spec.L2
 
@@ -924,7 +927,7 @@ def grad3_dz_sq(grid: Grid, coeffs: np.ndarray, comps=(0, 1), mu: float = 1.0, n
     """
     ksq = grid.ksq_h[:, :, None]
     mz = grid.mz_phys[None, None, :]
-    w = grid.weight_m_sin[None, None, :]
+    w = grid.sin_weight
     total = 0.0
     for c in comps:
         a2 = np.abs(coeffs[..., c, :, :, :]) ** 2
@@ -941,7 +944,7 @@ def norms(state: SpectralState) -> NormBundle:
     dz_sq = 0.0
     for c in state.coeffs:
         s = g.dz_to_sin(c)
-        dz_sq += float(np.sum(np.abs(s) ** 2 * g.weight_m_sin[None, None, :]))
+        dz_sq += float(np.sum(np.abs(s) ** 2 * g.sin_weight))
     # top face z=0: cos(m pi 0 / h) = 1 for every m
     bnd = g.synth_cos2d(state.coeffs[2].sum(axis=2))
     bnd_l2 = float(np.sqrt(np.sum(bnd**2) * (g.area_h / bnd.size)))

@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochpe import DomainSpec, Grid, random_state, single_mode_state
+from stochpe.cli import _preset_text
+from stochpe.config import build_solver_config, parse_config_text
 from stochpe.diagnostics import (
     CSV_COLUMNS,
+    STOPPING_FUNCTIONALS,
     detect_stopping,
     record,
+    running_integrands,
     stopping_integrands,
 )
 from stochpe.operators import average_A3, fluctuation_R, leray_project
+from stochpe.solver import _forcing_weak, run_trajectory
 from stochpe.spectral import SpectralState
 
 
@@ -78,16 +83,21 @@ class TestRecord:
         rec2 = record(r2)
         assert rec1.L6_vtilde_6 == pytest.approx(rec2.L6_vtilde_6, rel=1e-12, abs=1e-300)
 
-    def test_cumulative_accumulation_nondecreasing(self, grid_small, rng):
-        st_ = leray_project(random_state(grid_small, rng))
-        recs = [record(st_)]
-        for i in range(1, 6):
-            st2 = SpectralState(grid_small, st_.coeffs * (1 - 0.1 * i), time=0.1 * i)
-            recs.append(record(st2, prev=recs[-1]))
-        for a, b in zip(recs, recs[1:]):
-            assert b.int_DA_sq >= a.int_DA_sq
-            assert b.int_H2_V2 >= a.int_H2_V2
-            assert b.int_T_funcs >= a.int_T_funcs
+    def test_cumulative_accumulation_nondecreasing(self):
+        # every running integral of a path's records, each accumulated by run_paths
+        values = parse_config_text(_preset_text("example1-small"))
+        values.update({"solver.store_stride": 1, "forcing.kind": "single-mode", "forcing.amplitude": 0.5})
+        traj = run_trajectory(build_solver_config(values))
+        assert len(traj.records) == traj.config.n_steps + 1
+        columns = [c for c in CSV_COLUMNS if c.startswith("int_")]
+        for a, b in zip(traj.records, traj.records[1:]):
+            for col in columns:
+                assert getattr(b, col) >= getattr(a, col), col
+            for name in STOPPING_FUNCTIONALS:
+                assert b.stopping[name] >= a.stopping[name], name
+        last = traj.records[-1]
+        assert all(getattr(last, col) > 0.0 for col in columns)
+        assert all(last.stopping[name] > 0.0 for name in STOPPING_FUNCTIONALS)
 
     def test_overflowing_squares_give_nonfinite_record(self, grid_small, rng):
         st_ = leray_project(random_state(grid_small, rng))
@@ -97,14 +107,6 @@ class TestRecord:
         assert np.isfinite(rec.V_sq)
         assert rec.Vbar_H1_4 == np.inf
         assert not rec.finite()
-
-    def test_chaining_requires_increasing_time(self, grid_small, rng):
-        st_ = random_state(grid_small, rng)
-        rec = record(st_)
-        st2 = st_.copy()
-        st2.time = -1.0
-        with pytest.raises(ValueError):
-            record(st2, prev=rec)
 
 
 class TestDetectStopping:
@@ -170,3 +172,45 @@ class TestStoppingIntegrands:
             prev_da = rec.DA_sq
             vals.append(sup_v + int_da)
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+class TestRunningIntegrals:
+    def test_lone_record_reads_zero(self, grid_small, rng):
+        rec = record(leray_project(random_state(grid_small, rng)))
+        assert all(getattr(rec, c) == 0.0 for c in CSV_COLUMNS if c.startswith("int_"))
+        assert all(v == 0.0 for v in rec.stopping.values())
+        assert "forcing_weak" not in rec.extras
+
+    def test_integrands_in_order(self, grid_small, rng):
+        rec = record(leray_project(random_state(grid_small, rng)))
+        vals = running_integrands(rec, 0.25)
+        assert tuple(vals) == ("int_H2_V2", "int_grad_vtilde_vtilde4", "int_vbar_AS", "int_dzv_grad_dzv", *STOPPING_FUNCTIONALS)
+        assert vals["weak"] == stopping_integrands(rec)["weak"] + 0.25
+        assert vals["temperature"] == stopping_integrands(rec)["temperature"]
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_forced_run_extends_each_record_by_a_trapezoid(self, stride):
+        # each stored record extends the previous one by a trapezoid of the
+        # instantaneous integrands, the forcing norms included in ``weak``; a
+        # stride of 3 ends on a shorter last span (16 steps)
+        values = parse_config_text(_preset_text("example1-small"))
+        values.update({"solver.store_stride": stride, "forcing.kind": "single-mode", "forcing.amplitude": 0.5})
+        cfg = build_solver_config(values)
+        forcing_weak = _forcing_weak(cfg)
+        assert forcing_weak > 0.0
+        traj = run_trajectory(cfg)
+        assert len(traj.records) == -(-cfg.n_steps // stride) + 1
+        integrands = {
+            "int_H2_V2": lambda r: r.H_sq * r.V_sq,
+            "int_grad_vtilde_vtilde4": lambda r: r.extras["grad_vtilde_vtilde4"],
+            "int_vbar_AS": lambda r: r.extras["vbar_V_sq"] * r.extras["AS_sq"],
+            "int_dzv_grad_dzv": lambda r: r.dz_v_L2_2 * r.grad3_dz_v_L2_2,
+        }
+        for a, b in zip(traj.records, traj.records[1:]):
+            span = b.t - a.t
+            weak = [r.H_sq * r.V_sq + r.V_sq + forcing_weak for r in (a, b)]
+            assert b.stopping["weak"] == a.stopping["weak"] + 0.5 * (weak[0] + weak[1]) * span
+            for col, f in integrands.items():
+                assert getattr(b, col) == getattr(a, col) + 0.5 * (f(a) + f(b)) * span, col
+            assert b.int_T_funcs == b.stopping["temperature"]
+        assert traj.records[-1].int_DA_sq == traj.int_DA_sq

@@ -9,8 +9,11 @@ fold must give the full layout's values on its modes, and ``extract`` and
 import numpy as np
 import pytest
 
-from stochpe import DomainSpec, Grid
-from stochpe.spectral import _parseval_sq, sq_norms
+from stochpe import DomainSpec, Grid, random_state
+from stochpe.diagnostics import CSV_COLUMNS, record_stack
+from stochpe.noise import _vbar_norms, example1_noise
+from stochpe.operators import leray_project
+from stochpe.spectral import SpectralState, _parseval_sq, grad3_dz_sq, norms, sq_norms
 
 GRIDS = {
     "anisotropic": Grid(DomainSpec(L1=2 * np.pi, L2=4.0, h=1.5, N1=3, N2=2, M=3, mu=0.7, nu=0.3)),
@@ -122,3 +125,47 @@ def test_transforms_match_the_full_plane_bit_for_bit(full, rng):
     samples = rng.standard_normal((2, 3, full.nx_pad, full.ny_pad, full.nz_pad))
     assert np.array_equal(hp.analyze_cos(samples), full.analyze_cos(samples)[..., : hp.nky, :])
     assert np.array_equal(hp.analyze_cos2d(samples[..., 0]), full.analyze_cos2d(samples[..., 0])[..., : hp.nky])
+
+
+def assert_close(mine, ref, name=""):
+    """Equal within 1e-14 relative to the largest reference entry."""
+    mine, ref = np.asarray(mine, dtype=float), np.asarray(ref, dtype=float)
+    assert np.abs(mine - ref).max() <= 1e-14 * np.abs(ref).max(), name
+
+
+def projected_stack(g, rng, P=3):
+    return np.stack([leray_project(random_state(g, rng)).coeffs for _ in range(P)])
+
+
+def test_record_columns_match_the_full_plane(full, rng):
+    # hand-weighted sums (barotropic, dz and grad_3 dz) count each ky > 0 mode
+    # of the half-plane twice, as the Parseval sums do
+    hp = full.half_plane()
+    c = projected_stack(full, rng)
+    half = full.extract(hp, c)
+    dist, theta = rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 1.0, 3)
+    ref = record_stack(full, c, 0.5, dist, theta)
+    mine = record_stack(hp, half, 0.5, dist, theta)
+    for col in CSV_COLUMNS:
+        assert_close(getattr(mine, col), getattr(ref, col), col)
+    assert mine.extras.keys() == ref.extras.keys()
+    for key in ref.extras:
+        assert_close(mine.extras[key], ref.extras[key], key)
+    assert_close(grad3_dz_sq(hp, half), grad3_dz_sq(full, c))
+    assert_close(grad3_dz_sq(hp, half, (2,), mu=0.7, nu=0.3), grad3_dz_sq(full, c, (2,), mu=0.7, nu=0.3))
+
+
+def test_norms_match_the_full_plane(full, rng):
+    hp = full.half_plane()
+    state, other = (SpectralState(full, c) for c in projected_stack(full, rng, P=2))
+    half, half_other = (SpectralState(hp, full.extract(hp, s.coeffs)) for s in (state, other))
+    assert_close(norms(half).dz_L2, norms(state).dz_L2)
+    assert_close(_vbar_norms(None, [half_other], half), _vbar_norms(None, [other], state))
+
+
+@pytest.mark.parametrize("name", ["anisotropic", "cut"])
+def test_kappa_sq_matches_the_full_plane(name):
+    full = GRIDS[name]
+    spec = example1_noise(full, K=4, amp_chi=0.3, osc=1)
+    assert spec.kappa_sq > 0.0
+    assert_close(spec.restricted(full.half_plane()).kappa_sq, spec.kappa_sq)

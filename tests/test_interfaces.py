@@ -13,7 +13,14 @@ import pytest
 from stochpe import random_state
 from stochpe.checkpoint import load_noise, load_state, save_noise, save_state
 from stochpe.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, _preset_text, main
-from stochpe.config import ConfigError, build_solver_config, config_defaults, parse_config_text
+from stochpe.config import (
+    ConfigError,
+    apply_overrides,
+    build_solver_config,
+    config_defaults,
+    load_config_file,
+    parse_config_text,
+)
 from stochpe.noise import example1_noise, example2_noise
 from stochpe.spectral import DomainSpec, Grid, h_norm_sq, single_mode_state
 
@@ -69,6 +76,16 @@ class TestConfig:
         values = parse_config_text(f"noise.family = {family}\nnoise.K = 0")
         with pytest.raises(ConfigError, match="K must be >= 1"):
             build_solver_config(values)
+
+    def test_override_value_is_verbatim(self, tmp_path):
+        # everything after the first '=', surrounding whitespace stripped; no comments
+        values = apply_overrides(config_defaults(), ["noise.file=a#b.json", "  init.path =  x = y  "])
+        assert values["noise.file"] == "a#b.json"
+        assert values["init.path"] == "x = y"
+        path = tmp_path / "run.cfg"
+        path.write_text("noise.file = c.json  # a comment\n")
+        assert load_config_file(str(path))["noise.file"] == "c.json"
+        assert load_config_file(str(path), ["noise.file=c#d.json"])["noise.file"] == "c#d.json"
 
     def test_stopping_levels(self):
         values = parse_config_text("stopping.weak = 12.5\nstopping.blowup = 1,10,100")
@@ -260,6 +277,39 @@ class TestCLI:
         assert main([command, "--preset", preset, "--set", f"noise.K={K}", "--output-root", root]) == EXIT_CONFIG
         assert f"configuration error: K must be >= 1, got noise.K = {K}" in capsys.readouterr().err
         assert not os.path.exists(root)
+
+    @pytest.mark.parametrize("source", ["config", "noise", "checkpoint"])
+    def test_missing_input_file_is_config_error(self, tmp_path, capsys, source):
+        missing = str(tmp_path / "missing" / f"{source}.json")
+        args = {
+            "config": ["--config", missing],
+            "noise": ["--preset", "example1-small", "--set", "noise.family=file", "--set", f"noise.file={missing}"],
+            "checkpoint": ["--preset", "example1-small", "--set", "init.kind=checkpoint", "--set", f"init.path={missing}"],
+        }[source]
+        root = str(tmp_path / "out")
+        for command in ("run", "ensemble"):
+            assert main([command, *args, "--output-root", root]) == EXIT_CONFIG
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("configuration error: cannot read "), err
+            assert missing in err[0]
+        assert not os.path.exists(root)
+
+    @pytest.mark.parametrize("source", ["defaults", "preset", "config"])
+    def test_malformed_override_has_one_message(self, tmp_path, capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("solver.dt = 0.5\n")
+        base = {"defaults": [], "preset": ["--preset", "linear-decay"], "config": ["--config", str(cfg)]}[source]
+        assert main(["run", *base, "--set", "foo", "--output-root", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: override must be key=value, got 'foo'\n"
+
+    def test_noise_file_name_may_hold_a_hash(self, tmp_path):
+        grid = build_solver_config(parse_config_text(_preset_text("example1-small"))).grid
+        path = str(tmp_path / "a#b.json")
+        save_noise(example1_noise(grid, K=4, amp_phi=0.1), path)
+        args = ["--preset", "example1-small", "--set", "noise.family=file", "--set", f"noise.file={path}"]
+        assert main(["run", *args, "--output-root", str(tmp_path), "--label", "hash"]) == EXIT_OK
+        manifest = json.load(open(tmp_path / "hash" / "manifest.json"))
+        assert manifest["config"]["noise.file"] == path
 
     def test_unknown_preset(self, tmp_path):
         assert main(["run", "--preset", "no-such", "--output-root", str(tmp_path)]) == EXIT_CONFIG

@@ -1,0 +1,61 @@
+"""Smoke test of the parity script ``tools/parity.py`` on this checkout.
+
+Digests are compared only between two runs on the same machine, never with
+committed fixtures: BLAS builds can differ in the last bits."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_parity():
+    spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_then_diff(tmp_path, capsys):
+    parity = load_parity()
+    out = tmp_path / "a"
+    digests = parity.run(str(ROOT / "src"), str(out), presets=["ou-single-mode", "example1-small"])
+    for preset in ("ou-single-mode", "example1-small"):
+        for variant in parity.VARIANTS:
+            for tid in parity.PATHS:
+                assert f"{preset}/{variant}/path{tid}/records" in digests
+        assert f"{preset}/cli/trajectory.csv" in digests
+    assert "example1-small/forced/path5/stopping/weak" in digests
+    assert json.loads((out / "digests.json").read_text()) == digests
+    assert parity.diff(str(out), str(out)) == []
+
+    # a second side with one changed array, one missing output and one new one
+    other = tmp_path / "b"
+    other.mkdir()
+    arrays = dict(np.load(out / "arrays.npz"))
+    changed, dropped = "example1-small/plain/path0/records", "ou-single-mode/cli/trajectory.csv"
+    arrays[changed] = arrays[changed] * (1.0 + 1e-12)
+    del arrays[dropped]
+    arrays["extra"] = np.zeros(1)
+    doc = {k: parity._digest(a) if k == changed else digests.get(k, "x") for k, a in arrays.items()}
+    np.savez(other / "arrays.npz", **arrays)
+    (other / "digests.json").write_text(json.dumps(doc))
+    found = dict(parity.diff(str(out), str(other)))
+    assert set(found) == {changed, dropped, "extra"}
+    assert 0.0 < found[changed] < 2e-12
+    assert found[dropped] is None and found["extra"] is None
+    assert parity.main(["diff", str(out), str(other)]) == 1
+    assert "parity: 3 differing outputs" in capsys.readouterr().out
+
+
+def test_rel_diff():
+    parity = load_parity()
+    a = np.array([1.0, np.nan, -4.0])
+    assert parity.rel_diff(a, a.copy()) == 0.0
+    assert parity.rel_diff(a, np.array([1.0, np.nan, -3.0])) == 0.25
+    assert parity.rel_diff(a, np.array([1.0, 2.0, -4.0])) == np.inf
+    assert parity.rel_diff(a, a[:2]) == np.inf
+    assert parity.rel_diff(np.zeros(2), np.ones(2)) == np.inf

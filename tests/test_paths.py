@@ -400,29 +400,18 @@ def test_record_stack_rows_equal_single_records(grid_small, rng):
     theta = np.array([1.0, 0.0, 0.5, 1.0, 0.25, 1.0])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        first = record_stack(g, c, 0.0, dist, theta, 0.25)
-        singles = [record(st, dist[p], theta[p], 0.25) for p, st in enumerate(states)]
+        first = record_stack(g, c, 0.0, dist, theta)
+        singles = [record(st, dist[p], theta[p]) for p, st in enumerate(states)]
         rows = first.split()
         assert len(rows) == P
         for st, a, b in zip(states, rows, singles):
             assert_same_record(a, b)
             for name, value in _per_state_functionals(st).items():
                 assert _same(a.extras[name] if name in a.extras else getattr(a, name), value), name
-        # chained one step later, each row to its own previous record
-        t = 0.1
-        c2 = 0.9 * c
-        second = record_stack(g, c2, t, 0.5 * dist, theta[::-1], 0.25, prev=first)
-        for p, a in enumerate(second.split()):
-            st = SpectralState(g, c2[p], t)
-            assert_same_record(a, record(st, 0.5 * dist[p], theta[::-1][p], 0.25, prev=singles[p]))
         # only the overflowing row leaves; split keeps the selected rows in order
-        ok = second.finite()
+        ok = first.finite()
         assert ok.tolist() == [True] * (P - 1) + [False]
-        assert [r.row() for r in second.split(ok)] == [r.row() for r in second.split()[:-1]]
-        with pytest.raises(ValueError):
-            record_stack(g, c, 0.05, dist, theta, prev=second)
-        with pytest.raises(ValueError):
-            record_stack(g, c, 0.2, dist, theta, prev=second[:2])
+        assert [r.row() for r in first.split(ok)] == [r.row() for r in rows[:-1]]
 
 
 def test_stepper_distance_stack(stack):

@@ -1,0 +1,216 @@
+"""Bit-for-bit parity of two checkouts of stochpe.
+
+    python tools/parity.py run --src CHECKOUT/src --out DIR
+    python tools/parity.py diff DIR_A DIR_B
+
+``run`` imports stochpe from ``--src`` and runs a fixed list: every shipped
+preset under five variants (plain, ``track_ito``, advection off, the
+modified equation, and a forced run with stopping and blow-up levels), each
+as ``run_paths([0, 1, 2, 5])`` with stored states, plus each preset's
+``stochpe run`` files.  It writes ``DIR/digests.json``, one SHA-256 digest
+per output, and ``DIR/arrays.npz``, the array behind each digest.
+
+``diff`` lists every output whose digest differs, or that only one side
+has, with the largest relative difference max|a - b| / max|a| of its
+arrays, and exits 1 when it lists any.  Run both sides on the same machine:
+BLAS builds can differ in the last bits, so digests are not fixtures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import base64
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+VARIANTS = {
+    "plain": {},
+    "track_ito": {"solver.track_ito": "true"},
+    "advection-off": {"solver.advection": "off"},
+    "modified": {"solver.equation": "modified", "solver.kappa_cutoff": "0.05", "solver.store_stride": "1"},
+    "forced": {
+        "forcing.kind": "single-mode",
+        "forcing.amplitude": "0.5",
+        "stopping.weak": "0.5",
+        "stopping.temperature": "1e-4",
+        "stopping.blowup": "0.5,2",
+        "solver.store_stride": "1",
+    },
+}
+PATHS = (0, 1, 2, 5)
+# shortened so that the whole list runs in about two seconds
+PRESET_CHANGES = {"linear-decay": {"solver.t_end": "0.5"}}
+
+
+def _import_stochpe(src: str):
+    """stochpe from the checkout directory ``src``."""
+    src = os.path.realpath(src)
+    sys.path.insert(0, src)
+    import stochpe
+
+    if not os.path.realpath(stochpe.__file__).startswith(src + os.sep):
+        raise SystemExit(f"stochpe is already imported from {stochpe.__file__}, not from {src}")
+    return stochpe
+
+
+def _presets(stochpe) -> list:
+    folder = os.path.join(os.path.dirname(stochpe.__file__), "presets")
+    return sorted(name[: -len(".cfg")] for name in os.listdir(folder) if name.endswith(".cfg"))
+
+
+def _path_outputs(traj) -> dict:
+    """Every output of one trajectory as named arrays."""
+    recs = traj.records
+    out = {
+        "records": np.array([r.row() for r in recs], dtype=float),
+        "times": np.asarray(traj.times, dtype=float),
+        "hits": np.array([np.nan if traj.hits[k] is None else traj.hits[k] for k in sorted(traj.hits)]),
+        "summary": np.array(
+            [
+                traj.blowup,
+                np.nan if traj.blowup_time is None else traj.blowup_time,
+                traj.sup_V_sq,
+                traj.sup_H_sq,
+                traj.int_DA_sq,
+                traj.int_DA_V2,
+                traj.kappa,
+                traj.ito_quadratic,
+                traj.n_steps_done,
+            ],
+            dtype=float,
+        ),
+    }
+    for group in ("extras", "stopping"):
+        for key in getattr(recs[0], group):
+            out[f"{group}/{key}"] = np.array([getattr(r, group)[key] for r in recs], dtype=float)
+    if traj.states is not None:
+        out["states"] = traj.states
+    if traj.final_state is not None:
+        out["final_state"] = traj.final_state.coeffs
+    if traj.ito_integral is not None:
+        out["ito_integral"] = traj.ito_integral.coeffs
+    return out
+
+
+def _cli_outputs(stochpe, preset: str, changes: dict, root: str) -> dict:
+    """The ``stochpe run`` files of one preset: their bytes, and their values as arrays."""
+    from stochpe.cli import main
+
+    argv = ["run", "--preset", preset, "--output-root", root, "--label", preset]
+    for key, value in changes.items():
+        argv += ["--set", f"{key}={value}"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    out = {}
+    csv_path = os.path.join(root, preset, "trajectory.csv")
+    with open(csv_path, "rb") as fh:
+        raw = fh.read()
+    out["trajectory.csv"] = (raw, np.loadtxt(csv_path, delimiter=",", skiprows=2, ndmin=2))
+    ckpt = os.path.join(root, preset, "checkpoint.json")
+    if os.path.exists(ckpt):
+        with open(ckpt, "rb") as fh:
+            raw = fh.read()
+        doc = json.loads(raw)
+        coeffs = np.frombuffer(base64.b64decode(doc["coeffs_b64"]), dtype="<c16").reshape(doc["shape"])
+        out["checkpoint.json"] = (raw, coeffs)
+    return out
+
+
+def _digest(a: np.ndarray) -> str:
+    a = np.ascontiguousarray(a)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def run(src: str, out_dir: str, presets=None) -> dict:
+    """Run the list on the checkout ``src``, for every shipped preset or the
+    named ``presets``; write and return the digests."""
+    stochpe = _import_stochpe(src)
+    from stochpe.cli import _preset_text
+    from stochpe.config import build_solver_config, parse_config_text
+    from stochpe.solver import run_paths
+
+    digests, arrays = {}, {}
+    with tempfile.TemporaryDirectory() as root:
+        for preset in presets or _presets(stochpe):
+            changes = PRESET_CHANGES.get(preset, {})
+            for variant, values in VARIANTS.items():
+                text = "\n".join([_preset_text(preset), *(f"{k} = {v}" for k, v in {**changes, **values}.items())])
+                cfg = build_solver_config(parse_config_text(text))
+                cfg.store_states = True
+                for tid, traj in zip(PATHS, run_paths(cfg, PATHS)):
+                    for name, a in _path_outputs(traj).items():
+                        key = f"{preset}/{variant}/path{tid}/{name}"
+                        digests[key], arrays[key] = _digest(a), a
+            for name, (raw, a) in _cli_outputs(stochpe, preset, changes, root).items():
+                key = f"{preset}/cli/{name}"
+                digests[key], arrays[key] = hashlib.sha256(raw).hexdigest(), a
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "digests.json"), "w") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
+    return digests
+
+
+def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| / max|a| over the entries, NaN where they sit at the same place
+    in both; inf when the shapes or the NaN places differ."""
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return float("inf")
+    a, b = np.nan_to_num(a, nan=0.0), np.nan_to_num(b, nan=0.0)
+    scale = np.abs(a).max(initial=0.0)
+    diff = np.abs(a - b).max(initial=0.0)
+    if diff == 0.0:
+        return 0.0
+    return float(diff / scale) if scale > 0 else float("inf")
+
+
+def diff(dir_a: str, dir_b: str) -> list:
+    """(output, largest relative difference) of every output whose digest
+    differs; an output on one side only gives None."""
+    docs, arrays = [], []
+    for d in (dir_a, dir_b):
+        with open(os.path.join(d, "digests.json")) as fh:
+            docs.append(json.load(fh))
+        arrays.append(np.load(os.path.join(d, "arrays.npz")))
+    a, b = docs
+    out = []
+    for key in sorted(set(a) | set(b)):
+        if a.get(key) == b.get(key):
+            continue
+        out.append((key, rel_diff(arrays[0][key], arrays[1][key]) if key in a and key in b else None))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="run the fixed list on one checkout")
+    p_run.add_argument("--src", required=True, help="the checkout's src directory")
+    p_run.add_argument("--out", required=True, help="output directory")
+    p_diff = sub.add_parser("diff", help="compare the outputs of two runs")
+    p_diff.add_argument("a")
+    p_diff.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        digests = run(args.src, args.out)
+        print(f"parity: {len(digests)} outputs -> {args.out}")
+        return 0
+    differing = diff(args.a, args.b)
+    for key, rel in differing:
+        print(f"{key}\t{'only on one side' if rel is None else f'max rel diff {rel:.3e}'}")
+    print(f"parity: {len(differing)} differing outputs")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
