@@ -37,12 +37,18 @@ def _decode(blob: str, shape) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c16").reshape(shape).astype(np.complex128)
 
 
-def _check_header(doc: dict, expected_format: str, grid: Grid | None) -> Grid:
-    if doc.get("format") != expected_format:
+def _check_header(doc, expected_format: str, grid: Grid | None) -> Grid:
+    """The grid of a parsed container: ``grid``, which must match its domain, or a
+    new one.  A container that is not a JSON object, has another format or
+    basis ordering, or whose domain builds no ``DomainSpec`` raises ``ValueError``."""
+    if not isinstance(doc, dict) or doc.get("format") != expected_format:
         raise ValueError(f"not a {expected_format} container")
     if doc.get("basis_order") != BASIS_ORDER_TAG:
         raise ValueError(f"unknown basis ordering {doc.get('basis_order')!r}")
-    spec = DomainSpec(**doc["domain"])
+    try:
+        spec = DomainSpec(**doc["domain"])
+    except TypeError as exc:
+        raise ValueError(f"invalid checkpoint domain: {exc}") from exc
     if grid is None:
         return Grid(spec)
     if grid.spec != spec:

@@ -2,8 +2,8 @@
 
 Norm-type functionals (``H_sq``, ``V_sq``, ``DA_sq``, the dz and barotropic
 sums and ``grad3_dz_v_L2_2``) are Parseval sums on the record's own grid
-layout, which on a half-plane count each ky > 0 mode twice
-(``Grid.pair_count``).  The three sixth-degree functionals (``L6_vtilde_6``,
+layout, taken from ``spectral``, whose sums count each ky > 0 mode of a
+half-plane twice.  The three sixth-degree functionals (``L6_vtilde_6``,
 ``grad_vtilde_vtilde4`` and ``L6_T_6``) are quadratures on a padded grid:
 the record grid of the retained band (``Grid.record_grid``) when the caller
 passes the band, as ``run_paths`` does, and the grid's own padded grid
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, SpectralState, _mode_sums, grad3_dz_sq, sq_norms
+from .spectral import Grid, SpectralState, _mode_sums, barotropic_sq_norms, dz_sq_norms, grad3_dz_sq, sq_norms
 
 __all__ = [
     "DiagnosticRecord",
@@ -158,7 +158,7 @@ def _grid_quadrature_functionals(grid: Grid, coeffs: np.ndarray, band: tuple | N
     fluct = coeffs.copy()
     fluct[:, :2, :, :, 0] = 0.0
     if band is not None and (rec_grid := grid.record_grid(*band)) is not grid:
-        fluct = rec_grid.embed(rec_grid.subgrid(*band), grid.extract(grid.subgrid(*band), fluct))
+        fluct = grid.extract(rec_grid, fluct)
         grid = rec_grid
     w = grid.quad_weight()
     samples = grid.padded_samples(fluct)  # one synthesis: values and gradients
@@ -192,17 +192,9 @@ def record_stack(
     P = len(coeffs)
     quad = _grid_quadrature_functionals(grid, coeffs, band)
 
-    area = grid.area_h
-    ksq = grid.ksq_h
-    pairs = grid.pair_count
-    vbar_sq = np.abs(coeffs[:, :2, :, :, 0]) ** 2  # barotropic velocity, v1 then v2
-    vbar_h1_sq = _mode_sums((1.0 + ksq) * pairs * vbar_sq, 3) * area
-    vbar_V_sq = spec.mu * _mode_sums(ksq * pairs * vbar_sq, 3) * area
-    AS_sq = spec.mu**2 * _mode_sums(ksq**2 * pairs * vbar_sq, 3) * area
-
-    dz_sq = _mode_sums(np.abs(grid.dz_to_sin(coeffs)) ** 2 * grid.sin_weight, 3)  # (P, 3)
-    dzv_sq = 0.0 + dz_sq[:, 0] + dz_sq[:, 1]
-    dzT_sq = dz_sq[:, 2]
+    vbar_h1_sq, vbar_V_sq, AS_sq = barotropic_sq_norms(grid, coeffs)
+    dz_v1_sq, dz_v2_sq, dzT_sq = dz_sq_norms(grid, coeffs)
+    dzv_sq = 0.0 + dz_v1_sq + dz_v2_sq
     g3dzv = grad3_dz_sq(grid, coeffs, (0, 1))
 
     H_sq, V_sq, DA_sq = sq_norms(grid, coeffs)

@@ -41,7 +41,9 @@ from .spectral import (
     Grid,
     PaddedSamples,
     SpectralState,
+    _parseval_sq,
     add_cos_mode,
+    barotropic_sq_norms,
     da_norm_sq,
     grad3_dz_sq,
     h_norm_sq,
@@ -128,13 +130,7 @@ class NoiseSpec:
 
     @cached_property
     def kappa_sq(self) -> float:
-        g = self.grid
-        w = g.parseval_weight[None]
-        lam = g.lam[None]
-        total = 0.0
-        for k in range(self.K):
-            total += float(np.sum(np.abs(self.chi[k]) ** 2 * lam * w))
-        return total
+        return float(sum(_parseval_sq(self.grid, self.chi, 1.0), 0.0))
 
     @cached_property
     def alpha_sq(self) -> float:
@@ -537,20 +533,11 @@ def _envelope_fit(y: np.ndarray, x: np.ndarray, z: np.ndarray) -> tuple:
     return eta, float(max(coef[1], 0.0))
 
 
-def _vbar_norms(spec_noise: NoiseSpec, columns, state: SpectralState):
+def _vbar_norms(columns, state: SpectralState):
     """Depth-mean column norms in the 2D gradient space and |A_S vbar|^2."""
     g = state.grid
-    mu = g.spec.mu
-    area = g.area_h
-    ksq = g.ksq_h
-    pairs = g.pair_count[None]
-    y = 0.0
-    for col in columns:
-        vb = col.coeffs[:2, :, :, 0]
-        y += float(mu * np.sum(ksq[None] * pairs * np.abs(vb) ** 2) * area)
-    vbar = state.coeffs[:2, :, :, 0]
-    x = float(mu**2 * np.sum(ksq[None] ** 2 * pairs * np.abs(vbar) ** 2) * area)
-    return y, x
+    y = sum((barotropic_sq_norms(g, col.coeffs)[1] for col in columns), 0.0)
+    return y, barotropic_sq_norms(g, state.coeffs)[2]
 
 
 def estimate_growth_constants(
@@ -578,7 +565,7 @@ def estimate_growth_constants(
         cols = apply_sigma(spec_noise, U)
         data["yH"].append(hs_norm_sq(cols, "H"))
         data["yV"].append(hs_norm_sq(cols, "V"))
-        y2, x2 = _vbar_norms(spec_noise, cols, U)
+        y2, x2 = _vbar_norms(cols, U)
         data["y2"].append(y2)
         data["x2"].append(x2)
         y3 = sum(grad3_dz_sq(g, col.coeffs, (0, 1)) for col in cols)

@@ -58,8 +58,10 @@ every quadratic sum counts each ky > 0 mode twice (``Grid.pair_count``, folded
 into the weights ``parseval_weight`` and ``sin_weight``).  Its
 samples and coefficients then equal the full layout's bit for bit on
 conjugate-symmetric input, and every per-mode operator gives the full
-layout's values on its modes; ``Grid.extract`` and ``Grid.embed`` convert.
-The model step runs on the half-plane, every other caller on the full layout.
+layout's values on its modes.  The model step runs on the half-plane, every
+other caller on the full layout.  Only this module knows the layouts: its
+sums weight the modes, and ``Grid.extract`` and ``Grid.embed`` map them by
+wavenumber between any two grids of one domain whose bands nest.
 
 Every padded sample that reads a gradient is a linear image of the
 horizontal levels of [c, dx c, dy c], so ``Grid.padded_samples`` synthesises
@@ -274,87 +276,55 @@ class Grid:
 
         self.n_modes_total = 3 * self.nkx * self.nky * self.nm
 
-        self._rank = None
-        self._basis = None
-        self._lam_sorted = None
-        self._subgrids = {}  # (N1, N2, M) -> (sub-grid, its rows, columns and levels here)
+        self._subgrids = {}  # (N1, N2, M) -> the sub-grid made by ``subgrid``
         self._record_grids = {}  # band (N1, N2, M) -> its record grid
         self._half = None  # the ky >= 0 half-plane layout of this grid
 
     # -- basis enumeration -------------------------------------------------
 
-    def _build_order(self):
+    @cached_property
+    def _mode_table(self) -> tuple:
+        """(order, cols): ten per-mode columns over the three fields (eigenvalue,
+        |kx|, |ky|, m, field, sign, kx, ky and the pair representative's kx and
+        ky), and the permutation that sorts the modes by increasing eigenvalue,
+        then lexicographically on (|kx|, |ky|, m, field, pair representative,
+        sign); grouping by the representative keeps conjugate pairs adjacent."""
         kxg, kyg, mg = np.meshgrid(self.kx_int, self.ky_int, self.m_int, indexing="ij")
         canonical = (kxg > 0) | ((kxg == 0) & (kyg >= 0))
         sign = np.where(canonical, 0, 1)
         repx = np.where(canonical, kxg, -kxg)  # representative of the +/-k pair
         repy = np.where(canonical, kyg, -kyg)
-        recs = []
-        for fidx in range(3):
-            recs.append(
-                (
-                    self.lam.ravel(),
-                    np.abs(kxg).ravel(),
-                    np.abs(kyg).ravel(),
-                    mg.ravel(),
-                    np.full(kxg.size, fidx),
-                    sign.ravel(),
-                    kxg.ravel(),
-                    kyg.ravel(),
-                    repx.ravel(),
-                    repy.ravel(),
-                )
-            )
-        cols = [np.concatenate([r[i] for r in recs]) for i in range(10)]
-        # deterministic order: increasing lambda, then lexicographic on
-        # (|kx|, |ky|, m, field, pair representative, sign); grouping by the
-        # representative keeps conjugate pairs adjacent
-        order = np.lexsort(
-            (cols[5], cols[9], cols[8], cols[4], cols[3], cols[2], cols[1], cols[0])
-        )
-        rank = np.empty((3, self.nkx, self.nky, self.nm), dtype=np.int64)
-        per_field = self.nkx * self.nky * self.nm
-        flat_rank = np.empty(3 * per_field, dtype=np.int64)
-        flat_rank[order] = np.arange(order.size)
-        for fidx in range(3):
-            rank[fidx] = flat_rank[fidx * per_field : (fidx + 1) * per_field].reshape(
-                self.nkx, self.nky, self.nm
-            )
-        self._rank = rank
-        self._order = order
-        self._order_cols = cols
-        self._lam_sorted = cols[0][order]
+        cols = [np.tile(a.ravel(), 3) for a in (self.lam, np.abs(kxg), np.abs(kyg), mg)]
+        cols.append(np.repeat(np.arange(3), kxg.size))  # field
+        cols += [np.tile(a.ravel(), 3) for a in (sign, kxg, kyg, repx, repy)]
+        order = np.lexsort((cols[5], cols[9], cols[8], cols[4], cols[3], cols[2], cols[1], cols[0]))
+        return order, cols
 
-    @property
+    @cached_property
     def rank(self) -> np.ndarray:
         """Position of each mode in the deterministic low-to-high-lambda order."""
-        if self._rank is None:
-            self._build_order()
-        return self._rank
+        order, _ = self._mode_table
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        return rank.reshape(3, self.nkx, self.nky, self.nm)
 
-    @property
+    @cached_property
     def lam_sorted(self) -> np.ndarray:
-        if self._lam_sorted is None:
-            self._build_order()
-        return self._lam_sorted
+        order, cols = self._mode_table
+        return cols[0][order]
 
     def basis(self) -> list:
-        if self._basis is None:
-            if self._rank is None:
-                self._build_order()
-            cols = self._order_cols
-            order = self._order
-            self._basis = [
-                BasisIndex(
-                    kx=int(cols[6][i]),
-                    ky=int(cols[7][i]),
-                    m=int(cols[3][i]),
-                    field=FIELDS[int(cols[4][i])],
-                    lam=float(cols[0][i]),
-                )
-                for i in order
-            ]
-        return self._basis
+        order, cols = self._mode_table
+        return [
+            BasisIndex(
+                kx=int(cols[6][i]),
+                ky=int(cols[7][i]),
+                m=int(cols[3][i]),
+                field=FIELDS[int(cols[4][i])],
+                lam=float(cols[0][i]),
+            )
+            for i in order
+        ]
 
     def snap_mode_count(self, n: int) -> int:
         """Round n up to the next cut that splits no conjugate mode pair and no
@@ -618,6 +588,13 @@ class Grid:
 
     # -- sub-grids --------------------------------------------------------------
 
+    def _check_band(self, N1: int, N2: int, M: int):
+        """Raise ``ValueError`` unless this full-layout grid holds the band (N1, N2, M)."""
+        if self.full_plane is not None:
+            raise ValueError("cut the full-layout grid, then take the half-plane of the cut")
+        if not (0 <= N1 <= self.spec.N1 and 0 <= N2 <= self.spec.N2 and 0 <= M <= self.spec.M):
+            raise ValueError(f"band {(N1, N2, M)} exceeds {(self.spec.N1, self.spec.N2, self.spec.M)}")
+
     def subgrid(self, N1: int, N2: int, M: int | None = None) -> "Grid":
         """This grid cut to the truncation N1 <= spec.N1, N2 <= spec.N2 and
         M <= spec.M (by default spec.M), with the same lengths and viscosities;
@@ -627,13 +604,8 @@ class Grid:
         analysis matrices.  Products of its modes are then alias-free on its
         own padded grid and projected through the same vertical nodes.
         ``embed`` and ``extract`` move coefficients between the two layouts."""
-        if self.full_plane is not None:
-            raise ValueError("cut the full-layout grid, then take the half-plane of the cut")
         M = self.spec.M if M is None else M
-        if not (0 <= N1 <= self.spec.N1 and 0 <= N2 <= self.spec.N2 and 0 <= M <= self.spec.M):
-            raise ValueError(
-                f"sub-grid truncation {(N1, N2, M)} exceeds {(self.spec.N1, self.spec.N2, self.spec.M)}"
-            )
+        self._check_band(N1, N2, M)
         if (N1, N2, M) == (self.spec.N1, self.spec.N2, self.spec.M):
             return self
         if (N1, N2, M) not in self._subgrids:
@@ -641,19 +613,18 @@ class Grid:
             z, C, S, Acos = self._vertical
             sub.nz_pad = self.nz_pad
             sub._vertical = z, C[:, : sub.nm], S[:, : sub.nm], Acos[: sub.nm]
-            index = (sub.kx_int % self.nkx)[:, None], (sub.ky_int % self.nky)[None, :], slice(sub.nm)
-            self._subgrids[N1, N2, M] = sub, index
-        return self._subgrids[N1, N2, M][0]
+            self._subgrids[N1, N2, M] = sub
+        return self._subgrids[N1, N2, M]
 
     def half_plane(self) -> "Grid":
         """The ky >= 0 half-plane layout of this grid: the coefficients of a real
         field with ky = 0..N2 only, (..., nkx, N2 + 1, nm), since c(-k) = conj c(k)
         gives the rest.  It has this grid's wavenumbers, padded sizes, nodes and
         vertical matrices, so its transforms, products and spectral operators
-        give this grid's values on its modes; its Parseval weights
-        (``parseval_weight``) count each ky > 0 mode twice.  ``extract`` and
-        ``embed`` move coefficients between the layouts; the mode order
-        (``rank``, ``basis``) and the sub-grids are the full layout's."""
+        give this grid's values on its modes; its quadratic sums count each
+        ky > 0 mode twice.  ``extract`` and ``embed`` move coefficients between
+        the layouts; the mode order (``rank``, ``basis``) and the sub-grids are
+        the full layout's."""
         if self.full_plane is not None:
             return self
         if self._half is None:
@@ -662,33 +633,30 @@ class Grid:
 
     def _sub_index(self, sub: "Grid") -> tuple:
         """Rows (nkx', 1), columns (1, nky') and leading levels (a slice of nm') of
-        this grid's coefficient block that hold the modes of ``sub``, a sub-grid
-        made by ``subgrid`` or the half-plane of this grid or of such a sub-grid."""
-        if sub.full_plane is not None:
-            if sub.full_plane is self:
-                return np.arange(self.nkx)[:, None], np.arange(sub.nky)[None, :], slice(None)
-            ix, iy, iz = self._sub_index(sub.full_plane)
-            return ix, iy[:, : sub.nky], iz
-        sub_grid, index = self._subgrids.get((sub.spec.N1, sub.spec.N2, sub.spec.M), (None, None))
-        if sub_grid is not sub:
-            raise ValueError("not a sub-grid made by this grid's subgrid")
-        return index
+        this full-layout grid's coefficients that hold the modes of ``sub``, by
+        wavenumber: any grid of this domain and viscosities whose band nests."""
+        s, t = sub.spec, self.spec
+        if (s.L1, s.L2, s.h, s.mu, s.nu) != (t.L1, t.L2, t.h, t.mu, t.nu):
+            raise ValueError("not a grid of this grid's domain and viscosities")
+        self._check_band(s.N1, s.N2, s.M)
+        return (sub.kx_int % self.nkx)[:, None], (sub.ky_int % self.nky)[None, :], slice(sub.nm)
 
     def extract(self, sub: "Grid", c: np.ndarray) -> np.ndarray:
-        """Coefficients (..., nkx, nky, nm) restricted to the modes of the sub-grid
-        ``sub``: (..., nkx', nky', nm'); ``c`` itself when ``sub`` is this grid.
-        A complex stack goes to a half-plane layout as its Hermitian part, the
-        coefficients of the real field it synthesises, which equals the stack
-        itself where it is conjugate-symmetric."""
+        """Coefficients (..., nkx, nky, nm) restricted to the modes of the nesting
+        grid ``sub`` (``_sub_index``): (..., nkx', nky', nm'); ``c`` itself when
+        ``sub`` is this grid.  A complex stack goes to a half-plane layout as its
+        Hermitian part, the coefficients of the real field it synthesises, which
+        equals the stack itself where it is conjugate-symmetric."""
         if sub is self:
             return c
-        if sub.full_plane is not None and np.iscomplexobj(c):
-            return sub.full_plane._folded(self.extract(sub.full_plane, c))
         ix, iy, iz = self._sub_index(sub)
+        if sub.full_plane is not None and np.iscomplexobj(c):
+            # (c(k) + conj c(-k))/2 at the modes of sub alone, as ``_folded`` forms it
+            return 0.5 * (c[..., ix, iy, iz] + np.conj(c[..., self.negx[ix], self.negy[iy], iz]))
         return c[..., ix, iy, iz]
 
     def embed(self, sub: "Grid", c: np.ndarray) -> np.ndarray:
-        """Coefficients (..., nkx', nky', nm') of the sub-grid ``sub`` in this grid's
+        """Coefficients (..., nkx', nky', nm') of a nesting grid ``sub`` in this grid's
         layout (..., nkx, nky, nm), zero on the other modes; ``c`` itself when
         ``sub`` is this grid.  From a half-plane layout the ky < 0 modes are
         refilled by conjugation, so the output is conjugate-symmetric when the
@@ -716,9 +684,9 @@ class Grid:
         an axis that changes, both sample sets integrate sixth-degree products
         of the band exactly, so a quadrature agrees with one on this grid to
         round-off; this grid itself when no axis changes, as for the full
-        band.  Coefficients move with ``extract`` and ``embed`` through the
-        two grids' ``subgrid`` of the band."""
-        self.subgrid(N1, N2, M)  # checks the band
+        band.  Its band lies inside this grid's, so coefficients move between
+        the two grids in one ``extract`` or ``embed``."""
+        self._check_band(N1, N2, M)
         if (N1, N2, M) not in self._record_grids:
             s = self.spec
             spec = replace(
@@ -918,6 +886,26 @@ def sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
     return _mode_sums(a2 * w), _mode_sums(a2 * lam**1.0 * w), _mode_sums(a2 * lam**2.0 * w)
 
 
+def barotropic_sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
+    """(||vbar||^2_H1, mu |grad vbar|^2, mu^2 |Delta vbar|^2) of the barotropic
+    velocity vbar (the m = 0 velocity level) from one |vbar|^2 pass: floats for
+    one coefficient array (3, nkx, nky, nm), (P,) arrays for a stack of P."""
+    area, ksq, pairs, mu = grid.area_h, grid.ksq_h, grid.pair_count, grid.spec.mu
+    vbar_sq = np.abs(coeffs[..., :2, :, :, 0]) ** 2  # v1 then v2
+    return (
+        _mode_sums((1.0 + ksq) * pairs * vbar_sq, 3) * area,
+        mu * _mode_sums(ksq * pairs * vbar_sq, 3) * area,
+        mu**2 * _mode_sums(ksq**2 * pairs * vbar_sq, 3) * area,
+    )
+
+
+def dz_sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
+    """|dz c|^2 of each component (v1, v2, T): floats for one coefficient array
+    (3, nkx, nky, nm), (P,) arrays for a stack of P."""
+    sq = _mode_sums(np.abs(grid.dz_to_sin(coeffs)) ** 2 * grid.sin_weight, 3)  # (..., 3)
+    return tuple(np.moveaxis(sq, -1, 0))
+
+
 def grad3_dz_sq(grid: Grid, coeffs: np.ndarray, comps=(0, 1), mu: float = 1.0, nu: float = 1.0):
     """mu*|grad dz u|^2 + nu*|dzz u|^2 over the requested components (spectral),
     summed in component order: a float for one coefficient array
@@ -941,10 +929,7 @@ def norms(state: SpectralState) -> NormBundle:
     fields = to_physical(state)
     w = g.quad_weight()
     l6 = tuple(float((np.sum(np.abs(f) ** 6) * w) ** (1.0 / 6.0)) for f in (fields.v1, fields.v2, fields.T))
-    dz_sq = 0.0
-    for c in state.coeffs:
-        s = g.dz_to_sin(c)
-        dz_sq += float(np.sum(np.abs(s) ** 2 * g.sin_weight))
+    dz_sq = sum(dz_sq_norms(g, state.coeffs), 0.0)
     # top face z=0: cos(m pi 0 / h) = 1 for every m
     bnd = g.synth_cos2d(state.coeffs[2].sum(axis=2))
     bnd_l2 = float(np.sqrt(np.sum(bnd**2) * (g.area_h / bnd.size)))

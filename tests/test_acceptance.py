@@ -20,7 +20,7 @@ from stochpe.experiments import (
 )
 from stochpe.noise import additive_single_mode_noise, example1_noise, estimate_growth_constants, hypothesis_thresholds, zero_noise
 from stochpe.operators import PhysicsParams
-from stochpe.solver import InitSpec, SolverConfig, run_trajectory
+from stochpe.solver import InitSpec, SolverConfig, run_paths
 from stochpe.verify import (
     advection_residuals,
     leray_residuals,
@@ -187,18 +187,16 @@ def test_criterion_09_stopping_instrumentation():
     # hitting-time monotonicity in the level on 100 noisy paths
     violations = 0
     rng = np.random.default_rng(9)
-    for tid in range(100):
-        cfg = SolverConfig(
-            grid=g,
-            noise=noise,
-            init=InitSpec(kind="random", seed=9, amplitude=0.5),
-            dt=1.0 / 64,
-            t_end=0.25,
-            store_stride=1,
-            seed=90,
-            trajectory_id=tid,
-        )
-        traj = run_trajectory(cfg)
+    cfg = SolverConfig(
+        grid=g,
+        noise=noise,
+        init=InitSpec(kind="random", seed=9, amplitude=0.5),
+        dt=1.0 / 64,
+        t_end=0.25,
+        store_stride=1,
+        seed=90,
+    )
+    for traj in run_paths(cfg, range(100)):
         times, vals = traj.series("weak")
         K = float(rng.uniform(0.1, 0.9) * vals[-1])
         t1 = detect_stopping(times, vals, K)
@@ -208,20 +206,18 @@ def test_criterion_09_stopping_instrumentation():
 
     # tiny cutoff radius: the distance functional fires within five steps
     hits_fast = 0
-    for tid in range(100):
-        cfg = SolverConfig(
-            grid=g,
-            noise=noise,
-            init=InitSpec(kind="random", seed=9, amplitude=0.5),
-            equation="modified",
-            kappa_cutoff=1e-6,
-            dt=1.0 / 64,
-            t_end=10.0 / 64,
-            store_stride=10,
-            seed=91,
-            trajectory_id=tid,
-        )
-        traj = run_trajectory(cfg)
+    cfg = SolverConfig(
+        grid=g,
+        noise=noise,
+        init=InitSpec(kind="random", seed=9, amplitude=0.5),
+        equation="modified",
+        kappa_cutoff=1e-6,
+        dt=1.0 / 64,
+        t_end=10.0 / 64,
+        store_stride=10,
+        seed=91,
+    )
+    for traj in run_paths(cfg, range(100)):
         t_hit = traj.hits["tau_cutoff"]
         if t_hit is not None and t_hit <= 5 * cfg.dt:
             hits_fast += 1

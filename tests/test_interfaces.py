@@ -294,6 +294,31 @@ class TestCLI:
             assert missing in err[0]
         assert not os.path.exists(root)
 
+    @pytest.mark.parametrize("source", ["noise", "checkpoint"])
+    @pytest.mark.parametrize("defect", ["extra_domain_key", "string_mode_count", "not_an_object"])
+    def test_malformed_container_is_config_error(self, tmp_path, capsys, source, defect):
+        grid = build_solver_config(parse_config_text(_preset_text("example1-small"))).grid
+        path = tmp_path / f"{source}.json"
+        if source == "noise":
+            save_noise(example1_noise(grid, K=4, amp_phi=0.1), str(path))
+            args = ["--set", "noise.family=file", "--set", f"noise.file={path}"]
+        else:
+            save_state(random_state(grid, np.random.default_rng(0)), str(path))
+            args = ["--set", "init.kind=checkpoint", "--set", f"init.path={path}"]
+        doc = json.loads(path.read_text())
+        if defect == "extra_domain_key":
+            doc["domain"]["extra"] = 1
+        elif defect == "string_mode_count":
+            doc["domain"]["N1"] = "3"
+        else:
+            doc = [doc]
+        path.write_text(json.dumps(doc))
+        root = str(tmp_path / "out")
+        assert main(["run", "--preset", "example1-small", *args, "--output-root", root]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: "), err
+        assert not os.path.exists(root)
+
     @pytest.mark.parametrize("source", ["defaults", "preset", "config"])
     def test_malformed_override_has_one_message(self, tmp_path, capsys, source):
         cfg = tmp_path / "run.cfg"

@@ -59,3 +59,19 @@ def test_rel_diff():
     assert parity.rel_diff(a, np.array([1.0, 2.0, -4.0])) == np.inf
     assert parity.rel_diff(a, a[:2]) == np.inf
     assert parity.rel_diff(np.zeros(2), np.ones(2)) == np.inf
+
+
+def test_cut_variant_and_growth_group():
+    parity = load_parity()
+    # ou-single-mode has 27 modes, no more than the cut, so it skips the variant
+    assert parity._variants("ou-single-mode", 27) == parity.VARIANTS
+    assert parity._variants("example1-small", 192)["cut"] == {"solver.n_galerkin": "47"}
+    assert parity._variants("smallnoise-888", 7803)["cut"] == {"solver.n_galerkin": "100"}
+    assert "semi-implicit" in parity.VARIANTS
+    outputs = parity._growth_outputs()
+    names = ("example1-osc0", "example1-osc2", "example2-osc1")
+    assert set(outputs) == {f"growth/{n}/{part}" for n in names for part in ("report", "kappa_sq")} | {"growth/norms"}
+    for name in names:
+        full, half = outputs[f"growth/{name}/kappa_sq"]
+        assert full > 0 and abs(half - full) <= 1e-14 * full
+        assert outputs[f"growth/{name}/report"][2] > 0  # eta2, the barotropic fit

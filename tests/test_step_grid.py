@@ -10,6 +10,8 @@ and the first record, computed from the full-grid initial state, agree bit
 for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,42 @@ def test_subgrid_embed_and_extract():
         sub.extract(GRID, c)
     with pytest.raises(ValueError):
         GRID.extract(Grid(DomainSpec(N1=2, N2=1, M=3)), full)
+
+
+def test_extract_and_embed_map_modes_by_wavenumber():
+    # a separately built grid of the same domain whose band nests, and a record grid,
+    # exchange coefficients with GRID in one step, bit for bit as through sub-grids
+    rng = np.random.default_rng(4)
+    shape = (2, 3, GRID.nkx, GRID.nky, GRID.nm)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    nested, twin = Grid(replace(GRID.spec, N1=3, N2=2, M=2)), GRID.subgrid(3, 2, 2)
+    assert nested is not twin
+    for mine, made in ((nested, twin), (nested.half_plane(), twin.half_plane())):
+        assert np.array_equal(GRID.extract(mine, c), GRID.extract(made, c))
+        d = GRID.extract(made, c)
+        assert np.array_equal(GRID.embed(mine, d), GRID.embed(made, d))
+        assert np.array_equal(GRID.extract(mine, GRID.lam), mine.lam)
+
+    band = (2, 1, 1)
+    rec = GRID.record_grid(*band)
+    assert rec is not GRID and (rec.spec.N1, rec.spec.N2, rec.spec.M) == (4, 2, 2)
+    in_band = GRID.embed(GRID.subgrid(*band), GRID.extract(GRID.subgrid(*band), c))
+    on_rec = GRID.extract(rec, in_band)
+    assert np.array_equal(on_rec, rec.embed(rec.subgrid(*band), GRID.extract(GRID.subgrid(*band), in_band)))
+    assert np.array_equal(GRID.embed(rec, on_rec), in_band)
+
+    for other in (
+        Grid(replace(GRID.spec, L1=3.0, N1=3, N2=2, M=2)),  # another domain
+        Grid(replace(GRID.spec, N1=6, N2=2, M=2)),  # a wider band
+        Grid(replace(GRID.spec, N1=3, N2=2, M=4)),
+    ):
+        for bad in (other, other.half_plane()):
+            with pytest.raises(ValueError):
+                GRID.extract(bad, c)
+            with pytest.raises(ValueError):
+                GRID.embed(bad, np.zeros((3, bad.nkx, bad.nky, bad.nm), dtype=complex))
+    with pytest.raises(ValueError):
+        GRID.half_plane().extract(nested.half_plane(), GRID.extract(GRID.half_plane(), c))
 
 
 def test_vertical_subgrid_keeps_the_padded_vertical_grid():

@@ -4,11 +4,15 @@
     python tools/parity.py diff DIR_A DIR_B
 
 ``run`` imports stochpe from ``--src`` and runs a fixed list: every shipped
-preset under five variants (plain, ``track_ito``, advection off, the
-modified equation, and a forced run with stopping and blow-up levels), each
-as ``run_paths([0, 1, 2, 5])`` with stored states, plus each preset's
-``stochpe run`` files.  It writes ``DIR/digests.json``, one SHA-256 digest
-per output, and ``DIR/arrays.npz``, the array behind each digest.
+preset under seven variants (plain, ``track_ito``, advection off, the
+modified equation, a forced run with stopping and blow-up levels, the
+semi-implicit scheme, and a Galerkin cut where the preset has more modes
+than the cut), each as ``run_paths([0, 1, 2, 5])`` with stored states, plus
+each preset's ``stochpe run`` files; then the ``growth`` group: the
+``estimate_growth_constants`` reports and ``kappa_sq`` on both layouts of
+three noise operators on a 3^3 grid, and ``spectral.norms`` of one random
+state.  It writes ``DIR/digests.json``, one SHA-256 digest per output, and
+``DIR/arrays.npz``, the array behind each digest.
 
 ``diff`` lists every output whose digest differs, or that only one side
 has, with the largest relative difference max|a - b| / max|a| of its
@@ -43,7 +47,11 @@ VARIANTS = {
         "stopping.blowup": "0.5,2",
         "solver.store_stride": "1",
     },
+    "semi-implicit": {"solver.scheme": "semi-implicit", "solver.store_stride": "3"},
 }
+# the Galerkin cut of the "cut" variant, which a preset with no more modes skips
+CUT_MODES = 47
+PRESET_CUTS = {"smallnoise-888": 100}
 PATHS = (0, 1, 2, 5)
 # shortened so that the whole list runs in about two seconds
 PRESET_CHANGES = {"linear-decay": {"solver.t_end": "0.5"}}
@@ -123,6 +131,40 @@ def _cli_outputs(stochpe, preset: str, changes: dict, root: str) -> dict:
     return out
 
 
+def _variants(preset: str, n_modes: int) -> dict:
+    """``VARIANTS``, and ``cut`` when the preset has more than its cut's modes."""
+    n = PRESET_CUTS.get(preset, CUT_MODES)
+    return {**VARIANTS, **({"cut": {"solver.n_galerkin": str(n)}} if n_modes > n else {})}
+
+
+def _growth_outputs() -> dict:
+    """Every field of the ``estimate_growth_constants`` report (100 samples) and
+    ``kappa_sq`` on the full and half-plane layouts, for three noise operators
+    on a 3^3 grid, and ``spectral.norms`` of one random state there."""
+    from stochpe.noise import estimate_growth_constants, example1_noise, example2_noise
+    from stochpe.spectral import DomainSpec, Grid, norms, random_state
+
+    g = Grid(DomainSpec(L2=4.0, h=1.5, N1=3, N2=3, M=3, mu=0.7, nu=0.3))
+    # transport strong enough that the fitted etas, eta2 among them, are nonzero
+    amps = dict(K=3, amp_phi=3.0, amp_chi=0.3, amp_alpha=0.1)
+    operators = {
+        "example1-osc0": example1_noise(g, amp_psi=3.0, osc=0, **amps),
+        "example1-osc2": example1_noise(g, amp_psi=3.0, osc=2, **amps),
+        "example2-osc1": example2_noise(g, osc=1, **amps),
+    }
+    out = {}
+    for name, spec in operators.items():
+        rep = estimate_growth_constants(spec, sample_count=100)
+        fields = [rep.eta0, rep.eta1, rep.eta2, rep.eta3, rep.gamma, rep.C_BDG, rep.p]
+        for group in (rep.bounds, rep.passes, rep.ols_slopes):
+            fields += [group[k] for k in sorted(group)]
+        out[f"growth/{name}/report"] = np.array(fields, dtype=float)
+        out[f"growth/{name}/kappa_sq"] = np.array([spec.kappa_sq, spec.restricted(g.half_plane()).kappa_sq])
+    n = norms(random_state(g, np.random.default_rng(23)))
+    out["growth/norms"] = np.array([n.H, n.V, n.DA, *n.L6, n.dz_L2, n.boundary_L2_top])
+    return out
+
+
 def _digest(a: np.ndarray) -> str:
     a = np.ascontiguousarray(a)
     h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
@@ -142,7 +184,8 @@ def run(src: str, out_dir: str, presets=None) -> dict:
     with tempfile.TemporaryDirectory() as root:
         for preset in presets or _presets(stochpe):
             changes = PRESET_CHANGES.get(preset, {})
-            for variant, values in VARIANTS.items():
+            n_modes = build_solver_config(parse_config_text(_preset_text(preset))).grid.n_modes_total
+            for variant, values in _variants(preset, n_modes).items():
                 text = "\n".join([_preset_text(preset), *(f"{k} = {v}" for k, v in {**changes, **values}.items())])
                 cfg = build_solver_config(parse_config_text(text))
                 cfg.store_states = True
@@ -153,6 +196,8 @@ def run(src: str, out_dir: str, presets=None) -> dict:
             for name, (raw, a) in _cli_outputs(stochpe, preset, changes, root).items():
                 key = f"{preset}/cli/{name}"
                 digests[key], arrays[key] = hashlib.sha256(raw).hexdigest(), a
+    for key, a in _growth_outputs().items():
+        digests[key], arrays[key] = _digest(a), a
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "digests.json"), "w") as fh:
         json.dump(digests, fh, indent=1, sort_keys=True)
