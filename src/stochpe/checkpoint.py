@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -33,14 +34,28 @@ def _encode(arr: np.ndarray) -> str:
 
 
 def _decode(blob: str, shape) -> np.ndarray:
+    """The coefficient block ``blob`` of shape ``shape``.  A blob that is not a
+    base64 string, or a shape that is not a list of nonnegative ints matching
+    the blob's byte count, raises ``ValueError``."""
+    if not isinstance(blob, str):
+        raise ValueError(f"coefficient block is a {type(blob).__name__}, not a base64 string")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"array shape {shape!r} is not a list of nonnegative integers")
     raw = base64.b64decode(blob.encode("ascii"))
+    if len(raw) != 16 * math.prod(shape):
+        raise ValueError(f"coefficient block of {len(raw)} bytes does not hold complex128 shape {shape}")
     return np.frombuffer(raw, dtype="<c16").reshape(shape).astype(np.complex128)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _check_header(doc, expected_format: str, grid: Grid | None) -> Grid:
-    """The grid of a parsed container: ``grid``, which must match its domain, or a
-    new one.  A container that is not a JSON object, has another format or
-    basis ordering, or whose domain builds no ``DomainSpec`` raises ``ValueError``."""
+    """The grid of a parsed container: ``grid``, which must match its domain, or
+    the shared grid of that domain (``Grid.of``).  A container that is not a
+    JSON object, has another format or basis ordering, or whose domain builds
+    no ``DomainSpec`` raises ``ValueError``."""
     if not isinstance(doc, dict) or doc.get("format") != expected_format:
         raise ValueError(f"not a {expected_format} container")
     if doc.get("basis_order") != BASIS_ORDER_TAG:
@@ -50,7 +65,7 @@ def _check_header(doc, expected_format: str, grid: Grid | None) -> Grid:
     except TypeError as exc:
         raise ValueError(f"invalid checkpoint domain: {exc}") from exc
     if grid is None:
-        return Grid(spec)
+        return Grid.of(spec)
     if grid.spec != spec:
         raise ValueError("checkpoint domain does not match the target grid")
     return grid
@@ -79,6 +94,8 @@ def load_state(path: str, grid: Grid | None = None) -> SpectralState:
         doc = json.load(fh)
     grid = _check_header(doc, _FORMAT_STATE, grid)
     coeffs = _decode(doc["coeffs_b64"], doc["shape"])
+    if not _is_number(doc["time"]):
+        raise ValueError(f"checkpoint time {doc['time']!r} is not a number")
     return SpectralState(grid, coeffs, float(doc["time"]))
 
 
@@ -108,6 +125,8 @@ def load_noise(path: str, grid: Grid | None = None) -> NoiseSpec:
     with open(path, "r") as fh:
         doc = json.load(fh)
     grid = _check_header(doc, _FORMAT_NOISE, grid)
+    if not (isinstance(doc["alpha"], list) and all(map(_is_number, doc["alpha"]))):
+        raise ValueError(f"noise alpha {doc['alpha']!r} is not a list of numbers")
     return NoiseSpec(
         grid,
         doc["family"],

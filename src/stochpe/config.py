@@ -219,7 +219,7 @@ def build_solver_config(values: dict) -> SolverConfig:
             mu=values["domain.mu"],
             nu=values["domain.nu"],
         )
-        grid = Grid(spec)
+        grid = Grid.of(spec)
         physics = PhysicsParams(
             f=values["physics.f"],
             beta_T=values["physics.beta_T"],

@@ -76,7 +76,7 @@ record and the depth-split terms make one synthesis each.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -193,13 +193,36 @@ class NormBundle:
     boundary_L2_top: float  # |T| on the top face z = 0
 
 
+def _read_only(value):
+    """``value`` with every array in it, or in the tuples and lists it is, made
+    read-only: grids are shared (``Grid.of``), so no caller may write to one."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    return value
+
+
+class _cached(cached_property):
+    """A ``cached_property`` whose value's arrays are read-only (``_read_only``)."""
+
+    def __get__(self, instance, owner=None):
+        value = super().__get__(instance, owner)
+        return value if instance is None else _read_only(value)
+
+
 class Grid:
     """Precomputed transform machinery for one DomainSpec, in the full
     coefficient layout, or in the ky >= 0 half-plane layout of the full-layout
     grid ``full_plane`` (made by ``half_plane``; ``full_plane`` is None on a
-    full layout).
+    full layout).  ``Grid.of`` gives the one grid per domain that a process
+    shares; ``Grid(spec)`` builds a fresh one.
 
     Immutable after construction; safe to share across threads/processes.
+    Every array it holds is read-only, and its caches (the mode table, the
+    closed cuts, the matrices, the sub-grids, record grids and half-plane) are
+    filled on first use with values that the spec alone fixes.
     """
 
     def __init__(self, spec: DomainSpec, full_plane: "Grid | None" = None):
@@ -279,10 +302,22 @@ class Grid:
         self._subgrids = {}  # (N1, N2, M) -> the sub-grid made by ``subgrid``
         self._record_grids = {}  # band (N1, N2, M) -> its record grid
         self._half = None  # the ky >= 0 half-plane layout of this grid
+        for value in vars(self).values():
+            _read_only(value)
+
+    @staticmethod
+    def of(spec: DomainSpec) -> "Grid":
+        """The full-layout grid of ``spec`` that every caller in this process
+        shares, so that a domain's mode table, closed cuts, matrices, sub-grids
+        and record grids are built once per process, not once per config.  The
+        16 most recently used domains are kept.  Specs are told apart by their
+        values and the types of those values, so that a grid's ``spec`` (written
+        into checkpoints) does not depend on which equal spec came first."""
+        return _shared_grid(spec, tuple(type(v) for v in vars(spec).values()))
 
     # -- basis enumeration -------------------------------------------------
 
-    @cached_property
+    @_cached
     def _mode_table(self) -> tuple:
         """(order, cols): ten per-mode columns over the three fields (eigenvalue,
         |kx|, |ky|, m, field, sign, kx, ky and the pair representative's kx and
@@ -300,7 +335,7 @@ class Grid:
         order = np.lexsort((cols[5], cols[9], cols[8], cols[4], cols[3], cols[2], cols[1], cols[0]))
         return order, cols
 
-    @cached_property
+    @_cached
     def rank(self) -> np.ndarray:
         """Position of each mode in the deterministic low-to-high-lambda order."""
         order, _ = self._mode_table
@@ -308,7 +343,7 @@ class Grid:
         rank[order] = np.arange(order.size)
         return rank.reshape(3, self.nkx, self.nky, self.nm)
 
-    @cached_property
+    @_cached
     def lam_sorted(self) -> np.ndarray:
         order, cols = self._mode_table
         return cols[0][order]
@@ -334,7 +369,7 @@ class Grid:
         n = min(max(int(n), 0), self.n_modes_total)
         return int(self._closed_cuts[np.searchsorted(self._closed_cuts, n)])
 
-    @cached_property
+    @_cached
     def _closed_cuts(self) -> np.ndarray:
         """Every n whose n lowest modes hold each mode's conjugate and, on the
         barotropic level at kx != 0 and ky != 0, both velocity components."""
@@ -361,7 +396,7 @@ class Grid:
 
     # -- transforms ---------------------------------------------------------
 
-    @cached_property
+    @_cached
     def _fold(self) -> np.ndarray:
         """``fold[i, j]``: the flat (kx, ky) index of -k for the entry k = (kx_i,
         ky_j) of a ky >= 0 column whose partner -k is stored: every column of the
@@ -389,7 +424,7 @@ class Grid:
         out[..., half:, :] = np.conj(half_coeffs[..., self.negx[:, None], -self.ky_int[None, half:], :])
         return out
 
-    @cached_property
+    @_cached
     def _horizontal(self) -> tuple:
         """The horizontal transform matrices, built from integer phases j*k mod n:
 
@@ -482,7 +517,7 @@ class Grid:
         those levels."""
         return PaddedSamples(self, self._synth_h(np.stack([c, c * self.ddx, c * self.ddy]), None))
 
-    @cached_property
+    @_cached
     def _sample_matrices(self) -> tuple:
         """Vertical matrices (nz_pad, nm) of ``PaddedSamples``: the cosine matrix,
         d/dz of the cosines (the sine matrix times -m pi/h), and the vertical
@@ -540,7 +575,7 @@ class Grid:
 
     # -- vertical re-expansion ------------------------------------------------
 
-    @cached_property
+    @_cached
     def sin_to_cos(self) -> np.ndarray:
         """(nm, nm) matrix of cosine coefficients of sin(m*pi*z/h) on (-h, 0).
 
@@ -562,7 +597,7 @@ class Grid:
                 mat[mp, m] = scale * 0.5 * (J(m + mp) + J(m - mp))
         return mat
 
-    @cached_property
+    @_cached
     def dz_nodal(self) -> np.ndarray:
         """(nm, nm) matrix D of d/dz on cosine coefficients, re-expanded on the
         cosine modes through the padded vertical nodes: ``Acos @ S`` there,
@@ -575,7 +610,7 @@ class Grid:
         _, _, S, Acos = self._vertical
         return (Acos @ S) * -self.mz_phys
 
-    @cached_property
+    @_cached
     def neg_z_cos(self) -> np.ndarray:
         """Cosine coefficients of the profile f(z) = -z on (-h, 0), truncated."""
         h = self.spec.h
@@ -602,8 +637,10 @@ class Grid:
         the same rule, and it keeps this grid's padded vertical grid: nz_pad,
         the midpoint nodes, and the leading columns of the cosine, sine and
         analysis matrices.  Products of its modes are then alias-free on its
-        own padded grid and projected through the same vertical nodes.
-        ``embed`` and ``extract`` move coefficients between the two layouts."""
+        own padded grid and projected through the same vertical nodes, so it
+        is not the shared grid of its spec (``Grid.of``), and it is cached
+        here instead.  ``embed`` and ``extract`` move coefficients between the
+        two layouts."""
         M = self.spec.M if M is None else M
         self._check_band(N1, N2, M)
         if (N1, N2, M) == (self.spec.N1, self.spec.N2, self.spec.M):
@@ -704,6 +741,12 @@ class Grid:
         return SpectralState(self, np.zeros((3, self.nkx, self.nky, self.nm), dtype=np.complex128), time)
 
 
+@lru_cache(maxsize=16)
+def _shared_grid(spec: DomainSpec, field_types: tuple) -> Grid:
+    """``Grid.of``'s grid of ``spec``, keyed also by the types of its fields."""
+    return Grid(spec)
+
+
 def next_fast_len(n: int) -> int:
     """The smallest 11-smooth integer (prime factors 2, 3, 5, 7, 11) >= n >= 1,
     as ``scipy.fft.next_fast_len`` gives it: the padded size of both horizontal axes."""
@@ -791,7 +834,7 @@ class PaddedSamples:
 
 def build_basis(spec: DomainSpec) -> list:
     """All eigenmodes sorted by increasing eigenvalue with a deterministic tie-break."""
-    return Grid(spec).basis()
+    return Grid.of(spec).basis()
 
 
 def to_physical(state: SpectralState) -> PhysicalFields:

@@ -171,7 +171,7 @@ def linear_flow_residuals(cfg: SolverConfig) -> tuple:
 
 
 def suite_operators(grid: Grid | None = None) -> list:
-    g = grid or Grid(DomainSpec(N1=4, N2=4, M=4))
+    g = grid or Grid.of(DomainSpec(N1=4, N2=4, M=4))
     rng = np.random.default_rng(2024)
     checks = []
 
@@ -216,7 +216,7 @@ def suite_operators(grid: Grid | None = None) -> list:
 
 
 def suite_noise(grid: Grid | None = None) -> list:
-    g = grid or Grid(DomainSpec(N1=3, N2=3, M=3))
+    g = grid or Grid.of(DomainSpec(N1=3, N2=3, M=3))
     rng = np.random.default_rng(77)
     checks = []
 
@@ -252,7 +252,7 @@ def suite_noise(grid: Grid | None = None) -> list:
 
 
 def suite_solver(grid: Grid | None = None) -> list:
-    g = grid or Grid(DomainSpec(N1=2, N2=2, M=2))
+    g = grid or Grid.of(DomainSpec(N1=2, N2=2, M=2))
     checks = []
     from .noise import zero_noise
 
@@ -306,7 +306,7 @@ def suite_solver(grid: Grid | None = None) -> list:
 
 
 def suite_diagnostics(grid: Grid | None = None) -> list:
-    g = grid or Grid(DomainSpec(N1=2, N2=2, M=2))
+    g = grid or Grid.of(DomainSpec(N1=2, N2=2, M=2))
     rng = np.random.default_rng(5)
     checks = []
 

@@ -319,6 +319,37 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("configuration error: "), err
         assert not os.path.exists(root)
 
+    @pytest.mark.parametrize(
+        "source, key, value",
+        [
+            ("checkpoint", "coeffs_b64", 5),
+            ("checkpoint", "shape", "x"),
+            ("checkpoint", "shape", [3, 7, 7, 5]),  # more entries than the block holds
+            ("checkpoint", "time", None),
+            ("noise", "phi_b64", 5),
+            ("noise", "phi_shape", [4, 2.5]),
+            ("noise", "alpha", {"a": 1}),
+        ],
+    )
+    def test_malformed_payload_is_config_error(self, tmp_path, capsys, source, key, value):
+        # a valid header over a malformed coefficient block, shape, time or alpha
+        grid = build_solver_config(parse_config_text(_preset_text("example1-small"))).grid
+        path = tmp_path / f"{source}.json"
+        if source == "noise":
+            save_noise(example1_noise(grid, K=4, amp_phi=0.1), str(path))
+            args = ["--set", "noise.family=file", "--set", f"noise.file={path}"]
+        else:
+            save_state(random_state(grid, np.random.default_rng(0)), str(path))
+            args = ["--set", "init.kind=checkpoint", "--set", f"init.path={path}"]
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        root = str(tmp_path / "out")
+        assert main(["run", "--preset", "example1-small", *args, "--output-root", root]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: "), err
+        assert not os.path.exists(root)
+
     @pytest.mark.parametrize("source", ["defaults", "preset", "config"])
     def test_malformed_override_has_one_message(self, tmp_path, capsys, source):
         cfg = tmp_path / "run.cfg"

@@ -75,3 +75,19 @@ def test_cut_variant_and_growth_group():
         full, half = outputs[f"growth/{name}/kappa_sq"]
         assert full > 0 and abs(half - full) <= 1e-14 * full
         assert outputs[f"growth/{name}/report"][2] > 0  # eta2, the barotropic fit
+
+
+def test_exit_group(tmp_path):
+    parity = load_parity()
+    outputs = parity._exit_outputs(str(tmp_path))
+    assert {name: a.tolist() for name, a in outputs.items()} == {
+        "exit/overflow": [3],
+        "exit/noise-K0": [2],
+        "exit/removed-rho0": [2],
+        "exit/noise-short-alpha": [2],
+        "exit/noise-family2-psi": [2],
+        "exit/checkpoint-int-coeffs": [2],
+    }
+    # an exception that escapes is recorded by name, and differs from any exit code
+    assert parity.rel_diff(np.array(["AttributeError"]), np.array([2])) == np.inf
+    assert parity.rel_diff(np.array(["AttributeError"]), np.array(["AttributeError"])) == 0.0

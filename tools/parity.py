@@ -11,7 +11,9 @@ than the cut), each as ``run_paths([0, 1, 2, 5])`` with stored states, plus
 each preset's ``stochpe run`` files; then the ``growth`` group: the
 ``estimate_growth_constants`` reports and ``kappa_sq`` on both layouts of
 three noise operators on a 3^3 grid, and ``spectral.norms`` of one random
-state.  It writes ``DIR/digests.json``, one SHA-256 digest per output, and
+state; then the ``exit`` group: the exit code of each ``stochpe run`` that
+should fail (``EXIT_COMMANDS`` and three malformed input files), or the name
+of the exception that escapes.  It writes ``DIR/digests.json``, one SHA-256 digest per output, and
 ``DIR/arrays.npz``, the array behind each digest.
 
 ``diff`` lists every output whose digest differs, or that only one side
@@ -31,6 +33,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -55,6 +58,16 @@ PRESET_CUTS = {"smallnoise-888": 100}
 PATHS = (0, 1, 2, 5)
 # shortened so that the whole list runs in about two seconds
 PRESET_CHANGES = {"linear-decay": {"solver.t_end": "0.5"}}
+# ``stochpe run`` arguments that should exit 3 (a blow-up) or 2 (a configuration error)
+EXIT_COMMANDS = {
+    "overflow": [
+        "--set", "domain.N1=2", "--set", "domain.N2=2", "--set", "domain.M=1",
+        "--set", "noise.family=example1", "--set", "noise.amp_alpha=4000",
+        "--set", "solver.dt=0.05", "--set", "solver.t_end=40.0", "--set", "solver.store_stride=20",
+    ],
+    "noise-K0": ["--preset", "example1-small", "--set", "noise.K=0"],
+    "removed-rho0": ["--preset", "example1-small", "--set", "physics.rho0=1.0"],
+}
 
 
 def _import_stochpe(src: str):
@@ -165,6 +178,56 @@ def _growth_outputs() -> dict:
     return out
 
 
+def _malformed_files(root: str) -> dict:
+    """``stochpe run`` arguments of ``example1-small`` on three malformed input
+    files written to ``root``: a noise file with a short alpha, a family-2 noise
+    file with psi, and a saved state whose coefficient block is a number."""
+    from stochpe.checkpoint import save_noise, save_state
+    from stochpe.cli import _preset_text
+    from stochpe.config import build_solver_config, parse_config_text
+    from stochpe.noise import example1_noise, example2_noise
+    from stochpe.spectral import random_state
+
+    grid = build_solver_config(parse_config_text(_preset_text("example1-small"))).grid
+    short = example1_noise(grid, K=4, amp_phi=0.1, amp_alpha=0.1)
+    short.alpha = short.alpha[:2]
+    psi = example2_noise(grid, K=4, amp_phi=0.1)
+    psi.psi = np.full_like(psi.psi, 0.1)
+    overrides = {}
+    for name, spec in (("noise-short-alpha", short), ("noise-family2-psi", psi)):
+        path = os.path.join(root, f"{name}.json")
+        save_noise(spec, path)
+        overrides[name] = ("noise.family=file", f"noise.file={path}")
+    path = os.path.join(root, "checkpoint-int-coeffs.json")
+    save_state(random_state(grid, np.random.default_rng(0)), path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["coeffs_b64"] = 5
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    overrides["checkpoint-int-coeffs"] = ("init.kind=checkpoint", f"init.path={path}")
+    return {name: ["--preset", "example1-small", "--set", a, "--set", b] for name, (a, b) in overrides.items()}
+
+
+def _exit_outputs(root: str) -> dict:
+    """The exit code of each ``EXIT_COMMANDS`` run and of each run on a
+    malformed file (``_malformed_files``), or the name of the exception that
+    escapes ``stochpe.cli.main``."""
+    from stochpe.cli import main
+
+    out = {}
+    for name, args in {**EXIT_COMMANDS, **_malformed_files(root)}.items():
+        argv = ["run", *args, "--output-root", root, "--label", f"exit-{name}"]
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as log:
+                warnings.simplefilter("ignore")  # the overflow warns
+                with contextlib.redirect_stderr(log):
+                    out[f"exit/{name}"] = np.array([main(argv)])
+        except Exception as exc:  # an escaping exception is the command's outcome
+            out[f"exit/{name}"] = np.array([type(exc).__name__])
+    return out
+
+
 def _digest(a: np.ndarray) -> str:
     a = np.ascontiguousarray(a)
     h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
@@ -196,8 +259,8 @@ def run(src: str, out_dir: str, presets=None) -> dict:
             for name, (raw, a) in _cli_outputs(stochpe, preset, changes, root).items():
                 key = f"{preset}/cli/{name}"
                 digests[key], arrays[key] = hashlib.sha256(raw).hexdigest(), a
-    for key, a in _growth_outputs().items():
-        digests[key], arrays[key] = _digest(a), a
+        for key, a in {**_growth_outputs(), **_exit_outputs(root)}.items():
+            digests[key], arrays[key] = _digest(a), a
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "digests.json"), "w") as fh:
         json.dump(digests, fh, indent=1, sort_keys=True)
@@ -208,7 +271,10 @@ def run(src: str, out_dir: str, presets=None) -> dict:
 
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     """max|a - b| / max|a| over the entries, NaN where they sit at the same place
-    in both; inf when the shapes or the NaN places differ."""
+    in both; inf when the shapes or the NaN places differ, or when either side
+    is not numbers (an exception's name) and the two are not equal."""
+    if a.dtype.kind not in "biufc" or b.dtype.kind not in "biufc":
+        return 0.0 if np.array_equal(a, b) else float("inf")
     if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
         return float("inf")
     a, b = np.nan_to_num(a, nan=0.0), np.nan_to_num(b, nan=0.0)
