@@ -127,6 +127,8 @@ def load_noise(path: str, grid: Grid | None = None) -> NoiseSpec:
     grid = _check_header(doc, _FORMAT_NOISE, grid)
     if not (isinstance(doc["alpha"], list) and all(map(_is_number, doc["alpha"]))):
         raise ValueError(f"noise alpha {doc['alpha']!r} is not a list of numbers")
+    if not isinstance(doc["include_temperature"], bool):
+        raise ValueError(f"noise include_temperature {doc['include_temperature']!r} is not a JSON boolean")
     return NoiseSpec(
         grid,
         doc["family"],
@@ -134,5 +136,5 @@ def load_noise(path: str, grid: Grid | None = None) -> NoiseSpec:
         _decode(doc["psi_b64"], doc["psi_shape"]),
         _decode(doc["chi_b64"], doc["chi_shape"]),
         np.asarray(doc["alpha"], dtype=float),
-        include_temperature=bool(doc["include_temperature"]),
+        include_temperature=doc["include_temperature"],
     )

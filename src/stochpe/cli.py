@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 from importlib import resources
 
 from . import __version__
@@ -273,7 +274,10 @@ def _add_config_opts(p):
     p.add_argument("--label", help="output subdirectory name (default derived from the config)")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it as
+    it is (``--set`` appends to a fresh list per call, as its default is None)."""
     parser = argparse.ArgumentParser(
         prog="stochpe",
         description="Spectral-Galerkin simulator and verification harness for the "
@@ -284,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate a single trajectory")
     _add_config_opts(p_run)
-    p_run.set_defaults(func=cmd_run)
 
     p_ens = sub.add_parser("ensemble", help="integrate an ensemble of trajectories")
     _add_config_opts(p_ens)
     p_ens.add_argument("--paths", type=int, default=100)
     p_ens.add_argument("--workers", type=int, default=1)
-    p_ens.set_defaults(func=cmd_ensemble)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     _add_config_opts(p_ver)
@@ -299,22 +301,21 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="operators | noise | solver | diagnostics | all",
     )
-    p_ver.set_defaults(func=cmd_verify)
 
     p_con = sub.add_parser("converge", help="temporal or spatial convergence study")
     _add_config_opts(p_con)
     p_con.add_argument("--dt-list", help="comma-separated nested time steps")
     p_con.add_argument("--n-list", help="comma-separated Galerkin mode counts")
     p_con.add_argument("--paths", type=int, default=4, help="frozen paths averaged in the study")
-    p_con.set_defaults(func=cmd_converge)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so that a wrapped command (a tracer's, say) is the one that runs
+    command = {"run": cmd_run, "ensemble": cmd_ensemble, "verify": cmd_verify, "converge": cmd_converge}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -64,13 +64,15 @@ sums weight the modes, and ``Grid.extract`` and ``Grid.embed`` map them by
 wavenumber between any two grids of one domain whose bands nest.
 
 Every padded sample that reads a gradient is a linear image of the
-horizontal levels of [c, dx c, dy c], so ``Grid.padded_samples`` synthesises
-that stack in one call of the one synthesis kernel and derives the values,
+horizontal levels of [c, dx c, dy c], so ``Grid.padded_samples`` forms those
+levels in one call of the one synthesis kernel and derives the values,
 the three gradients and the vertical velocity w of the velocity rows from
-those levels with fixed vertical matrices (``PaddedSamples``); the depth
-mean is the m = 0 level.  A step with advection and grid-evaluated transport
-noise then makes one synthesis, of 9 fields, and two analyses; a stored
-record and the depth-split terms make one synthesis each.
+them with fixed vertical matrices (``PaddedSamples``); the depth mean is
+the m = 0 level.  The kernel folds c once and takes dx and dy inside its
+matrices: the x matrix times diag(i kx), and the y matrix of i ky, cached
+beside the plain ones.  A step with advection and grid-evaluated transport
+noise then makes one synthesis, of the 3 fields of U, and two analyses; a
+stored record and the depth-split terms make one synthesis each.
 """
 
 from __future__ import annotations
@@ -428,11 +430,13 @@ class Grid:
     def _horizontal(self) -> tuple:
         """The horizontal transform matrices, built from integer phases j*k mod n:
 
-        - x synthesis (nx_pad, nkx): exp(2 pi i j kx / nx_pad);
+        - x synthesis (nx_pad, nkx): exp(2 pi i j kx / nx_pad), and the x
+          derivative's, the same matrix times diag(i kx);
         - y synthesis (ny_pad, 2 half): the real part of the ky >= 0 series, acting
           on the interleaved real and imaginary parts of the columns ky = 0..N2,
-          with each ky > 0 column counted for its conjugate (weight 2);
-        - y analysis (ny_pad, 2 half) and x analysis (nkx, nx_pad): the forward
+          with each ky > 0 column counted for its conjugate (weight 2), and the
+          y derivative's, the real part of the series of i ky times the columns;
+        - x analysis (nkx, nx_pad) and y analysis (ny_pad, 2 half): the forward
           transforms, with their 1/N normalisation, to the same columns.
 
         A half-plane shares its full layout's matrices."""
@@ -444,13 +448,17 @@ class Grid:
         weight = np.full(half, 2.0)
         weight[0] = 1.0
         y_synth = np.stack([ey.real * weight, -ey.imag * weight], axis=-1).reshape(self.ny_pad, 2 * half)
+        # Re(e i ky (a + i b)) = -ky (a Im e + b Re e) for a column's (a, b), e = w exp(i ky y)
+        wky = weight * self.ky_phys[:half]
+        y_dy = np.stack([-ey.imag * wky, -ey.real * wky], axis=-1).reshape(self.ny_pad, 2 * half)
         y_analysis = np.stack([ey.real, -ey.imag], axis=-1).reshape(self.ny_pad, 2 * half) / self.ny_pad
-        return ex, y_synth, ex.conj().T / self.nx_pad, y_analysis
+        return ex, ex * (1j * self.kx_phys), y_synth, y_dy, ex.conj().T / self.nx_pad, y_analysis
 
-    def _synth_h(self, c: np.ndarray, V: np.ndarray | None) -> np.ndarray:
+    def _synth_h(self, c: np.ndarray, V: np.ndarray | None, grads: bool = False) -> np.ndarray:
         """Real part of the synthesis of coefficients (..., nkx, nky, nm) with vertical
         matrix V (nz_pad, nm), or none -> real samples (..., nx_pad, ny_pad, nz_pad),
-        or the levels (..., nx_pad, ny_pad, nm) without V.
+        or the levels (..., nx_pad, ny_pad, nm) without V.  With ``grads``, the
+        stack (3, ...) of those of c, dx c and dy c, from one fold of c.
 
         The real part is the transform of the Hermitian part (c(k) + conj c(-k))/2,
         formed on the ky >= 0 half-plane: the x matrix maps its kx rows to the
@@ -458,10 +466,14 @@ class Grid:
         of its columns to the ny_pad real samples, on the nm coefficient levels;
         V then maps the levels to the real z-samples.  On the half-plane layout
         only the ky = 0 column is folded: its ky > 0 columns are their own
-        Hermitian part.
+        Hermitian part.  The derivatives are diagonal, and so is the fold's
+        conjugation of them, (i k c(k) + conj(-i k c(-k)))/2 = i k (c(k) +
+        conj c(-k))/2: dx c takes the x derivative's matrix on the folded
+        plane, and dy c the y derivative's on the x rows of c.  The levels of
+        c are those without ``grads`` bit for bit.
         """
         half = self.spec.N2 + 1
-        ex, y_synth, _, _ = self._horizontal
+        ex, ex_dx, y_synth, y_dy, _, _ = self._horizontal
         herm = self._folded(c)
         f = herm.shape[-2]
         lead, nm = c.shape[:-3], c.shape[-1]
@@ -471,9 +483,17 @@ class Grid:
         columns = plane.swapaxes(-1, -2)
         columns[..., :f, :] = herm
         columns[..., f:, :] = c[..., f:half, :]
-        rows = ex @ plane.reshape((-1, self.nkx, nm * half))
-        levels = rows.view(np.float64).reshape(-1, 2 * half) @ y_synth.T
-        levels = np.ascontiguousarray(levels.reshape(lead + (self.nx_pad, nm, self.ny_pad)).swapaxes(-1, -2))
+        plane = plane.reshape((-1, self.nkx, nm * half))
+        rows = ex @ plane
+        products = [(rows, y_synth)]
+        if grads:
+            products += [(ex_dx @ plane, y_synth), (rows, y_dy)]
+        levels = np.empty((len(products), rows.shape[0] * self.nx_pad * nm, self.ny_pad))
+        for out, (x_rows, y) in zip(levels, products):
+            np.matmul(x_rows.view(np.float64).reshape(-1, 2 * half), y.T, out=out)
+        shape = (len(products),) + lead + (self.nx_pad, nm, self.ny_pad)
+        levels = np.ascontiguousarray(levels.reshape(shape).swapaxes(-1, -2))
+        levels = levels if grads else levels[0]
         return levels if V is None else _apply_vertical(levels, V)
 
     def _analyze_h(self, values: np.ndarray, A: np.ndarray | None) -> np.ndarray:
@@ -489,7 +509,7 @@ class Grid:
         if np.iscomplexobj(values):
             raise TypeError("samples must be real")
         half = self.spec.N2 + 1
-        _, _, ex_analysis, y_analysis = self._horizontal
+        _, _, _, _, ex_analysis, y_analysis = self._horizontal
         levels = values if A is None else _apply_vertical(values, A)
         lead, nm = levels.shape[:-3], levels.shape[-1]
         columns = np.ascontiguousarray(levels.swapaxes(-1, -2)).reshape(-1, self.ny_pad) @ y_analysis
@@ -511,11 +531,10 @@ class Grid:
 
     def padded_samples(self, c: np.ndarray) -> "PaddedSamples":
         """The samples of cosine coefficients (..., nkx, nky, nm) and of their
-        gradients, from one synthesis: ``_synth_h`` transforms the levels of the
-        stack [c, dx c, dy c] in one call, whose fold of dx c and dy c is the
-        spectral derivative's, and ``PaddedSamples`` derives every sample from
-        those levels."""
-        return PaddedSamples(self, self._synth_h(np.stack([c, c * self.ddx, c * self.ddy]), None))
+        gradients, from one synthesis: ``_synth_h`` folds c once and gives the
+        levels of c, dx c and dy c, with the derivatives taken inside its
+        matrices, and ``PaddedSamples`` derives every sample from those levels."""
+        return PaddedSamples(self, self._synth_h(c, None, True))
 
     @_cached
     def _sample_matrices(self) -> tuple:
@@ -777,7 +796,7 @@ class PaddedSamples:
     """Padded-grid samples of a cosine-coefficient stack c (..., nkx, nky, nm)
     and of its gradients, the one route to gradient samples: made by
     ``Grid.padded_samples`` from the real levels (3, ..., nx_pad, ny_pad, nm)
-    of one ``Grid._synth_h`` call on [c, dx c, dy c].  Each sample applies a
+    of c, dx c and dy c from one ``Grid._synth_h`` call.  Each sample applies a
     vertical matrix (``Grid._sample_matrices``) to those levels when first
     read:
 

@@ -119,9 +119,9 @@ def test_transforms_match_the_full_plane_bit_for_bit(full, rng):
     assert np.array_equal(hp.synth_cos(half), full.synth_cos(c))
     assert np.array_equal(hp.synth_sin(half), full.synth_sin(c))
     assert np.array_equal(hp.synth_cos2d(half[..., 0]), full.synth_cos2d(c[..., 0]))
-    # the gradients of one synthesis equal those of separate syntheses
-    assert np.array_equal(s.dx, hp.synth_cos(hp.dx(half)))
-    assert np.array_equal(s.dy, hp.synth_cos(hp.dy(half)))
+    # the gradients of one synthesis equal those of separate syntheses, to round-off
+    for mine, ref in ((s.dx, hp.synth_cos(hp.dx(half))), (s.dy, hp.synth_cos(hp.dy(half)))):
+        assert np.abs(mine - ref).max() <= 1e-13 * np.abs(ref).max()
     samples = rng.standard_normal((2, 3, full.nx_pad, full.ny_pad, full.nz_pad))
     assert np.array_equal(hp.analyze_cos(samples), full.analyze_cos(samples)[..., : hp.nky, :])
     assert np.array_equal(hp.analyze_cos2d(samples[..., 0]), full.analyze_cos2d(samples[..., 0])[..., : hp.nky])

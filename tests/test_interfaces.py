@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochpe import random_state
+from stochpe import cli, random_state
 from stochpe.checkpoint import load_noise, load_state, save_noise, save_state
 from stochpe.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, _preset_text, main
 from stochpe.config import (
@@ -210,6 +210,21 @@ class TestCLI:
         b = open(os.path.join(root, "b", "trajectory.csv"), "rb").read()
         assert a == b
 
+    def test_consecutive_calls_see_only_their_own_overrides(self, tmp_path):
+        # the parser is built once per process; its --set lists must not carry over
+        assert cli.build_parser() is cli.build_parser()
+        root = str(tmp_path)
+        base = ["run", "--preset", "linear-decay", "--output-root", root]
+        overrides = {"a": ["solver.t_end=0.5", "solver.seed=7"], "b": ["solver.t_end=0.25"], "c": []}
+        for label, sets in overrides.items():
+            assert main([*base, "--label", label, *(a for s in sets for a in ("--set", s))]) == EXIT_OK
+        preset = parse_config_text(_preset_text("linear-decay"))
+        keys = ("solver.t_end", "solver.seed")
+        for label, sets in overrides.items():
+            config = json.load(open(os.path.join(root, label, "manifest.json")))["config"]
+            expected = apply_overrides(preset, sets)
+            assert [config[k] for k in keys] == [expected[k] for k in keys], label
+
     def test_stored_int_DA_sq_matches_manifest(self, tmp_path):
         # the stored column carries the per-step integral, also on a stride > 1
         root = str(tmp_path)
@@ -329,10 +344,12 @@ class TestCLI:
             ("noise", "phi_b64", 5),
             ("noise", "phi_shape", [4, 2.5]),
             ("noise", "alpha", {"a": 1}),
+            ("noise", "include_temperature", "false"),  # a string is not a JSON boolean
+            ("noise", "include_temperature", 0),
         ],
     )
     def test_malformed_payload_is_config_error(self, tmp_path, capsys, source, key, value):
-        # a valid header over a malformed coefficient block, shape, time or alpha
+        # a valid header over a malformed coefficient block, shape, time, alpha or flag
         grid = build_solver_config(parse_config_text(_preset_text("example1-small"))).grid
         path = tmp_path / f"{source}.json"
         if source == "noise":

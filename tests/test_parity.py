@@ -29,6 +29,13 @@ def test_run_then_diff(tmp_path, capsys):
                 assert f"{preset}/{variant}/path{tid}/records" in digests
         assert f"{preset}/cli/trajectory.csv" in digests
     assert "example1-small/forced/path5/stopping/weak" in digests
+    # the ensemble group: the worker count changes no summary
+    with np.load(out / "arrays.npz") as saved:
+        for preset, n_paths in parity.ENSEMBLES.items():
+            for part in ("paths", "isometry"):
+                one, two = (saved[f"ensemble/{preset}/workers{w}/{part}"] for w in parity.ENSEMBLE_WORKERS)
+                assert np.array_equal(one, two, equal_nan=True), (preset, part)
+            assert saved[f"ensemble/{preset}/workers1/paths"].shape[0] == n_paths
     assert json.loads((out / "digests.json").read_text()) == digests
     assert parity.diff(str(out), str(out)) == []
 

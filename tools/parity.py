@@ -11,9 +11,12 @@ than the cut), each as ``run_paths([0, 1, 2, 5])`` with stored states, plus
 each preset's ``stochpe run`` files; then the ``growth`` group: the
 ``estimate_growth_constants`` reports and ``kappa_sq`` on both layouts of
 three noise operators on a 3^3 grid, and ``spectral.norms`` of one random
-state; then the ``exit`` group: the exit code of each ``stochpe run`` that
-should fail (``EXIT_COMMANDS`` and three malformed input files), or the name
-of the exception that escapes.  It writes ``DIR/digests.json``, one SHA-256 digest per output, and
+state; then the ``ensemble`` group: the ``run_ensemble`` path summaries and
+the ``ito_isometry_check`` result of each ``ENSEMBLES`` preset, two chunks
+of paths, at each of ``ENSEMBLE_WORKERS``; then the ``exit`` group: the exit
+code of each ``stochpe run`` that should fail (``EXIT_COMMANDS`` and three
+malformed input files), or the name of the exception that escapes.  It
+writes ``DIR/digests.json``, one SHA-256 digest per output, and
 ``DIR/arrays.npz``, the array behind each digest.
 
 ``diff`` lists every output whose digest differs, or that only one side
@@ -58,6 +61,9 @@ PRESET_CUTS = {"smallnoise-888": 100}
 PATHS = (0, 1, 2, 5)
 # shortened so that the whole list runs in about two seconds
 PRESET_CHANGES = {"linear-decay": {"solver.t_end": "0.5"}}
+# paths per ensemble: two chunks of the step grid (16 and 4 paths a chunk)
+ENSEMBLES = {"example1-small": 20, "smallnoise-888": 6}
+ENSEMBLE_WORKERS = (1, 2)
 # ``stochpe run`` arguments that should exit 3 (a blow-up) or 2 (a configuration error)
 EXIT_COMMANDS = {
     "overflow": [
@@ -178,6 +184,34 @@ def _growth_outputs() -> dict:
     return out
 
 
+def _summary_row(summary: dict) -> list:
+    """One ``run_ensemble`` path summary as numbers: its scalar fields by name,
+    then its hitting times by level name (NaN where a level is not hit)."""
+    hits = summary["hits"]
+    scalars = [summary[k] for k in sorted(summary) if k != "hits"]
+    return scalars + [np.nan if hits[k] is None else hits[k] for k in sorted(hits)]
+
+
+def _ensemble_outputs() -> dict:
+    """The ``run_ensemble`` path summaries (one row per path, ``_summary_row``)
+    and every field of the ``ito_isometry_check`` result, by name, of each
+    ``ENSEMBLES`` preset at each of ``ENSEMBLE_WORKERS``."""
+    from stochpe.cli import _preset_text
+    from stochpe.config import build_solver_config, parse_config_text
+    from stochpe.experiments import ito_isometry_check, run_ensemble
+
+    out = {}
+    for preset, n_paths in ENSEMBLES.items():
+        cfg = build_solver_config(parse_config_text(_preset_text(preset)))
+        for workers in ENSEMBLE_WORKERS:
+            key = f"ensemble/{preset}/workers{workers}"
+            summaries = run_ensemble(cfg, n_paths, workers)
+            out[f"{key}/paths"] = np.array([_summary_row(s) for s in summaries], dtype=float)
+            check = ito_isometry_check(cfg, n_paths, workers)
+            out[f"{key}/isometry"] = np.array([check[k] for k in sorted(check)], dtype=float)
+    return out
+
+
 def _malformed_files(root: str) -> dict:
     """``stochpe run`` arguments of ``example1-small`` on three malformed input
     files written to ``root``: a noise file with a short alpha, a family-2 noise
@@ -259,7 +293,7 @@ def run(src: str, out_dir: str, presets=None) -> dict:
             for name, (raw, a) in _cli_outputs(stochpe, preset, changes, root).items():
                 key = f"{preset}/cli/{name}"
                 digests[key], arrays[key] = hashlib.sha256(raw).hexdigest(), a
-        for key, a in {**_growth_outputs(), **_exit_outputs(root)}.items():
+        for key, a in {**_growth_outputs(), **_ensemble_outputs(), **_exit_outputs(root)}.items():
             digests[key], arrays[key] = _digest(a), a
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "digests.json"), "w") as fh:
