@@ -95,7 +95,15 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_manifest(outdir, command, values, outputs, verdicts, started):
+def _lambda_max_dt(cfg) -> float:
+    """The largest eigenvalue of A over the retained modes times dt: where it
+    exceeds 1 the step is stiff on the top modes, and the running integrals
+    are only first-order accurate in dt."""
+    return float(cfg.grid.lam_sorted[cfg.n_galerkin - 1] * cfg.dt)
+
+
+def _write_manifest(outdir, command, values, outputs, verdicts, started, **fields):
+    """Write ``manifest.json``; ``fields`` are further top-level entries."""
     manifest = {
         "package": "stochpe",
         "version": __version__,
@@ -106,6 +114,7 @@ def _write_manifest(outdir, command, values, outputs, verdicts, started):
         "finished_utc": _now(),
         "outputs": outputs,
         "verdicts": verdicts,
+        **fields,
     }
     path = os.path.join(outdir, "manifest.json")
     _write_json(path, manifest)
@@ -163,7 +172,7 @@ def cmd_run(args) -> int:
         "int_DA_sq": traj.int_DA_sq,
         "kappa_cutoff": traj.kappa,
     }
-    _write_manifest(outdir, "run", values, outputs, verdicts, started)
+    _write_manifest(outdir, "run", values, outputs, verdicts, started, lambda_max_dt=_lambda_max_dt(cfg))
     print(f"run: wrote {outdir} (blowup={traj.blowup})")
     return EXIT_BLOWUP if traj.blowup else EXIT_OK
 
@@ -202,7 +211,9 @@ def cmd_ensemble(args) -> int:
     _write_json(out_path, doc)
     paths_csv = os.path.join(outdir, "paths.csv")
     _write_paths_csv(paths_csv, summaries)
-    _write_manifest(outdir, "ensemble", values, [out_path, paths_csv], {"blowups": blowups}, started)
+    verdicts = {"blowups": blowups}
+    outputs = [out_path, paths_csv]
+    _write_manifest(outdir, "ensemble", values, outputs, verdicts, started, lambda_max_dt=_lambda_max_dt(cfg))
     print(f"ensemble: {rep.n_paths} paths -> {out_path}")
     return EXIT_OK
 

@@ -36,12 +36,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import _lift, leray_coeffs, leray_project
+from .operators import _lift, leray_inplace, leray_project
 from .spectral import (
     Grid,
     PaddedSamples,
     SpectralState,
+    Workspace,
     _parseval_sq,
+    _scratch,
     add_cos_mode,
     barotropic_sq_norms,
     da_norm_sq,
@@ -355,7 +357,12 @@ def apply_sigma(spec: NoiseSpec, state: SpectralState, weights: np.ndarray | Non
 
 
 def sigma_coeffs(
-    spec: NoiseSpec, coeffs: np.ndarray, weights: np.ndarray | None = None, samples: PaddedSamples | None = None
+    spec: NoiseSpec,
+    coeffs: np.ndarray,
+    weights: np.ndarray | None = None,
+    samples: PaddedSamples | None = None,
+    *,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """``apply_sigma`` on a stack: coefficients (P, 3, nkx, nky, nm) and weights
     (P, J, K), the K identity rows by default, give the projected rows
@@ -367,7 +374,8 @@ def sigma_coeffs(
     ``Grid.padded_samples`` of ``coeffs``, when given (the step shares its own
     with the advection).  The cost is linear in J: the step passes the K
     identity rows under ``track_ito``, and one row of weights dW otherwise
-    (``Stepper.noise_increment``)."""
+    (``Stepper.noise_increment``).  The transport part takes its scratch from
+    ``work`` when given; the rows are a fresh array, projected in place."""
     g = spec.grid
     K = spec.K
     P = len(coeffs)
@@ -379,23 +387,32 @@ def sigma_coeffs(
     if spec.family != "zero":
         n = 3 if spec.include_temperature else 2
         if spec.constant_transport:
-            rows[:, :, :n] = _transport_spectral(spec, coeffs[:, :n], W)
+            rows[:, :, :n] = _transport_spectral(spec, coeffs[:, :n], W, work)
         else:
-            rows[:, :, :n] = _transport_grid(spec, coeffs[:, :n], W, samples)
-        linear = (W @ spec.alpha)[:, :, None, None, None, None] * coeffs[:, None, :n]
-        linear[:, :, :2] += (W @ spec.chi.reshape(K, -1)).reshape((P, J) + spec.chi.shape[1:])
+            rows[:, :, :n] = _transport_grid(spec, coeffs[:, :n], W, samples, work)
+        linear = np.multiply(
+            (W @ spec.alpha)[:, :, None, None, None, None],
+            coeffs[:, None, :n],
+            out=_scratch(work, "scratch.a", (P, J, n) + coeffs.shape[2:], np.complex128),
+        )
+        chi = _scratch(work, "scratch.b", (P, J, spec.chi[0].size), np.complex128)
+        linear[:, :, :2] += np.matmul(W, spec.chi.reshape(K, -1), out=chi).reshape((P, J) + spec.chi.shape[1:])
         rows[:, :, :n] += linear
-        rows = leray_coeffs(g, rows)
+        leray_inplace(g, rows)
     return rows
 
 
-def _transport_grid(spec: NoiseSpec, v: np.ndarray, W: np.ndarray, samples: PaddedSamples | None) -> np.ndarray:
+def _transport_grid(
+    spec: NoiseSpec, v: np.ndarray, W: np.ndarray, samples: PaddedSamples | None, work: Workspace | None = None
+) -> np.ndarray:
     """Transport part (P, J, n, nkx, nky, nm) of the rows for the transported
     components v (P, n, nkx, nky, nm) and weights W (P, J, K): the weighted
     products formed on the padded grid and analysed in one transform.  The
     gradients are read from ``samples`` (of a stack whose leading n components
     are v), or else from one ``Grid.padded_samples`` here; family 2's, of the
-    depth mean A3 v, are the m = 0 level of the dx and dy blocks, constant in z."""
+    depth mean A3 v, are the m = 0 level of the dx and dy blocks, constant in z.
+    The products and the analysis take their scratch from ``work`` when given,
+    summed in the order of the plain expression."""
     g = spec.grid
     K = spec.K
     P, J = W.shape[:2]
@@ -406,30 +423,40 @@ def _transport_grid(spec: NoiseSpec, v: np.ndarray, W: np.ndarray, samples: Padd
     if spec.family == "example1":
         gx, gy, gz = (a[:, :n] for a in (g.padded_samples(v) if samples is None else samples).grads)
         psi = (W @ spec._psi_grid.reshape(K, -1)).reshape((P, J) + shape)
-        products = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None] + psi[:, :, None] * gz[:, None]
+        terms = ((phi[:, :, 0, None], gx), (phi[:, :, 1, None], gy), (psi[:, :, None], gz))
     else:
         levels = (g.padded_samples(v[..., :1]) if samples is None else samples).levels
         gx, gy = levels[1][:, :n, ..., :1], levels[2][:, :n, ..., :1]
-        products = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None]
-    return g.analyze_cos(products)
+        terms = ((phi[:, :, 0, None], gx), (phi[:, :, 1, None], gy))
+    (coeff, grad), *rest = terms
+    products = np.multiply(coeff, grad[:, None], out=_scratch(work, "transport.products", (P, J, n) + shape))
+    term = _scratch(work, "scratch.a", products.shape)
+    for coeff, grad in rest:
+        products += np.multiply(coeff, grad[:, None], out=term)
+    return g.analyze_cos(products, work=work)
 
 
-def _transport_spectral(spec: NoiseSpec, v: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _transport_spectral(spec: NoiseSpec, v: np.ndarray, W: np.ndarray, work: Workspace | None = None) -> np.ndarray:
     """``_transport_grid`` for constant phi and psi, with no transform: family 1
     gives i(phi_k . k) v + psi_k D v, family 2 i(phi_k . k) A3 v, with D =
     ``Grid.dz_nodal``.  As on the grid, the constants are the real parts of the
     (0, 0, 0) coefficients and the transported field is the Hermitian part of v,
-    the parts that synthesis keeps."""
+    the parts that synthesis keeps.  The derivative stack and the product take
+    their arrays from ``work`` when given."""
     g = spec.grid
     P, J = W.shape[:2]
     # family 2 transports the depth mean, and its psi is zero
     h = g.enforce_reality(v if spec.family == "example1" else _lift(g, v[..., 0]))
     consts = np.concatenate([spec.phi[:, :, 0, 0, 0], spec.psi[:, None, 0, 0, 0]], axis=1).real  # (K, 3)
-    dz = (h.reshape(-1, g.nm) @ g.dz_nodal.T).reshape(h.shape)
     # the (P, J, 3) direction sums applied to the derivative stack (P, 3, n * modes), real and
     # imaginary parts alike: one real (J, 3) @ (3, 2 * n * modes) product per path
-    stack = np.stack([g.dx(h), g.dy(h), dz], axis=1).view(np.float64).reshape(P, 3, -1)
-    return (W @ consts @ stack).view(np.complex128).reshape((P, J) + v.shape[1:])
+    stack = _scratch(work, "scratch.a", (P, 3) + h.shape[1:], np.complex128)
+    np.multiply(h, g.ddx, out=stack[:, 0])
+    np.multiply(h, g.ddy, out=stack[:, 1])
+    stack[:, 2] = (h.reshape(-1, g.nm) @ g.dz_nodal.T).reshape(h.shape)
+    stack = stack.view(np.float64).reshape(P, 3, -1)
+    out = _scratch(work, "scratch.b", (P, J, stack.shape[-1]))
+    return np.matmul(W @ consts, stack, out=out).view(np.complex128).reshape((P, J) + v.shape[1:])
 
 
 def hs_norm_sq(columns: list, space: str = "H") -> float:

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, PaddedSamples, SpectralState
+from .spectral import Grid, PaddedSamples, SpectralState, Workspace, _scratch
 
 __all__ = [
     "PhysicsParams",
     "ModeSplit",
     "leray_project",
     "leray_coeffs",
+    "leray_inplace",
     "vertical_velocity",
     "average_A2",
     "average_A3",
@@ -90,18 +91,28 @@ def leray_project(state: SpectralState) -> SpectralState:
 
 def leray_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """``leray_project`` on a coefficient stack (..., C, nkx, nky, nm) whose
-    first two components are the velocity; returns a projected copy."""
-    out = coeffs.copy()
+    first two components are the velocity; returns a projected copy and
+    leaves ``coeffs`` as it is.  An operator that has just made its stack
+    projects it with ``leray_inplace`` instead, bit for bit the same values
+    without the copy."""
+    return leray_inplace(grid, coeffs.copy())
+
+
+def leray_inplace(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """``leray_coeffs`` written into ``coeffs`` itself, which it returns: only
+    the barotropic velocity level changes.  For a stack that its caller owns
+    and no one else reads, such as the fresh result of an operator; the
+    advection, the forcing and the noise project their own stacks with it."""
     kx = grid.kx_phys[:, None]
     ky = grid.ky_phys[None, :]
     ksq = np.where(grid.ksq_h == 0.0, 1.0, grid.ksq_h)
-    v1 = out[..., 0, :, :, 0]
-    v2 = out[..., 1, :, :, 0]
+    v1 = coeffs[..., 0, :, :, 0]
+    v2 = coeffs[..., 1, :, :, 0]
     d = (kx * v1 + ky * v2) / ksq
     v1 -= kx * d
     v2 -= ky * d
-    out[..., :2, 0, 0, 0] = 0.0
-    return out
+    coeffs[..., :2, 0, 0, 0] = 0.0
+    return coeffs
 
 
 def barotropic_divergence(state: SpectralState) -> np.ndarray:
@@ -179,7 +190,11 @@ def fluctuation_R(state: SpectralState) -> SpectralState:
 
 
 def _advection_samples(
-    grid: Grid, adv_coeffs: np.ndarray | None, target_coeffs: np.ndarray, samples: PaddedSamples | None = None
+    grid: Grid,
+    adv_coeffs: np.ndarray | None,
+    target_coeffs: np.ndarray,
+    samples: PaddedSamples | None = None,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """Samples of (v.grad)X + w(v) dz X on the dealiased grid, per component,
     for a stack of P paths: velocities v (P, 2, nkx, nky, nm) and targets X
@@ -191,12 +206,19 @@ def _advection_samples(
     w(v) from the same samples when X advects itself, and from one synthesis
     of the velocities otherwise.  w carries its affine part -(z + h) div(vbar)
     from the m = 0 divergence level on every path, so each path's samples
-    equal its own P = 1 call bit for bit.
+    equal its own P = 1 call bit for bit.  The sum and its terms are formed
+    in two arrays from ``work`` (fresh ones without it), in the order of
+    the plain expression.
     """
     target = grid.padded_samples(target_coeffs) if samples is None else samples
     adv = target if adv_coeffs is None else grid.padded_samples(adv_coeffs)
     vel = adv.values
-    return vel[:, 0, None] * target.dx + vel[:, 1, None] * target.dy + adv.w[:, None] * target.dz
+    shape = np.broadcast_shapes(vel[:, :1].shape, target.dx.shape)
+    total = np.multiply(vel[:, 0, None], target.dx, out=_scratch(work, "advection.total", shape))
+    term = np.multiply(vel[:, 1, None], target.dy, out=_scratch(work, "scratch.a", shape))
+    total += term
+    total += np.multiply(adv.w[:, None], target.dz, out=term)
+    return total
 
 
 def trilinear_b(U: SpectralState, Usharp: SpectralState, Uflat: SpectralState) -> float:
@@ -215,18 +237,25 @@ def bilinear_B(U: SpectralState, Usharp: SpectralState | None = None) -> Spectra
 
 
 def advection_coeffs(
-    grid: Grid, coeffs: np.ndarray, target: np.ndarray | None = None, samples: PaddedSamples | None = None
+    grid: Grid,
+    coeffs: np.ndarray,
+    target: np.ndarray | None = None,
+    samples: PaddedSamples | None = None,
+    *,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """``bilinear_B`` on a stack of P paths: the projected advection of the
     targets (P, 3, nkx, nky, nm) by the velocities of ``coeffs`` (the targets
     default to ``coeffs``, which then need one synthesis in all); each path's
     rows equal its own P = 1 call bit for bit.  ``samples`` are the stacked
-    ``Grid.padded_samples`` of the targets."""
+    ``Grid.padded_samples`` of the targets.  The grid products and the
+    analysis take their scratch from ``work`` when given; the result is a
+    fresh array, projected in place."""
     if target is None:
-        adv = _advection_samples(grid, None, coeffs, samples)
+        adv = _advection_samples(grid, None, coeffs, samples, work)
     else:
-        adv = _advection_samples(grid, coeffs[:, :2], target, samples)
-    return leray_coeffs(grid, grid.analyze_cos(adv))
+        adv = _advection_samples(grid, coeffs[:, :2], target, samples, work)
+    return leray_inplace(grid, grid.analyze_cos(adv, work=work))
 
 
 # -- linear operators ----------------------------------------------------------
@@ -256,7 +285,7 @@ def _linear_terms(
     out[..., 1, :, :, :] = scale * grid.dy(G) + f * coeffs[..., 0, :, :, :]
     if F_U is not None:
         out -= F_U
-    return leray_coeffs(grid, out)
+    return leray_inplace(grid, out)
 
 
 def pressure_buoyancy_Apr(state: SpectralState, physics: PhysicsParams) -> SpectralState:

@@ -58,6 +58,7 @@ with ``cfg.grid``'s to round-off.  A full-Galerkin run records on
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -70,6 +71,7 @@ from .spectral import (
     Grid,
     PaddedSamples,
     SpectralState,
+    Workspace,
     _parseval_sq,
     h_norm_sq,
     random_state,
@@ -265,6 +267,16 @@ def record_band(cfg: SolverConfig) -> tuple:
 # padded-grid samples per stacked field in one chunk of paths (see ``chunk_size``)
 CHUNK_SAMPLES = 2**13
 
+# the scratch of this thread's steps and stored records (see ``Stepper``)
+_thread = threading.local()
+
+
+def _workspace() -> Workspace:
+    """This thread's workspace, made on first use."""
+    if not hasattr(_thread, "work"):
+        _thread.work = Workspace()
+    return _thread.work
+
 
 def chunk_size(grid: Grid) -> int:
     """Paths stepped as one stack on the step grid ``grid`` (``step_grid``): a
@@ -282,7 +294,17 @@ class Stepper:
     (``step_grid``), coefficients (P, 3, nkx', nky', nm'), one row per path;
     ``run_paths`` is its only caller.  The noise operator and the forcing are
     cut to the step grid.  ``U0n`` (the masked, projected initial state) and
-    ``kappa`` stay on ``cfg.grid``; ``c0`` is U0n in the step-grid layout."""
+    ``kappa`` stay on ``cfg.grid``; ``c0`` is U0n in the step-grid layout.
+
+    ``work`` holds the scratch arrays of the steps and of ``run_paths``'
+    stored records (``spectral.Workspace``): the samples, the grid products
+    and the transforms' intermediates, kept for the latest stack shape.  It
+    is the thread's workspace, which outlives the stepper: a stepper lives
+    for one chunk of paths, and a workspace of its own would be allocated
+    and faulted in again for every chunk.  A step runs to its end before
+    another starts, so the steppers of one thread can share it.  Only
+    arrays that die within a step or a record live there; the rows,
+    increments and columns a step returns are always fresh."""
 
     def __init__(self, cfg: SolverConfig, U0: SpectralState):
         self.cfg = cfg
@@ -291,6 +313,9 @@ class Stepper:
         self.grid = g
         mask = _pn_mask(cfg)
         self.mask = full.extract(g, mask)
+        # the mask as the complex factor that multiplying by it casts it to: a cast
+        # inside the product would allocate numpy's casting buffer on every call
+        self._mask_c = self.mask.astype(np.complex128)
         self.U0n = SpectralState(full, full.enforce_reality(leray_coeffs(full, U0.coeffs) * mask), U0.time)
         self.c0 = full.extract(g, self.U0n.coeffs)
         self.noise = cfg.noise.restricted(g)
@@ -299,6 +324,7 @@ class Stepper:
             self.lin = np.exp(-g.lam * cfg.dt)[None]
         else:
             self.lin = (1.0 / (1.0 + g.lam * cfg.dt))[None]
+        self.work = _workspace()
         if cfg.kappa_cutoff is not None:
             self.kappa = cfg.kappa_cutoff
         else:
@@ -353,13 +379,23 @@ class Stepper:
         if self._static_cols is not None:
             cols = np.broadcast_to(self._static_cols, (len(dW),) + self._static_cols.shape)
         elif cfg.track_ito:
-            cols = sigma_coeffs(self.noise, coeffs, np.broadcast_to(np.eye(K), (len(dW), K, K)), samples)
-            cols *= self.mask
+            eye = np.broadcast_to(np.eye(K), (len(dW), K, K))
+            cols = sigma_coeffs(self.noise, coeffs, eye, samples, work=self.work)
+            cols *= self._mask_c
         else:
-            incr = sigma_coeffs(self.noise, coeffs, dW[:, None], samples)[:, 0]
-            incr *= self.mask
+            incr = sigma_coeffs(self.noise, coeffs, dW[:, None], samples, work=self.work)[:, 0]
+            incr *= self._mask_c
             return incr, None
-        return sum(dW[:, k, None, None, None, None] * cols[:, k] for k in range(K)), cols
+        # the weighted columns summed in order, one term at a time, from the 0 that
+        # ``sum`` starts from (0 + x turns -0 into +0)
+        weights = dW[:, :, None, None, None, None]
+        incr = np.multiply(weights[:, 0], cols[:, 0])
+        incr += 0.0
+        if K > 1:
+            term = self.work.array("scratch.a", incr.shape, np.complex128)
+            for k in range(1, K):
+                incr += np.multiply(weights[:, k], cols[:, k], out=term)
+        return incr, cols
 
     def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, samples: PaddedSamples | None = None):
         """Projected, Galerkin-masked explicit drift -theta B(U) - F(U) of the
@@ -373,21 +409,25 @@ class Stepper:
         advecting = cfg.advection and theta.any()
         if self._skip_forcing and not advecting:
             return None, None
-        expl = None if self._skip_forcing else -forcing_coeffs(g, coeffs, cfg.physics, self.forcing)
+        expl = None
+        if not self._skip_forcing:
+            expl = forcing_coeffs(g, coeffs, cfg.physics, self.forcing)
+            np.negative(expl, out=expl)
         carries = np.full(len(coeffs), expl is not None)
         if advecting:
             adv = theta != 0.0
             rows = slice(None) if adv.all() else adv
             if samples is not None and not adv.all():
                 samples = samples.rows(adv)
-            badv = -theta[rows, None, None, None, None] * advection_coeffs(g, coeffs[rows], samples=samples)
+            badv = advection_coeffs(g, coeffs[rows], samples=samples, work=self.work)
+            badv *= -theta[rows, None, None, None, None]
             if expl is None:
                 expl = np.zeros_like(coeffs)
                 expl[rows] = badv
             else:
                 expl[rows] += badv
             carries |= adv
-        expl *= self.mask
+        expl *= self._mask_c
         return expl, carries
 
     def advance(self, coeffs: np.ndarray, theta: np.ndarray, dW: np.ndarray):
@@ -409,14 +449,16 @@ class Stepper:
         diagonal, and the reality fold keeps the rows divergence-free."""
         cfg = self.cfg
         g = self.grid
-        out = coeffs.copy()
+        self.work.fit(coeffs.shape)
         samples = None
         if self.noise.reads_samples or (cfg.advection and theta.any()):
-            samples = g.padded_samples(coeffs)
+            samples = g.padded_samples(coeffs, work=self.work)
         expl, carries = self.explicit_drift(coeffs, theta, samples)
         incr, cols = self.noise_increment(coeffs, dW, samples)
+        out = coeffs.copy()
         if expl is not None:
-            np.add(out, cfg.dt * expl, out=out, where=carries[:, None, None, None, None])
+            expl *= cfg.dt
+            np.add(out, expl, out=out, where=carries[:, None, None, None, None])
         if incr is not None:
             out += incr
         out *= self.lin
@@ -631,7 +673,7 @@ def run_paths(
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
                 stored = full.embed(g, rows.U)
-                stack = record_stack(full, stored, t, rows.dist, rows.theta, band)
+                stack = record_stack(full, stored, t, rows.dist, rows.theta, band, work=stepper.work)
                 integrands = running_integrands(stack, forcing_weak)
                 now = np.stack(list(integrands.values()), axis=1)
                 rows.running = _trapezoid(rows.running, rows.prev_running, now, t - t_stored)

@@ -93,6 +93,7 @@ __all__ = [
     "NormBundle",
     "Grid",
     "PaddedSamples",
+    "Workspace",
     "build_basis",
     "to_physical",
     "to_spectral",
@@ -454,7 +455,9 @@ class Grid:
         y_analysis = np.stack([ey.real, -ey.imag], axis=-1).reshape(self.ny_pad, 2 * half) / self.ny_pad
         return ex, ex * (1j * self.kx_phys), y_synth, y_dy, ex.conj().T / self.nx_pad, y_analysis
 
-    def _synth_h(self, c: np.ndarray, V: np.ndarray | None, grads: bool = False) -> np.ndarray:
+    def _synth_h(
+        self, c: np.ndarray, V: np.ndarray | None, grads: bool = False, work: "Workspace | None" = None
+    ) -> np.ndarray:
         """Real part of the synthesis of coefficients (..., nkx, nky, nm) with vertical
         matrix V (nz_pad, nm), or none -> real samples (..., nx_pad, ny_pad, nz_pad),
         or the levels (..., nx_pad, ny_pad, nm) without V.  With ``grads``, the
@@ -471,6 +474,10 @@ class Grid:
         conj c(-k))/2: dx c takes the x derivative's matrix on the folded
         plane, and dy c the y derivative's on the x rows of c.  The levels of
         c are those without ``grads`` bit for bit.
+
+        The half-plane, the x rows and the levels come from the ``Workspace``
+        ``work`` when one is given (the step's and the records' levels, with
+        no V), and are made afresh otherwise.
         """
         half = self.spec.N2 + 1
         ex, ex_dx, y_synth, y_dy, _, _ = self._horizontal
@@ -479,24 +486,30 @@ class Grid:
         lead, nm = c.shape[:-3], c.shape[-1]
         # the half-plane with the levels before the columns, so that the y matrix
         # acts on the contiguous real and imaginary parts of each level's columns
-        plane = np.empty(lead + (self.nkx, nm, half), dtype=np.complex128)
+        plane = _scratch(work, "scratch.a", lead + (self.nkx, nm, half), np.complex128)
         columns = plane.swapaxes(-1, -2)
         columns[..., :f, :] = herm
         columns[..., f:, :] = c[..., f:half, :]
         plane = plane.reshape((-1, self.nkx, nm * half))
-        rows = ex @ plane
-        products = [(rows, y_synth)]
+        x_matrices = (ex, ex_dx) if grads else (ex,)
+        rows = _scratch(work, "scratch.b", (len(x_matrices), len(plane), self.nx_pad, nm * half), np.complex128)
+        for out, x in zip(rows, x_matrices):
+            np.matmul(x, plane, out=out)
+        products = [(rows[0], y_synth)]
         if grads:
-            products += [(ex_dx @ plane, y_synth), (rows, y_dy)]
-        levels = np.empty((len(products), rows.shape[0] * self.nx_pad * nm, self.ny_pad))
+            products += [(rows[1], y_synth), (rows[0], y_dy)]
+        levels = _scratch(work, "scratch.a", (len(products), rows.shape[1] * self.nx_pad * nm, self.ny_pad))
         for out, (x_rows, y) in zip(levels, products):
             np.matmul(x_rows.view(np.float64).reshape(-1, 2 * half), y.T, out=out)
         shape = (len(products),) + lead + (self.nx_pad, nm, self.ny_pad)
-        levels = np.ascontiguousarray(levels.reshape(shape).swapaxes(-1, -2))
-        levels = levels if grads else levels[0]
-        return levels if V is None else _apply_vertical(levels, V)
+        out = _scratch(work, "synth.levels", shape[:-2] + (self.ny_pad, nm))
+        np.copyto(out, levels.reshape(shape).swapaxes(-1, -2))
+        levels = out if grads else out[0]
+        if V is None:
+            return levels
+        return _apply_vertical(levels, V, np.empty(levels.shape[:-1] + V.shape[:1]))
 
-    def _analyze_h(self, values: np.ndarray, A: np.ndarray | None) -> np.ndarray:
+    def _analyze_h(self, values: np.ndarray, A: np.ndarray | None, work: "Workspace | None" = None) -> np.ndarray:
         """Forward transform of real samples (..., nx_pad, ny_pad, nz_pad), with
         vertical analysis matrix A (nm, nz_pad), or of levels (..., nx_pad, ny_pad,
         nm) with none -> coefficients (..., nkx, nky, nm).
@@ -505,17 +518,25 @@ class Grid:
         matrix then maps each level's ny_pad samples to the real and imaginary
         parts of the columns ky = 0..N2, and the x matrix the nx_pad rows to the
         kx rows.  That is the ky >= 0 half-plane, the half-plane layout's
-        output; ky < 0 follows by conjugation."""
+        output; ky < 0 follows by conjugation.  Its scratch arrays come from
+        the ``Workspace`` ``work`` when one is given; the coefficients are
+        always a fresh array."""
         if np.iscomplexobj(values):
             raise TypeError("samples must be real")
         half = self.spec.N2 + 1
         _, _, _, _, ex_analysis, y_analysis = self._horizontal
-        levels = values if A is None else _apply_vertical(values, A)
-        lead, nm = levels.shape[:-3], levels.shape[-1]
-        columns = np.ascontiguousarray(levels.swapaxes(-1, -2)).reshape(-1, self.ny_pad) @ y_analysis
-        plane = ex_analysis @ columns.view(np.complex128).reshape((-1, self.nx_pad, nm * half))
+        if A is not None:
+            values = _apply_vertical(values, A, _scratch(work, "scratch.a", values.shape[:-1] + A.shape[:1]))
+        lead, nm = values.shape[:-3], values.shape[-1]
+        levels = _scratch(work, "scratch.b", lead + (self.nx_pad, nm, self.ny_pad))
+        np.copyto(levels, values.swapaxes(-1, -2))
+        columns = _scratch(work, "scratch.a", (levels.size // self.ny_pad, 2 * half))
+        np.matmul(levels.reshape(-1, self.ny_pad), y_analysis, out=columns)
+        columns = columns.view(np.complex128).reshape((-1, self.nx_pad, nm * half))
+        plane = _scratch(work, "scratch.b", columns.shape[:1] + (self.nkx, nm * half), np.complex128)
+        np.matmul(ex_analysis, columns, out=plane)
         plane = plane.reshape(lead + (self.nkx, nm, half)).swapaxes(-1, -2)
-        return np.ascontiguousarray(plane) if self.full_plane is not None else self._unfold(plane)
+        return plane.copy() if self.full_plane is not None else self._unfold(plane)
 
     def synth_cos(self, c: np.ndarray) -> np.ndarray:
         """Cosine-series coefficients (..., nkx, nky, nm) -> real samples (..., nx_pad, ny_pad, nz_pad)."""
@@ -529,12 +550,14 @@ class Grid:
         """Horizontal-only synthesis of 2D coefficients (..., nkx, nky) -> (..., nx_pad, ny_pad)."""
         return self._synth_h(c2[..., None], None)[..., 0]
 
-    def padded_samples(self, c: np.ndarray) -> "PaddedSamples":
+    def padded_samples(self, c: np.ndarray, *, work: "Workspace | None" = None) -> "PaddedSamples":
         """The samples of cosine coefficients (..., nkx, nky, nm) and of their
         gradients, from one synthesis: ``_synth_h`` folds c once and gives the
         levels of c, dx c and dy c, with the derivatives taken inside its
-        matrices, and ``PaddedSamples`` derives every sample from those levels."""
-        return PaddedSamples(self, self._synth_h(c, None, True))
+        matrices, and ``PaddedSamples`` derives every sample from those levels.
+        With a ``Workspace``, the levels and every sample derived from them are
+        its arrays, valid until its next ``padded_samples``."""
+        return PaddedSamples(self, self._synth_h(c, None, True, work), work)
 
     @_cached
     def _sample_matrices(self) -> tuple:
@@ -549,16 +572,18 @@ class Grid:
         W[:, 0] = -(z + self.spec.h)
         return C, S * -self.mz_phys, W
 
-    def analyze_cos(self, values: np.ndarray) -> np.ndarray:
+    def analyze_cos(self, values: np.ndarray, *, work: "Workspace | None" = None) -> np.ndarray:
         """Real samples (..., nx_pad, ny_pad, nz_pad) on the padded grid -> cosine
         coefficients (..., nkx, nky, nm), truncated to retained modes: exact
         for band-limited input, and the dealiased projection of pointwise
-        products.  Samples of any other shape raise ``ValueError``.
+        products.  Samples of any other shape raise ``ValueError``.  The
+        transform's scratch comes from ``work`` when given; the coefficients
+        are a fresh array either way.
         """
         shape = (self.nx_pad, self.ny_pad, self.nz_pad)
         if values.shape[-3:] != shape:
             raise ValueError(f"sample shape {values.shape[-3:]} is not the padded grid {shape}")
-        return self._analyze_h(values, self._vertical[3])
+        return self._analyze_h(values, self._vertical[3], work)
 
     def analyze_cos2d(self, values: np.ndarray) -> np.ndarray:
         """Real samples (..., nx, ny) -> 2D coefficients (..., nkx, nky)."""
@@ -786,10 +811,62 @@ def _phases(n: int, k: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * (np.outer(np.arange(n), k) % n) / n)
 
 
-def _apply_vertical(levels: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The vertical matrix V (n, nm) applied to real levels (..., nm) -> (..., n),
-    as one product over every leading entry."""
-    return (levels.reshape(-1, levels.shape[-1]) @ V.T).reshape(levels.shape[:-1] + (V.shape[0],))
+def _apply_vertical(levels: np.ndarray, V: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The vertical matrix V (n, nm) applied to real levels (..., nm), written
+    into the contiguous array ``out`` (..., n), as one product over every
+    leading entry; returns ``out``."""
+    np.matmul(levels.reshape(-1, levels.shape[-1]), V.T, out=out.reshape(-1, V.shape[0]))
+    return out
+
+
+class Workspace:
+    """Scratch arrays that their owner reuses from step to step instead of
+    allocating, faulting in and freeing them afresh.  ``array(name, shape,
+    dtype)`` views the slot ``name``, a buffer made on first request and
+    grown when a request does not fit, as a C-contiguous array; it holds
+    whatever the slot's last user left.  An array is valid until the next
+    request of its name, so two arrays that are alive at once never share a
+    name: the slots ``"scratch.a"`` and ``"scratch.b"`` hold arrays that die
+    before the next transform or operator call that takes a workspace, and
+    every array that outlives one has a slot of its own.  ``fit(shape)``
+    keys the workspace by the owner's stack shape: a new shape drops every
+    slot, so only the latest shape's are kept (a chunk's stack shrinks when
+    paths leave it).
+
+    The solver's steps and stored records use one per thread
+    (``solver.Stepper``).  Only arrays that die within a step or a record
+    come from it: a ``Grid`` holds none (grids are shared), and every array
+    that a step or an operator returns is fresh."""
+
+    def __init__(self):
+        self.shape = None
+        self._slots = {}  # name -> flat byte buffer
+        self._views = {}  # (name, shape, dtype) -> view of the slot
+
+    def fit(self, shape: tuple):
+        if shape != self.shape:
+            self._slots.clear()
+            self._views.clear()
+            self.shape = shape
+
+    def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        key = (name, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+            slot = self._slots.get(name)
+            if slot is None or slot.size < nbytes:
+                slot = self._slots[name] = np.empty(nbytes, np.uint8)
+                # views of the outgrown buffer would keep it alive
+                for old in [k for k in self._views if k[0] == name]:
+                    del self._views[old]
+            view = self._views[key] = slot[:nbytes].view(dtype).reshape(shape)
+        return view
+
+
+def _scratch(work: Workspace | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """``work.array(name, shape, dtype)``, or a fresh array without a workspace."""
+    return np.empty(shape, dtype) if work is None else work.array(name, shape, dtype)
 
 
 class PaddedSamples:
@@ -808,19 +885,25 @@ class PaddedSamples:
       the m = 0 level (zero for a Leray-projected v, up to round-off).
 
     Every sample is (..., nx_pad, ny_pad, nz_pad) (w drops the component axis),
-    and each row of the leading axes equals its own single call bit for bit."""
+    and each row of the leading axes equals its own single call bit for bit.
+    With a ``Workspace`` ``work`` the samples are its arrays, like the levels."""
 
-    def __init__(self, grid: Grid, levels: np.ndarray):
+    def __init__(self, grid: Grid, levels: np.ndarray, work: Workspace | None = None):
         self.grid = grid
         self.levels = levels
+        self.work = work
 
     def rows(self, rows) -> "PaddedSamples":
-        """The samples of the rows ``rows`` (an index or mask) of the leading axis."""
+        """The samples of the rows ``rows`` (an index or mask) of the leading axis,
+        in fresh arrays."""
         return PaddedSamples(self.grid, self.levels[:, rows])
+
+    def _vertical(self, name: str, levels: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return _apply_vertical(levels, V, _scratch(self.work, name, levels.shape[:-1] + V.shape[:1]))
 
     @cached_property
     def _cos(self) -> np.ndarray:
-        return _apply_vertical(self.levels, self.grid._sample_matrices[0])
+        return self._vertical("samples.cos", self.levels, self.grid._sample_matrices[0])
 
     @property
     def values(self) -> np.ndarray:
@@ -836,12 +919,13 @@ class PaddedSamples:
 
     @cached_property
     def dz(self) -> np.ndarray:
-        return _apply_vertical(self.levels[0], self.grid._sample_matrices[1])
+        return self._vertical("samples.dz", self.levels[0], self.grid._sample_matrices[1])
 
     @cached_property
     def w(self) -> np.ndarray:
-        div = self.levels[1][..., 0, :, :, :] + self.levels[2][..., 1, :, :, :]
-        return _apply_vertical(div, self.grid._sample_matrices[2])
+        dx_v1, dy_v2 = self.levels[1][..., 0, :, :, :], self.levels[2][..., 1, :, :, :]
+        div = np.add(dx_v1, dy_v2, out=_scratch(self.work, "samples.div", dx_v1.shape))
+        return self._vertical("samples.w", div, self.grid._sample_matrices[2])
 
     @property
     def grads(self) -> tuple:

@@ -65,7 +65,7 @@ def test_step_projects_once_per_term(name, expected, monkeypatch):
     c = np.stack([stepper.c0, stepper.c0])
     dW = np.full((2, cfg.noise.K), 0.1)
     calls = []
-    real = operators.leray_coeffs
+    real = operators.leray_inplace
 
     def counted(grid, coeffs):
         calls.append(coeffs.shape)
@@ -74,8 +74,10 @@ def test_step_projects_once_per_term(name, expected, monkeypatch):
     def forbidden(grid, coeffs):
         raise AssertionError("Stepper.advance projects")
 
-    monkeypatch.setattr(operators, "leray_coeffs", counted)
-    monkeypatch.setattr(noise, "leray_coeffs", counted)
+    # each operator projects the stack it has just made, in place
+    monkeypatch.setattr(operators, "leray_inplace", counted)
+    monkeypatch.setattr(noise, "leray_inplace", counted)
+    monkeypatch.setattr(operators, "leray_coeffs", forbidden)
     monkeypatch.setattr(solver, "leray_coeffs", forbidden)
     out, _, _ = stepper.advance(c, np.ones(2), dW)
     assert len(calls) == expected

@@ -243,6 +243,21 @@ class TestCLI:
         manifest = json.load(open(os.path.join(root, "a", "manifest.json")))
         assert h_norm_sq(state) == manifest["verdicts"]["final_H_sq"]
 
+    def test_manifest_states_lambda_max_dt(self, tmp_path):
+        # the largest retained eigenvalue times dt = 1/64: 106.8 on the 3^3 grid;
+        # smallnoise-888 retains 200 of its 7,803 modes, up to 16.0, and the full
+        # 8^3 band reaches 759.7
+        root = str(tmp_path)
+        runs = {
+            "a": (["run", "--preset", "example1-small"], 1.67),
+            "b": (["ensemble", "--preset", "smallnoise-888", "--paths", "1"], 0.25),
+            "c": (["run", "--preset", "smallnoise-888", "--set", "solver.n_galerkin=7803"], 11.87),
+        }
+        for label, (args, expected) in runs.items():
+            assert main([*args, "--output-root", root, "--label", label]) == EXIT_OK
+            manifest = json.load(open(os.path.join(root, label, "manifest.json")))
+            assert round(manifest["lambda_max_dt"], 2) == expected, label
+
     def test_linear_decay_preset_decays(self, tmp_path):
         root = str(tmp_path)
         assert main(["run", "--preset", "linear-decay", "--output-root", root]) == EXIT_OK

@@ -171,7 +171,7 @@ class TestConstantTransport:
         # whole rows, from the stack and from the public single-state call
         rows = sigma_coeffs(spec, c, W)
         single = [[col.coeffs for col in apply_sigma(spec, SpectralState(grid, cp), Wp)] for cp, Wp in zip(c, W)]
-        monkeypatch.setattr(noise, "_transport_spectral", lambda spec, v, W: noise._transport_grid(spec, v, W, None))
+        monkeypatch.setattr(noise, "_transport_spectral", lambda spec, v, W, work: noise._transport_grid(spec, v, W, None, work))
         grid_rows = sigma_coeffs(spec, c, W)
         scale = np.abs(grid_rows).max()
         assert np.abs(rows - grid_rows).max() <= 1e-14 * scale

@@ -36,6 +36,15 @@ def test_run_then_diff(tmp_path, capsys):
                 one, two = (saved[f"ensemble/{preset}/workers{w}/{part}"] for w in parity.ENSEMBLE_WORKERS)
                 assert np.array_equal(one, two, equal_nan=True), (preset, part)
             assert saved[f"ensemble/{preset}/workers1/paths"].shape[0] == n_paths
+    # the stride group: every stride's paths, each a record at t = 0 and one per stored step
+    for stride in parity.STRIDES:
+        for tid in parity.PATHS:
+            key = f"stride/{parity.STRIDE_PRESET}/{stride}/path{tid}"
+            assert f"{key}/records" in digests and f"{key}/stopping/temperature" in digests
+    with np.load(out / "arrays.npz") as saved:
+        n_records = [len(saved[f"stride/{parity.STRIDE_PRESET}/{s}/path0/records"]) for s in parity.STRIDES]
+    assert n_records == [17, 5, 2]
+    assert parity.ENSEMBLES["ou-single-mode"] == 513
     assert json.loads((out / "digests.json").read_text()) == digests
     assert parity.diff(str(out), str(out)) == []
 

@@ -474,9 +474,9 @@ def spy_sigma_weights(monkeypatch) -> list:
     """The weights of every ``sigma_coeffs`` call the step makes, in order."""
     weights = []
 
-    def spy(spec, coeffs, w=None, grads=None):
+    def spy(spec, coeffs, w=None, grads=None, work=None):
         weights.append(np.array(w))
-        return sigma_coeffs(spec, coeffs, w, grads)
+        return sigma_coeffs(spec, coeffs, w, grads, work=work)
 
     monkeypatch.setattr(solver, "sigma_coeffs", spy)
     return weights

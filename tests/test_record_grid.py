@@ -144,9 +144,9 @@ def test_truncated_run_changes_only_the_quadrature_columns(monkeypatch):
     ids = [0, 3]
     bands, quadrature = [], diagnostics._grid_quadrature_functionals
 
-    def spy(grid, coeffs, band=None):
+    def spy(grid, coeffs, band=None, work=None):
         bands.append(band)
-        return quadrature(grid, coeffs, band)
+        return quadrature(grid, coeffs, band, work)
 
     with monkeypatch.context() as m:
         m.setattr(diagnostics, "_grid_quadrature_functionals", spy)
@@ -172,3 +172,34 @@ def test_truncated_run_changes_only_the_quadrature_columns(monkeypatch):
                 assert_rel(ra.stopping[name], rb.stopping[name], 1e-14)
             for name in ("weak", "grad_vbar", "dz_v"):
                 assert ra.stopping[name] == rb.stopping[name]
+
+
+def power_quadrature(grid, coeffs, band):
+    """The quadrature columns with every power taken by ``np.power``: the
+    reference for the products that the record forms."""
+    fluct = coeffs.copy()
+    fluct[:, :2, :, :, 0] = 0.0
+    rec = grid.record_grid(*band)
+    s = rec.padded_samples(grid.extract(rec, fluct))
+    v = s.values
+    vt_sq = np.power(v[:, 0], 2) + np.power(v[:, 1], 2)
+    grad_sq = sum(np.power(d[:, :2], 2).sum(axis=1) for d in s.grads)
+    w = rec.quad_weight()
+    return {
+        "L6_vtilde_6": np.power(vt_sq, 3).sum(axis=(1, 2, 3)) * w,
+        "grad_vtilde_vtilde4": (grad_sq * np.power(vt_sq, 2)).sum(axis=(1, 2, 3)) * w,
+        "L6_T_6": np.power(v[:, 2], 6).sum(axis=(1, 2, 3)) * w,
+    }
+
+
+@pytest.mark.parametrize("preset", ["example1-small", "smallnoise-888"])
+def test_product_powers_match_np_power(preset):
+    # the stored states of four paths, every stored step, as one record stack
+    cfg = replace(preset_cfg(preset), store_states=True)
+    states = np.concatenate([traj.states for traj in run_paths(cfg, [0, 1, 2, 5])])
+    band = record_band(cfg)
+    rec = record_stack(cfg.grid, states, 0.0, np.zeros(len(states)), np.ones(len(states)), band=band)
+    ref = power_quadrature(cfg.grid, states, band)
+    for name, values in quad_columns(rec).items():
+        assert np.all(ref[name] > 0), name
+        assert_rel(values, ref[name], 1e-14)

@@ -12,9 +12,12 @@ each preset's ``stochpe run`` files; then the ``growth`` group: the
 ``estimate_growth_constants`` reports and ``kappa_sq`` on both layouts of
 three noise operators on a 3^3 grid, and ``spectral.norms`` of one random
 state; then the ``ensemble`` group: the ``run_ensemble`` path summaries and
-the ``ito_isometry_check`` result of each ``ENSEMBLES`` preset, two chunks
-of paths, at each of ``ENSEMBLE_WORKERS``; then the ``exit`` group: the exit
-code of each ``stochpe run`` that should fail (``EXIT_COMMANDS`` and three
+the ``ito_isometry_check`` result of each ``ENSEMBLES`` preset, a full
+chunk of paths and a partial one, at each of ``ENSEMBLE_WORKERS``; then the
+``stride`` group: the outputs of ``run_paths([0, 1, 2, 5])`` on
+``STRIDE_PRESET`` at each ``store_stride`` of ``STRIDES``, which show how
+the running integrals depend on the stored stride; then the ``exit`` group:
+the exit code of each ``stochpe run`` that should fail (``EXIT_COMMANDS`` and three
 malformed input files), or the name of the exception that escapes.  It
 writes ``DIR/digests.json``, one SHA-256 digest per output, and
 ``DIR/arrays.npz``, the array behind each digest.
@@ -61,9 +64,13 @@ PRESET_CUTS = {"smallnoise-888": 100}
 PATHS = (0, 1, 2, 5)
 # shortened so that the whole list runs in about two seconds
 PRESET_CHANGES = {"linear-decay": {"solver.t_end": "0.5"}}
-# paths per ensemble: two chunks of the step grid (16 and 4 paths a chunk)
-ENSEMBLES = {"example1-small": 20, "smallnoise-888": 6}
+# paths per ensemble: a full chunk of the step grid and a partial one (16, 4
+# and 512 paths a chunk)
+ENSEMBLES = {"example1-small": 20, "smallnoise-888": 6, "ou-single-mode": 513}
 ENSEMBLE_WORKERS = (1, 2)
+# the store_stride ladder of the ``stride`` group
+STRIDE_PRESET = "example1-small"
+STRIDES = (1, 4, 16)
 # ``stochpe run`` arguments that should exit 3 (a blow-up) or 2 (a configuration error)
 EXIT_COMMANDS = {
     "overflow": [
@@ -212,6 +219,23 @@ def _ensemble_outputs() -> dict:
     return out
 
 
+def _stride_outputs() -> dict:
+    """Every output of ``run_paths(PATHS)`` with stored states on
+    ``STRIDE_PRESET`` at each ``store_stride`` of ``STRIDES``."""
+    from stochpe.cli import _preset_text
+    from stochpe.config import build_solver_config, parse_config_text
+    from stochpe.solver import run_paths
+
+    out = {}
+    for stride in STRIDES:
+        cfg = build_solver_config(parse_config_text(f"{_preset_text(STRIDE_PRESET)}\nsolver.store_stride = {stride}"))
+        cfg.store_states = True
+        for tid, traj in zip(PATHS, run_paths(cfg, PATHS)):
+            for name, a in _path_outputs(traj).items():
+                out[f"stride/{STRIDE_PRESET}/{stride}/path{tid}/{name}"] = a
+    return out
+
+
 def _malformed_files(root: str) -> dict:
     """``stochpe run`` arguments of ``example1-small`` on three malformed input
     files written to ``root``: a noise file with a short alpha, a family-2 noise
@@ -293,7 +317,7 @@ def run(src: str, out_dir: str, presets=None) -> dict:
             for name, (raw, a) in _cli_outputs(stochpe, preset, changes, root).items():
                 key = f"{preset}/cli/{name}"
                 digests[key], arrays[key] = hashlib.sha256(raw).hexdigest(), a
-        for key, a in {**_growth_outputs(), **_ensemble_outputs(), **_exit_outputs(root)}.items():
+        for key, a in {**_growth_outputs(), **_ensemble_outputs(), **_stride_outputs(), **_exit_outputs(root)}.items():
             digests[key], arrays[key] = _digest(a), a
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "digests.json"), "w") as fh:
