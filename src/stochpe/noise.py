@@ -31,6 +31,7 @@ grid.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,6 +44,7 @@ from .spectral import (
     SpectralState,
     Workspace,
     _parseval_sq,
+    _read_only,
     _scratch,
     add_cos_mode,
     barotropic_sq_norms,
@@ -345,15 +347,20 @@ def apply_sigma(spec: NoiseSpec, state: SpectralState, weights: np.ndarray | Non
     """Noise columns sigma(U) e_k as projected spectral states.
 
     With a (J, K) ``weights`` matrix W the J states sum_k W_jk sigma(U) e_k are
-    returned instead (identity by default); see ``sigma_coeffs``.
+    returned instead; see ``sigma_coeffs``.  Each state holds all three
+    components, the temperature row zero unless ``include_temperature``.
     """
     g = spec.grid
     if g is not state.grid and g.lam.shape != state.grid.lam.shape:
         raise ValueError("noise specification and state resolution mismatch")
-    W = np.eye(spec.K) if weights is None else np.asarray(weights, dtype=float)
-    if W.ndim != 2 or W.shape[1] != spec.K:
+    W = None if weights is None else np.asarray(weights, dtype=float)
+    if W is not None and (W.ndim != 2 or W.shape[1] != spec.K):
         raise ValueError(f"weights must have shape (J, {spec.K})")
-    return [SpectralState(g, c, state.time) for c in sigma_coeffs(spec, state.coeffs[None], W[None])[0]]
+    rows = sigma_coeffs(spec, state.coeffs[None], None if W is None else W[None])[0]
+    # the full state of each row: the temperature row is zero unless the noise has one
+    full = np.zeros((len(rows),) + state.coeffs.shape, dtype=np.complex128)
+    full[:, : rows.shape[1]] = rows
+    return [SpectralState(g, c, state.time) for c in full]
 
 
 def sigma_coeffs(
@@ -365,64 +372,79 @@ def sigma_coeffs(
     work: Workspace | None = None,
 ) -> np.ndarray:
     """``apply_sigma`` on a stack: coefficients (P, 3, nkx, nky, nm) and weights
-    (P, J, K), the K identity rows by default, give the projected rows
-    (P, J, 3, nkx, nky, nm); each path's rows equal its own P = 1 call bit for
+    (P, J, K) give the projected rows (P, J, n, nkx, nky, nm), the n components
+    the noise has: the velocity's two, and the temperature's when
+    ``include_temperature`` (the temperature row of every other operator is
+    zero, and ``apply_sigma`` adds it back).  Without weights the rows are the
+    K columns, formed from the coefficient fields themselves, with no product
+    by identity weights.  Each path's rows equal its own P = 1 call bit for
     bit.  The transport part of every row is formed in one piece: in spectral
     space with no transform when phi and psi are constant
     (``NoiseSpec.constant_transport``), otherwise on the padded grid and
     analysed in one transform, reading ``samples``, the stacked
     ``Grid.padded_samples`` of ``coeffs``, when given (the step shares its own
-    with the advection).  The cost is linear in J: the step passes the K
-    identity rows under ``track_ito``, and one row of weights dW otherwise
+    with the advection).  The cost is linear in J: the step forms the K
+    columns under ``track_ito``, and one row of weights dW otherwise
     (``Stepper.noise_increment``).  The transport part takes its scratch from
     ``work`` when given; the rows are a fresh array, projected in place."""
     g = spec.grid
     K = spec.K
     P = len(coeffs)
-    W = np.broadcast_to(np.eye(K), (P, K, K)) if weights is None else np.asarray(weights, dtype=float)
-    if W.ndim != 3 or W.shape[0] != P or W.shape[2] != K:
+    n = 3 if spec.include_temperature else 2
+    W = None if weights is None else np.asarray(weights, dtype=float)
+    if W is not None and (W.ndim != 3 or W.shape[0] != P or W.shape[2] != K):
         raise ValueError(f"weights must have shape ({P}, J, {K})")
-    J = W.shape[1]
-    rows = np.zeros((P, J) + coeffs.shape[1:], dtype=np.complex128)
-    if spec.family != "zero":
-        n = 3 if spec.include_temperature else 2
-        if spec.constant_transport:
-            rows[:, :, :n] = _transport_spectral(spec, coeffs[:, :n], W, work)
-        else:
-            rows[:, :, :n] = _transport_grid(spec, coeffs[:, :n], W, samples, work)
-        linear = np.multiply(
-            (W @ spec.alpha)[:, :, None, None, None, None],
-            coeffs[:, None, :n],
-            out=_scratch(work, "scratch.a", (P, J, n) + coeffs.shape[2:], np.complex128),
-        )
+    J = K if W is None else W.shape[1]
+    if spec.family == "zero":
+        return np.zeros((P, J, n) + coeffs.shape[2:], dtype=np.complex128)
+    if spec.constant_transport:
+        rows = _transport_spectral(spec, coeffs[:, :n], W, work)
+    else:
+        rows = _transport_grid(spec, coeffs[:, :n], W, samples, work)
+    alpha = spec.alpha[None] if W is None else W @ spec.alpha
+    linear = np.multiply(
+        alpha[:, :, None, None, None, None],
+        coeffs[:, None, :n],
+        out=_scratch(work, "scratch.a", rows.shape, np.complex128),
+    )
+    if W is None:
+        linear[:, :, :2] += spec.chi[None]
+    else:
         chi = _scratch(work, "scratch.b", (P, J, spec.chi[0].size), np.complex128)
         linear[:, :, :2] += np.matmul(W, spec.chi.reshape(K, -1), out=chi).reshape((P, J) + spec.chi.shape[1:])
-        rows[:, :, :n] += linear
-        leray_inplace(g, rows)
-    return rows
+    rows += linear
+    return leray_inplace(g, rows)
 
 
 def _transport_grid(
-    spec: NoiseSpec, v: np.ndarray, W: np.ndarray, samples: PaddedSamples | None, work: Workspace | None = None
+    spec: NoiseSpec, v: np.ndarray, W: np.ndarray | None, samples: PaddedSamples | None, work: Workspace | None = None
 ) -> np.ndarray:
     """Transport part (P, J, n, nkx, nky, nm) of the rows for the transported
-    components v (P, n, nkx, nky, nm) and weights W (P, J, K): the weighted
-    products formed on the padded grid and analysed in one transform.  The
-    gradients are read from ``samples`` (of a stack whose leading n components
-    are v), or else from one ``Grid.padded_samples`` here; family 2's, of the
-    depth mean A3 v, are the m = 0 level of the dx and dy blocks, constant in z.
-    The products and the analysis take their scratch from ``work`` when given,
-    summed in the order of the plain expression."""
+    components v (P, n, nkx, nky, nm) and weights W (P, J, K), or of the K
+    columns when W is None: the weighted products formed on the padded grid
+    and analysed in one transform into a fresh array.  The gradients are read
+    from ``samples`` (of a stack whose leading n components are v), or else
+    from one ``Grid.padded_samples`` here; family 2's, of the depth mean A3 v,
+    are the m = 0 level of the dx and dy blocks, constant in z.  The products
+    and the analysis take their scratch from ``work`` when given, summed in
+    the order of the plain expression."""
     g = spec.grid
     K = spec.K
-    P, J = W.shape[:2]
-    n = v.shape[1]
-    # a (P, J, K) @ (K, N) product per field, which keeps each path's BLAS call as in the single case
+    P, n = v.shape[:2]
+    J = K if W is None else W.shape[1]
     shape = spec._psi_grid.shape[1:]
-    phi = (W @ spec._phi_grid.reshape(K, -1)).reshape((P, J, 2) + shape)
+
+    def weighted(field: np.ndarray) -> np.ndarray:
+        # the columns read the field itself; the rows form a (P, J, K) @ (K, N) product,
+        # which keeps each path's BLAS call as in the single case
+        if W is None:
+            return field[None]
+        return (W @ field.reshape(K, -1)).reshape((P, J) + field.shape[1:])
+
+    phi = weighted(spec._phi_grid)
     if spec.family == "example1":
         gx, gy, gz = (a[:, :n] for a in (g.padded_samples(v) if samples is None else samples).grads)
-        psi = (W @ spec._psi_grid.reshape(K, -1)).reshape((P, J) + shape)
+        psi = weighted(spec._psi_grid)
         terms = ((phi[:, :, 0, None], gx), (phi[:, :, 1, None], gy), (psi[:, :, None], gz))
     else:
         levels = (g.padded_samples(v[..., :1]) if samples is None else samples).levels
@@ -436,27 +458,30 @@ def _transport_grid(
     return g.analyze_cos(products, work=work)
 
 
-def _transport_spectral(spec: NoiseSpec, v: np.ndarray, W: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+def _transport_spectral(
+    spec: NoiseSpec, v: np.ndarray, W: np.ndarray | None, work: Workspace | None = None
+) -> np.ndarray:
     """``_transport_grid`` for constant phi and psi, with no transform: family 1
     gives i(phi_k . k) v + psi_k D v, family 2 i(phi_k . k) A3 v, with D =
     ``Grid.dz_nodal``.  As on the grid, the constants are the real parts of the
     (0, 0, 0) coefficients and the transported field is the Hermitian part of v,
-    the parts that synthesis keeps.  The derivative stack and the product take
-    their arrays from ``work`` when given."""
+    the parts that synthesis keeps.  The derivative stack takes its array from
+    ``work`` when given; the product is a fresh array."""
     g = spec.grid
-    P, J = W.shape[:2]
+    P = len(v)
+    J = spec.K if W is None else W.shape[1]
     # family 2 transports the depth mean, and its psi is zero
     h = g.enforce_reality(v if spec.family == "example1" else _lift(g, v[..., 0]))
     consts = np.concatenate([spec.phi[:, :, 0, 0, 0], spec.psi[:, None, 0, 0, 0]], axis=1).real  # (K, 3)
-    # the (P, J, 3) direction sums applied to the derivative stack (P, 3, n * modes), real and
+    # the (J, 3) direction sums applied to the derivative stack (P, 3, n * modes), real and
     # imaginary parts alike: one real (J, 3) @ (3, 2 * n * modes) product per path
     stack = _scratch(work, "scratch.a", (P, 3) + h.shape[1:], np.complex128)
     np.multiply(h, g.ddx, out=stack[:, 0])
     np.multiply(h, g.ddy, out=stack[:, 1])
     stack[:, 2] = (h.reshape(-1, g.nm) @ g.dz_nodal.T).reshape(h.shape)
     stack = stack.view(np.float64).reshape(P, 3, -1)
-    out = _scratch(work, "scratch.b", (P, J, stack.shape[-1]))
-    return np.matmul(W @ consts, stack, out=out).view(np.complex128).reshape((P, J) + v.shape[1:])
+    out = np.matmul(consts if W is None else W @ consts, stack, out=np.empty((P, J, stack.shape[-1])))
+    return out.view(np.complex128).reshape((P, J) + v.shape[1:])
 
 
 def hs_norm_sq(columns: list, space: str = "H") -> float:
@@ -475,15 +500,28 @@ def hs_norm(columns: list, space: str = "H") -> float:
 # -- Wiener sampling -----------------------------------------------------------
 
 
+# this thread's generator (see ``WienerStream``)
+_philox = threading.local()
+# a fresh Philox's counter and output buffer
+_ZERO_WORDS = _read_only(np.zeros(4, dtype=np.uint64))
+
+
 @dataclass(frozen=True)
 class WienerStream:
     """Counter-based Gaussian increments of one path.
 
-    One Philox generator keyed by (seed, trajectory) draws the whole path, so
+    A Philox generator keyed by (seed, trajectory) draws the whole path, so
     the increments are independent across steps, paths and directions, and
     ensembles are reproducible in any order of evaluation.  The draw is
     prefix-stable: row j is a pure function of (seed, trajectory, j),
     whatever the number of steps requested.
+
+    Philox's whole state is its key and its counter, so each thread keeps one
+    generator and re-keys it for every path: key (seed, trajectory), counter
+    zero, an empty output buffer and no cached 32-bit half.  That is the state
+    of a freshly built ``Generator(Philox(key=...))``, whose draws it repeats
+    bit for bit, without that constructor's cost (it builds an OS-entropy
+    seed sequence that the key then overrides).
     """
 
     seed: int
@@ -494,8 +532,18 @@ class WienerStream:
         """Increments of steps 0..n_steps-1 as an (n_steps, K) array."""
         if dt <= 0:
             raise ValueError("dt must be positive")
+        gen = getattr(_philox, "gen", None)
+        if gen is None:
+            gen = _philox.gen = np.random.Generator(np.random.Philox(0))
         key = np.array([self.seed & _MASK64, self.trajectory & _MASK64], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS, "key": key},
+            "buffer": _ZERO_WORDS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         return gen.standard_normal((n_steps, self.K)) * np.sqrt(dt)
 
 

@@ -330,12 +330,25 @@ class Stepper:
         else:
             v0 = math.sqrt(v_norm_sq(self.U0n))
             self.kappa = 0.5 * v0 if v0 > 0 else 1.0
-        # state-independent noise columns can be prepared once, as one (K, 3, ...) array,
-        # with their squared H norms (K,)
-        self._static_cols = self.static_sq = None
+        # the noise's rows: the velocity's two, and the temperature's when it has one
+        self._n = 3 if cfg.noise.include_temperature else 2
+        # the mask drops some mode; a full-Galerkin mask keeps every one, and the noise
+        # skips multiplying by it
+        self._truncated = not self.mask.all()
+        # state-independent noise columns can be prepared once, as one (K, n, ...) array,
+        # with the sum of their squared H norms, in column order, that the Ito quadratic
+        # variation adds each step
+        self._static_cols = self.static_quad = None
         if cfg.noise.family != "zero" and cfg.noise.is_additive:
-            self._static_cols = sigma_coeffs(self.noise, np.zeros_like(self.c0)[None])[0] * self.mask
-            self.static_sq = _parseval_sq(g, self._static_cols)
+            self._static_cols = sigma_coeffs(self.noise, np.zeros_like(self.c0)[None])[0] * self.mask[: self._n]
+            sq = _parseval_sq(g, self._static_cols)
+            self.static_quad = sum(sq[k] for k in range(cfg.noise.K))
+        # U0n = 0 gives U* = 0: the cutoff distance is then the V norm (``distance``)
+        self._zero_start = not self.c0.any()
+        # the fixed arrays of each stack size: the static columns broadcast to it, and
+        # the original equation's switches
+        self._broadcast = {}
+        self._ones = {}
         # the aggregate linear term vanishes identically in this configuration
         self._skip_forcing = (
             cfg.forcing is None
@@ -347,54 +360,77 @@ class Stepper:
         """A copy of ``U0n``, the masked and projected initial state on ``cfg.grid``."""
         return self.U0n.copy()
 
-    def distance(self, coeffs: np.ndarray, t: float) -> np.ndarray:
-        """Cutoff distances ||U - U*|| (P,) of the rows to the free decay of U0 at time t."""
+    def distance(self, coeffs: np.ndarray, t: float, v_sq: np.ndarray | None = None) -> np.ndarray:
+        """Cutoff distances ||U - U*|| (P,) of the rows to the free decay of U0 at time t.
+
+        ``v_sq``, when given, is the rows' squared V norms on the step grid
+        (``sq_norms``).  From a zero U0n, U* is zero, and the distances are their
+        square roots: the same values bit for bit, since c0 * factor is +0 and
+        x - (+0) is x, so the V norm of the difference is the V norm of the rows."""
+        if v_sq is not None and self._zero_start:
+            return np.sqrt(v_sq)
         factor = np.exp(-self.grid.lam * (t - self.U0n.time))
         diff = coeffs - self.c0 * factor[None]
         return np.sqrt(_parseval_sq(self.grid, diff, 1.0))
 
     def theta(self, dist: np.ndarray) -> np.ndarray:
-        """Advection switch (P,) at the cutoff distances (1 for the original equation)."""
+        """Advection switch (P,) at the cutoff distances; for the original
+        equation a read-only array of ones, one per stack size."""
         if self.cfg.equation == "modified":
             return cutoff_theta(dist, self.kappa)
-        return np.ones(len(dist))
+        P = len(dist)
+        if P not in self._ones:
+            self._ones[P] = np.ones(P)
+            self._ones[P].flags.writeable = False
+        return self._ones[P]
 
     def noise_increment(self, coeffs: np.ndarray, dW: np.ndarray, samples: PaddedSamples | None):
         """Masked increments sum_k sigma(U) e_k dW_k of the rows (P, 3, nkx', nky', nm'),
-        for weights dW (P, K), and the masked columns (P, K, 3, nkx', nky', nm');
-        (None, None) for zero noise.
+        for weights dW (P, K), and the masked columns (P, K, n, nkx', nky', nm');
+        (None, None) for zero noise.  The columns hold the n rows the noise has
+        (``sigma_coeffs``); the increments hold all three, the temperature row
+        +0 unless the noise has one.
 
         Under ``track_ito`` state-dependent noise forms the K columns in one
-        ``sigma_coeffs`` call with the K identity weight rows, and additive noise
-        broadcasts its fixed columns to every row as a read-only view; the
-        increments are then the dW-weighted sum of the columns, one formula for
-        both.  Without it, state-dependent noise forms only the increments, as
-        one ``sigma_coeffs`` row with weights dW, and no columns (None): K
-        columns would cost K analyses on the grid.  Transport noise with
-        varying phi or psi reads the rows' ``samples`` when the step has them."""
+        ``sigma_coeffs`` call, and additive noise broadcasts its fixed columns to
+        every row as a read-only view; the increments are then the dW-weighted
+        sum of the columns, one formula for both.  Without it, state-dependent
+        noise forms only the increments, as one ``sigma_coeffs`` row with weights
+        dW, and no columns (None): K columns would cost K analyses on the grid.
+        Transport noise with varying phi or psi reads the rows' ``samples`` when
+        the step has them.  The mask multiply is skipped when the mask keeps
+        every mode."""
         cfg = self.cfg
-        K = cfg.noise.K
+        K, n, P = cfg.noise.K, self._n, len(dW)
         if cfg.noise.family == "zero":
             return None, None
+        incr = np.empty(coeffs.shape, dtype=np.complex128)
+        incr[:, n:] = 0.0
+        head = incr[:, :n]
         if self._static_cols is not None:
-            cols = np.broadcast_to(self._static_cols, (len(dW),) + self._static_cols.shape)
+            if P not in self._broadcast:
+                self._broadcast[P] = np.broadcast_to(self._static_cols, (P,) + self._static_cols.shape)
+            cols = self._broadcast[P]
         elif cfg.track_ito:
-            eye = np.broadcast_to(np.eye(K), (len(dW), K, K))
-            cols = sigma_coeffs(self.noise, coeffs, eye, samples, work=self.work)
-            cols *= self._mask_c
+            cols = sigma_coeffs(self.noise, coeffs, None, samples, work=self.work)
+            if self._truncated:
+                cols *= self._mask_c[:n]
         else:
-            incr = sigma_coeffs(self.noise, coeffs, dW[:, None], samples, work=self.work)[:, 0]
-            incr *= self._mask_c
+            row = sigma_coeffs(self.noise, coeffs, dW[:, None], samples, work=self.work)[:, 0]
+            if self._truncated:
+                np.multiply(row, self._mask_c[:n], out=head)
+            else:
+                head[...] = row
             return incr, None
         # the weighted columns summed in order, one term at a time, from the 0 that
         # ``sum`` starts from (0 + x turns -0 into +0)
         weights = dW[:, :, None, None, None, None]
-        incr = np.multiply(weights[:, 0], cols[:, 0])
-        incr += 0.0
+        np.multiply(weights[:, 0], cols[:, 0], out=head)
+        head += 0.0
         if K > 1:
-            term = self.work.array("scratch.a", incr.shape, np.complex128)
+            term = self.work.array("scratch.a", head.shape, np.complex128)
             for k in range(1, K):
-                incr += np.multiply(weights[:, k], cols[:, k], out=term)
+                head += np.multiply(weights[:, k], cols[:, k], out=term)
         return incr, cols
 
     def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, samples: PaddedSamples | None = None):
@@ -642,9 +678,11 @@ def run_paths(
 
             if cfg.track_ito and cols is not None:
                 rows.ito += incr
-                # (P, K), or the static columns' (K,), summed in column order
-                sq = _parseval_sq(g, cols) if stepper.static_sq is None else stepper.static_sq
-                rows.ito_quad += sum(sq[..., k] for k in range(K)) * dt
+                if stepper.static_quad is None:
+                    sq = _parseval_sq(g, cols)  # (P, K), summed in column order
+                    rows.ito_quad += sum(sq[:, k] for k in range(K)) * dt
+                else:
+                    rows.ito_quad += stepper.static_quad * dt
 
             if not ok.all():
                 # monitored functionals out of representable range: numerical blow-up
@@ -659,7 +697,7 @@ def run_paths(
             rows.int_DA_V2 = _trapezoid(rows.int_DA_V2, rows.prev_DA_V2, da_v2, dt)
             rows.prev_DA, rows.prev_DA_V2 = DA_sq, da_v2
 
-            dist = stepper.distance(rows.U, t)
+            dist = stepper.distance(rows.U, t, V_sq)
             # interpolated in the step; tau is not yet hit, so the previous distance is below kappa
             reached = np.isnan(rows.tau_hit) & (dist >= stepper.kappa)
             if reached.any():
@@ -668,8 +706,9 @@ def run_paths(
             rows.dist = dist
             rows.theta = stepper.theta(dist)
 
-            reached = np.isnan(rows.level_hit) & ((rows.sup_V + rows.int_DA)[:, None] >= cfg.blowup_levels)
-            rows.level_hit[reached] = t
+            if cfg.blowup_levels:
+                reached = np.isnan(rows.level_hit) & ((rows.sup_V + rows.int_DA)[:, None] >= cfg.blowup_levels)
+                rows.level_hit[reached] = t
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
                 stored = full.embed(g, rows.U)

@@ -347,6 +347,11 @@ class Grid:
         return rank.reshape(3, self.nkx, self.nky, self.nm)
 
     @_cached
+    def lam_sq(self) -> np.ndarray:
+        """``lam**2.0``, the weight of the D(A) norm (``sq_norms``)."""
+        return self.lam**2.0
+
+    @_cached
     def lam_sorted(self) -> np.ndarray:
         order, cols = self._mode_table
         return cols[0][order]
@@ -1027,9 +1032,8 @@ def sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
     value is bit-identical to ``h_norm_sq``, ``v_norm_sq`` and ``da_norm_sq``
     of its own state."""
     w = grid.parseval_weight[None]
-    lam = grid.lam[None]
     a2 = np.abs(coeffs) ** 2
-    return _mode_sums(a2 * w), _mode_sums(a2 * lam**1.0 * w), _mode_sums(a2 * lam**2.0 * w)
+    return _mode_sums(a2 * w), _mode_sums(a2 * grid.lam[None] * w), _mode_sums(a2 * grid.lam_sq[None] * w)
 
 
 def barotropic_sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:

@@ -1,5 +1,7 @@
 """Noise families, Hilbert-Schmidt norms, Wiener sampling, hypothesis fits."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -175,7 +177,10 @@ class TestConstantTransport:
         grid_rows = sigma_coeffs(spec, c, W)
         scale = np.abs(grid_rows).max()
         assert np.abs(rows - grid_rows).max() <= 1e-14 * scale
-        assert np.abs(np.stack(single) - grid_rows).max() <= 1e-14 * scale
+        # the stack holds the n rows the noise has, the single states all three
+        single = np.stack(single)
+        assert rows.shape[2] == n and not single[:, :, n:].any()
+        assert np.abs(single[:, :, :n] - grid_rows).max() <= 1e-14 * scale
 
 
 class TestHSNorm:
@@ -289,6 +294,44 @@ class TestWiener:
         full = s.sample(100, 0.25)
         for n in (1, 37, 99):
             np.testing.assert_array_equal(s.sample(n, 0.25), full[:n])
+
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 128])
+    @pytest.mark.parametrize("K", [1, 4])
+    @pytest.mark.parametrize("seed, trajectory", [(42, 3), (-5, 2**63 + 7), (-(2**70) - 1, 2**64 - 1)])
+    def test_equals_a_fresh_generator(self, seed, trajectory, K, n_steps):
+        # the re-keyed generator of the thread draws what a newly built one draws
+        key = np.array([seed & (2**64 - 1), trajectory & (2**64 - 1)], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, K)) * np.sqrt(0.01)
+        assert np.array_equal(WienerStream(seed, trajectory, K).sample(n_steps, 0.01), fresh)
+
+    @pytest.mark.parametrize("n_b", [1, 7, 128])
+    def test_interleaved_draws_repeat(self, n_b):
+        # B's draw advances the counter and leaves part of Philox's 4-word output
+        # buffer unread; A's block is the same before and after it
+        a, b = WienerStream(1, 0, 3), WienerStream(1, 5, 1)
+        first = a.sample(5, 1.0)
+        b_block = b.sample(n_b, 1.0)
+        assert np.array_equal(a.sample(5, 1.0), first)
+        assert np.array_equal(b.sample(n_b, 1.0), b_block)
+
+    def test_threads_draw_their_own_blocks(self):
+        # two threads draw different paths at once, each from its own generator
+        streams = [WienerStream(11, t, 4) for t in range(2)]
+        expected = [s.sample(64, 1.0) for s in streams]
+        start = threading.Barrier(2)
+        same = [None, None]
+
+        def draw(i):
+            start.wait()
+            same[i] = all(np.array_equal(streams[i].sample(64, 1.0), expected[i]) for _ in range(500))
+
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert same == [True, True]
 
 
 class TestHypothesisFits:

@@ -29,6 +29,13 @@ def test_run_then_diff(tmp_path, capsys):
                 assert f"{preset}/{variant}/path{tid}/records" in digests
         assert f"{preset}/cli/trajectory.csv" in digests
     assert "example1-small/forced/path5/stopping/weak" in digests
+    # the tracked variant with temperature noise: its Ito integrals carry a temperature row
+    with np.load(out / "arrays.npz") as saved:
+        for tid in parity.PATHS:
+            key = f"example1-small/track_ito-temperature/path{tid}"
+            assert f"{key}/ito_integral" in digests and f"{key}/summary" in digests
+            assert saved[f"{key}/ito_integral"][2].any()
+            assert not saved[f"example1-small/track_ito/path{tid}/ito_integral"][2].any()
     # the ensemble group: the worker count changes no summary
     with np.load(out / "arrays.npz") as saved:
         for preset, n_paths in parity.ENSEMBLES.items():

@@ -425,6 +425,38 @@ def test_stepper_distance_stack(stack):
         assert dist[p] == stepper.distance(c[p : p + 1], 0.37)[0]
 
 
+@pytest.mark.parametrize(
+    "preset, values",
+    [
+        # one mode with lam = 1, where the H and V norms coincide
+        pytest.param("ou-single-mode", {}, id="ou-single-mode"),
+        # kappa such that theta reads the distances: strictly between 0 and 1 on some steps
+        pytest.param(
+            "example1-small",
+            {"init.kind": "zero", "solver.equation": "modified", "solver.kappa_cutoff": "0.02"},
+            id="example1-small-modified",
+        ),
+    ],
+)
+def test_zero_start_distance_is_the_v_norm(monkeypatch, preset, values):
+    # from U0 = 0 the step loop takes each distance as the square root of the V norm it
+    # has just formed; every output equals that of the general formula ||U - U*||
+    cfg = replace(preset_cfg(preset, **{"solver.store_stride": 1, **values}), track_ito=True, store_states=True)
+    stepper = Stepper(cfg, solver.initial_state(cfg))
+    assert not stepper.c0.any()
+    rows = np.random.default_rng(3).standard_normal((4,) + stepper.c0.shape) * stepper.mask
+    assert np.array_equal(stepper.distance(rows, 0.5, sq_norms(stepper.grid, rows)[1]), stepper.distance(rows, 0.5))
+    shortcut = run_paths(cfg, range(3))
+    general = Stepper.distance
+    monkeypatch.setattr(Stepper, "distance", lambda self, coeffs, t, v_sq=None: general(self, coeffs, t))
+    for a, b in zip(shortcut, run_paths(cfg, range(3))):
+        assert_same_path(a, b)
+    dist = np.array([r.dist_to_Ustar for traj in shortcut for r in traj.records])
+    theta = np.array([r.theta_value for traj in shortcut for r in traj.records])
+    assert dist.max() > 0
+    assert ((0 < theta) & (theta < 1)).any() == (cfg.equation == "modified")
+
+
 def test_stepper_advance_stack(stack):
     g, states, c = stack
     spec = example1_noise(g, K=3, amp_phi=0.1, amp_psi=0.1, amp_chi=0.3, amp_alpha=0.1, osc=1)
@@ -460,10 +492,10 @@ def test_constant_transport_step_makes_no_transforms(monkeypatch, osc):
 # -- the noise increment under track_ito -----------------------------------------
 
 
-def noise_step(preset, track_ito=True):
+def noise_step(preset, track_ito=True, **values):
     """A step's inputs for three rows of the preset: the stepper, the rows
     (scaled copies of U0 on the step grid) and Wiener increments."""
-    cfg = preset_cfg(preset, **{"solver.track_ito": track_ito})
+    cfg = preset_cfg(preset, **{"solver.track_ito": track_ito, **values})
     stepper = Stepper(cfg, solver.initial_state(cfg))
     c = stepper.c0[None] * np.array([1.0, 0.5, 2.0])[:, None, None, None, None]
     dW = np.random.default_rng(5).standard_normal((3, cfg.noise.K)) * np.sqrt(cfg.dt)
@@ -471,31 +503,47 @@ def noise_step(preset, track_ito=True):
 
 
 def spy_sigma_weights(monkeypatch) -> list:
-    """The weights of every ``sigma_coeffs`` call the step makes, in order."""
+    """The weights of every ``sigma_coeffs`` call the step makes, in order
+    (None for the columns themselves)."""
     weights = []
 
     def spy(spec, coeffs, w=None, grads=None, work=None):
-        weights.append(np.array(w))
+        weights.append(None if w is None else np.array(w))
         return sigma_coeffs(spec, coeffs, w, grads, work=work)
 
     monkeypatch.setattr(solver, "sigma_coeffs", spy)
     return weights
 
 
-@pytest.mark.parametrize("preset", ["example1-small", "smallnoise-888"])
-def test_tracked_step_forms_the_k_columns_once(monkeypatch, preset):
-    # example1-small forms the transport in spectral space, smallnoise-888 on the grid
-    stepper, c, dW = noise_step(preset)
+@pytest.mark.parametrize(
+    "preset, values, n, full_band",
+    [
+        # example1-small forms the transport in spectral space, smallnoise-888 on the grid
+        pytest.param("example1-small", {}, 2, True, id="example1-small"),
+        pytest.param("smallnoise-888", {}, 2, False, id="smallnoise-888"),
+        pytest.param("example1-small", {"noise.include_temperature": True}, 3, True, id="example1-small-temperature"),
+        pytest.param("example1-small", {"solver.n_galerkin": 47}, 2, False, id="example1-small-cut"),
+    ],
+)
+def test_tracked_step_forms_the_k_columns_once(monkeypatch, preset, values, n, full_band):
+    stepper, c, dW = noise_step(preset, **values)
     P, K = dW.shape
+    assert stepper.mask.all() == full_band
     weights = spy_sigma_weights(monkeypatch)
     new, incr, cols = stepper.advance(c, np.ones(P), dW)
-    assert len(weights) == 1
-    assert np.array_equal(weights[0], np.broadcast_to(np.eye(K), (P, K, K)))
-    assert np.isfinite(new).all() and cols.shape == (P, K) + c.shape[1:]
+    # one call, for the K columns themselves, each with the n rows the noise has
+    assert len(weights) == 1 and weights[0] is None
+    assert np.isfinite(new).all() and cols.shape == (P, K, n) + c.shape[2:]
+    # the masked columns, whether the mask multiply is made or skipped
+    assert np.array_equal(cols, sigma_coeffs(stepper.noise, c) * stepper.mask[:n])
     # the increment is the dW-weighted sum of the columns, and the weighted row up to round-off
-    assert np.array_equal(incr, sum(dW[:, k, None, None, None, None] * cols[:, k] for k in range(K)))
-    row = sigma_coeffs(stepper.noise, c, dW[:, None])[:, 0] * stepper.mask
-    assert np.abs(incr - row).max() <= 1e-14 * np.abs(row).max()
+    assert incr.shape == c.shape
+    assert np.array_equal(incr[:, :n], sum(dW[:, k, None, None, None, None] * cols[:, k] for k in range(K)))
+    row = sigma_coeffs(stepper.noise, c, dW[:, None])[:, 0] * stepper.mask[:n]
+    assert np.abs(incr[:, :n] - row).max() <= 1e-14 * np.abs(row).max()
+    # a temperature row the noise does not have is +0
+    rest = incr[:, n:].view(np.float64)
+    assert not rest.any() and not np.signbit(rest).any()
 
 
 def test_untracked_step_forms_the_weighted_row_only(monkeypatch):

@@ -4,10 +4,10 @@
     python tools/parity.py diff DIR_A DIR_B
 
 ``run`` imports stochpe from ``--src`` and runs a fixed list: every shipped
-preset under seven variants (plain, ``track_ito``, advection off, the
-modified equation, a forced run with stopping and blow-up levels, the
-semi-implicit scheme, and a Galerkin cut where the preset has more modes
-than the cut), each as ``run_paths([0, 1, 2, 5])`` with stored states, plus
+preset under eight variants (plain, ``track_ito``, ``track_ito`` with
+temperature noise, advection off, the modified equation, a forced run with
+stopping and blow-up levels, the semi-implicit scheme, and a Galerkin cut
+where the preset has more modes than the cut), each as ``run_paths([0, 1, 2, 5])`` with stored states, plus
 each preset's ``stochpe run`` files; then the ``growth`` group: the
 ``estimate_growth_constants`` reports and ``kappa_sq`` on both layouts of
 three noise operators on a 3^3 grid, and ``spectral.norms`` of one random
@@ -46,6 +46,8 @@ import numpy as np
 VARIANTS = {
     "plain": {},
     "track_ito": {"solver.track_ito": "true"},
+    # the noise columns with a temperature row
+    "track_ito-temperature": {"solver.track_ito": "true", "noise.include_temperature": "true"},
     "advection-off": {"solver.advection": "off"},
     "modified": {"solver.equation": "modified", "solver.kappa_cutoff": "0.05", "solver.store_stride": "1"},
     "forced": {
