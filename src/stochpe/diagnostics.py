@@ -1,13 +1,13 @@
 """Monitored functionals, stopping-time detection and ensemble summaries.
 
 Norm-type functionals (``H_sq``, ``V_sq``, ``DA_sq``, the dz and barotropic
-sums and ``grad3_dz_v_L2_2``) are Parseval sums on the record's own grid
-layout, taken from ``spectral``, whose sums count each ky > 0 mode of a
-half-plane twice.  The three sixth-degree functionals (``L6_vtilde_6``,
-``grad_vtilde_vtilde4`` and ``L6_T_6``) are quadratures on a padded grid:
-the record grid of the retained band (``Grid.record_grid``) when the caller
-passes the band, as ``run_paths`` does, and the grid's own padded grid
-otherwise.  On an axis where the record grid differs from the configured
+sums and ``grad3_dz_v_L2_2``) are the Parseval sums ``RECORD_FORMS`` on the
+record's own grid layout, from one ``spectral.quadratic_sums`` call, whose
+sums count each ky > 0 mode of a half-plane twice.  The three sixth-degree
+functionals (``L6_vtilde_6``, ``grad_vtilde_vtilde4`` and ``L6_T_6``) are
+quadratures on a padded grid: the record grid of the retained band
+(``Grid.record_grid``) when the caller passes the band, as ``run_paths``
+does, and the grid's own padded grid otherwise.  On an axis where the record grid differs from the configured
 one, both integrate these products exactly, so the values agree to
 round-off; a full band keeps the configured grid.
 
@@ -37,17 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    SpectralState,
-    Workspace,
-    _mode_sums,
-    _scratch,
-    barotropic_sq_norms,
-    dz_sq_norms,
-    grad3_dz_sq,
-    sq_norms,
-)
+from .spectral import Grid, SpectralState, Workspace, _mode_sums, _scratch, quadratic_sums
 
 __all__ = [
     "DiagnosticRecord",
@@ -63,6 +53,9 @@ __all__ = [
 ]
 
 STOPPING_FUNCTIONALS = ("weak", "vtilde_l6", "grad_vbar", "dz_v", "temperature")
+
+# the Parseval sums of a record (``Grid.forms``), from one ``quadratic_sums`` pass
+RECORD_FORMS = ("H", "V", "DA", "vbar_H1", "vbar_V", "AS", "dz_v1", "dz_v2", "dz_T", "grad3_dz_v", "grad3_dz_T")
 
 CSV_COLUMNS = (
     "t",
@@ -226,29 +219,23 @@ def record_stack(
     nonzero coefficient: the three quadrature columns are then evaluated on
     its record grid (``Grid.record_grid``), every other column on ``grid``.
     The quadrature's samples come from the ``Workspace`` ``work`` when given."""
-    spec = grid.spec
     P = len(coeffs)
     quad = _grid_quadrature_functionals(grid, coeffs, band, work)
-
-    vbar_h1_sq, vbar_V_sq, AS_sq = barotropic_sq_norms(grid, coeffs)
-    dz_v1_sq, dz_v2_sq, dzT_sq = dz_sq_norms(grid, coeffs)
-    dzv_sq = 0.0 + dz_v1_sq + dz_v2_sq
-    g3dzv = grad3_dz_sq(grid, coeffs, (0, 1))
-
-    H_sq, V_sq, DA_sq = sq_norms(grid, coeffs)
+    sq = dict(zip(RECORD_FORMS, quadratic_sums(grid, coeffs, RECORD_FORMS)))
+    dzv_sq = 0.0 + sq["dz_v1"] + sq["dz_v2"]
     zeros = np.zeros(P)
     return DiagnosticRecord(
         t=np.full(P, t),
-        H_sq=H_sq,
-        V_sq=V_sq,
-        DA_sq=DA_sq,
+        H_sq=sq["H"],
+        V_sq=sq["V"],
+        DA_sq=sq["DA"],
         L6_vtilde_6=quad["L6_vtilde_6"],
-        Vbar_H1_4=vbar_h1_sq * vbar_h1_sq,
+        Vbar_H1_4=sq["vbar_H1"] * sq["vbar_H1"],
         dz_v_L2_2=dzv_sq,
         dz_v_L2_4=dzv_sq * dzv_sq,
-        grad3_dz_v_L2_2=g3dzv,
+        grad3_dz_v_L2_2=sq["grad3_dz_v"],
         L6_T_6=quad["L6_T_6"],
-        dz_T_L2_4=dzT_sq * dzT_sq,
+        dz_T_L2_4=sq["dz_T"] * sq["dz_T"],
         theta_value=np.asarray(theta, dtype=float),
         dist_to_Ustar=np.asarray(dist, dtype=float),
         int_DA_sq=zeros,
@@ -259,10 +246,10 @@ def record_stack(
         int_T_funcs=zeros,
         extras={
             "grad_vtilde_vtilde4": quad["grad_vtilde_vtilde4"],
-            "vbar_V_sq": vbar_V_sq,
-            "AS_sq": AS_sq,
-            "dzT_a_sq": grad3_dz_sq(grid, coeffs, (2,), mu=spec.mu, nu=spec.nu),
-            "dz_T_L2_2": dzT_sq,
+            "vbar_V_sq": sq["vbar_V"],
+            "AS_sq": sq["AS"],
+            "dzT_a_sq": sq["grad3_dz_T"],
+            "dz_T_L2_2": sq["dz_T"],
         },
         stopping=dict.fromkeys(STOPPING_FUNCTIONALS, zeros),
     )

@@ -33,7 +33,7 @@ from .solver import (
     run_trajectory,
     step_grid,
 )
-from .spectral import SpectralState, _parseval_sq, sq_norms, v_norm_sq
+from .spectral import SpectralState, quadratic_sums, v_norm_sq
 
 __all__ = [
     "path_summary",
@@ -50,18 +50,19 @@ __all__ = [
 
 def path_summaries(trajs: list) -> list:
     """``path_summary`` of each trajectory, in order, for trajectories on one
-    grid: the final H and V norms come from one ``sq_norms`` pass over the
-    surviving final states, and ``ito_lhs`` from one ``_parseval_sq`` pass
-    over the Ito integrals; each value equals its own single pass bit for bit."""
+    grid: the final H and V norms come from one ``quadratic_sums`` pass over
+    the surviving final states, and ``ito_lhs`` from one over the Ito
+    integrals; each value equals its own single pass bit for bit."""
     grid = trajs[0].config.grid
     final_H_sq, final_V_sq = np.full(len(trajs), np.nan), np.full(len(trajs), np.nan)
     live = [i for i, traj in enumerate(trajs) if traj.final_state is not None]
     if live:
-        final_H_sq[live], final_V_sq[live], _ = sq_norms(grid, np.stack([trajs[i].final_state.coeffs for i in live]))
+        finals = np.stack([trajs[i].final_state.coeffs for i in live])
+        final_H_sq[live], final_V_sq[live] = quadratic_sums(grid, finals, ("H", "V"))
     tracked = [i for i, traj in enumerate(trajs) if traj.ito_integral is not None]
     ito_lhs = np.zeros(len(trajs))
     if tracked:
-        ito_lhs[tracked] = _parseval_sq(grid, np.stack([trajs[i].ito_integral.coeffs for i in tracked]))
+        (ito_lhs[tracked],) = quadratic_sums(grid, np.stack([trajs[i].ito_integral.coeffs for i in tracked]), ("H",))
     out = []
     for i, traj in enumerate(trajs):
         with np.errstate(over="ignore"):  # overflows to inf where a float power raises
@@ -184,7 +185,8 @@ def uniqueness_experiment(cfg: SolverConfig, delta: float) -> dict:
         pert.coeffs = pert.coeffs + delta * _perturbation(cfg).coeffs
     other = run_trajectory(cfg, pert)
     n = min(len(base.states), len(other.states))
-    divergence = float(np.sqrt(_parseval_sq(cfg.grid, other.states[:n] - base.states[:n], 1.0)).max())
+    (v_sq,) = quadratic_sums(cfg.grid, other.states[:n] - base.states[:n], ("V",))
+    divergence = float(np.sqrt(v_sq).max())
     identical = np.array_equal(other.states[:n], base.states[:n])
     return {
         "delta": delta,

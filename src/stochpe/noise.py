@@ -43,14 +43,11 @@ from .spectral import (
     PaddedSamples,
     SpectralState,
     Workspace,
-    _parseval_sq,
     _read_only,
     _scratch,
     add_cos_mode,
-    barotropic_sq_norms,
-    da_norm_sq,
-    grad3_dz_sq,
     h_norm_sq,
+    quadratic_sums,
     random_state,
     v_norm_sq,
 )
@@ -134,7 +131,7 @@ class NoiseSpec:
 
     @cached_property
     def kappa_sq(self) -> float:
-        return float(sum(_parseval_sq(self.grid, self.chi, 1.0), 0.0))
+        return float(sum(quadratic_sums(self.grid, self.chi, ("V",))[0], 0.0))
 
     @cached_property
     def alpha_sq(self) -> float:
@@ -608,11 +605,37 @@ def _envelope_fit(y: np.ndarray, x: np.ndarray, z: np.ndarray) -> tuple:
     return eta, float(max(coef[1], 0.0))
 
 
-def _vbar_norms(columns, state: SpectralState):
-    """Depth-mean column norms in the 2D gradient space and |A_S vbar|^2."""
-    g = state.grid
-    y = sum((barotropic_sq_norms(g, col.coeffs)[1] for col in columns), 0.0)
-    return y, barotropic_sq_norms(g, state.coeffs)[2]
+def _growth_samples(spec_noise: NoiseSpec, sample_count: int, seed: int) -> dict:
+    """The norms that ``estimate_growth_constants`` fits, (sample_count,) arrays:
+    of the noise columns at random projected states U (``y*``, summed over
+    the K columns in order), of U (``x*``, ``z*``), and of the linear part at
+    the differences of U and a second random state (``gamma_*``).  Each
+    operator's columns come from one ``sigma_coeffs`` call on the stack."""
+    g = spec_noise.grid
+    rng = np.random.default_rng(seed)
+    states, others = [], []
+    for _ in range(sample_count):
+        amp = 10.0 ** rng.uniform(-1, 1)
+        decay = rng.uniform(0.5, 3.0)
+        states.append(leray_project(random_state(g, rng, amplitude=amp, decay=decay)).coeffs)
+        others.append(leray_project(random_state(g, rng, amplitude=amp, decay=rng.uniform(0.5, 3.0))).coeffs)
+    U = np.stack(states)
+    # Lipschitz pairs: the operator is affine, so differences see only the linear part
+    diff = U - np.stack(others)
+
+    def column_sums(spec: NoiseSpec, coeffs: np.ndarray, forms: tuple) -> tuple:
+        return tuple(sum(a[:, k] for k in range(spec.K)) for a in quadratic_sums(g, sigma_coeffs(spec, coeffs), forms))
+
+    grad3 = ((0, 1, 2), g.forms["grad3_dz_v"][1])  # |grad_3 dz U|^2 of every component
+    column_grad3 = grad3 if spec_noise.include_temperature else "grad3_dz_v"
+    yH, yV, y2, y3 = column_sums(spec_noise, U, ("H", "V", "vbar_V", column_grad3))
+    xA, xV, H, x2, x3 = quadratic_sums(g, U, ("DA", "V", "H", "AS", grad3))
+    (gamma_num,) = column_sums(spec_noise.without_additive(), diff, ("V",))
+    gamma_x, gamma_z = quadratic_sums(g, diff, ("DA", "V"))
+    return dict(
+        yH=yH, yV=yV, y2=y2, y3=y3, xA=xA, xV=xV, x2=x2, x3=x3, zH=1.0 + H, zV=1.0 + xV,
+        gamma_num=gamma_num, gamma_x=gamma_x, gamma_z=gamma_z + 1e-30,
+    )
 
 
 def estimate_growth_constants(
@@ -622,47 +645,12 @@ def estimate_growth_constants(
     c_bdg: float = 2.0,
     seed: int = 7,
 ) -> HypothesisReport:
-    """Fit the noise growth constants on random states and check the smallness
-    conditions for the configured Burkholder constant."""
+    """Fit the noise growth constants on random states (``_growth_samples``)
+    and check the smallness conditions for the configured Burkholder constant."""
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
     g = spec_noise.grid
-    rng = np.random.default_rng(seed)
-
-    data = {k: [] for k in ("yH", "yV", "y2", "y3", "xA", "xV", "x2", "x3", "zH", "zV")}
-    gamma_num, gamma_x, gamma_z = [], [], []
-    lin_spec = spec_noise.without_additive()
-
-    for i in range(sample_count):
-        amp = 10.0 ** rng.uniform(-1, 1)
-        decay = rng.uniform(0.5, 3.0)
-        U = leray_project(random_state(g, rng, amplitude=amp, decay=decay))
-        cols = apply_sigma(spec_noise, U)
-        data["yH"].append(hs_norm_sq(cols, "H"))
-        data["yV"].append(hs_norm_sq(cols, "V"))
-        y2, x2 = _vbar_norms(cols, U)
-        data["y2"].append(y2)
-        data["x2"].append(x2)
-        y3 = sum(grad3_dz_sq(g, col.coeffs, (0, 1)) for col in cols)
-        if spec_noise.include_temperature:
-            y3 += sum(grad3_dz_sq(g, col.coeffs, (2,)) for col in cols)
-        data["y3"].append(y3)
-        data["x3"].append(grad3_dz_sq(g, U.coeffs, (0, 1)) + grad3_dz_sq(g, U.coeffs, (2,)))
-        data["xA"].append(da_norm_sq(U))
-        data["xV"].append(v_norm_sq(U))
-        data["zH"].append(1.0 + h_norm_sq(U))
-        data["zV"].append(1.0 + v_norm_sq(U))
-
-        # Lipschitz pairs: the operator is affine, so differences see only the
-        # linear part
-        Us = leray_project(random_state(g, rng, amplitude=amp, decay=rng.uniform(0.5, 3.0)))
-        diff = SpectralState(g, U.coeffs - Us.coeffs)
-        dcols = apply_sigma(lin_spec, diff)
-        gamma_num.append(hs_norm_sq(dcols, "V"))
-        gamma_x.append(da_norm_sq(diff))
-        gamma_z.append(v_norm_sq(diff) + 1e-30)
-
-    d = {k: np.asarray(v) for k, v in data.items()}
+    d = _growth_samples(spec_noise, sample_count, seed)
     if np.all(d["yH"] == 0.0) and np.all(d["yV"] == 0.0):
         eta0 = eta1 = eta2 = eta3 = gamma = 0.0
         slopes = {k: 0.0 for k in ("eta0", "eta1", "eta2", "eta3", "gamma")}
@@ -671,7 +659,7 @@ def estimate_growth_constants(
         eta1, s1 = _envelope_fit(d["yV"], d["xA"], d["zV"])
         eta2, s2 = _envelope_fit(d["y2"], np.maximum(d["x2"], 1e-30), d["zV"])
         eta3, s3 = _envelope_fit(d["y3"], np.maximum(d["x3"], 1e-30), d["zV"])
-        gamma, sg = _envelope_fit(np.asarray(gamma_num), np.asarray(gamma_x), np.asarray(gamma_z))
+        gamma, sg = _envelope_fit(d["gamma_num"], d["gamma_x"], d["gamma_z"])
         slopes = {"eta0": s0, "eta1": s1, "eta2": s2, "eta3": s3, "gamma": sg}
 
     bounds = hypothesis_thresholds(p, c_bdg, g.spec.mu, g.spec.nu)

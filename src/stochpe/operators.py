@@ -105,10 +105,9 @@ def leray_inplace(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     advection, the forcing and the noise project their own stacks with it."""
     kx = grid.kx_phys[:, None]
     ky = grid.ky_phys[None, :]
-    ksq = np.where(grid.ksq_h == 0.0, 1.0, grid.ksq_h)
     v1 = coeffs[..., 0, :, :, 0]
     v2 = coeffs[..., 1, :, :, 0]
-    d = (kx * v1 + ky * v2) / ksq
+    d = (kx * v1 + ky * v2) / grid.leray_divisor
     v1 -= kx * d
     v2 -= ky * d
     coeffs[..., :2, 0, 0, 0] = 0.0

@@ -72,11 +72,9 @@ from .spectral import (
     PaddedSamples,
     SpectralState,
     Workspace,
-    _parseval_sq,
-    h_norm_sq,
+    quadratic_sums,
     random_state,
     single_mode_state,
-    sq_norms,
     v_norm_sq,
 )
 
@@ -341,7 +339,7 @@ class Stepper:
         self._static_cols = self.static_quad = None
         if cfg.noise.family != "zero" and cfg.noise.is_additive:
             self._static_cols = sigma_coeffs(self.noise, np.zeros_like(self.c0)[None])[0] * self.mask[: self._n]
-            sq = _parseval_sq(g, self._static_cols)
+            (sq,) = quadratic_sums(g, self._static_cols, ("H",))
             self.static_quad = sum(sq[k] for k in range(cfg.noise.K))
         # U0n = 0 gives U* = 0: the cutoff distance is then the V norm (``distance``)
         self._zero_start = not self.c0.any()
@@ -364,14 +362,16 @@ class Stepper:
         """Cutoff distances ||U - U*|| (P,) of the rows to the free decay of U0 at time t.
 
         ``v_sq``, when given, is the rows' squared V norms on the step grid
-        (``sq_norms``).  From a zero U0n, U* is zero, and the distances are their
-        square roots: the same values bit for bit, since c0 * factor is +0 and
-        x - (+0) is x, so the V norm of the difference is the V norm of the rows."""
+        (``quadratic_sums``).  From a zero U0n, U* is zero, and the distances are
+        their square roots: the same values bit for bit, since c0 * factor is +0
+        and x - (+0) is x, so the V norm of the difference is the V norm of the
+        rows."""
         if v_sq is not None and self._zero_start:
             return np.sqrt(v_sq)
         factor = np.exp(-self.grid.lam * (t - self.U0n.time))
         diff = coeffs - self.c0 * factor[None]
-        return np.sqrt(_parseval_sq(self.grid, diff, 1.0))
+        (v_sq,) = quadratic_sums(self.grid, diff, ("V",))
+        return np.sqrt(v_sq)
 
     def theta(self, dist: np.ndarray) -> np.ndarray:
         """Advection switch (P,) at the cutoff distances; for the original
@@ -522,10 +522,9 @@ def _forcing_weak(cfg: SolverConfig) -> float:
     if cfg.forcing is None:
         return 0.0
     g = cfg.grid
-    fw = h_norm_sq(cfg.forcing)
-    # fractional boundary-regularity norm of the temperature forcing row
-    w = g.weight_m[None, None, :]
-    return fw + float(np.sum((1.0 + g.lam) ** 0.5 * np.abs(cfg.forcing.coeffs[2]) ** 2 * w))
+    # the H norm, and the fractional boundary-regularity norm of the temperature row
+    fw, boundary = quadratic_sums(g, cfg.forcing.coeffs, ("H", ((2,), (1.0 + g.lam) ** 0.5)))
+    return fw + boundary
 
 
 def _copy(obj, **changes):
@@ -661,7 +660,7 @@ def run_paths(
         t_stored = t
         for j in range(n_steps):
             new, incr, cols = stepper.advance(rows.U, rows.theta, rows.increments[:, j])
-            norms = sq_norms(g, new)
+            norms = quadratic_sums(g, new, ("H", "V", "DA"))
             norms += (norms[2] * norms[1] ** power,)
             ok = np.isfinite(np.array(norms)).all(axis=0)
             if not ok.all():
@@ -679,7 +678,7 @@ def run_paths(
             if cfg.track_ito and cols is not None:
                 rows.ito += incr
                 if stepper.static_quad is None:
-                    sq = _parseval_sq(g, cols)  # (P, K), summed in column order
+                    (sq,) = quadratic_sums(g, cols, ("H",))  # (P, K), summed in column order
                     rows.ito_quad += sum(sq[:, k] for k in range(K)) * dt
                 else:
                     rows.ito_quad += stepper.static_quad * dt

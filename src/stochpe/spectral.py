@@ -55,13 +55,18 @@ field once, with the same wavenumbers, padded grid and vertical matrices.
 On the half-plane, synthesis folds only the ky = 0 column, analysis returns
 the ky >= 0 half-plane as it is, the reality fold acts on the ky = 0 column, and
 every quadratic sum counts each ky > 0 mode twice (``Grid.pair_count``, folded
-into the weights ``parseval_weight`` and ``sin_weight``).  Its
+into the one weight ``parseval_weight``).  Its
 samples and coefficients then equal the full layout's bit for bit on
 conjugate-symmetric input, and every per-mode operator gives the full
 layout's values on its modes.  The model step runs on the half-plane, every
 other caller on the full layout.  Only this module knows the layouts: its
 sums weight the modes, and ``Grid.extract`` and ``Grid.embed`` map them by
 wavenumber between any two grids of one domain whose bands nest.
+
+Every squared norm is a Parseval sum of |c|^2 times a factor per mode:
+``Grid.forms`` names each functional by the components it sums and its
+factor on ``parseval_weight``, and ``quadratic_sums`` evaluates any list of
+them from one |c|^2 pass.  No other module weights the modes.
 
 Every padded sample that reads a gradient is a linear image of the
 horizontal levels of [c, dx c, dy c], so ``Grid.padded_samples`` forms those
@@ -79,6 +84,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -101,6 +107,7 @@ __all__ = [
     "project_n",
     "complement_q",
     "norms",
+    "quadratic_sums",
     "random_state",
     "single_mode_state",
     "add_cos_mode",
@@ -197,12 +204,13 @@ class NormBundle:
 
 
 def _read_only(value):
-    """``value`` with every array in it, or in the tuples and lists it is, made
-    read-only: grids are shared (``Grid.of``), so no caller may write to one."""
+    """``value`` with every array in it, or in the tuples, lists and dicts it
+    is, made read-only: grids are shared (``Grid.of``), so no caller may write
+    to one."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
-    elif isinstance(value, (tuple, list)):
-        for item in value:
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
             _read_only(item)
     return value
 
@@ -224,8 +232,9 @@ class Grid:
 
     Immutable after construction; safe to share across threads/processes.
     Every array it holds is read-only, and its caches (the mode table, the
-    closed cuts, the matrices, the sub-grids, record grids and half-plane) are
-    filled on first use with values that the spec alone fixes.
+    closed cuts, the table of forms, the matrices, the sub-grids, record
+    grids and half-plane) are filled on first use with values that the spec
+    alone fixes.
     """
 
     def __init__(self, spec: DomainSpec, full_plane: "Grid | None" = None):
@@ -294,9 +303,6 @@ class Grid:
         wm[0] = 1.0
         self.weight_m = spec.L1 * spec.L2 * spec.h * wm  # (nm,)
         self.parseval_weight = self.weight_m * self.pair_count[:, :, None]
-        self.weight_m_sin = spec.L1 * spec.L2 * spec.h * np.full(self.nm, 0.5)
-        self.weight_m_sin[0] = 0.0
-        self.sin_weight = self.weight_m_sin * self.pair_count[:, :, None]  # the same for sine series
         self.volume = spec.L1 * spec.L2 * spec.h
         self.area_h = spec.L1 * spec.L2
 
@@ -346,10 +352,52 @@ class Grid:
         rank[order] = np.arange(order.size)
         return rank.reshape(3, self.nkx, self.nky, self.nm)
 
+    @property
+    def forms(self) -> MappingProxyType:
+        """The named quadratic forms of ``quadratic_sums``: name -> (components,
+        factor).  A form's value is the sum over the modes of its consecutive
+        components of |c|^2 * factor * ``parseval_weight``, the factor an
+        array that broadcasts to (nkx, nky, nm), or None for none:
+
+        - ``H``, ``V``, ``DA``: |U|^2, ||U||^2 = |A^(1/2) U|^2 and |AU|^2 (factor
+          None, lam and lam**2.0);
+        - ``vbar_H1``, ``vbar_V``, ``AS``: ||vbar||^2_H1, mu |grad vbar|^2 and
+          mu^2 |Delta vbar|^2 of the depth mean vbar of the velocity, its
+          m = 0 level (the factor is zero on every other level, and the
+          depth integral of the weight is divided out);
+        - ``dz_v1``, ``dz_v2``, ``dz_T``: |dz c|^2 of one component (factor
+          (m pi/h)^2, the sine series' weight, as m pi/h is 0 at m = 0);
+        - ``grad3_dz_v``: |grad_3 dz v|^2 = |grad dz v|^2 + |dzz v|^2;
+        - ``grad3_dz_T``: mu |grad dz T|^2 + nu |dzz T|^2, the A-norm of dz T.
+
+        A read-only view of a cached dict (a view does not pickle, and grids
+        travel to worker processes with their caches)."""
+        return MappingProxyType(self._forms)
+
     @_cached
-    def lam_sq(self) -> np.ndarray:
-        """``lam**2.0``, the weight of the D(A) norm (``sq_norms``)."""
-        return self.lam**2.0
+    def _forms(self) -> dict:
+        ksq, mz_sq, mu = self.ksq_h[:, :, None], self.mz_phys**2, self.spec.mu
+        depth_mean = (self.m_int == 0) / self.spec.h
+        velocity, every = (0, 1), (0, 1, 2)
+        return {
+            "H": (every, None),
+            "V": (every, self.lam),
+            "DA": (every, self.lam**2.0),
+            "vbar_H1": (velocity, (1.0 + ksq) * depth_mean),
+            "vbar_V": (velocity, mu * ksq * depth_mean),
+            "AS": (velocity, mu**2 * ksq**2 * depth_mean),
+            "dz_v1": ((0,), mz_sq),
+            "dz_v2": ((1,), mz_sq),
+            "dz_T": ((2,), mz_sq),
+            "grad3_dz_v": (velocity, (ksq + mz_sq) * mz_sq),
+            "grad3_dz_T": ((2,), self.lam * mz_sq),
+        }
+
+    @_cached
+    def leray_divisor(self) -> np.ndarray:
+        """|k_h|^2 (nkx, nky) with 1 in place of 0 at k_h = 0: the divisor of the
+        Leray projection, whose (0, 0) velocity it sets to zero."""
+        return np.where(self.ksq_h == 0.0, 1.0, self.ksq_h)
 
     @_cached
     def lam_sorted(self) -> np.ndarray:
@@ -1006,71 +1054,45 @@ def _mode_sums(a: np.ndarray, n_axes: int = 4):
     return np.add.reduce(a.reshape(a.shape[:-n_axes] + (-1,)), axis=-1)
 
 
-def _parseval_sq(grid: Grid, coeffs: np.ndarray, lam_power: float = 0.0):
-    w = grid.parseval_weight[None]
-    if lam_power == 0.0:
-        return _mode_sums(np.abs(coeffs) ** 2 * w)
-    lam = grid.lam[None]
-    return _mode_sums(np.abs(coeffs) ** 2 * lam**lam_power * w)
+def quadratic_sums(grid: Grid, coeffs: np.ndarray, forms) -> tuple:
+    """The value of each of ``forms`` for coefficients (..., n, nkx, nky, nm),
+    from one |c|^2 pass: a float for one array, an array of the leading shape
+    (one entry per row) for a stack.  A form is a name of ``Grid.forms`` or a
+    (components, factor) pair, and its value is the sum of (|c|^2[components]
+    * factor) * ``parseval_weight`` over its rows' modes (without the factor
+    when it is None), each entry one contiguous reduction (``_mode_sums``),
+    bit-identical to that of its own row.  The components are consecutive;
+    a stack with fewer rows than a form names, such as noise columns without
+    a temperature row, sums the rows it has."""
+    sq = np.abs(coeffs) ** 2
+    out = []
+    for form in forms:
+        comps, factor = grid._forms[form] if isinstance(form, str) else form
+        terms = sq[..., comps[0] : comps[-1] + 1, :, :, :]
+        if factor is not None:
+            terms = terms * factor
+        out.append(_mode_sums(terms * grid.parseval_weight))
+    return tuple(out)
 
 
 def h_norm_sq(state: SpectralState) -> float:
-    return _parseval_sq(state.grid, state.coeffs)
+    return quadratic_sums(state.grid, state.coeffs, ("H",))[0]
 
 
 def v_norm_sq(state: SpectralState) -> float:
-    return _parseval_sq(state.grid, state.coeffs, 1.0)
+    return quadratic_sums(state.grid, state.coeffs, ("V",))[0]
 
 
 def da_norm_sq(state: SpectralState) -> float:
-    return _parseval_sq(state.grid, state.coeffs, 2.0)
-
-
-def sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
-    """(H, V, D(A)) squared norms from one |c|^2 pass: floats for one
-    coefficient array (3, nkx, nky, nm), (P,) arrays for a stack of P.  Each
-    value is bit-identical to ``h_norm_sq``, ``v_norm_sq`` and ``da_norm_sq``
-    of its own state."""
-    w = grid.parseval_weight[None]
-    a2 = np.abs(coeffs) ** 2
-    return _mode_sums(a2 * w), _mode_sums(a2 * grid.lam[None] * w), _mode_sums(a2 * grid.lam_sq[None] * w)
-
-
-def barotropic_sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
-    """(||vbar||^2_H1, mu |grad vbar|^2, mu^2 |Delta vbar|^2) of the barotropic
-    velocity vbar (the m = 0 velocity level) from one |vbar|^2 pass: floats for
-    one coefficient array (3, nkx, nky, nm), (P,) arrays for a stack of P."""
-    area, ksq, pairs, mu = grid.area_h, grid.ksq_h, grid.pair_count, grid.spec.mu
-    vbar_sq = np.abs(coeffs[..., :2, :, :, 0]) ** 2  # v1 then v2
-    return (
-        _mode_sums((1.0 + ksq) * pairs * vbar_sq, 3) * area,
-        mu * _mode_sums(ksq * pairs * vbar_sq, 3) * area,
-        mu**2 * _mode_sums(ksq**2 * pairs * vbar_sq, 3) * area,
-    )
-
-
-def dz_sq_norms(grid: Grid, coeffs: np.ndarray) -> tuple:
-    """|dz c|^2 of each component (v1, v2, T): floats for one coefficient array
-    (3, nkx, nky, nm), (P,) arrays for a stack of P."""
-    sq = _mode_sums(np.abs(grid.dz_to_sin(coeffs)) ** 2 * grid.sin_weight, 3)  # (..., 3)
-    return tuple(np.moveaxis(sq, -1, 0))
+    return quadratic_sums(state.grid, state.coeffs, ("DA",))[0]
 
 
 def grad3_dz_sq(grid: Grid, coeffs: np.ndarray, comps=(0, 1), mu: float = 1.0, nu: float = 1.0):
-    """mu*|grad dz u|^2 + nu*|dzz u|^2 over the requested components (spectral),
-    summed in component order: a float for one coefficient array
-    (3, nkx, nky, nm), a (P,) array for a stack of P.
-
-    With mu = nu = 1 this is |grad_3 dz u|^2.
-    """
-    ksq = grid.ksq_h[:, :, None]
-    mz = grid.mz_phys[None, None, :]
-    w = grid.sin_weight
-    total = 0.0
-    for c in comps:
-        a2 = np.abs(coeffs[..., c, :, :, :]) ** 2
-        total += _mode_sums((mu * ksq + nu * mz**2) * mz**2 * a2 * w, 3)
-    return total
+    """mu*|grad dz u|^2 + nu*|dzz u|^2 over the consecutive components ``comps``:
+    a float for one coefficient array (3, nkx, nky, nm), a (P,) array for a
+    stack of P.  With mu = nu = 1 this is |grad_3 dz u|^2."""
+    mz_sq = grid.mz_phys**2
+    return quadratic_sums(grid, coeffs, ((comps, (mu * grid.ksq_h[:, :, None] + nu * mz_sq) * mz_sq),))[0]
 
 
 def norms(state: SpectralState) -> NormBundle:
@@ -1079,14 +1101,14 @@ def norms(state: SpectralState) -> NormBundle:
     fields = to_physical(state)
     w = g.quad_weight()
     l6 = tuple(float((np.sum(np.abs(f) ** 6) * w) ** (1.0 / 6.0)) for f in (fields.v1, fields.v2, fields.T))
-    dz_sq = sum(dz_sq_norms(g, state.coeffs), 0.0)
+    H, V, DA, dz_sq = quadratic_sums(g, state.coeffs, ("H", "V", "DA", ((0, 1, 2), g.mz_phys**2)))
     # top face z=0: cos(m pi 0 / h) = 1 for every m
     bnd = g.synth_cos2d(state.coeffs[2].sum(axis=2))
     bnd_l2 = float(np.sqrt(np.sum(bnd**2) * (g.area_h / bnd.size)))
     return NormBundle(
-        H=float(np.sqrt(h_norm_sq(state))),
-        V=float(np.sqrt(v_norm_sq(state))),
-        DA=float(np.sqrt(da_norm_sq(state))),
+        H=float(np.sqrt(H)),
+        V=float(np.sqrt(V)),
+        DA=float(np.sqrt(DA)),
         L6=l6,
         dz_L2=float(np.sqrt(dz_sq)),
         boundary_L2_top=bnd_l2,

@@ -11,9 +11,12 @@ import pytest
 
 from stochpe import DomainSpec, Grid, random_state
 from stochpe.diagnostics import CSV_COLUMNS, record_stack
-from stochpe.noise import _vbar_norms, example1_noise
+from stochpe.noise import example1_noise
 from stochpe.operators import leray_project
-from stochpe.spectral import SpectralState, _parseval_sq, grad3_dz_sq, norms, sq_norms
+from stochpe.spectral import SpectralState, grad3_dz_sq, norms, quadratic_sums
+
+# the forms of the squared H, V and D(A) norms, by the power of A
+NORM_FORMS = {0.0: "H", 1.0: "V", 2.0: "DA"}
 
 GRIDS = {
     "anisotropic": Grid(DomainSpec(L1=2 * np.pi, L2=4.0, h=1.5, N1=3, N2=2, M=3, mu=0.7, nu=0.3)),
@@ -96,11 +99,11 @@ def test_parseval_sums_match_the_full_plane(full, rng, power):
     hp = full.half_plane()
     c = symmetric_stack(full, rng, P=4)
     half = full.extract(hp, c)
-    mine, ref = _parseval_sq(hp, half, power), _parseval_sq(full, c, power)
+    (mine,), (ref,) = (quadratic_sums(g, a, (NORM_FORMS[power],)) for g, a in ((hp, half), (full, c)))
     assert mine.shape == ref.shape == (4,)
     assert np.abs(mine - ref).max() <= 1e-15 * np.abs(ref).max()
-    ref_norms = sq_norms(full, c)
-    for a, b, p in zip(sq_norms(hp, half), ref_norms, (0.0, 1.0, 2.0)):
+    ref_norms = quadratic_sums(full, c, ("H", "V", "DA"))
+    for a, b, p in zip(quadratic_sums(hp, half, ("H", "V", "DA")), ref_norms, (0.0, 1.0, 2.0)):
         assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
         if p == power:
             assert np.array_equal(a, mine)
@@ -157,10 +160,24 @@ def test_record_columns_match_the_full_plane(full, rng):
 
 def test_norms_match_the_full_plane(full, rng):
     hp = full.half_plane()
-    state, other = (SpectralState(full, c) for c in projected_stack(full, rng, P=2))
-    half, half_other = (SpectralState(hp, full.extract(hp, s.coeffs)) for s in (state, other))
+    state = SpectralState(full, projected_stack(full, rng, P=1)[0])
+    half = SpectralState(hp, full.extract(hp, state.coeffs))
     assert_close(norms(half).dz_L2, norms(state).dz_L2)
-    assert_close(_vbar_norms([half_other], half), _vbar_norms([other], state))
+
+
+def test_every_form_matches_the_full_plane(full, rng):
+    # each named form counts each ky > 0 mode of a half-plane twice, on the
+    # half-plane of the grid and on that of a cut step grid, whose stack is zero
+    # outside the cut's band on the full layout
+    names = tuple(full.forms)
+    s = full.spec
+    cut = full.subgrid(max(s.N1 - 1, 0), max(s.N2 - 1, 0), max(s.M - 1, 0))
+    for step in (full.half_plane(), cut.half_plane()):
+        c = full.embed(cut, symmetric_stack(cut, rng)) if step.full_plane is cut else symmetric_stack(full, rng)
+        ref = quadratic_sums(full, c, names)
+        for name, mine, value in zip(names, quadratic_sums(step, full.extract(step, c), names), ref):
+            assert mine.shape == value.shape == (3,)
+            assert_close(mine, value, name)
 
 
 @pytest.mark.parametrize("name", ["anisotropic", "cut"])

@@ -24,7 +24,54 @@ from stochpe.noise import (
     _envelope_fit,
 )
 from stochpe.operators import fluctuation_R, leray_project
-from stochpe.spectral import SpectralState, v_norm_sq
+from stochpe.spectral import SpectralState, da_norm_sq, grad3_dz_sq, h_norm_sq, quadratic_sums, v_norm_sq
+
+# the noise operators of the parity script's growth group, and one with a temperature row
+GROWTH_GRID = Grid(DomainSpec(L2=4.0, h=1.5, N1=3, N2=3, M=3, mu=0.7, nu=0.3))
+GROWTH_AMPS = dict(K=3, amp_phi=3.0, amp_chi=0.3, amp_alpha=0.1)
+GROWTH_SPECS = {
+    "example1-osc0": lambda g: example1_noise(g, amp_psi=3.0, osc=0, **GROWTH_AMPS),
+    "example1-osc2": lambda g: example1_noise(g, amp_psi=3.0, osc=2, **GROWTH_AMPS),
+    "example2-osc1": lambda g: example2_noise(g, osc=1, **GROWTH_AMPS),
+    "example1-osc2-temperature": lambda g: example1_noise(
+        g, amp_psi=3.0, osc=2, include_temperature=True, **GROWTH_AMPS
+    ),
+}
+
+
+def per_state_growth_samples(spec, sample_count, seed):
+    """``noise._growth_samples`` one state at a time: each state's columns from
+    its own ``apply_sigma`` and each norm from its own call, summed over the
+    columns in order."""
+    g = spec.grid
+    rng = np.random.default_rng(seed)
+    comps = (0, 1, 2) if spec.include_temperature else (0, 1)
+    d = {}
+
+    def add(key, value):
+        d.setdefault(key, []).append(value)
+
+    for _ in range(sample_count):
+        amp = 10.0 ** rng.uniform(-1, 1)
+        decay = rng.uniform(0.5, 3.0)
+        U = leray_project(random_state(g, rng, amplitude=amp, decay=decay))
+        cols = apply_sigma(spec, U)
+        add("yH", sum(h_norm_sq(col) for col in cols))
+        add("yV", sum(v_norm_sq(col) for col in cols))
+        add("y2", sum(quadratic_sums(g, col.coeffs, ("vbar_V",))[0] for col in cols))
+        add("y3", sum(grad3_dz_sq(g, col.coeffs, comps) for col in cols))
+        add("xA", da_norm_sq(U))
+        add("xV", v_norm_sq(U))
+        add("x2", quadratic_sums(g, U.coeffs, ("AS",))[0])
+        add("x3", grad3_dz_sq(g, U.coeffs, (0, 1, 2)))
+        add("zH", 1.0 + h_norm_sq(U))
+        add("zV", 1.0 + v_norm_sq(U))
+        Us = leray_project(random_state(g, rng, amplitude=amp, decay=rng.uniform(0.5, 3.0)))
+        diff = SpectralState(g, U.coeffs - Us.coeffs)
+        add("gamma_num", sum(v_norm_sq(col) for col in apply_sigma(spec.without_additive(), diff)))
+        add("gamma_x", da_norm_sq(diff))
+        add("gamma_z", v_norm_sq(diff) + 1e-30)
+    return {k: np.array(v) for k, v in d.items()}
 
 
 class TestApplySigma:
@@ -378,6 +425,26 @@ class TestHypothesisFits:
             ratio = fits[i] / fits[0]
             expected = t1s[i] / t1s[0]
             assert 0.5 * expected <= ratio <= 2.0 * expected
+
+    @pytest.mark.parametrize("name", GROWTH_SPECS)
+    def test_stacked_fit_matches_a_per_state_loop(self, monkeypatch, name):
+        # the estimator's stacked columns and norms against the loop over single
+        # states; the report fitted on either agrees within 1e-14 relative
+        spec = GROWTH_SPECS[name](GROWTH_GRID)
+        ref = per_state_growth_samples(spec, 100, 7)
+        mine = noise._growth_samples(spec, 100, 7)
+        assert mine.keys() == ref.keys()
+        for key in ref:
+            assert mine[key].shape == (100,)
+            assert np.abs(mine[key] - ref[key]).max() <= 1e-14 * np.abs(ref[key]).max(), key
+        rep = estimate_growth_constants(spec, sample_count=100)
+        monkeypatch.setattr(noise, "_growth_samples", per_state_growth_samples)
+        ref_rep = estimate_growth_constants(spec, sample_count=100)
+        fitted = ("eta0", "eta1", "eta2", "eta3", "gamma")
+        a = np.array([getattr(rep, k) for k in fitted] + [rep.ols_slopes[k] for k in fitted])
+        b = np.array([getattr(ref_rep, k) for k in fitted] + [ref_rep.ols_slopes[k] for k in fitted])
+        assert a[2] > 0 and (np.abs(a - b) <= 1e-14 * np.abs(b)).all()
+        assert rep.passes == ref_rep.passes
 
     def test_envelope_fit_refuses_degenerate(self):
         y = np.linspace(1, 2, 120)

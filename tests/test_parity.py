@@ -51,6 +51,12 @@ def test_run_then_diff(tmp_path, capsys):
     with np.load(out / "arrays.npz") as saved:
         n_records = [len(saved[f"stride/{parity.STRIDE_PRESET}/{s}/path0/records"]) for s in parity.STRIDES]
     assert n_records == [17, 5, 2]
+    # the study group: criterion 6's convergence study and criterion 10's sweep at each p
+    assert "study/convergence/errors" in digests and "study/convergence/order" in digests
+    for p in parity.APRIORI_P:
+        for part in ("estimates", "std_errors", "ratios"):
+            assert f"study/apriori-p{p:g}/{part}" in digests
+    assert json.loads((out / "columns.json").read_text())["records"][:2] == ["t", "H_sq"]
     assert parity.ENSEMBLES["ou-single-mode"] == 513
     assert json.loads((out / "digests.json").read_text()) == digests
     assert parity.diff(str(out), str(out)) == []
@@ -70,8 +76,17 @@ def test_run_then_diff(tmp_path, capsys):
     assert set(found) == {changed, dropped, "extra"}
     assert 0.0 < found[changed] < 2e-12
     assert found[dropped] is None and found["extra"] is None
+    # by kind: the changed records table differs in every nonzero column
+    kinds = {kind: (count, rel) for kind, count, rel in parity.by_kind(str(out), str(other), list(found.items()))}
+    assert kinds["records"] == (1, found[changed])
+    assert kinds["trajectory.csv"] == (1, None) and kinds["extra"] == (1, None)
+    nonzero = np.abs(arrays[changed]).max(axis=0) > 0
+    columns = json.loads((out / "columns.json").read_text())["records"]
+    assert {k for k in kinds if k.startswith("records/")} == {f"records/{c}" for c, on in zip(columns, nonzero) if on}
+    assert all(0.0 < kinds[f"records/{c}"][1] < 2e-12 for c, on in zip(columns, nonzero) if on)
     assert parity.main(["diff", str(out), str(other)]) == 1
-    assert "parity: 3 differing outputs" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "parity: 3 differing outputs" in printed and "\n    records/H_sq\t1\t" in printed
 
 
 def test_rel_diff():

@@ -33,7 +33,7 @@ from stochpe.operators import (
     leray_project,
 )
 from stochpe.solver import Stepper, run_paths, run_trajectory
-from stochpe.spectral import SpectralState, _parseval_sq, da_norm_sq, grad3_dz_sq, h_norm_sq, sq_norms, v_norm_sq
+from stochpe.spectral import SpectralState, da_norm_sq, grad3_dz_sq, h_norm_sq, quadratic_sums, v_norm_sq
 
 PRESETS = [
     "example1-large-theta1", "example1-small", "example2-small", "linear-decay", "ou-single-mode", "smallnoise-888"
@@ -304,13 +304,14 @@ def test_sigma_coeffs_stack(stack, family, osc):
         sigma_coeffs(spec, c, W[:, :, :3])
 
 
-def test_sq_norms_stack(stack):
+def test_quadratic_sums_stack(stack):
     g, states, c = stack
-    H, V, DA = sq_norms(g, c)
-    assert H.shape == V.shape == DA.shape == (len(states),)
+    names = tuple(g.forms)
+    sums = quadratic_sums(g, c, names)
+    assert all(value.shape == (len(states),) for value in sums)
     for p, st in enumerate(states):
-        assert (H[p], V[p]) == (h_norm_sq(st), v_norm_sq(st))
-        assert (H[p], V[p], DA[p]) == sq_norms(g, st.coeffs)
+        assert (sums[0][p], sums[1][p], sums[2][p]) == (h_norm_sq(st), v_norm_sq(st), da_norm_sq(st))
+        assert tuple(value[p] for value in sums) == quadratic_sums(g, st.coeffs, names)
 
 
 def test_grad3_dz_sq_stack(stack):
@@ -326,7 +327,9 @@ def test_grad3_dz_sq_stack(stack):
 def _per_state_functionals(state):
     """The monitored functionals of one state, one field at a time, each a
     whole-array ``np.sum``: the per-state arithmetic that every row of the
-    stacked record kernel must reproduce bit for bit."""
+    stacked record kernel must reproduce bit for bit.  Each Parseval sum is
+    np.sum(|c|^2 * factor * parseval_weight) over its components, with the
+    factor written out here."""
     g, c = state.grid, state.coeffs
     spec = g.spec
     w = g.quad_weight()
@@ -335,21 +338,16 @@ def _per_state_functionals(state):
     vt1, vt2, Tg = g.synth_cos(np.concatenate([vt, c[2:]]))
     vt_sq = vt1**2 + vt2**2
     grad_sq = sum((d**2).sum(axis=0) for d in g.padded_samples(vt).grads)
-    ksq = g.ksq_h[None]
-    vbar_sq = np.abs(c[:2, :, :, 0]) ** 2
-    vbar_h1_sq = float(np.sum((1.0 + ksq) * vbar_sq) * g.area_h)
-    w_sin = g.weight_m_sin[None, None, :]
-    dzv_sq = 0.0
-    for k in range(2):
-        dzv_sq += float(np.sum(np.abs(g.dz_to_sin(c[k])) ** 2 * w_sin))
-    dzT_sq = float(np.sum(np.abs(g.dz_to_sin(c[2])) ** 2 * w_sin))
+    sq = np.abs(c) ** 2
+    ksq, mz_sq = g.ksq_h[:, :, None], g.mz_phys**2
+    depth_mean = (g.m_int == 0) / spec.h  # the m = 0 level, per unit depth
 
-    def g3(comps, mu=1.0, nu=1.0):
-        k3, mz = g.ksq_h[:, :, None], g.mz_phys[None, None, :]
-        total = 0.0
-        for k in comps:
-            total += float(np.sum((mu * k3 + nu * mz**2) * mz**2 * np.abs(c[k]) ** 2 * w_sin))
-        return total
+    def parseval(rows, factor):
+        return float(np.sum(sq[rows] * factor * g.parseval_weight))
+
+    vbar_h1_sq = parseval(slice(0, 2), (1.0 + ksq) * depth_mean)
+    dzv_sq = 0.0 + parseval(slice(0, 1), mz_sq) + parseval(slice(1, 2), mz_sq)
+    dzT_sq = parseval(slice(2, 3), mz_sq)
 
     return {
         "H_sq": h_norm_sq(state),
@@ -359,13 +357,13 @@ def _per_state_functionals(state):
         "Vbar_H1_4": vbar_h1_sq * vbar_h1_sq,
         "dz_v_L2_2": dzv_sq,
         "dz_v_L2_4": dzv_sq * dzv_sq,
-        "grad3_dz_v_L2_2": g3((0, 1)),
+        "grad3_dz_v_L2_2": parseval(slice(0, 2), (ksq + mz_sq) * mz_sq),
         "L6_T_6": float(np.sum(Tg**6) * w),
         "dz_T_L2_4": dzT_sq * dzT_sq,
         "grad_vtilde_vtilde4": float(np.sum(grad_sq * vt_sq**2) * w),
-        "vbar_V_sq": float(spec.mu * np.sum(ksq * vbar_sq) * g.area_h),
-        "AS_sq": float(spec.mu**2 * np.sum(ksq**2 * vbar_sq) * g.area_h),
-        "dzT_a_sq": g3((2,), spec.mu, spec.nu),
+        "vbar_V_sq": parseval(slice(0, 2), spec.mu * ksq * depth_mean),
+        "AS_sq": parseval(slice(0, 2), spec.mu**2 * ksq**2 * depth_mean),
+        "dzT_a_sq": parseval(slice(2, 3), (spec.mu * ksq + spec.nu * mz_sq) * mz_sq),
         "dz_T_L2_2": dzT_sq,
     }
 
@@ -445,7 +443,7 @@ def test_zero_start_distance_is_the_v_norm(monkeypatch, preset, values):
     stepper = Stepper(cfg, solver.initial_state(cfg))
     assert not stepper.c0.any()
     rows = np.random.default_rng(3).standard_normal((4,) + stepper.c0.shape) * stepper.mask
-    assert np.array_equal(stepper.distance(rows, 0.5, sq_norms(stepper.grid, rows)[1]), stepper.distance(rows, 0.5))
+    assert np.array_equal(stepper.distance(rows, 0.5, quadratic_sums(stepper.grid, rows, ("V",))[0]), stepper.distance(rows, 0.5))
     shortcut = run_paths(cfg, range(3))
     general = Stepper.distance
     monkeypatch.setattr(Stepper, "distance", lambda self, coeffs, t, v_sq=None: general(self, coeffs, t))
@@ -562,7 +560,7 @@ def test_static_column_norms_give_the_ito_quadratic():
     stepper = Stepper(cfg, solver.initial_state(cfg))
     K = cfg.noise.K
     _, _, cols = stepper.advance(np.repeat(stepper.c0[None], 3, axis=0), np.ones(3), np.zeros((3, K)))
-    sq = _parseval_sq(stepper.grid, cols)
+    (sq,) = quadratic_sums(stepper.grid, cols, ("H",))
     quad = np.zeros(3)
     for _ in range(cfg.n_steps):
         quad += sum(sq[:, k] for k in range(K)) * cfg.dt

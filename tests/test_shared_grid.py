@@ -73,9 +73,13 @@ def test_build_basis_reads_the_shared_grid():
 def test_grid_arrays_are_read_only():
     g = Grid.of(DomainSpec(N1=2, N2=2, M=2))
     sub = g.subgrid(1, 1, 1)
-    for array in (g.lam, g.kx_int, g.rank, g._closed_cuts, g._horizontal[0], g._vertical[1], sub._vertical[1]):
+    arrays = (g.lam, g.kx_int, g.rank, g._closed_cuts, g._horizontal[0], g._vertical[1], sub._vertical[1])
+    for array in arrays + (g.leray_divisor, g.forms["V"][1], g.half_plane().forms["AS"][1]):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
+    # the table of forms itself takes no writes
+    with pytest.raises(TypeError):
+        g.forms["H"] = ((0,), None)
 
 
 def _run_files(preset, root, label) -> tuple:

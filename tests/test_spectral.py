@@ -22,7 +22,7 @@ from stochpe import (
     to_spectral,
 )
 from stochpe.operators import leray_coeffs
-from stochpe.spectral import da_norm_sq, h_norm_sq, next_fast_len, sq_norms, v_norm_sq
+from stochpe.spectral import da_norm_sq, h_norm_sq, next_fast_len, quadratic_sums, v_norm_sq
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -452,10 +452,47 @@ class TestNorms:
         assert nb.H == nb.V == nb.DA == nb.dz_L2 == nb.boundary_L2_top == 0.0
         assert nb.L6 == (0.0, 0.0, 0.0)
 
-    def test_sq_norms_bitwise(self, grid_small, rng):
+    def test_quadratic_sums_bitwise(self, grid_small, rng):
+        # one |c|^2 pass for several forms gives each form's own pass bit for bit
         for _ in range(20):
             st = random_state(grid_small, rng, amplitude=10.0 ** rng.uniform(-3, 3), zero_mean=False)
-            assert sq_norms(grid_small, st.coeffs) == (h_norm_sq(st), v_norm_sq(st), da_norm_sq(st))
+            sums = quadratic_sums(grid_small, st.coeffs, ("H", "V", "DA"))
+            assert sums == (h_norm_sq(st), v_norm_sq(st), da_norm_sq(st))
+            assert all(isinstance(value, float) for value in sums)
+
+    @pytest.mark.parametrize(
+        "field, kx, ky, m",
+        [("v1", 1, 2, 0), ("v2", -2, 1, 2), ("T", 0, 1, 3), ("v1", 0, 0, 1), ("T", 3, -2, 0), ("v2", 0, 0, 0)],
+    )
+    def test_forms_match_their_closed_forms(self, grid_small, field, kx, ky, m):
+        # a cos(k.x) cos(m pi z/h) in one field: |u|^2 integrates to a^2 L1 L2 h,
+        # halved for k != 0 and again for m != 0, and each form is a multiple of it
+        g, a = grid_small, 1.7
+        s = g.spec
+        ksq = (2 * np.pi * kx / s.L1) ** 2 + (2 * np.pi * ky / s.L2) ** 2
+        mz_sq = (m * np.pi / s.h) ** 2
+        lam = s.mu * ksq + s.nu * mz_sq
+        area = a**2 * s.L1 * s.L2 * (0.5 if (kx, ky) != (0, 0) else 1.0)  # |vbar|^2 over the surface
+        energy = area * s.h * (0.5 if m else 1.0)
+        velocity = field != "T"
+        bar = area if velocity and m == 0 else 0.0
+        expected = {
+            "H": energy,
+            "V": lam * energy,
+            "DA": lam**2 * energy,
+            "vbar_H1": (1.0 + ksq) * bar,
+            "vbar_V": s.mu * ksq * bar,
+            "AS": s.mu**2 * ksq**2 * bar,
+            "dz_v1": mz_sq * energy if field == "v1" else 0.0,
+            "dz_v2": mz_sq * energy if field == "v2" else 0.0,
+            "dz_T": mz_sq * energy if field == "T" else 0.0,
+            "grad3_dz_v": (ksq + mz_sq) * mz_sq * energy if velocity else 0.0,
+            "grad3_dz_T": (s.mu * ksq + s.nu * mz_sq) * mz_sq * energy if not velocity else 0.0,
+        }
+        assert set(expected) == set(g.forms)
+        st = single_mode_state(g, field, kx, ky, m, a)
+        for name, value in zip(expected, quadratic_sums(g, st.coeffs, tuple(expected))):
+            assert value == pytest.approx(expected[name], rel=1e-13, abs=1e-13 * energy), name
 
     def test_single_mode_v_norm(self, grid_small):
         g = grid_small

@@ -16,15 +16,22 @@ the ``ito_isometry_check`` result of each ``ENSEMBLES`` preset, a full
 chunk of paths and a partial one, at each of ``ENSEMBLE_WORKERS``; then the
 ``stride`` group: the outputs of ``run_paths([0, 1, 2, 5])`` on
 ``STRIDE_PRESET`` at each ``store_stride`` of ``STRIDES``, which show how
-the running integrals depend on the stored stride; then the ``exit`` group:
+the running integrals depend on the stored stride; then the ``study``
+group: the ``convergence_study`` result on acceptance criterion 6's
+configuration and the ``apriori_sweep`` result on criterion 10's at each
+p of ``APRIORI_P``, with ``APRIORI_PATHS`` paths; then the ``exit`` group:
 the exit code of each ``stochpe run`` that should fail (``EXIT_COMMANDS`` and three
 malformed input files), or the name of the exception that escapes.  It
-writes ``DIR/digests.json``, one SHA-256 digest per output, and
-``DIR/arrays.npz``, the array behind each digest.
+writes ``DIR/digests.json``, one SHA-256 digest per output,
+``DIR/arrays.npz``, the array behind each digest, and ``DIR/columns.json``,
+the names of the record columns.
 
 ``diff`` lists every output whose digest differs, or that only one side
 has, with the largest relative difference max|a - b| / max|a| of its
-arrays, and exits 1 when it lists any.  Run both sides on the same machine:
+arrays, then a summary by kind (``by_kind``): per last component of the
+output names, and per column of the record tables, the count of differing
+outputs and their largest relative difference.  It exits 1 when it lists
+any output.  Run both sides on the same machine:
 BLAS builds can differ in the last bits, so digests are not fixtures.
 """
 
@@ -73,6 +80,11 @@ ENSEMBLE_WORKERS = (1, 2)
 # the store_stride ladder of the ``stride`` group
 STRIDE_PRESET = "example1-small"
 STRIDES = (1, 4, 16)
+# the ``study`` group: apriori_sweep's exponents and its least ensemble
+APRIORI_P = (4.0, 8.0)
+APRIORI_PATHS = 30
+# the record tables that ``by_kind`` breaks down by column
+RECORD_TABLES = ("records", "trajectory.csv")
 # ``stochpe run`` arguments that should exit 3 (a blow-up) or 2 (a configuration error)
 EXIT_COMMANDS = {
     "overflow": [
@@ -238,6 +250,33 @@ def _stride_outputs() -> dict:
     return out
 
 
+def _study_outputs() -> dict:
+    """The ``convergence_study`` result (4 paths) on acceptance criterion 6's
+    configuration and the ``apriori_sweep`` result (``APRIORI_PATHS`` paths,
+    one worker) on criterion 10's at each p of ``APRIORI_P``, field by field."""
+    from stochpe.experiments import apriori_sweep, convergence_study
+    from stochpe.noise import example1_noise
+    from stochpe.solver import InitSpec, SolverConfig
+    from stochpe.spectral import DomainSpec, Grid
+
+    g = Grid.of(DomainSpec(N1=8, N2=8, M=8))
+    noise = example1_noise(g, K=4, amp_phi=0.02, amp_psi=0.02, amp_chi=0.05, osc=1)
+    init = InitSpec(kind="random", seed=8, amplitude=0.5)
+    out = {}
+    cfg = SolverConfig(grid=g, noise=noise, init=init, n_galerkin=200, dt=1.0 / 16, t_end=0.25, seed=6)
+    res = convergence_study(cfg, (1.0 / 16, 1.0 / 32, 1.0 / 64), n_paths=4)
+    out["study/convergence/errors"] = np.array([res["errors"][d] for d in sorted(res["errors"])])
+    out["study/convergence/order"] = np.array([res["order"], res["ref_dt"]])
+    cfg = SolverConfig(grid=g, noise=noise, init=init, dt=1.0 / 64, t_end=0.25, store_stride=8, seed=17)
+    for p in APRIORI_P:
+        res = apriori_sweep(cfg, n_values=(100, 200), n_paths=APRIORI_PATHS, p=p)
+        key = f"study/apriori-p{p:g}"
+        out[f"{key}/estimates"] = np.array([res["estimates"][n] for n in sorted(res["estimates"])])
+        out[f"{key}/std_errors"] = np.array([res["std_errors"][n] for n in sorted(res["std_errors"])])
+        out[f"{key}/ratios"] = np.array([*res["ratios"], res["pass"]], dtype=float)
+    return out
+
+
 def _malformed_files(root: str) -> dict:
     """``stochpe run`` arguments of ``example1-small`` on three malformed input
     files written to ``root``: a noise file with a short alpha, a family-2 noise
@@ -301,6 +340,7 @@ def run(src: str, out_dir: str, presets=None) -> dict:
     stochpe = _import_stochpe(src)
     from stochpe.cli import _preset_text
     from stochpe.config import build_solver_config, parse_config_text
+    from stochpe.diagnostics import CSV_COLUMNS
     from stochpe.solver import run_paths
 
     digests, arrays = {}, {}
@@ -319,9 +359,12 @@ def run(src: str, out_dir: str, presets=None) -> dict:
             for name, (raw, a) in _cli_outputs(stochpe, preset, changes, root).items():
                 key = f"{preset}/cli/{name}"
                 digests[key], arrays[key] = hashlib.sha256(raw).hexdigest(), a
-        for key, a in {**_growth_outputs(), **_ensemble_outputs(), **_stride_outputs(), **_exit_outputs(root)}.items():
+        groups = (_growth_outputs(), _ensemble_outputs(), _stride_outputs(), _study_outputs(), _exit_outputs(root))
+        for key, a in {k: a for group in groups for k, a in group.items()}.items():
             digests[key], arrays[key] = _digest(a), a
     os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "columns.json"), "w") as fh:
+        json.dump({"records": list(CSV_COLUMNS)}, fh)
     with open(os.path.join(out_dir, "digests.json"), "w") as fh:
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -362,6 +405,41 @@ def diff(dir_a: str, dir_b: str) -> list:
     return out
 
 
+def by_kind(dir_a: str, dir_b: str, differing: list) -> list:
+    """(kind, count, largest relative difference) of the ``diff`` outputs
+    ``differing``, grouped by the last component of their names, in name
+    order; each ``RECORD_TABLES`` kind is followed by its columns
+    ("records/H_sq", ..., named by ``dir_a``'s ``columns.json``, or by
+    index without it), each with the count of tables where that column
+    differs.  An output on one side only counts without a difference (None
+    when a kind has no other)."""
+    path = os.path.join(dir_a, "columns.json")
+    columns = None
+    if os.path.exists(path):
+        with open(path) as fh:
+            columns = json.load(fh)["records"]
+    counts, largest = {}, {}
+
+    def add(kind, rel):
+        counts[kind] = counts.get(kind, 0) + 1
+        if rel is not None:
+            largest[kind] = max(largest.get(kind, 0.0), rel)
+
+    with np.load(os.path.join(dir_a, "arrays.npz")) as side_a, np.load(os.path.join(dir_b, "arrays.npz")) as side_b:
+        for key, rel in differing:
+            kind = key.rsplit("/", 1)[-1]
+            add(kind, rel)
+            if kind in RECORD_TABLES and rel is not None:
+                a, b = side_a[key], side_b[key]
+                if a.shape != b.shape or a.ndim != 2:
+                    continue
+                names = columns if columns and len(columns) == a.shape[1] else [str(j) for j in range(a.shape[1])]
+                for j, name in enumerate(names):
+                    if not np.array_equal(a[:, j], b[:, j], equal_nan=True):
+                        add(f"{kind}/{name}", rel_diff(a[:, j], b[:, j]))
+    return [(kind, counts[kind], largest.get(kind)) for kind in sorted(counts)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -379,6 +457,11 @@ def main(argv=None) -> int:
     differing = diff(args.a, args.b)
     for key, rel in differing:
         print(f"{key}\t{'only on one side' if rel is None else f'max rel diff {rel:.3e}'}")
+    if differing:
+        print("by kind: differing outputs, largest relative difference")
+        for kind, count, rel in by_kind(args.a, args.b, differing):
+            indent = "    " if "/" in kind else "  "
+            print(f"{indent}{kind}\t{count}\t{'-' if rel is None else f'{rel:.3e}'}")
     print(f"parity: {len(differing)} differing outputs")
     return 1 if differing else 0
 
