@@ -31,8 +31,8 @@ print(f"cutoff radius kappa = {traj.kappa:.4f}")
 print(f"{'t':>6} {'||U||^2':>10} {'|AU|^2':>10} {'theta':>7} {'dist':>8} {'|vt|_L6^6':>11}")
 for rec in traj.records:
     print(
-        f"{rec.t:6.3f} {rec.V_sq:10.4f} {rec.DA_sq:10.4f} {rec.theta_value:7.3f} "
-        f"{rec.dist_to_Ustar:8.4f} {rec.L6_vtilde_6:11.5f}"
+        f"{rec['t']:6.3f} {rec['V_sq']:10.4f} {rec['DA_sq']:10.4f} {rec['theta_value']:7.3f} "
+        f"{rec['dist_to_Ustar']:8.4f} {rec['L6_vtilde_6']:11.5f}"
     )
 
 print("\nfirst-hitting times:")

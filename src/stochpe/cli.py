@@ -140,7 +140,7 @@ def _write_csv(path, records):
         fh.write("# stochpe-diagnostics-csv v1\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for rec in records:
-            fh.write(",".join(_fmt(v) for v in rec.row()) + "\n")
+            fh.write(",".join(_fmt(rec[c]) for c in CSV_COLUMNS) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -166,8 +166,8 @@ def cmd_run(args) -> int:
         "blowup": traj.blowup,
         "blowup_time": traj.blowup_time,
         "hits": {k: v for k, v in traj.hits.items()},
-        "final_H_sq": traj.records[-1].H_sq,
-        "initial_H_sq": traj.records[0].H_sq,
+        "final_H_sq": float(traj.records["H_sq"][-1]),
+        "initial_H_sq": float(traj.records["H_sq"][0]),
         "sup_V_sq": traj.sup_V_sq,
         "int_DA_sq": traj.int_DA_sq,
         "kappa_cutoff": traj.kappa,

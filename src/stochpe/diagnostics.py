@@ -11,9 +11,12 @@ does, and the grid's own padded grid otherwise.  On an axis where the record gri
 one, both integrate these products exactly, so the values agree to
 round-off; a full band keeps the configured grid.
 
-Every record is a functional of one state, at one instant: ``record_stack``
-evaluates the records of a whole stack of paths at once, row p equal bit for
-bit to the record of state p alone, and ``record`` is its one-row case.  The
+A record is one element of the structured dtype ``RECORD``: the
+``CSV_COLUMNS``, the ``EXTRA_COLUMNS`` and the ``STOPPING_FUNCTIONALS``, all
+float64, read by field name (``rec["H_sq"]``).  Every record is a functional
+of one state, at one instant: ``record_stack`` evaluates the records of a
+whole stack of paths at once, a (P,) ``RECORD`` array whose row p equals bit
+for bit the record of state p alone, and ``record`` is its one-row case.  The
 running integrals of a record (the ``int_*`` columns and the stopping
 functionals) read 0 here.  ``solver.run_paths`` accumulates them along each
 path by the trapezoid rule: ``int_DA_sq`` on every step, and the nine
@@ -40,9 +43,10 @@ import numpy as np
 from .spectral import Grid, SpectralState, Workspace, _mode_sums, _scratch, quadratic_sums
 
 __all__ = [
-    "DiagnosticRecord",
     "EnsembleReport",
+    "RECORD",
     "STOPPING_FUNCTIONALS",
+    "finite",
     "record",
     "record_stack",
     "stopping_integrands",
@@ -80,75 +84,19 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
-class DiagnosticRecord:
-    """Per-step values of every monitored functional plus running integrals.
+# instantaneous integrands of the running integrals that are not plain products of the columns
+EXTRA_COLUMNS = ("grad_vtilde_vtilde4", "vbar_V_sq", "AS_sq", "dzT_a_sq", "dz_T_L2_2")
 
-    ``record_stack`` returns a stacked record, whose columns, extras and
-    stopping values are (P,) arrays with one entry per path; indexing selects
-    rows, and ``split`` cuts it into per-path records."""
+# one record: the CSV columns, the extra integrands and the cumulative stopping
+# functionals, which ``run_paths`` accumulates like the int_* columns
+RECORD = np.dtype([(name, np.float64) for name in (*CSV_COLUMNS, *EXTRA_COLUMNS, *STOPPING_FUNCTIONALS)])
 
-    t: float
-    H_sq: float
-    V_sq: float
-    DA_sq: float
-    L6_vtilde_6: float
-    Vbar_H1_4: float
-    dz_v_L2_2: float
-    dz_v_L2_4: float
-    grad3_dz_v_L2_2: float
-    L6_T_6: float
-    dz_T_L2_4: float
-    theta_value: float
-    dist_to_Ustar: float
-    int_DA_sq: float = 0.0
-    int_H2_V2: float = 0.0
-    int_grad_vtilde_vtilde4: float = 0.0
-    int_vbar_AS: float = 0.0
-    int_dzv_grad_dzv: float = 0.0
-    int_T_funcs: float = 0.0
-    # instantaneous integrands that are not plain products of the columns
-    extras: dict = field(default_factory=dict, repr=False, compare=False)
-    # cumulative stopping functionals, accumulated like the int_* columns by run_paths
-    stopping: dict = field(
-        default_factory=lambda: dict.fromkeys(STOPPING_FUNCTIONALS, 0.0), repr=False, compare=False
-    )
 
-    def row(self) -> list:
-        return [getattr(self, c) for c in CSV_COLUMNS]
-
-    def finite(self):
-        """Whether every column is finite: a bool, or a (P,) mask for a stacked record."""
-        ok = np.isfinite(np.array(self.row(), dtype=float)).all(axis=0)
-        return bool(ok) if ok.ndim == 0 else ok
-
-    def __getitem__(self, rows) -> "DiagnosticRecord":
-        """The rows ``rows`` (a mask or a slice) of a stacked record; a float column is every row's."""
-
-        def pick(values: dict) -> dict:
-            return {k: v[rows] if np.ndim(v) else v for k, v in values.items()}
-
-        return DiagnosticRecord(
-            **pick({c: getattr(self, c) for c in CSV_COLUMNS}),
-            extras=pick(self.extras),
-            stopping=pick(self.stopping),
-        )
-
-    def split(self, rows: np.ndarray | None = None) -> list:
-        """The per-path records of a stacked record, for the rows selected by
-        the (P,) boolean mask ``rows`` (all rows by default)."""
-        rec = self if rows is None else self[rows]
-
-        def columns(values: dict) -> list:
-            cols = [np.asarray(v).tolist() for v in values.values()]
-            return [dict(zip(values, entry)) for entry in zip(*cols)]
-
-        return [
-            DiagnosticRecord(**cols, extras=extras, stopping=stopping)
-            for cols, extras, stopping in zip(
-                columns({c: getattr(rec, c) for c in CSV_COLUMNS}), columns(rec.extras), columns(rec.stopping)
-            )
-        ]
+def finite(records):
+    """Whether every CSV column of ``records`` is finite: a bool for one
+    record, a mask for an array of them."""
+    ok = np.all([np.isfinite(records[c]) for c in CSV_COLUMNS], axis=0)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def _grid_quadrature_functionals(
@@ -209,50 +157,43 @@ def record_stack(
     band: tuple | None = None,
     *,
     work: Workspace | None = None,
-) -> DiagnosticRecord:
+) -> np.ndarray:
     """``record`` of every row of a coefficient stack (P, 3, nkx, nky, nm) at
     time t, with cutoff distances ``dist`` (P,) and switches ``theta`` (P,):
-    one stacked record whose row p equals bit for bit the record of state p
-    alone.  Every functional is evaluated for all rows at once, each row
+    a (P,) ``RECORD`` array whose row p equals bit for bit the record of
+    state p alone.  Every functional is evaluated for all rows at once, each row
     reduced over its trailing axes as one contiguous sum, and its running
     integrals read 0.  ``band`` (N1, N2, M), when given, must hold every
     nonzero coefficient: the three quadrature columns are then evaluated on
     its record grid (``Grid.record_grid``), every other column on ``grid``.
     The quadrature's samples come from the ``Workspace`` ``work`` when given."""
-    P = len(coeffs)
     quad = _grid_quadrature_functionals(grid, coeffs, band, work)
     sq = dict(zip(RECORD_FORMS, quadratic_sums(grid, coeffs, RECORD_FORMS)))
     dzv_sq = 0.0 + sq["dz_v1"] + sq["dz_v2"]
-    zeros = np.zeros(P)
-    return DiagnosticRecord(
-        t=np.full(P, t),
-        H_sq=sq["H"],
-        V_sq=sq["V"],
-        DA_sq=sq["DA"],
-        L6_vtilde_6=quad["L6_vtilde_6"],
-        Vbar_H1_4=sq["vbar_H1"] * sq["vbar_H1"],
-        dz_v_L2_2=dzv_sq,
-        dz_v_L2_4=dzv_sq * dzv_sq,
-        grad3_dz_v_L2_2=sq["grad3_dz_v"],
-        L6_T_6=quad["L6_T_6"],
-        dz_T_L2_4=sq["dz_T"] * sq["dz_T"],
-        theta_value=np.asarray(theta, dtype=float),
-        dist_to_Ustar=np.asarray(dist, dtype=float),
-        int_DA_sq=zeros,
-        int_H2_V2=zeros,
-        int_grad_vtilde_vtilde4=zeros,
-        int_vbar_AS=zeros,
-        int_dzv_grad_dzv=zeros,
-        int_T_funcs=zeros,
-        extras={
-            "grad_vtilde_vtilde4": quad["grad_vtilde_vtilde4"],
-            "vbar_V_sq": sq["vbar_V"],
-            "AS_sq": sq["AS"],
-            "dzT_a_sq": sq["grad3_dz_T"],
-            "dz_T_L2_2": sq["dz_T"],
-        },
-        stopping=dict.fromkeys(STOPPING_FUNCTIONALS, zeros),
-    )
+    columns = {
+        "t": t,
+        "H_sq": sq["H"],
+        "V_sq": sq["V"],
+        "DA_sq": sq["DA"],
+        "L6_vtilde_6": quad["L6_vtilde_6"],
+        "Vbar_H1_4": sq["vbar_H1"] * sq["vbar_H1"],
+        "dz_v_L2_2": dzv_sq,
+        "dz_v_L2_4": dzv_sq * dzv_sq,
+        "grad3_dz_v_L2_2": sq["grad3_dz_v"],
+        "L6_T_6": quad["L6_T_6"],
+        "dz_T_L2_4": sq["dz_T"] * sq["dz_T"],
+        "theta_value": theta,
+        "dist_to_Ustar": dist,
+        "grad_vtilde_vtilde4": quad["grad_vtilde_vtilde4"],
+        "vbar_V_sq": sq["vbar_V"],
+        "AS_sq": sq["AS"],
+        "dzT_a_sq": sq["grad3_dz_T"],
+        "dz_T_L2_2": sq["dz_T"],
+    }
+    out = np.zeros(len(coeffs), RECORD)
+    for name, values in columns.items():
+        out[name] = values
+    return out
 
 
 def record(
@@ -260,44 +201,42 @@ def record(
     dist: float = 0.0,
     theta_value: float = 1.0,
     band: tuple | None = None,
-) -> DiagnosticRecord:
-    """Every monitored functional of ``state`` at cutoff distance ``dist``: a
-    functional of the one state, so its running integrals (the ``int_*``
-    columns and the stopping functionals) read 0; ``run_paths`` accumulates
-    them along a path.  This is ``record_stack`` with one row, ``band``
-    included.
+) -> np.void:
+    """Every monitored functional of ``state`` at cutoff distance ``dist``, as
+    one ``RECORD``: a functional of the one state, so its running integrals
+    (the ``int_*`` columns and the stopping functionals) read 0;
+    ``run_paths`` accumulates them along a path.  This is ``record_stack``
+    with one row, ``band`` included.
 
     Squares of norms overflow to inf rather than raising, so a record of a
-    state near blow-up can be checked with ``DiagnosticRecord.finite``."""
-    stack = record_stack(
-        state.grid, state.coeffs[None], state.time, np.array([dist]), np.array([theta_value]), band
-    )
-    return stack.split()[0]
+    state near blow-up can be checked with ``finite``."""
+    return record_stack(state.grid, state.coeffs[None], state.time, dist, theta_value, band)[0]
 
 
-def stopping_integrands(rec: DiagnosticRecord, forcing_weak: float = 0.0) -> dict:
+def stopping_integrands(rec, forcing_weak: float = 0.0) -> dict:
     """Instantaneous integrands of the five cumulative stopping functionals of
-    the record ``rec``; ``weak`` adds ``forcing_weak``, the forcing's norms."""
+    the records ``rec`` (one ``RECORD`` or an array of them); ``weak`` adds
+    ``forcing_weak``, the forcing's norms."""
     return {
-        "weak": rec.H_sq * rec.V_sq + rec.V_sq + forcing_weak,
-        "vtilde_l6": rec.L6_vtilde_6 + rec.extras["grad_vtilde_vtilde4"],
-        "grad_vbar": rec.Vbar_H1_4,
-        "dz_v": rec.grad3_dz_v_L2_2 + rec.dz_v_L2_2 * rec.grad3_dz_v_L2_2,
-        "temperature": rec.L6_T_6 + rec.extras["dz_T_L2_2"] * rec.extras["dzT_a_sq"],
+        "weak": rec["H_sq"] * rec["V_sq"] + rec["V_sq"] + forcing_weak,
+        "vtilde_l6": rec["L6_vtilde_6"] + rec["grad_vtilde_vtilde4"],
+        "grad_vbar": rec["Vbar_H1_4"],
+        "dz_v": rec["grad3_dz_v_L2_2"] + rec["dz_v_L2_2"] * rec["grad3_dz_v_L2_2"],
+        "temperature": rec["L6_T_6"] + rec["dz_T_L2_2"] * rec["dzT_a_sq"],
     }
 
 
-def running_integrands(rec: DiagnosticRecord, forcing_weak: float = 0.0) -> dict:
+def running_integrands(rec, forcing_weak: float = 0.0) -> dict:
     """Instantaneous integrands of the nine running integrals that ``run_paths``
-    accumulates on the stored stride: four ``int_*`` columns, then the five
-    stopping functionals (``stopping_integrands``).  ``int_T_funcs`` is the
-    ``temperature`` functional, and ``int_DA_sq`` is integrated on every
-    step instead."""
+    accumulates on the stored stride, keyed by their ``RECORD`` fields: four
+    ``int_*`` columns, then the five stopping functionals
+    (``stopping_integrands``).  ``int_T_funcs`` is the ``temperature``
+    functional, and ``int_DA_sq`` is integrated on every step instead."""
     return {
-        "int_H2_V2": rec.H_sq * rec.V_sq,
-        "int_grad_vtilde_vtilde4": rec.extras["grad_vtilde_vtilde4"],
-        "int_vbar_AS": rec.extras["vbar_V_sq"] * rec.extras["AS_sq"],
-        "int_dzv_grad_dzv": rec.dz_v_L2_2 * rec.grad3_dz_v_L2_2,
+        "int_H2_V2": rec["H_sq"] * rec["V_sq"],
+        "int_grad_vtilde_vtilde4": rec["grad_vtilde_vtilde4"],
+        "int_vbar_AS": rec["vbar_V_sq"] * rec["AS_sq"],
+        "int_dzv_grad_dzv": rec["dz_v_L2_2"] * rec["grad3_dz_v_L2_2"],
         **stopping_integrands(rec, forcing_weak),
     }
 

@@ -77,7 +77,7 @@ def path_summaries(trajs: list) -> list:
             "final_V_sq": float(final_V_sq[i]),
             "blowup": traj.blowup,
             "hits": dict(traj.hits),
-            "H0_sq": traj.records[0].H_sq,
+            "H0_sq": float(traj.records["H_sq"][0]),
             "apriori": sup_V_p + traj.int_DA_V2,
         }
         if traj.ito_integral is not None:

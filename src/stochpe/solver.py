@@ -29,10 +29,11 @@ order-independent across parallel ensembles.
 
 One loop, ``run_paths``, steps a chunk of P paths that share U0 as one
 (P, 3, nkx, nky, nm) array; ``run_trajectory`` is its P = 1 case.  Each path
-keeps its own records (evaluated for the whole chunk at each stored step),
-hitting times, running integrals and Ito sums, and leaves the chunk when it
-blows up (a nonfinite state, norm or stored record) or reaches tau_cutoff
-under ``terminate_on_tau``; every path equals its own P = 1 run bit for bit.
+keeps its own records (evaluated for the whole chunk at each stored step, in
+one (P, n_stored) ``diagnostics.RECORD`` table per chunk), hitting times,
+running integrals and Ito sums, and leaves the chunk when it blows up (a
+nonfinite state, norm or stored record) or reaches tau_cutoff under
+``terminate_on_tau``; every path equals its own P = 1 run bit for bit.
 
 The step runs on the step grid (``step_grid``): the ky >= 0 half-plane of
 ``cfg.grid`` cut to the largest |kx|, |ky| and m of the retained modes and of
@@ -64,7 +65,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .diagnostics import STOPPING_FUNCTIONALS, detect_stopping, record, record_stack, running_integrands
+from .diagnostics import RECORD, STOPPING_FUNCTIONALS, detect_stopping, finite, record_stack, running_integrands
 from .noise import NoiseSpec, WienerStream, sigma_coeffs, zero_noise
 from .operators import PhysicsParams, advection_coeffs, forcing_coeffs, leray_coeffs
 from .spectral import (
@@ -159,8 +160,10 @@ class SolverConfig:
             if not 0 < self.n_galerkin <= self.grid.n_modes_total:
                 raise ValueError("n_galerkin out of range")
             self.n_galerkin = self.grid.snap_mode_count(self.n_galerkin)
-        if self.equation == "modified" and self.kappa_cutoff is not None and self.kappa_cutoff <= 0:
-            raise ValueError("kappa_cutoff must be positive for the modified equation")
+        if self.kappa_cutoff is not None and not self.kappa_cutoff > 0:
+            raise ValueError("kappa_cutoff must be positive")
+        if not self.apriori_p >= 2:
+            raise ValueError("apriori_p must be >= 2, where the weight ||U||^(p-2) is finite at U = 0")
         unknown = set(self.stopping_levels) - set(STOPPING_FUNCTIONALS)
         if unknown:
             raise ValueError(f"unknown stopping functionals {sorted(unknown)}")
@@ -175,12 +178,12 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Stored records, first-hitting times and per-step reductions of one path;
+    """Stored records, first-hitting times and per-step reductions of one path.
+    ``records`` is one (n_stored,) ``diagnostics.RECORD`` array, and
     ``states`` holds the stored states as one (n_stored, 3, nkx, nky, nm) array."""
 
     config: SolverConfig
-    times: np.ndarray
-    records: list
+    records: np.ndarray
     hits: dict
     blowup: bool
     blowup_time: float | None
@@ -195,12 +198,15 @@ class Trajectory:
     ito_quadratic: float = 0.0
     n_steps_done: int = 0
 
+    @property
+    def times(self) -> np.ndarray:
+        """The times of the stored records."""
+        return self.records["t"]
+
     def series(self, name: str):
-        """(times, values) of a stored column or stopping functional."""
-        t = np.array([r.t for r in self.records])
-        if name in STOPPING_FUNCTIONALS:
-            return t, np.array([r.stopping[name] for r in self.records])
-        return t, np.array([getattr(r, name) for r in self.records])
+        """(times, values) of the record field ``name``, a stored column, extra
+        or stopping functional; ``ValueError`` for an unknown name."""
+        return self.records["t"], self.records[name]
 
 
 def cutoff_theta(r: float | np.ndarray, kappa: float) -> float | np.ndarray:
@@ -566,7 +572,8 @@ def run_paths(
     this loop accumulates every running integral by the trapezoid rule:
     int |AU|^2 and the a-priori int |AU|^2 ||U||_V^(p-2) on every step, and
     the nine of ``running_integrands`` on the stored stride, which it writes
-    into each stored record with int |AU|^2."""
+    into each stored record by field name, with int |AU|^2.  A path's records
+    are rows of one (P, n_stored) ``RECORD`` table; it leaves with its own copy."""
     ids = [int(i) for i in trajectory_ids]
     if not ids:
         raise ValueError("need at least one trajectory id")
@@ -588,9 +595,12 @@ def run_paths(
     t = U.time
     dist0 = stepper.distance(stepper.c0[None], t)
     theta0 = stepper.theta(dist0)
-    rec0 = record(U, float(dist0[0]), float(theta0[0]), band=band)
+    rec0 = record_stack(full, U.coeffs[None], t, dist0, theta0, band)[0]
     integrands0 = list(running_integrands(rec0, forcing_weak).values())
-    records = [[_copy(rec0, extras=dict(rec0.extras), stopping=dict(rec0.stopping))] for _ in ids]
+    # the records of path p are table[p, :n_records[p]], row 0 the shared first record
+    table = np.empty((len(ids), 1 + -(-n_steps // cfg.store_stride)), RECORD)
+    table[:, 0] = rec0
+    n_records = np.ones(len(ids), dtype=int)
     states = [[U.coeffs] for _ in ids] if cfg.store_states else None
     hit_names = ("tau_cutoff", *(f"blowup@{level:g}" for level in cfg.blowup_levels))
     out = [None] * len(ids)
@@ -605,13 +615,14 @@ def run_paths(
         itos = None if rows.ito is None else full.embed(g, rows.ito[leaving])
         for i, row in enumerate(leaving):
             p = rows.path[row]
+            # copied as float64: a structured copy sets up one transfer per field
+            records = table[p, : n_records[p]].view(np.float64).copy().view(RECORD)
             hits = dict.fromkeys(STOPPING_FUNCTIONALS)
             for name, hit in zip(hit_names, (rows.tau_hit[row], *rows.level_hit[row])):
                 hits[name] = None if np.isnan(hit) else float(hit)
             traj = Trajectory(
                 config=cfg if ids[p] == cfg.trajectory_id else _copy(cfg, trajectory_id=ids[p]),
-                times=np.array([rec.t for rec in records[p]]),
-                records=records[p],
+                records=records,
                 hits=hits,
                 blowup=blowup,
                 blowup_time=when if blowup else None,
@@ -642,12 +653,12 @@ def run_paths(
             increments=increments,
             dist=np.repeat(dist0, P),
             theta=np.repeat(theta0, P),
-            sup_V=np.full(P, rec0.V_sq),
-            sup_H=np.full(P, rec0.H_sq),
+            sup_V=np.full(P, rec0["V_sq"]),
+            sup_H=np.full(P, rec0["H_sq"]),
             int_DA=np.zeros(P),
             int_DA_V2=np.zeros(P),
-            prev_DA=np.full(P, rec0.DA_sq),
-            prev_DA_V2=np.full(P, rec0.DA_sq * np.float64(rec0.V_sq) ** power),
+            prev_DA=np.full(P, rec0["DA_sq"]),
+            prev_DA_V2=np.full(P, rec0["DA_sq"] * rec0["V_sq"] ** power),
             # the integrals of running_integrands, and their integrands at the last stored step
             running=np.zeros((P, len(integrands0))),
             prev_running=np.tile(integrands0, (P, 1)),
@@ -666,12 +677,12 @@ def run_paths(
             if not ok.all():
                 # a nonfinite state (its H norm is nonfinite too) leaves before its
                 # Ito increment counts, a finite one with nonfinite norms after it
-                finite = np.isfinite(new.view(np.float64)).reshape(len(new), -1).all(axis=1)
-                leave(~finite, t + dt, j, blowup=True)
-                if not finite.any():
+                finite_state = np.isfinite(new.view(np.float64)).reshape(len(new), -1).all(axis=1)
+                leave(~finite_state, t + dt, j, blowup=True)
+                if not finite_state.any():
                     break
-                new, incr, cols, ok = (None if a is None else a[finite] for a in (new, incr, cols, ok))
-                norms = tuple(a[finite] for a in norms)
+                new, incr, cols, ok = (None if a is None else a[finite_state] for a in (new, incr, cols, ok))
+                norms = tuple(a[finite_state] for a in norms)
             rows.U = new
             t = t + dt
 
@@ -716,16 +727,17 @@ def run_paths(
                 now = np.stack(list(integrands.values()), axis=1)
                 rows.running = _trapezoid(rows.running, rows.prev_running, now, t - t_stored)
                 rows.prev_running, t_stored = now, t
-                totals = dict(zip(integrands, rows.running.T))
-                stack.stopping = {name: totals.pop(name) for name in STOPPING_FUNCTIONALS}
-                vars(stack).update(totals, int_T_funcs=stack.stopping["temperature"], int_DA_sq=rows.int_DA)
+                for name, total in zip(integrands, rows.running.T):
+                    stack[name] = total
+                stack["int_T_funcs"], stack["int_DA_sq"] = stack["temperature"], rows.int_DA
                 # a stored functional out of representable range: numerical blow-up
-                ok = stack.finite()
-                for row, rec in zip(np.flatnonzero(ok), stack.split(ok)):
-                    p = rows.path[row]
-                    records[p].append(rec)
-                    if states is not None:
-                        states[p].append(stored[row].copy())
+                ok = finite(stack)
+                paths = rows.path[ok]
+                table[paths, n_records[paths]] = stack[ok]
+                n_records[paths] += 1
+                if states is not None:
+                    for row in np.flatnonzero(ok):
+                        states[rows.path[row]].append(stored[row].copy())
                 leave(~ok, t, j + 1, blowup=True)
 
             if cfg.terminate_on_tau:

@@ -319,8 +319,8 @@ def suite_diagnostics(grid: Grid | None = None) -> list:
     checks.append(
         _check(
             "record_l6_oracle",
-            abs(rec.L6_vtilde_6 - exact_l6) <= 1e-6 * exact_l6,
-            value=rec.L6_vtilde_6,
+            abs(rec["L6_vtilde_6"] - exact_l6) <= 1e-6 * exact_l6,
+            value=rec["L6_vtilde_6"],
             oracle=exact_l6,
         )
     )
@@ -340,8 +340,8 @@ def suite_diagnostics(grid: Grid | None = None) -> list:
     st2 = leray_project(random_state(g, rng))
     r1 = fluctuation_R(st2)
     r2 = SpectralState(g, st2.coeffs - average_A3(st2).coeffs)
-    l6 = record(r1).L6_vtilde_6
-    d = abs(l6 - record(r2).L6_vtilde_6)
+    l6 = record(r1)["L6_vtilde_6"]
+    d = abs(l6 - record(r2)["L6_vtilde_6"])
     checks.append(_check("fluctuation_two_routes", d <= 1e-12 * max(l6, 1e-30), diff=d))
     return checks
 

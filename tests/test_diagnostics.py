@@ -12,6 +12,7 @@ from stochpe.diagnostics import (
     CSV_COLUMNS,
     STOPPING_FUNCTIONALS,
     detect_stopping,
+    finite,
     record,
     running_integrands,
     stopping_integrands,
@@ -27,16 +28,16 @@ class TestRecord:
         for col in CSV_COLUMNS:
             if col in ("t", "theta_value"):
                 continue
-            assert getattr(rec, col) == 0.0
+            assert rec[col] == 0.0
 
     def test_z_independent_velocity(self, grid_small, rng):
         st_ = leray_project(random_state(grid_small, rng))
         st_.coeffs[:2, :, :, 1:] = 0.0
         st_ = leray_project(st_)
         rec = record(st_)
-        assert rec.L6_vtilde_6 < 1e-25
-        assert rec.dz_v_L2_2 < 1e-25
-        assert rec.grad3_dz_v_L2_2 < 1e-25
+        assert rec["L6_vtilde_6"] < 1e-25
+        assert rec["dz_v_L2_2"] < 1e-25
+        assert rec["grad3_dz_v_L2_2"] < 1e-25
 
     def test_single_mode_against_fine_quadrature(self):
         spec = DomainSpec(L1=2 * np.pi, L2=2 * np.pi, h=1.0, N1=2, N2=2, M=2)
@@ -60,16 +61,16 @@ class TestRecord:
         T = 0.6 * np.cos(Y) * np.cos(np.pi * Z / spec.h)
         # v is purely baroclinic here (m = 1): vtilde = v
         l6_vt = np.sum((v1**2) ** 3) * w
-        assert rec.L6_vtilde_6 == pytest.approx(l6_vt, rel=1e-6)
+        assert rec["L6_vtilde_6"] == pytest.approx(l6_vt, rel=1e-6)
         l6_T = np.sum(T**6) * w
-        assert rec.L6_T_6 == pytest.approx(l6_T, rel=1e-6)
+        assert rec["L6_T_6"] == pytest.approx(l6_T, rel=1e-6)
         dz_v = -0.8 * (np.pi / spec.h) * np.cos(X) * np.sin(np.pi * Z / spec.h)
-        assert rec.dz_v_L2_2 == pytest.approx(np.sum(dz_v**2) * w, rel=1e-6)
+        assert rec["dz_v_L2_2"] == pytest.approx(np.sum(dz_v**2) * w, rel=1e-6)
         grad_sq = (
             (0.8 * np.sin(X) * np.cos(np.pi * Z / spec.h)) ** 2
             + dz_v**2
         )
-        assert rec.extras["grad_vtilde_vtilde4"] == pytest.approx(
+        assert rec["grad_vtilde_vtilde4"] == pytest.approx(
             np.sum(grad_sq * (v1**2) ** 2) * w, rel=1e-6
         )
 
@@ -81,7 +82,7 @@ class TestRecord:
         assert np.abs(r1.coeffs - r2.coeffs).max() <= 1e-12 * max(1.0, np.abs(st_.coeffs).max())
         rec1 = record(r1)
         rec2 = record(r2)
-        assert rec1.L6_vtilde_6 == pytest.approx(rec2.L6_vtilde_6, rel=1e-12, abs=1e-300)
+        assert rec1["L6_vtilde_6"] == pytest.approx(rec2["L6_vtilde_6"], rel=1e-12, abs=1e-300)
 
     def test_cumulative_accumulation_nondecreasing(self):
         # every running integral of a path's records, each accumulated by run_paths
@@ -92,21 +93,21 @@ class TestRecord:
         columns = [c for c in CSV_COLUMNS if c.startswith("int_")]
         for a, b in zip(traj.records, traj.records[1:]):
             for col in columns:
-                assert getattr(b, col) >= getattr(a, col), col
+                assert b[col] >= a[col], col
             for name in STOPPING_FUNCTIONALS:
-                assert b.stopping[name] >= a.stopping[name], name
+                assert b[name] >= a[name], name
         last = traj.records[-1]
-        assert all(getattr(last, col) > 0.0 for col in columns)
-        assert all(last.stopping[name] > 0.0 for name in STOPPING_FUNCTIONALS)
+        assert all(last[col] > 0.0 for col in columns)
+        assert all(last[name] > 0.0 for name in STOPPING_FUNCTIONALS)
 
     def test_overflowing_squares_give_nonfinite_record(self, grid_small, rng):
         st_ = leray_project(random_state(grid_small, rng))
         st_.coeffs *= 1e80  # norms finite, their squares out of range
         with np.errstate(over="ignore"):
             rec = record(st_)
-        assert np.isfinite(rec.V_sq)
-        assert rec.Vbar_H1_4 == np.inf
-        assert not rec.finite()
+        assert np.isfinite(rec["V_sq"])
+        assert rec["Vbar_H1_4"] == np.inf
+        assert not finite(rec)
 
 
 class TestDetectStopping:
@@ -166,10 +167,10 @@ class TestStoppingIntegrands:
         for i in range(6):
             stc = SpectralState(grid_small, st_.coeffs * (1 + 0.2 * np.sin(i)), time=0.1 * i)
             rec = record(stc)
-            sup_v = max(sup_v, rec.V_sq)
+            sup_v = max(sup_v, rec["V_sq"])
             if prev_da is not None:
-                int_da += 0.5 * (prev_da + rec.DA_sq) * 0.1
-            prev_da = rec.DA_sq
+                int_da += 0.5 * (prev_da + rec["DA_sq"]) * 0.1
+            prev_da = rec["DA_sq"]
             vals.append(sup_v + int_da)
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -177,9 +178,9 @@ class TestStoppingIntegrands:
 class TestRunningIntegrals:
     def test_lone_record_reads_zero(self, grid_small, rng):
         rec = record(leray_project(random_state(grid_small, rng)))
-        assert all(getattr(rec, c) == 0.0 for c in CSV_COLUMNS if c.startswith("int_"))
-        assert all(v == 0.0 for v in rec.stopping.values())
-        assert "forcing_weak" not in rec.extras
+        assert all(rec[c] == 0.0 for c in CSV_COLUMNS if c.startswith("int_"))
+        assert all(rec[name] == 0.0 for name in STOPPING_FUNCTIONALS)
+        assert "forcing_weak" not in rec.dtype.names
 
     def test_integrands_in_order(self, grid_small, rng):
         rec = record(leray_project(random_state(grid_small, rng)))
@@ -201,16 +202,16 @@ class TestRunningIntegrals:
         traj = run_trajectory(cfg)
         assert len(traj.records) == -(-cfg.n_steps // stride) + 1
         integrands = {
-            "int_H2_V2": lambda r: r.H_sq * r.V_sq,
-            "int_grad_vtilde_vtilde4": lambda r: r.extras["grad_vtilde_vtilde4"],
-            "int_vbar_AS": lambda r: r.extras["vbar_V_sq"] * r.extras["AS_sq"],
-            "int_dzv_grad_dzv": lambda r: r.dz_v_L2_2 * r.grad3_dz_v_L2_2,
+            "int_H2_V2": lambda r: r["H_sq"] * r["V_sq"],
+            "int_grad_vtilde_vtilde4": lambda r: r["grad_vtilde_vtilde4"],
+            "int_vbar_AS": lambda r: r["vbar_V_sq"] * r["AS_sq"],
+            "int_dzv_grad_dzv": lambda r: r["dz_v_L2_2"] * r["grad3_dz_v_L2_2"],
         }
         for a, b in zip(traj.records, traj.records[1:]):
-            span = b.t - a.t
-            weak = [r.H_sq * r.V_sq + r.V_sq + forcing_weak for r in (a, b)]
-            assert b.stopping["weak"] == a.stopping["weak"] + 0.5 * (weak[0] + weak[1]) * span
+            span = b["t"] - a["t"]
+            weak = [r["H_sq"] * r["V_sq"] + r["V_sq"] + forcing_weak for r in (a, b)]
+            assert b["weak"] == a["weak"] + 0.5 * (weak[0] + weak[1]) * span
             for col, f in integrands.items():
-                assert getattr(b, col) == getattr(a, col) + 0.5 * (f(a) + f(b)) * span, col
-            assert b.int_T_funcs == b.stopping["temperature"]
-        assert traj.records[-1].int_DA_sq == traj.int_DA_sq
+                assert b[col] == a[col] + 0.5 * (f(a) + f(b)) * span, col
+            assert b["int_T_funcs"] == b["temperature"]
+        assert traj.records[-1]["int_DA_sq"] == traj.int_DA_sq

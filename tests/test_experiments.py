@@ -177,6 +177,15 @@ class TestAprioriSweep:
         with pytest.raises(ValueError, match="snaps to the cut 47"):
             apriori_sweep(cfg, n_values=(41, 47), n_paths=30)
 
+    def test_apriori_p_below_two_rejected(self, monkeypatch, ou_cfg):
+        # below p = 2 the a-priori weight is singular at U = 0 and the estimates read NaN
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr(experiments, "run_ensemble", no_ensemble)
+        with pytest.raises(ValueError, match="apriori_p"):
+            apriori_sweep(ou_cfg, n_values=(10, 20), n_paths=30, p=1.0)
+
     def test_small_ensemble_rejected(self, ou_cfg):
         with pytest.raises(ValueError):
             apriori_sweep(ou_cfg, n_values=(10, 20), n_paths=5)

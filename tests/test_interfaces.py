@@ -402,6 +402,11 @@ class TestCLI:
     def test_unknown_preset(self, tmp_path):
         assert main(["run", "--preset", "no-such", "--output-root", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_nonpositive_kappa_cutoff(self, tmp_path):
+        # a negative kappa put tau_cutoff before the start of the original equation's run
+        args = ["--preset", "example1-small", "--set", "solver.kappa_cutoff=-0.5"]
+        assert main(["run", *args, "--output-root", str(tmp_path)]) == EXIT_CONFIG
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_exit_code(self, tmp_path):
         code = main(

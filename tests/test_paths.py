@@ -17,7 +17,7 @@ from stochpe import DomainSpec, Grid, random_state
 from stochpe import solver
 from stochpe.cli import _preset_text
 from stochpe.config import build_solver_config, parse_config_text
-from stochpe.diagnostics import record, record_stack
+from stochpe.diagnostics import RECORD, finite, record, record_stack
 from stochpe.experiments import path_summaries, path_summary, run_ensemble
 from stochpe.noise import WienerStream, example1_noise, example2_noise, sigma_coeffs
 from stochpe.operators import (
@@ -56,10 +56,8 @@ def assert_same_path(a, b):
     """Every output of two trajectories is identical."""
     assert a.config.trajectory_id == b.config.trajectory_id
     assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.row() == rb.row()
-        assert ra.stopping == rb.stopping
-        assert ra.extras == rb.extras
+    assert a.records.dtype == b.records.dtype == RECORD
+    assert (a.records == b.records).all()
     assert np.array_equal(a.times, b.times)
     assert a.hits == b.hits
     assert (a.blowup, a.blowup_time, a.n_steps_done) == (b.blowup, b.blowup_time, b.n_steps_done)
@@ -108,7 +106,8 @@ def test_terminate_on_tau_leaves_the_chunk(preset, kappa):
     # each stored record extends its own path's previous one by a trapezoid
     for traj in trajs:
         for a, b in zip(traj.records, traj.records[1:]):
-            assert b.int_H2_V2 == a.int_H2_V2 + 0.5 * (a.H_sq * a.V_sq + b.H_sq * b.V_sq) * (b.t - a.t)
+            step = 0.5 * (a["H_sq"] * a["V_sq"] + b["H_sq"] * b["V_sq"]) * (b["t"] - a["t"])
+            assert b["int_H2_V2"] == a["int_H2_V2"] + step
 
 
 def test_hit_times_from_stride_one_records():
@@ -122,8 +121,8 @@ def test_hit_times_from_stride_one_records():
     tau_steps, level_steps = set(), set()
     for traj in trajs:
         t = traj.times
-        dist = np.array([r.dist_to_Ustar for r in traj.records])
-        blow = np.maximum.accumulate([r.V_sq for r in traj.records]) + np.array([r.int_DA_sq for r in traj.records])
+        dist = traj.records["dist_to_Ustar"]
+        blow = np.maximum.accumulate(traj.records["V_sq"]) + traj.records["int_DA_sq"]
         i = int(np.flatnonzero(dist >= kappa)[0])
         assert i > 0
         assert traj.hits["tau_cutoff"] == t[i] - dt + (kappa - dist[i - 1]) / (dist[i] - dist[i - 1]) * dt
@@ -374,10 +373,8 @@ def _same(a, b):
 
 
 def assert_same_record(a, b):
-    assert all(_same(x, y) for x, y in zip(a.row(), b.row()))
-    for da, db in ((a.extras, b.extras), (a.stopping, b.stopping)):
-        assert da.keys() == db.keys()
-        assert all(_same(da[k], db[k]) for k in da)
+    assert a.dtype == b.dtype == RECORD
+    assert all(_same(a[name], b[name]) for name in RECORD.names)
 
 
 def test_record_stack_rows_equal_single_records(grid_small, rng):
@@ -400,16 +397,17 @@ def test_record_stack_rows_equal_single_records(grid_small, rng):
     with np.errstate(over="ignore", invalid="ignore"):
         first = record_stack(g, c, 0.0, dist, theta)
         singles = [record(st, dist[p], theta[p]) for p, st in enumerate(states)]
-        rows = first.split()
-        assert len(rows) == P
-        for st, a, b in zip(states, rows, singles):
+        assert first.shape == (P,)
+        for st, a, b in zip(states, first, singles):
             assert_same_record(a, b)
             for name, value in _per_state_functionals(st).items():
-                assert _same(a.extras[name] if name in a.extras else getattr(a, name), value), name
-        # only the overflowing row leaves; split keeps the selected rows in order
-        ok = first.finite()
+                assert _same(a[name], value), name
+        # only the overflowing row leaves; the mask keeps the other rows in order
+        ok = finite(first)
         assert ok.tolist() == [True] * (P - 1) + [False]
-        assert [r.row() for r in first.split(ok)] == [r.row() for r in rows[:-1]]
+        assert [finite(b) for b in singles] == ok.tolist()
+        for a, b in zip(first[ok], singles[:-1]):
+            assert_same_record(a, b)
 
 
 def test_stepper_distance_stack(stack):
@@ -449,8 +447,8 @@ def test_zero_start_distance_is_the_v_norm(monkeypatch, preset, values):
     monkeypatch.setattr(Stepper, "distance", lambda self, coeffs, t, v_sq=None: general(self, coeffs, t))
     for a, b in zip(shortcut, run_paths(cfg, range(3))):
         assert_same_path(a, b)
-    dist = np.array([r.dist_to_Ustar for traj in shortcut for r in traj.records])
-    theta = np.array([r.theta_value for traj in shortcut for r in traj.records])
+    dist = np.concatenate([traj.records["dist_to_Ustar"] for traj in shortcut])
+    theta = np.concatenate([traj.records["theta_value"] for traj in shortcut])
     assert dist.max() > 0
     assert ((0 < theta) & (theta < 1)).any() == (cfg.equation == "modified")
 
@@ -574,4 +572,4 @@ def test_states_are_one_array():
     assert isinstance(traj.states, np.ndarray)
     assert traj.states.shape == (len(traj.records),) + traj.final_state.coeffs.shape
     assert np.array_equal(traj.states[-1], traj.final_state.coeffs)
-    assert [h_norm_sq(SpectralState(cfg.grid, s)) for s in traj.states] == [r.H_sq for r in traj.records]
+    assert [h_norm_sq(SpectralState(cfg.grid, s)) for s in traj.states] == traj.records["H_sq"].tolist()

@@ -14,7 +14,7 @@ import pytest
 
 from stochpe.cli import _preset_text
 from stochpe.config import build_solver_config, parse_config_text
-from stochpe.diagnostics import record_stack
+from stochpe.diagnostics import finite, record_stack
 from stochpe.experiments import run_ensemble
 from stochpe.noise import NoiseSpec
 from stochpe.operators import PhysicsParams, baroclinic_rhs_terms, leray_coeffs, vertical_velocity, vertical_velocity_top
@@ -157,7 +157,7 @@ def test_record_makes_one_synthesis(monkeypatch, preset):
     rows = cfg.grid.embed(stepper.grid, stepper.c0[None] * np.array([1.0, 0.5])[:, None, None, None, None])
     counts = spy_transforms(monkeypatch)
     rec = record_stack(cfg.grid, rows, 0.0, np.zeros(2), np.ones(2), band=record_band(cfg))
-    assert rec.finite().all()
+    assert finite(rec).all()
     assert counts == {"synth": 1, "analyze": 0}
 
 

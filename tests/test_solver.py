@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from stochpe import DomainSpec, Grid, complement_q, random_state
+from stochpe.diagnostics import CSV_COLUMNS
 from stochpe.noise import WienerStream, example1_noise, zero_noise
 from stochpe.operators import PhysicsParams, bilinear_B, forcing_F, leray_project
 from stochpe.solver import (
@@ -38,6 +39,22 @@ def small_cfg(g, **kw):
     )
     defaults.update(kw)
     return SolverConfig(**defaults)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("equation", ["original", "modified"])
+    @pytest.mark.parametrize("kappa", [0.0, -0.5])
+    def test_nonpositive_kappa_cutoff_rejected(self, grid_small, equation, kappa):
+        # tau_cutoff is the first time ||U - U*|| reaches kappa, under either equation
+        with pytest.raises(ValueError, match="kappa_cutoff"):
+            small_cfg(grid_small, equation=equation, kappa_cutoff=kappa)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_apriori_p_below_two_rejected(self, grid_small, p):
+        # the weight |AU|^2 ||U||^(p-2) is singular at U = 0 for p < 2
+        with pytest.raises(ValueError, match="apriori_p"):
+            small_cfg(grid_small, apriori_p=p)
+        assert small_cfg(grid_small, apriori_p=2.0).apriori_p == 2.0
 
 
 class TestCutoff:
@@ -268,13 +285,13 @@ class TestTrajectory:
         assert np.array_equal(a.final_state.coeffs, b.final_state.coeffs)
         assert a.hits == b.hits
         for ra, rb in zip(a.records, b.records):
-            assert ra.row() == rb.row()
+            assert [ra[c] for c in CSV_COLUMNS] == [rb[c] for c in CSV_COLUMNS]
 
     def test_decay_without_noise_no_tau_hit(self, grid_small):
         cfg = small_cfg(grid_small, equation="modified", kappa_cutoff=100.0, t_end=0.5)
         traj = run_trajectory(cfg)
         assert traj.hits["tau_cutoff"] is None
-        assert traj.records[-1].V_sq <= traj.records[0].V_sq
+        assert traj.records["V_sq"][-1] <= traj.records["V_sq"][0]
 
     def test_tiny_cutoff_hits_fast_with_noise(self, grid_small):
         spec = example1_noise(grid_small, K=3, amp_phi=0.05, amp_chi=0.5, osc=1)
@@ -311,10 +328,17 @@ class TestTrajectory:
         fed = run_trajectory(cfg, increments=WienerStream(cfg.seed, cfg.trajectory_id, spec.K).sample(cfg.n_steps, cfg.dt))
         assert ref.hits["tau_cutoff"] is not None and ref.hits["weak"] is not None
         assert np.array_equal(fed.final_state.coeffs, ref.final_state.coeffs)
-        assert [r.row() for r in fed.records] == [r.row() for r in ref.records]
+        assert fed.records[list(CSV_COLUMNS)].tolist() == ref.records[list(CSV_COLUMNS)].tolist()
         assert fed.hits == ref.hits
         for name in levels:
             assert np.array_equal(fed.series(name)[1], ref.series(name)[1])
+
+    def test_series_of_an_unknown_name(self, grid_small):
+        traj = run_trajectory(small_cfg(grid_small, t_end=0.05))
+        t, weak = traj.series("weak")
+        assert np.array_equal(t, traj.times) and weak.shape == t.shape
+        with pytest.raises(ValueError):
+            traj.series("no_such_column")
 
     def test_increments_shape_checked(self, grid_small):
         cfg = small_cfg(grid_small, t_end=0.05)
@@ -329,7 +353,7 @@ class TestTrajectory:
         tm = run_trajectory(cfg_m)
         to = run_trajectory(cfg_o)
         # far inside the plateau the cutoff is exactly one: identical stepping
-        assert max(r.dist_to_Ustar for r in tm.records) < 25.0
+        assert tm.records["dist_to_Ustar"].max() < 25.0
         assert np.array_equal(tm.final_state.coeffs, to.final_state.coeffs)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from stochpe import DomainSpec, Grid, solver
+from stochpe.diagnostics import CSV_COLUMNS, STOPPING_FUNCTIONALS
 from stochpe.noise import example1_noise, example2_noise
 from stochpe.solver import InitSpec, SolverConfig, Stepper, initial_state, run_paths
 from stochpe.spectral import h_norm_sq, single_mode_state
@@ -61,6 +62,11 @@ def assert_close(a, b, rel, axis=None):
     a, b = np.asarray(a), np.asarray(b)
     scale = np.abs(b).max(axis=axis)
     assert (np.abs(a - b).max(axis=axis) <= rel * np.where(scale > 0, scale, 1.0)).all()
+
+
+def fields(traj, names):
+    """The record fields ``names`` of a path, one column each."""
+    return np.stack([traj.records[n] for n in names], axis=1)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -109,14 +115,12 @@ def test_step_grid_run_matches_the_full_grid_run(case, monkeypatch):
             assert_close(a.states, b.states, 1e-13)
         # κ and the first record come from the full-grid initial state
         assert a.kappa == b.kappa
-        assert a.records[0].row() == b.records[0].row()
+        assert [a.records[0][c] for c in CSV_COLUMNS] == [b.records[0][c] for c in CSV_COLUMNS]
         assert (a.blowup, a.n_steps_done, len(a.records)) == (b.blowup, b.n_steps_done, len(b.records))
         # the final record is evaluated on cfg.grid: it is the norm of the final state
-        assert a.records[-1].H_sq == h_norm_sq(a.final_state)
-        assert_close([r.row() for r in a.records], [r.row() for r in b.records], 1e-12, axis=0)
-        assert_close(
-            [list(r.stopping.values()) for r in a.records], [list(r.stopping.values()) for r in b.records], 1e-12, 0
-        )
+        assert a.records["H_sq"][-1] == h_norm_sq(a.final_state)
+        assert_close(fields(a, CSV_COLUMNS), fields(b, CSV_COLUMNS), 1e-12, axis=0)
+        assert_close(fields(a, STOPPING_FUNCTIONALS), fields(b, STOPPING_FUNCTIONALS), 1e-12, 0)
         scalars = ("sup_V_sq", "sup_H_sq", "int_DA_sq", "int_DA_V2", "ito_quadratic")
         assert_close([getattr(a, s) for s in scalars], [getattr(b, s) for s in scalars], 1e-12, axis=0)
 
@@ -147,10 +151,8 @@ def test_half_plane_run_equals_the_full_plane_run(case, monkeypatch):
         assert_same(*(None if t.ito_integral is None else t.ito_integral.coeffs for t in (a, b)))
         assert_same(a.states, b.states)
         assert (a.blowup, a.n_steps_done, len(a.records)) == (b.blowup, b.n_steps_done, len(b.records))
-        assert_close([r.row() for r in a.records], [r.row() for r in b.records], 1e-14, axis=0)
-        assert_close(
-            [list(r.stopping.values()) for r in a.records], [list(r.stopping.values()) for r in b.records], 1e-14, 0
-        )
+        assert_close(fields(a, CSV_COLUMNS), fields(b, CSV_COLUMNS), 1e-14, axis=0)
+        assert_close(fields(a, STOPPING_FUNCTIONALS), fields(b, STOPPING_FUNCTIONALS), 1e-14, 0)
         scalars = ("sup_V_sq", "sup_H_sq", "int_DA_sq", "int_DA_V2", "ito_quadratic")
         assert_close([getattr(a, s) for s in scalars], [getattr(b, s) for s in scalars], 1e-14, axis=0)
 

@@ -113,11 +113,30 @@ def _presets(stochpe) -> list:
     return sorted(name[: -len(".cfg")] for name in os.listdir(folder) if name.endswith(".cfg"))
 
 
+def _record_outputs(recs) -> dict:
+    """The record table, extras and stopping series of one path as named
+    arrays, from either record layout: a structured array with a field per
+    value, or a list of record objects with ``row()`` and ``extras`` and
+    ``stopping`` dicts."""
+    from stochpe.diagnostics import CSV_COLUMNS, STOPPING_FUNCTIONALS
+
+    if isinstance(recs, np.ndarray):
+        extras = [name for name in recs.dtype.names if name not in CSV_COLUMNS + STOPPING_FUNCTIONALS]
+        out = {"records": np.stack([recs[c] for c in CSV_COLUMNS], axis=1)}
+        out.update({f"extras/{name}": recs[name] for name in extras})
+        out.update({f"stopping/{name}": recs[name] for name in STOPPING_FUNCTIONALS})
+        return out
+    out = {"records": np.array([r.row() for r in recs], dtype=float)}
+    for group in ("extras", "stopping"):
+        for key in getattr(recs[0], group):
+            out[f"{group}/{key}"] = np.array([getattr(r, group)[key] for r in recs], dtype=float)
+    return out
+
+
 def _path_outputs(traj) -> dict:
     """Every output of one trajectory as named arrays."""
-    recs = traj.records
     out = {
-        "records": np.array([r.row() for r in recs], dtype=float),
+        **_record_outputs(traj.records),
         "times": np.asarray(traj.times, dtype=float),
         "hits": np.array([np.nan if traj.hits[k] is None else traj.hits[k] for k in sorted(traj.hits)]),
         "summary": np.array(
@@ -135,9 +154,6 @@ def _path_outputs(traj) -> dict:
             dtype=float,
         ),
     }
-    for group in ("extras", "stopping"):
-        for key in getattr(recs[0], group):
-            out[f"{group}/{key}"] = np.array([getattr(r, group)[key] for r in recs], dtype=float)
     if traj.states is not None:
         out["states"] = traj.states
     if traj.final_state is not None:
