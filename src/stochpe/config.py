@@ -8,6 +8,8 @@ beyond the documented ones.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .diagnostics import STOPPING_FUNCTIONALS
@@ -102,15 +104,21 @@ def config_defaults() -> dict:
 
 
 def _set(values: dict, key: str, val: str, where: str):
-    """Parse ``val`` for the schema key ``key`` into ``values``; errors name ``where``."""
+    """Parse ``val`` for the schema key ``key`` into ``values``; errors name
+    ``where``.  A float key takes finite values only: inf and nan parse as
+    floats, but no length, coefficient or time step of a run may be one."""
     if key not in SCHEMA:
         raise ConfigError(f"{where}: unknown key {key!r}")
+    parse = SCHEMA[key][0]
     try:
-        values[key] = SCHEMA[key][0](val)
+        value = parse(val)
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(f"{where}: bad value for {key}: {val!r} ({exc})") from exc
+    if parse is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: {key} must be finite, got {val!r}")
+    values[key] = value
 
 
 def parse_config_text(text: str, base: dict | None = None) -> dict:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Grid, SpectralState, Workspace, _mode_sums, _scratch, quadratic_sums
+from .spectral import Grid, SpectralState, _mode_sums, quadratic_sums
 
 __all__ = [
     "EnsembleReport",
@@ -99,9 +99,7 @@ def finite(records):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def _grid_quadrature_functionals(
-    grid: Grid, coeffs: np.ndarray, band: tuple | None = None, work: Workspace | None = None
-) -> dict:
+def _grid_quadrature_functionals(grid: Grid, coeffs: np.ndarray, band: tuple | None = None) -> dict:
     """Sixth-power and mixed-gradient functionals by quadrature on the padded
     grid, (P,) arrays for a coefficient stack (P, 3, nkx, nky, nm).  With a
     ``band`` (N1, N2, M) that holds every nonzero coefficient, the band moves
@@ -111,40 +109,26 @@ def _grid_quadrature_functionals(
     The powers are products: |vt|^6 = (|vt|^2 |vt|^2) |vt|^2 and T^6 =
     (T^2 T^2) T^2, where ``**`` on float arrays calls pow for every sample
     (30 times slower on a 16-path stack); they differ from pow at round-off.
-    |vt|^4 is the square |vt|^2 |vt|^2 that ``**2`` computes.  Every sample
-    array comes from ``work`` when given, fresh ones otherwise."""
+    |vt|^4 is the square |vt|^2 |vt|^2 that ``**2`` computes."""
     # baroclinic velocity vtilde (the depth mean removed) and the temperature
     if band is not None and (rec_grid := grid.record_grid(*band)) is not grid:
         fluct = grid.extract(rec_grid, coeffs)
         grid = rec_grid
     else:
-        fluct = _scratch(work, "record.fluct", coeffs.shape, np.complex128)
-        np.copyto(fluct, coeffs)
+        fluct = coeffs.copy()
     fluct[:, :2, :, :, 0] = 0.0
     w = grid.quad_weight()
-    samples = grid.padded_samples(fluct, work=work)  # one synthesis: values and gradients
+    samples = grid.padded_samples(fluct)  # one synthesis: values and gradients
     values = samples.values
-    shape = values[:, 0].shape
-    vt_sq, vt_4, grad_sq = (_scratch(work, f"record.{name}", shape) for name in ("vt_sq", "vt_4", "grad_sq"))
-    sq, term = _scratch(work, "scratch.a", shape), _scratch(work, "scratch.b", shape)
-    np.multiply(values[:, 0], values[:, 0], out=vt_sq)
-    vt_sq += np.multiply(values[:, 1], values[:, 1], out=term)
+    vt_sq = values[:, 0] * values[:, 0] + values[:, 1] * values[:, 1]
     # 0 + |dx vt|^2 + |dy vt|^2 + |dz vt|^2, each the sum of its two components' squares
-    grad_sq.fill(0.0)
-    for d in samples.grads:
-        np.multiply(d[:, 0], d[:, 0], out=sq)
-        sq += np.multiply(d[:, 1], d[:, 1], out=term)
-        grad_sq += sq
-    np.multiply(vt_sq, vt_sq, out=vt_4)
-    grad_sq *= vt_4
-    vt_4 *= vt_sq  # now |vt|^6
-    t_2 = np.multiply(values[:, 2], values[:, 2], out=sq)
-    t_6 = np.multiply(t_2, t_2, out=term)
-    t_6 *= t_2
+    grad_sq = sum(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] for d in samples.grads)
+    vt_4 = vt_sq * vt_sq
+    t_2 = values[:, 2] * values[:, 2]
     return {
-        "L6_vtilde_6": _mode_sums(vt_4, 3) * w,
-        "grad_vtilde_vtilde4": _mode_sums(grad_sq, 3) * w,
-        "L6_T_6": _mode_sums(t_6, 3) * w,
+        "L6_vtilde_6": _mode_sums(vt_4 * vt_sq, 3) * w,
+        "grad_vtilde_vtilde4": _mode_sums(grad_sq * vt_4, 3) * w,
+        "L6_T_6": _mode_sums(t_2 * t_2 * t_2, 3) * w,
     }
 
 
@@ -155,8 +139,6 @@ def record_stack(
     dist: np.ndarray,
     theta: np.ndarray,
     band: tuple | None = None,
-    *,
-    work: Workspace | None = None,
 ) -> np.ndarray:
     """``record`` of every row of a coefficient stack (P, 3, nkx, nky, nm) at
     time t, with cutoff distances ``dist`` (P,) and switches ``theta`` (P,):
@@ -165,9 +147,8 @@ def record_stack(
     reduced over its trailing axes as one contiguous sum, and its running
     integrals read 0.  ``band`` (N1, N2, M), when given, must hold every
     nonzero coefficient: the three quadrature columns are then evaluated on
-    its record grid (``Grid.record_grid``), every other column on ``grid``.
-    The quadrature's samples come from the ``Workspace`` ``work`` when given."""
-    quad = _grid_quadrature_functionals(grid, coeffs, band, work)
+    its record grid (``Grid.record_grid``), every other column on ``grid``."""
+    quad = _grid_quadrature_functionals(grid, coeffs, band)
     sq = dict(zip(RECORD_FORMS, quadratic_sums(grid, coeffs, RECORD_FORMS)))
     dzv_sq = 0.0 + sq["dz_v1"] + sq["dz_v2"]
     columns = {
@@ -196,21 +177,16 @@ def record_stack(
     return out
 
 
-def record(
-    state: SpectralState,
-    dist: float = 0.0,
-    theta_value: float = 1.0,
-    band: tuple | None = None,
-) -> np.void:
+def record(state: SpectralState, dist: float = 0.0, theta_value: float = 1.0) -> np.void:
     """Every monitored functional of ``state`` at cutoff distance ``dist``, as
     one ``RECORD``: a functional of the one state, so its running integrals
     (the ``int_*`` columns and the stopping functionals) read 0;
     ``run_paths`` accumulates them along a path.  This is ``record_stack``
-    with one row, ``band`` included.
+    with one row, evaluated on the state's grid.
 
     Squares of norms overflow to inf rather than raising, so a record of a
     state near blow-up can be checked with ``finite``."""
-    return record_stack(state.grid, state.coeffs[None], state.time, dist, theta_value, band)[0]
+    return record_stack(state.grid, state.coeffs[None], state.time, dist, theta_value)[0]
 
 
 def stopping_integrands(rec, forcing_weak: float = 0.0) -> dict:

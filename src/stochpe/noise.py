@@ -42,9 +42,7 @@ from .spectral import (
     Grid,
     PaddedSamples,
     SpectralState,
-    Workspace,
     _read_only,
-    _scratch,
     add_cos_mode,
     h_norm_sq,
     quadratic_sums,
@@ -365,8 +363,6 @@ def sigma_coeffs(
     coeffs: np.ndarray,
     weights: np.ndarray | None = None,
     samples: PaddedSamples | None = None,
-    *,
-    work: Workspace | None = None,
 ) -> np.ndarray:
     """``apply_sigma`` on a stack: coefficients (P, 3, nkx, nky, nm) and weights
     (P, J, K) give the projected rows (P, J, n, nkx, nky, nm), the n components
@@ -382,8 +378,8 @@ def sigma_coeffs(
     ``Grid.padded_samples`` of ``coeffs``, when given (the step shares its own
     with the advection).  The cost is linear in J: the step forms the K
     columns under ``track_ito``, and one row of weights dW otherwise
-    (``Stepper.noise_increment``).  The transport part takes its scratch from
-    ``work`` when given; the rows are a fresh array, projected in place."""
+    (``Stepper.noise_increment``).  The rows are a fresh array, projected in
+    place."""
     g = spec.grid
     K = spec.K
     P = len(coeffs)
@@ -395,41 +391,31 @@ def sigma_coeffs(
     if spec.family == "zero":
         return np.zeros((P, J, n) + coeffs.shape[2:], dtype=np.complex128)
     if spec.constant_transport:
-        rows = _transport_spectral(spec, coeffs[:, :n], W, work)
+        rows = _transport_spectral(spec, coeffs[:, :n], W)
     else:
-        rows = _transport_grid(spec, coeffs[:, :n], W, samples, work)
+        rows = _transport_grid(spec, coeffs[:, :n], W, samples)
     alpha = spec.alpha[None] if W is None else W @ spec.alpha
-    linear = np.multiply(
-        alpha[:, :, None, None, None, None],
-        coeffs[:, None, :n],
-        out=_scratch(work, "scratch.a", rows.shape, np.complex128),
-    )
+    linear = alpha[:, :, None, None, None, None] * coeffs[:, None, :n]
     if W is None:
         linear[:, :, :2] += spec.chi[None]
     else:
-        chi = _scratch(work, "scratch.b", (P, J, spec.chi[0].size), np.complex128)
-        linear[:, :, :2] += np.matmul(W, spec.chi.reshape(K, -1), out=chi).reshape((P, J) + spec.chi.shape[1:])
+        linear[:, :, :2] += (W @ spec.chi.reshape(K, -1)).reshape((P, J) + spec.chi.shape[1:])
     rows += linear
     return leray_inplace(g, rows)
 
 
-def _transport_grid(
-    spec: NoiseSpec, v: np.ndarray, W: np.ndarray | None, samples: PaddedSamples | None, work: Workspace | None = None
-) -> np.ndarray:
+def _transport_grid(spec: NoiseSpec, v: np.ndarray, W: np.ndarray | None, samples: PaddedSamples | None) -> np.ndarray:
     """Transport part (P, J, n, nkx, nky, nm) of the rows for the transported
     components v (P, n, nkx, nky, nm) and weights W (P, J, K), or of the K
     columns when W is None: the weighted products formed on the padded grid
     and analysed in one transform into a fresh array.  The gradients are read
     from ``samples`` (of a stack whose leading n components are v), or else
     from one ``Grid.padded_samples`` here; family 2's, of the depth mean A3 v,
-    are the m = 0 level of the dx and dy blocks, constant in z.  The products
-    and the analysis take their scratch from ``work`` when given, summed in
-    the order of the plain expression."""
+    are the m = 0 level of the dx and dy blocks, constant in z."""
     g = spec.grid
     K = spec.K
     P, n = v.shape[:2]
     J = K if W is None else W.shape[1]
-    shape = spec._psi_grid.shape[1:]
 
     def weighted(field: np.ndarray) -> np.ndarray:
         # the columns read the field itself; the rows form a (P, J, K) @ (K, N) product,
@@ -442,28 +428,20 @@ def _transport_grid(
     if spec.family == "example1":
         gx, gy, gz = (a[:, :n] for a in (g.padded_samples(v) if samples is None else samples).grads)
         psi = weighted(spec._psi_grid)
-        terms = ((phi[:, :, 0, None], gx), (phi[:, :, 1, None], gy), (psi[:, :, None], gz))
+        products = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None] + psi[:, :, None] * gz[:, None]
     else:
         levels = (g.padded_samples(v[..., :1]) if samples is None else samples).levels
         gx, gy = levels[1][:, :n, ..., :1], levels[2][:, :n, ..., :1]
-        terms = ((phi[:, :, 0, None], gx), (phi[:, :, 1, None], gy))
-    (coeff, grad), *rest = terms
-    products = np.multiply(coeff, grad[:, None], out=_scratch(work, "transport.products", (P, J, n) + shape))
-    term = _scratch(work, "scratch.a", products.shape)
-    for coeff, grad in rest:
-        products += np.multiply(coeff, grad[:, None], out=term)
-    return g.analyze_cos(products, work=work)
+        products = phi[:, :, 0, None] * gx[:, None] + phi[:, :, 1, None] * gy[:, None]
+    return g.analyze_cos(products)
 
 
-def _transport_spectral(
-    spec: NoiseSpec, v: np.ndarray, W: np.ndarray | None, work: Workspace | None = None
-) -> np.ndarray:
+def _transport_spectral(spec: NoiseSpec, v: np.ndarray, W: np.ndarray | None) -> np.ndarray:
     """``_transport_grid`` for constant phi and psi, with no transform: family 1
     gives i(phi_k . k) v + psi_k D v, family 2 i(phi_k . k) A3 v, with D =
     ``Grid.dz_nodal``.  As on the grid, the constants are the real parts of the
     (0, 0, 0) coefficients and the transported field is the Hermitian part of v,
-    the parts that synthesis keeps.  The derivative stack takes its array from
-    ``work`` when given; the product is a fresh array."""
+    the parts that synthesis keeps."""
     g = spec.grid
     P = len(v)
     J = spec.K if W is None else W.shape[1]
@@ -472,7 +450,7 @@ def _transport_spectral(
     consts = np.concatenate([spec.phi[:, :, 0, 0, 0], spec.psi[:, None, 0, 0, 0]], axis=1).real  # (K, 3)
     # the (J, 3) direction sums applied to the derivative stack (P, 3, n * modes), real and
     # imaginary parts alike: one real (J, 3) @ (3, 2 * n * modes) product per path
-    stack = _scratch(work, "scratch.a", (P, 3) + h.shape[1:], np.complex128)
+    stack = np.empty((P, 3) + h.shape[1:], np.complex128)
     np.multiply(h, g.ddx, out=stack[:, 0])
     np.multiply(h, g.ddy, out=stack[:, 1])
     stack[:, 2] = (h.reshape(-1, g.nm) @ g.dz_nodal.T).reshape(h.shape)

@@ -14,11 +14,12 @@ advecting velocity satisfies the depth-integrated divergence constraint
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, PaddedSamples, SpectralState, Workspace, _scratch
+from .spectral import Grid, PaddedSamples, SpectralState
 
 __all__ = [
     "PhysicsParams",
@@ -53,6 +54,8 @@ class PhysicsParams:
     g: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.f, self.beta_T, self.g)):
+            raise ValueError("f, beta_T and g must be finite")
         if self.g < 0:
             raise ValueError("g must be nonnegative")
 
@@ -193,7 +196,6 @@ def _advection_samples(
     adv_coeffs: np.ndarray | None,
     target_coeffs: np.ndarray,
     samples: PaddedSamples | None = None,
-    work: Workspace | None = None,
 ) -> np.ndarray:
     """Samples of (v.grad)X + w(v) dz X on the dealiased grid, per component,
     for a stack of P paths: velocities v (P, 2, nkx, nky, nm) and targets X
@@ -205,19 +207,12 @@ def _advection_samples(
     w(v) from the same samples when X advects itself, and from one synthesis
     of the velocities otherwise.  w carries its affine part -(z + h) div(vbar)
     from the m = 0 divergence level on every path, so each path's samples
-    equal its own P = 1 call bit for bit.  The sum and its terms are formed
-    in two arrays from ``work`` (fresh ones without it), in the order of
-    the plain expression.
+    equal its own P = 1 call bit for bit.
     """
     target = grid.padded_samples(target_coeffs) if samples is None else samples
     adv = target if adv_coeffs is None else grid.padded_samples(adv_coeffs)
     vel = adv.values
-    shape = np.broadcast_shapes(vel[:, :1].shape, target.dx.shape)
-    total = np.multiply(vel[:, 0, None], target.dx, out=_scratch(work, "advection.total", shape))
-    term = np.multiply(vel[:, 1, None], target.dy, out=_scratch(work, "scratch.a", shape))
-    total += term
-    total += np.multiply(adv.w[:, None], target.dz, out=term)
-    return total
+    return vel[:, 0, None] * target.dx + vel[:, 1, None] * target.dy + adv.w[:, None] * target.dz
 
 
 def trilinear_b(U: SpectralState, Usharp: SpectralState, Uflat: SpectralState) -> float:
@@ -240,21 +235,18 @@ def advection_coeffs(
     coeffs: np.ndarray,
     target: np.ndarray | None = None,
     samples: PaddedSamples | None = None,
-    *,
-    work: Workspace | None = None,
 ) -> np.ndarray:
     """``bilinear_B`` on a stack of P paths: the projected advection of the
     targets (P, 3, nkx, nky, nm) by the velocities of ``coeffs`` (the targets
     default to ``coeffs``, which then need one synthesis in all); each path's
     rows equal its own P = 1 call bit for bit.  ``samples`` are the stacked
-    ``Grid.padded_samples`` of the targets.  The grid products and the
-    analysis take their scratch from ``work`` when given; the result is a
-    fresh array, projected in place."""
+    ``Grid.padded_samples`` of the targets.  The result is a fresh array,
+    projected in place."""
     if target is None:
-        adv = _advection_samples(grid, None, coeffs, samples, work)
+        adv = _advection_samples(grid, None, coeffs, samples)
     else:
-        adv = _advection_samples(grid, coeffs[:, :2], target, samples, work)
-    return leray_inplace(grid, grid.analyze_cos(adv, work=work))
+        adv = _advection_samples(grid, coeffs[:, :2], target, samples)
+    return leray_inplace(grid, grid.analyze_cos(adv))
 
 
 # -- linear operators ----------------------------------------------------------

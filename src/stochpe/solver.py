@@ -59,7 +59,6 @@ with ``cfg.grid``'s to round-off.  A full-Galerkin run records on
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -72,7 +71,6 @@ from .spectral import (
     Grid,
     PaddedSamples,
     SpectralState,
-    Workspace,
     quadratic_sums,
     random_state,
     single_mode_state,
@@ -144,10 +142,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.noise is None:
             self.noise = zero_noise(self.grid)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must cover at least one step")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not self.dt <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and cover at least one step")
         if self.scheme not in ("exponential", "semi-implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.equation not in ("original", "modified"):
@@ -271,17 +269,6 @@ def record_band(cfg: SolverConfig) -> tuple:
 # padded-grid samples per stacked field in one chunk of paths (see ``chunk_size``)
 CHUNK_SAMPLES = 2**13
 
-# the scratch of this thread's steps and stored records (see ``Stepper``)
-_thread = threading.local()
-
-
-def _workspace() -> Workspace:
-    """This thread's workspace, made on first use."""
-    if not hasattr(_thread, "work"):
-        _thread.work = Workspace()
-    return _thread.work
-
-
 def chunk_size(grid: Grid) -> int:
     """Paths stepped as one stack on the step grid ``grid`` (``step_grid``): a
     fixed budget of padded-grid samples, so small grids stack many paths and
@@ -298,17 +285,7 @@ class Stepper:
     (``step_grid``), coefficients (P, 3, nkx', nky', nm'), one row per path;
     ``run_paths`` is its only caller.  The noise operator and the forcing are
     cut to the step grid.  ``U0n`` (the masked, projected initial state) and
-    ``kappa`` stay on ``cfg.grid``; ``c0`` is U0n in the step-grid layout.
-
-    ``work`` holds the scratch arrays of the steps and of ``run_paths``'
-    stored records (``spectral.Workspace``): the samples, the grid products
-    and the transforms' intermediates, kept for the latest stack shape.  It
-    is the thread's workspace, which outlives the stepper: a stepper lives
-    for one chunk of paths, and a workspace of its own would be allocated
-    and faulted in again for every chunk.  A step runs to its end before
-    another starts, so the steppers of one thread can share it.  Only
-    arrays that die within a step or a record live there; the rows,
-    increments and columns a step returns are always fresh."""
+    ``kappa`` stay on ``cfg.grid``; ``c0`` is U0n in the step-grid layout."""
 
     def __init__(self, cfg: SolverConfig, U0: SpectralState):
         self.cfg = cfg
@@ -328,7 +305,6 @@ class Stepper:
             self.lin = np.exp(-g.lam * cfg.dt)[None]
         else:
             self.lin = (1.0 / (1.0 + g.lam * cfg.dt))[None]
-        self.work = _workspace()
         if cfg.kappa_cutoff is not None:
             self.kappa = cfg.kappa_cutoff
         else:
@@ -418,11 +394,11 @@ class Stepper:
                 self._broadcast[P] = np.broadcast_to(self._static_cols, (P,) + self._static_cols.shape)
             cols = self._broadcast[P]
         elif cfg.track_ito:
-            cols = sigma_coeffs(self.noise, coeffs, None, samples, work=self.work)
+            cols = sigma_coeffs(self.noise, coeffs, None, samples)
             if self._truncated:
                 cols *= self._mask_c[:n]
         else:
-            row = sigma_coeffs(self.noise, coeffs, dW[:, None], samples, work=self.work)[:, 0]
+            row = sigma_coeffs(self.noise, coeffs, dW[:, None], samples)[:, 0]
             if self._truncated:
                 np.multiply(row, self._mask_c[:n], out=head)
             else:
@@ -433,10 +409,8 @@ class Stepper:
         weights = dW[:, :, None, None, None, None]
         np.multiply(weights[:, 0], cols[:, 0], out=head)
         head += 0.0
-        if K > 1:
-            term = self.work.array("scratch.a", head.shape, np.complex128)
-            for k in range(1, K):
-                head += np.multiply(weights[:, k], cols[:, k], out=term)
+        for k in range(1, K):
+            head += weights[:, k] * cols[:, k]
         return incr, cols
 
     def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, samples: PaddedSamples | None = None):
@@ -461,7 +435,7 @@ class Stepper:
             rows = slice(None) if adv.all() else adv
             if samples is not None and not adv.all():
                 samples = samples.rows(adv)
-            badv = advection_coeffs(g, coeffs[rows], samples=samples, work=self.work)
+            badv = advection_coeffs(g, coeffs[rows], samples=samples)
             badv *= -theta[rows, None, None, None, None]
             if expl is None:
                 expl = np.zeros_like(coeffs)
@@ -491,10 +465,9 @@ class Stepper:
         diagonal, and the reality fold keeps the rows divergence-free."""
         cfg = self.cfg
         g = self.grid
-        self.work.fit(coeffs.shape)
         samples = None
         if self.noise.reads_samples or (cfg.advection and theta.any()):
-            samples = g.padded_samples(coeffs, work=self.work)
+            samples = g.padded_samples(coeffs)
         expl, carries = self.explicit_drift(coeffs, theta, samples)
         incr, cols = self.noise_increment(coeffs, dW, samples)
         out = coeffs.copy()
@@ -722,7 +695,7 @@ def run_paths(
 
             if (j + 1) % cfg.store_stride == 0 or (j + 1) == n_steps:
                 stored = full.embed(g, rows.U)
-                stack = record_stack(full, stored, t, rows.dist, rows.theta, band, work=stepper.work)
+                stack = record_stack(full, stored, t, rows.dist, rows.theta, band)
                 integrands = running_integrands(stack, forcing_weak)
                 now = np.stack(list(integrands.values()), axis=1)
                 rows.running = _trapezoid(rows.running, rows.prev_running, now, t - t_stored)

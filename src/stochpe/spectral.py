@@ -78,10 +78,18 @@ matrices: the x matrix times diag(i kx), and the y matrix of i ky, cached
 beside the plain ones.  A step with advection and grid-evaluated transport
 noise then makes one synthesis, of the 3 fields of U, and two analyses; a
 stored record and the depth-split terms make one synthesis each.
+
+The two transform kernels, ``Grid._synth_h`` and ``Grid._analyze_h``, form
+their intermediates (the folded half-plane, the x rows, the level products,
+the analysis columns and plane) in a per-thread pool of two buffers,
+``_KernelPool``, instead of allocating them on every call.  The pool lives
+within one kernel call; every array that any function returns is fresh.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -99,7 +107,6 @@ __all__ = [
     "NormBundle",
     "Grid",
     "PaddedSamples",
-    "Workspace",
     "build_basis",
     "to_physical",
     "to_spectral",
@@ -132,12 +139,12 @@ class DomainSpec:
     nu: float = 1.0
 
     def __post_init__(self):
-        if not (self.L1 > 0 and self.L2 > 0 and self.h > 0):
-            raise ValueError("domain lengths L1, L2, h must be positive")
+        if not (0 < self.L1 < math.inf and 0 < self.L2 < math.inf and 0 < self.h < math.inf):
+            raise ValueError("domain lengths L1, L2, h must be positive and finite")
         if not (self.N1 >= 0 and self.N2 >= 0 and self.M >= 0):
             raise ValueError("mode counts must be nonnegative")
-        if not (self.mu > 0 and self.nu > 0):
-            raise ValueError("viscosities mu, nu must be positive")
+        if not (0 < self.mu < math.inf and 0 < self.nu < math.inf):
+            raise ValueError("viscosities mu, nu must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -508,9 +515,7 @@ class Grid:
         y_analysis = np.stack([ey.real, -ey.imag], axis=-1).reshape(self.ny_pad, 2 * half) / self.ny_pad
         return ex, ex * (1j * self.kx_phys), y_synth, y_dy, ex.conj().T / self.nx_pad, y_analysis
 
-    def _synth_h(
-        self, c: np.ndarray, V: np.ndarray | None, grads: bool = False, work: "Workspace | None" = None
-    ) -> np.ndarray:
+    def _synth_h(self, c: np.ndarray, V: np.ndarray | None, grads: bool = False) -> np.ndarray:
         """Real part of the synthesis of coefficients (..., nkx, nky, nm) with vertical
         matrix V (nz_pad, nm), or none -> real samples (..., nx_pad, ny_pad, nz_pad),
         or the levels (..., nx_pad, ny_pad, nm) without V.  With ``grads``, the
@@ -528,9 +533,9 @@ class Grid:
         plane, and dy c the y derivative's on the x rows of c.  The levels of
         c are those without ``grads`` bit for bit.
 
-        The half-plane, the x rows and the levels come from the ``Workspace``
-        ``work`` when one is given (the step's and the records' levels, with
-        no V), and are made afresh otherwise.
+        The half-plane, the x rows and the level products are arrays of the
+        thread's kernel pool (``_KernelPool``); the levels and samples it
+        returns are fresh.
         """
         half = self.spec.N2 + 1
         ex, ex_dx, y_synth, y_dy, _, _ = self._horizontal
@@ -539,30 +544,29 @@ class Grid:
         lead, nm = c.shape[:-3], c.shape[-1]
         # the half-plane with the levels before the columns, so that the y matrix
         # acts on the contiguous real and imaginary parts of each level's columns
-        plane = _scratch(work, "scratch.a", lead + (self.nkx, nm, half), np.complex128)
+        plane = _pool.array("a", lead + (self.nkx, nm, half), np.complex128)
         columns = plane.swapaxes(-1, -2)
         columns[..., :f, :] = herm
         columns[..., f:, :] = c[..., f:half, :]
         plane = plane.reshape((-1, self.nkx, nm * half))
         x_matrices = (ex, ex_dx) if grads else (ex,)
-        rows = _scratch(work, "scratch.b", (len(x_matrices), len(plane), self.nx_pad, nm * half), np.complex128)
+        rows = _pool.array("b", (len(x_matrices), len(plane), self.nx_pad, nm * half), np.complex128)
         for out, x in zip(rows, x_matrices):
             np.matmul(x, plane, out=out)
         products = [(rows[0], y_synth)]
         if grads:
             products += [(rows[1], y_synth), (rows[0], y_dy)]
-        levels = _scratch(work, "scratch.a", (len(products), rows.shape[1] * self.nx_pad * nm, self.ny_pad))
+        levels = _pool.array("a", (len(products), rows.shape[1] * self.nx_pad * nm, self.ny_pad))
         for out, (x_rows, y) in zip(levels, products):
             np.matmul(x_rows.view(np.float64).reshape(-1, 2 * half), y.T, out=out)
         shape = (len(products),) + lead + (self.nx_pad, nm, self.ny_pad)
-        out = _scratch(work, "synth.levels", shape[:-2] + (self.ny_pad, nm))
-        np.copyto(out, levels.reshape(shape).swapaxes(-1, -2))
+        out = levels.reshape(shape).swapaxes(-1, -2).copy()
         levels = out if grads else out[0]
         if V is None:
             return levels
         return _apply_vertical(levels, V, np.empty(levels.shape[:-1] + V.shape[:1]))
 
-    def _analyze_h(self, values: np.ndarray, A: np.ndarray | None, work: "Workspace | None" = None) -> np.ndarray:
+    def _analyze_h(self, values: np.ndarray, A: np.ndarray | None) -> np.ndarray:
         """Forward transform of real samples (..., nx_pad, ny_pad, nz_pad), with
         vertical analysis matrix A (nm, nz_pad), or of levels (..., nx_pad, ny_pad,
         nm) with none -> coefficients (..., nkx, nky, nm).
@@ -571,22 +575,22 @@ class Grid:
         matrix then maps each level's ny_pad samples to the real and imaginary
         parts of the columns ky = 0..N2, and the x matrix the nx_pad rows to the
         kx rows.  That is the ky >= 0 half-plane, the half-plane layout's
-        output; ky < 0 follows by conjugation.  Its scratch arrays come from
-        the ``Workspace`` ``work`` when one is given; the coefficients are
-        always a fresh array."""
+        output; ky < 0 follows by conjugation.  Its intermediates are arrays
+        of the thread's kernel pool (``_KernelPool``); the coefficients are a
+        fresh array."""
         if np.iscomplexobj(values):
             raise TypeError("samples must be real")
         half = self.spec.N2 + 1
         _, _, _, _, ex_analysis, y_analysis = self._horizontal
         if A is not None:
-            values = _apply_vertical(values, A, _scratch(work, "scratch.a", values.shape[:-1] + A.shape[:1]))
+            values = _apply_vertical(values, A, _pool.array("a", values.shape[:-1] + A.shape[:1]))
         lead, nm = values.shape[:-3], values.shape[-1]
-        levels = _scratch(work, "scratch.b", lead + (self.nx_pad, nm, self.ny_pad))
+        levels = _pool.array("b", lead + (self.nx_pad, nm, self.ny_pad))
         np.copyto(levels, values.swapaxes(-1, -2))
-        columns = _scratch(work, "scratch.a", (levels.size // self.ny_pad, 2 * half))
+        columns = _pool.array("a", (levels.size // self.ny_pad, 2 * half))
         np.matmul(levels.reshape(-1, self.ny_pad), y_analysis, out=columns)
         columns = columns.view(np.complex128).reshape((-1, self.nx_pad, nm * half))
-        plane = _scratch(work, "scratch.b", columns.shape[:1] + (self.nkx, nm * half), np.complex128)
+        plane = _pool.array("b", columns.shape[:1] + (self.nkx, nm * half), np.complex128)
         np.matmul(ex_analysis, columns, out=plane)
         plane = plane.reshape(lead + (self.nkx, nm, half)).swapaxes(-1, -2)
         return plane.copy() if self.full_plane is not None else self._unfold(plane)
@@ -603,14 +607,12 @@ class Grid:
         """Horizontal-only synthesis of 2D coefficients (..., nkx, nky) -> (..., nx_pad, ny_pad)."""
         return self._synth_h(c2[..., None], None)[..., 0]
 
-    def padded_samples(self, c: np.ndarray, *, work: "Workspace | None" = None) -> "PaddedSamples":
+    def padded_samples(self, c: np.ndarray) -> "PaddedSamples":
         """The samples of cosine coefficients (..., nkx, nky, nm) and of their
         gradients, from one synthesis: ``_synth_h`` folds c once and gives the
         levels of c, dx c and dy c, with the derivatives taken inside its
-        matrices, and ``PaddedSamples`` derives every sample from those levels.
-        With a ``Workspace``, the levels and every sample derived from them are
-        its arrays, valid until its next ``padded_samples``."""
-        return PaddedSamples(self, self._synth_h(c, None, True, work), work)
+        matrices, and ``PaddedSamples`` derives every sample from those levels."""
+        return PaddedSamples(self, self._synth_h(c, None, True))
 
     @_cached
     def _sample_matrices(self) -> tuple:
@@ -625,18 +627,16 @@ class Grid:
         W[:, 0] = -(z + self.spec.h)
         return C, S * -self.mz_phys, W
 
-    def analyze_cos(self, values: np.ndarray, *, work: "Workspace | None" = None) -> np.ndarray:
+    def analyze_cos(self, values: np.ndarray) -> np.ndarray:
         """Real samples (..., nx_pad, ny_pad, nz_pad) on the padded grid -> cosine
         coefficients (..., nkx, nky, nm), truncated to retained modes: exact
         for band-limited input, and the dealiased projection of pointwise
-        products.  Samples of any other shape raise ``ValueError``.  The
-        transform's scratch comes from ``work`` when given; the coefficients
-        are a fresh array either way.
+        products.  Samples of any other shape raise ``ValueError``.
         """
         shape = (self.nx_pad, self.ny_pad, self.nz_pad)
         if values.shape[-3:] != shape:
             raise ValueError(f"sample shape {values.shape[-3:]} is not the padded grid {shape}")
-        return self._analyze_h(values, self._vertical[3], work)
+        return self._analyze_h(values, self._vertical[3])
 
     def analyze_cos2d(self, values: np.ndarray) -> np.ndarray:
         """Real samples (..., nx, ny) -> 2D coefficients (..., nkx, nky)."""
@@ -872,54 +872,28 @@ def _apply_vertical(levels: np.ndarray, V: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
-class Workspace:
-    """Scratch arrays that their owner reuses from step to step instead of
-    allocating, faulting in and freeing them afresh.  ``array(name, shape,
-    dtype)`` views the slot ``name``, a buffer made on first request and
-    grown when a request does not fit, as a C-contiguous array; it holds
-    whatever the slot's last user left.  An array is valid until the next
-    request of its name, so two arrays that are alive at once never share a
-    name: the slots ``"scratch.a"`` and ``"scratch.b"`` hold arrays that die
-    before the next transform or operator call that takes a workspace, and
-    every array that outlives one has a slot of its own.  ``fit(shape)``
-    keys the workspace by the owner's stack shape: a new shape drops every
-    slot, so only the latest shape's are kept (a chunk's stack shrinks when
-    paths leave it).
-
-    The solver's steps and stored records use one per thread
-    (``solver.Stepper``).  Only arrays that die within a step or a record
-    come from it: a ``Grid`` holds none (grids are shared), and every array
-    that a step or an operator returns is fresh."""
+class _KernelPool(threading.local):
+    """Scratch buffers of the two transform kernels, one set per thread.
+    ``array(slot, shape, dtype)`` views the flat buffer ``slot`` as a
+    C-contiguous array; the buffer is made on first request, grown when a
+    request does not fit, and holds whatever its last user left.  Only
+    ``Grid._synth_h`` and ``Grid._analyze_h`` take arrays from it, and neither
+    calls code that does while it holds one, so an array of the pool lives
+    within one kernel call: the slots ``"a"`` and ``"b"`` alternate within a
+    call, and what a kernel returns is always a fresh array."""
 
     def __init__(self):
-        self.shape = None
-        self._slots = {}  # name -> flat byte buffer
-        self._views = {}  # (name, shape, dtype) -> view of the slot
+        self.buffers = {}  # slot -> flat byte buffer
 
-    def fit(self, shape: tuple):
-        if shape != self.shape:
-            self._slots.clear()
-            self._views.clear()
-            self.shape = shape
-
-    def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        key = (name, shape, dtype)
-        view = self._views.get(key)
-        if view is None:
-            nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-            slot = self._slots.get(name)
-            if slot is None or slot.size < nbytes:
-                slot = self._slots[name] = np.empty(nbytes, np.uint8)
-                # views of the outgrown buffer would keep it alive
-                for old in [k for k in self._views if k[0] == name]:
-                    del self._views[old]
-            view = self._views[key] = slot[:nbytes].view(dtype).reshape(shape)
-        return view
+    def array(self, slot: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = self.buffers.get(slot)
+        if buf is None or buf.size < nbytes:
+            buf = self.buffers[slot] = np.empty(nbytes, np.uint8)
+        return np.ndarray(shape, dtype, buf)
 
 
-def _scratch(work: Workspace | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """``work.array(name, shape, dtype)``, or a fresh array without a workspace."""
-    return np.empty(shape, dtype) if work is None else work.array(name, shape, dtype)
+_pool = _KernelPool()
 
 
 class PaddedSamples:
@@ -938,25 +912,22 @@ class PaddedSamples:
       the m = 0 level (zero for a Leray-projected v, up to round-off).
 
     Every sample is (..., nx_pad, ny_pad, nz_pad) (w drops the component axis),
-    and each row of the leading axes equals its own single call bit for bit.
-    With a ``Workspace`` ``work`` the samples are its arrays, like the levels."""
+    and each row of the leading axes equals its own single call bit for bit."""
 
-    def __init__(self, grid: Grid, levels: np.ndarray, work: Workspace | None = None):
+    def __init__(self, grid: Grid, levels: np.ndarray):
         self.grid = grid
         self.levels = levels
-        self.work = work
 
     def rows(self, rows) -> "PaddedSamples":
-        """The samples of the rows ``rows`` (an index or mask) of the leading axis,
-        in fresh arrays."""
+        """The samples of the rows ``rows`` (an index or mask) of the leading axis."""
         return PaddedSamples(self.grid, self.levels[:, rows])
 
-    def _vertical(self, name: str, levels: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return _apply_vertical(levels, V, _scratch(self.work, name, levels.shape[:-1] + V.shape[:1]))
+    def _vertical(self, levels: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return _apply_vertical(levels, V, np.empty(levels.shape[:-1] + V.shape[:1]))
 
     @cached_property
     def _cos(self) -> np.ndarray:
-        return self._vertical("samples.cos", self.levels, self.grid._sample_matrices[0])
+        return self._vertical(self.levels, self.grid._sample_matrices[0])
 
     @property
     def values(self) -> np.ndarray:
@@ -972,13 +943,12 @@ class PaddedSamples:
 
     @cached_property
     def dz(self) -> np.ndarray:
-        return self._vertical("samples.dz", self.levels[0], self.grid._sample_matrices[1])
+        return self._vertical(self.levels[0], self.grid._sample_matrices[1])
 
     @cached_property
     def w(self) -> np.ndarray:
         dx_v1, dy_v2 = self.levels[1][..., 0, :, :, :], self.levels[2][..., 1, :, :, :]
-        div = np.add(dx_v1, dy_v2, out=_scratch(self.work, "samples.div", dx_v1.shape))
-        return self._vertical("samples.w", div, self.grid._sample_matrices[2])
+        return self._vertical(dx_v1 + dy_v2, self.grid._sample_matrices[2])
 
     @property
     def grads(self) -> tuple:

@@ -271,6 +271,29 @@ class TestCLI:
         assert code == EXIT_CONFIG
         assert not os.path.exists(root)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "solver.t_end=inf",
+            "domain.h=inf",
+            "domain.L1=inf",
+            "domain.mu=inf",
+            "physics.f=nan",
+            "physics.beta_T=inf",
+            "init.amplitude=nan",
+            "init.decay=nan",
+            "noise.amp_phi=nan",
+            "noise.amp_chi=inf",
+            "noise.decay=nan",
+        ],
+    )
+    def test_nonfinite_value_is_config_error(self, tmp_path, capsys, setting):
+        # inf and nan parse as floats; a run must refuse them, not overflow or blow up
+        root = str(tmp_path / "out")
+        assert main(["run", "--preset", "example1-small", "--set", setting, "--output-root", root]) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not os.path.exists(root)
+
     @pytest.mark.parametrize("defect", ["short_alpha", "family2_psi"])
     def test_invalid_noise_file_is_config_error(self, tmp_path, capsys, defect):
         # a short alpha, or psi in family 2 (which has no vertical transport)

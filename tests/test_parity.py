@@ -122,6 +122,9 @@ def test_exit_group(tmp_path):
         "exit/overflow": [3],
         "exit/noise-K0": [2],
         "exit/removed-rho0": [2],
+        # nonfinite values are configuration errors, not an OverflowError or a blow-up
+        "exit/t_end-inf": [2],
+        "exit/domain-h-inf": [2],
         "exit/noise-short-alpha": [2],
         "exit/noise-family2-psi": [2],
         "exit/checkpoint-int-coeffs": [2],

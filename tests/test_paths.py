@@ -503,9 +503,9 @@ def spy_sigma_weights(monkeypatch) -> list:
     (None for the columns themselves)."""
     weights = []
 
-    def spy(spec, coeffs, w=None, grads=None, work=None):
+    def spy(spec, coeffs, w=None, grads=None):
         weights.append(None if w is None else np.array(w))
-        return sigma_coeffs(spec, coeffs, w, grads, work=work)
+        return sigma_coeffs(spec, coeffs, w, grads)
 
     monkeypatch.setattr(solver, "sigma_coeffs", spy)
     return weights

@@ -144,9 +144,9 @@ def test_truncated_run_changes_only_the_quadrature_columns(monkeypatch):
     ids = [0, 3]
     bands, quadrature = [], diagnostics._grid_quadrature_functionals
 
-    def spy(grid, coeffs, band=None, work=None):
+    def spy(grid, coeffs, band=None):
         bands.append(band)
-        return quadrature(grid, coeffs, band, work)
+        return quadrature(grid, coeffs, band)
 
     with monkeypatch.context() as m:
         m.setattr(diagnostics, "_grid_quadrature_functionals", spy)

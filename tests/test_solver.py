@@ -56,6 +56,25 @@ class TestConfigChecks:
             small_cfg(grid_small, apriori_p=p)
         assert small_cfg(grid_small, apriori_p=2.0).apriori_p == 2.0
 
+    @pytest.mark.parametrize("field", ["dt", "t_end"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_time_rejected(self, grid_small, field, value):
+        # an infinite t_end must stop here, before round(t_end / dt) in n_steps overflows
+        with pytest.raises(ValueError, match=field):
+            small_cfg(grid_small, **{field: value}).n_steps
+
+    @pytest.mark.parametrize("field", ["L1", "L2", "h", "mu", "nu"])
+    def test_infinite_domain_rejected(self, field):
+        # nan already fails the positivity checks
+        with pytest.raises(ValueError, match=field):
+            DomainSpec(N1=2, N2=2, M=1, **{field: np.inf})
+
+    @pytest.mark.parametrize("field", ["f", "beta_T", "g"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_physics_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PhysicsParams(**{field: value})
+
 
 class TestCutoff:
     def test_plateau_and_support(self):

@@ -1,10 +1,11 @@
-"""Scratch reuse in the step and the record is invisible.
+"""Scratch reuse in the transform kernels is invisible.
 
-The solver's steps and stored records take their scratch arrays from one
-``spectral.Workspace`` per thread, reused from step to step and from chunk
-to chunk.  Every output must equal, bit for bit, the run that makes every
-scratch array afresh, whatever the slots hold when a step starts; and every
-array that a step returns must stay as it is after the next step.
+``Grid._synth_h`` and ``Grid._analyze_h`` take their intermediates from one
+``spectral._KernelPool`` per thread, which every caller in the thread shares:
+steps, stored records and public transforms alike, on any grid.  Every
+output must equal, bit for bit, the run that makes every scratch array
+afresh, whatever the buffers hold when a call starts; and no array that a
+function returns may share memory with the pool.
 """
 
 import warnings
@@ -13,11 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochpe import solver
+from stochpe import spectral
+from stochpe.diagnostics import record
 from stochpe.experiments import ito_isometry_check, run_ensemble
 from stochpe.noise import WienerStream
+from stochpe.operators import bilinear_B, leray_project
 from stochpe.solver import Stepper, initial_state, run_paths
-from stochpe.spectral import Workspace
+from stochpe.spectral import random_state
 
 from test_paths import assert_paths_match_single_runs, assert_same_path, preset_cfg
 
@@ -39,40 +42,48 @@ CASES = {
 
 
 @pytest.fixture()
-def fresh_workspace(monkeypatch):
-    """A new, empty workspace for this thread's steps and records."""
-    work = Workspace()
-    monkeypatch.setattr(solver._thread, "work", work, raising=False)
-    return work
+def fresh_pool(monkeypatch):
+    """A new, empty kernel pool for this thread."""
+    pool = spectral._KernelPool()
+    monkeypatch.setattr(spectral, "_pool", pool)
+    return pool
 
 
-def poison(work: Workspace):
-    """Fill every slot with NaN bytes, so that a read before a write shows."""
-    for slot in work._slots.values():
-        slot.fill(0xFF)
+def poison(pool):
+    """Fill every buffer with NaN bytes, so that a read before a write shows."""
+    for buf in pool.buffers.values():
+        buf.fill(0xFF)
+
+
+def fresh_scratch(monkeypatch):
+    """Make the kernels allocate every scratch array afresh: no buffer is shared."""
+    monkeypatch.setattr(spectral._KernelPool, "array", lambda self, slot, shape, dtype=np.float64: np.empty(shape, dtype))
+
+
+def sample_arrays(samples) -> list:
+    return [samples.levels, samples.values, samples.dx, samples.dy, samples.dz, samples.w]
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_reuse_equals_fresh_scratch(case, fresh_workspace, monkeypatch):
+def test_reuse_equals_fresh_scratch(case, fresh_pool, monkeypatch):
     preset, values = CASES[case]
     cfg = replace(preset_cfg(preset, **values), store_states=True)
     ids = [0, 1, 2, 5]
     run_paths(cfg, ids)
-    poison(fresh_workspace)
+    poison(fresh_pool)
     reused = run_paths(cfg, ids)
-    assert fresh_workspace._slots
-    # the reference makes every scratch array afresh: no slot is shared
-    monkeypatch.setattr(Workspace, "array", lambda self, name, shape, dtype=np.float64: np.empty(shape, dtype))
+    assert fresh_pool.buffers
+    fresh_scratch(monkeypatch)
     for a, b in zip(reused, run_paths(cfg, ids)):
         assert_same_path(a, b)
 
 
-def test_warm_ensemble_equals_cold(fresh_workspace):
-    # 20 paths: a chunk of 16 and one of 4, so the workspace changes shape
+def test_warm_ensemble_equals_cold(fresh_pool):
+    # 20 paths: a chunk of 16 and one of 4, so the kernels' requests shrink
     cfg = preset_cfg("example1-small")
     cold = (ito_isometry_check(cfg, 20), run_ensemble(cfg, 20))
-    assert fresh_workspace.shape[0] == 4
-    poison(fresh_workspace)
+    assert set(fresh_pool.buffers) == {"a", "b"}
+    poison(fresh_pool)
     assert (ito_isometry_check(cfg, 20), run_ensemble(cfg, 20)) == cold
 
 
@@ -86,20 +97,19 @@ def test_step_results_outlive_the_next_step(case):
     rows = [stepper.c0[None] * rng.uniform(0.5, 2.0, (3, 1, 1, 1, 1)) for _ in range(2)]
     dW = [rng.standard_normal((3, cfg.noise.K)) * np.sqrt(cfg.dt) for _ in range(2)]
     out = stepper.advance(rows[0], np.ones(3), dW[0])
-    samples = g.padded_samples(rows[0])
-    kept = [a for a in out if a is not None] + [samples.levels, samples.values, samples.dx, samples.dz, samples.w]
+    kept = [a for a in out if a is not None] + sample_arrays(g.padded_samples(rows[0]))
     before = [a.copy() for a in kept]
     stepper.advance(rows[1], np.ones(3), dW[1])
     for a, b in zip(kept, before):
         assert np.array_equal(a, b)
-    # the step returns fresh rows, never a view of the workspace
-    slots = stepper.work._slots.values()
-    assert not any(np.shares_memory(a, slot) for a in kept for slot in slots)
+    # the step returns fresh rows, never a view of the pool
+    buffers = spectral._pool.buffers.values()
+    assert not any(np.shares_memory(a, buf) for a in kept for buf in buffers)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("preset", ["example1-small", "smallnoise-888"])
-def test_shrinking_chunk_equals_single_runs(preset, fresh_workspace):
+def test_shrinking_chunk_equals_single_runs(preset, fresh_pool):
     # path 2 gets huge increments from step 6 on and leaves the chunk, the
     # others run on as a smaller stack
     cfg = replace(preset_cfg(preset, **{"solver.store_stride": 1}), track_ito=True)
@@ -111,3 +121,48 @@ def test_shrinking_chunk_equals_single_runs(preset, fresh_workspace):
         trajs = assert_paths_match_single_runs(cfg, ids, increments=inc)
     assert [t.blowup for t in trajs] == [False, False, True, False]
     assert 6 <= trajs[2].n_steps_done < cfg.n_steps
+
+
+def test_interleaved_callers_equal_calls_alone(fresh_pool, monkeypatch):
+    # two grids' chunks take turns with public transforms, advection and
+    # records on a poisoned pool; each call must equal itself made alone
+    cfgs = [replace(preset_cfg(name), store_states=True) for name in ("example1-small", "smallnoise-888")]
+    rng = np.random.default_rng(4)
+    pairs = [[leray_project(random_state(cfg.grid, rng)) for _ in range(2)] for cfg in cfgs]
+
+    def chunk(i):
+        return run_paths(cfgs[i], [0, 3])
+
+    def public(i):
+        U, Usharp = pairs[i]
+        rec = np.frombuffer(record(U, 0.1, 0.5).tobytes())
+        return sample_arrays(U.grid.padded_samples(U.coeffs)) + [bilinear_B(U, Usharp).coeffs, rec]
+
+    with monkeypatch.context() as m:
+        fresh_scratch(m)
+        alone = {(kind, i): kind(i) for kind in (chunk, public) for i in (0, 1)}
+    for _ in range(2):
+        for i in (0, 1):
+            poison(fresh_pool)
+            for a, b in zip(chunk(i), alone[chunk, i], strict=True):
+                assert_same_path(a, b)
+            poison(fresh_pool)
+            for a, b in zip(public(i), alone[public, i], strict=True):
+                assert np.array_equal(a, b)
+    assert set(fresh_pool.buffers) == {"a", "b"}
+
+
+def test_held_samples_share_no_memory(fresh_pool):
+    g = preset_cfg("example1-small").grid
+    rng = np.random.default_rng(9)
+    first = sample_arrays(g.padded_samples(random_state(g, rng).coeffs))
+    kept = [a.copy() for a in first]
+    second = sample_arrays(g.padded_samples(random_state(g, rng).coeffs))
+    for a, b in zip(first, kept):
+        assert np.array_equal(a, b)
+    buffers = list(fresh_pool.buffers.values())
+    assert buffers
+    for a in first:
+        assert not any(np.shares_memory(a, other) for other in second + buffers)
+    for a in second:
+        assert not any(np.shares_memory(a, buf) for buf in buffers)

@@ -94,6 +94,8 @@ EXIT_COMMANDS = {
     ],
     "noise-K0": ["--preset", "example1-small", "--set", "noise.K=0"],
     "removed-rho0": ["--preset", "example1-small", "--set", "physics.rho0=1.0"],
+    "t_end-inf": ["--preset", "example1-small", "--set", "solver.t_end=inf"],
+    "domain-h-inf": ["--preset", "example1-small", "--set", "domain.h=inf"],
 }
 
 
