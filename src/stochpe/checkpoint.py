@@ -72,7 +72,11 @@ def _check_header(doc, expected_format: str, grid: Grid | None) -> Grid:
 
 
 def save_state(state: SpectralState, path: str) -> None:
-    doc = {
+    """Write ``state`` as one JSON line: ``json.dumps(doc) + "\\n"`` of its
+    container, whose last key holds the coefficients.  The header goes through
+    ``json.dumps`` and the base64 block is appended as it is, since base64 text
+    never needs JSON escaping; the bytes are the same."""
+    header = {
         "format": _FORMAT_STATE,
         "version": 1,
         "basis_order": BASIS_ORDER_TAG,
@@ -82,11 +86,9 @@ def save_state(state: SpectralState, path: str) -> None:
         "dtype": "complex128",
         "byte_order": "little",
         "layout": "C",
-        "coeffs_b64": _encode(state.coeffs),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(f'{json.dumps(header)[:-1]}, "coeffs_b64": "{_encode(state.coeffs)}"}}\n')
 
 
 def load_state(path: str, grid: Grid | None = None) -> SpectralState:

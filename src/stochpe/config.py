@@ -202,15 +202,24 @@ def _build_noise(values: dict, grid: Grid) -> NoiseSpec:
     raise ConfigError(f"unknown noise.family {fam!r}")
 
 
+def _finite(key: str, raw: str) -> float:
+    """The number ``raw`` of the string-typed key ``key``, which must be finite,
+    as the float-typed keys must be (``_set``)."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
+
+
 def _parse_levels(values: dict) -> tuple:
     levels = {}
     for name in STOPPING_FUNCTIONALS:
         raw = values[f"stopping.{name}"]
         if raw:
-            levels[name] = float(raw)
+            levels[name] = _finite(f"stopping.{name}", raw)
     blowup = ()
     if values["stopping.blowup"]:
-        blowup = tuple(float(s) for s in values["stopping.blowup"].split(","))
+        blowup = tuple(_finite("stopping.blowup", s) for s in values["stopping.blowup"].split(","))
     return levels, blowup
 
 
@@ -265,7 +274,7 @@ def build_solver_config(values: dict) -> SolverConfig:
         n_gal = values["solver.n_galerkin"]
         n_galerkin = None if n_gal == "all" else int(n_gal)
         kappa = values["solver.kappa_cutoff"]
-        kappa_cutoff = None if kappa == "auto" else float(kappa)
+        kappa_cutoff = None if kappa == "auto" else _finite("solver.kappa_cutoff", kappa)
         levels, blowup = _parse_levels(values)
         return SolverConfig(
             grid=grid,

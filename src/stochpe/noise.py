@@ -18,7 +18,9 @@ projection of that profile through the padded vertical nodes.  When every
 phi_k and psi_k is constant in space, the same projection is a diagonal
 multiplier horizontally and the matrix ``Grid.dz_nodal`` vertically, so the
 columns are formed in spectral space with no transform; the two evaluations
-agree to round-off.
+agree to round-off.  Such columns act within each horizontal wavevector, and
+the spec caches them as one block per wavevector (``NoiseSpec.column_blocks``),
+which the step applies in place of ``sigma_coeffs``.
 
 Temperature noise has no closed-form family here; as an explicit
 extrapolation, the velocity structure can be mirrored onto the temperature
@@ -42,6 +44,7 @@ from .spectral import (
     Grid,
     PaddedSamples,
     SpectralState,
+    WavevectorBlocks,
     _read_only,
     add_cos_mode,
     h_norm_sq,
@@ -203,6 +206,21 @@ class NoiseSpec:
                 and np.abs(self.alpha).max(initial=0.0) == 0.0
             )
         )
+
+    @cached_property
+    def column_blocks(self) -> WavevectorBlocks | None:
+        """The K projected columns of ``sigma_coeffs`` as one (K n nm, n nm) block
+        per horizontal wavevector, with the projected chi as the constant
+        (``WavevectorBlocks``), for state-dependent noise with constant phi and
+        psi; None otherwise.  The transport acts on the Hermitian part of the
+        state (``_transport_spectral``), so the blocks give the columns of
+        Hermitian rows only, which every step row is (``Grid.enforce_reality``)."""
+        if self.is_additive or not self.constant_transport:
+            return None
+        n = 3 if self.include_temperature else 2
+        chi = sigma_coeffs(self, np.zeros((1, 3) + self.psi.shape[1:], np.complex128))[0] if self.chi.any() else None
+        linear = self.without_additive()
+        return WavevectorBlocks(self.grid, lambda unit: sigma_coeffs(linear, unit), n, chi)
 
 
 def _grid_max(samples: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, PaddedSamples, SpectralState
+from .spectral import Grid, PaddedSamples, SpectralState, WavevectorBlocks
 
 __all__ = [
     "PhysicsParams",
@@ -38,6 +38,7 @@ __all__ = [
     "coriolis_E",
     "forcing_F",
     "forcing_coeffs",
+    "forcing_blocks",
     "mode_split",
     "baroclinic_rhs_terms",
     "velocity_rhs_unsplit",
@@ -313,6 +314,16 @@ def forcing_coeffs(
     return _linear_terms(
         grid, coeffs, -physics.beta_T * physics.g, physics.f, None if F_U is None else F_U.coeffs
     )
+
+
+def forcing_blocks(grid: Grid, physics: PhysicsParams, F_U: SpectralState | None = None) -> WavevectorBlocks:
+    """``forcing_coeffs`` as one (3 nm, 3 nm) block per horizontal wavevector
+    (``WavevectorBlocks``): the pressure integral mixes the levels of one
+    wavevector, and Coriolis and the projection act within it.  The blocks
+    come from ``forcing_coeffs`` on the unit stack, the constant is the
+    projected -F_U, ``forcing_coeffs`` of a zero state."""
+    const = None if F_U is None else forcing_coeffs(grid, np.zeros_like(F_U.coeffs), physics, F_U)
+    return WavevectorBlocks(grid, lambda unit: forcing_coeffs(grid, unit, physics), 3, const)
 
 
 # -- barotropic / baroclinic splitting -----------------------------------------

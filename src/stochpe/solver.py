@@ -16,7 +16,9 @@ forcing and noise are explicit:
 
 Every term the step adds comes projected onto the divergence-free space and
 masked to the retained modes: the advection, the forcing and the noise
-operators each project their own result, and the Galerkin cut
+operators each project their own result (the forcing, and transport noise
+with constant coefficients, through cached per-wavevector blocks that hold
+the projection), and the Galerkin cut
 (``Grid.snap_mode_count``) never splits the modes the projection couples, so
 the mask commutes with it.  The integrating factor is diagonal, so the step
 re-applies only the reality symmetry, and the state stays on the constraint
@@ -66,7 +68,7 @@ import numpy as np
 
 from .diagnostics import RECORD, STOPPING_FUNCTIONALS, detect_stopping, finite, record_stack, running_integrands
 from .noise import NoiseSpec, WienerStream, sigma_coeffs, zero_noise
-from .operators import PhysicsParams, advection_coeffs, forcing_coeffs, leray_coeffs
+from .operators import PhysicsParams, advection_coeffs, forcing_blocks, forcing_coeffs, leray_coeffs
 from .spectral import (
     Grid,
     PaddedSamples,
@@ -330,11 +332,15 @@ class Stepper:
         self._broadcast = {}
         self._ones = {}
         # the aggregate linear term vanishes identically in this configuration
-        self._skip_forcing = (
-            cfg.forcing is None
-            and cfg.physics.f == 0.0
-            and cfg.physics.beta_T * cfg.physics.g == 0.0
-        )
+        depends_on_U = cfg.physics.f != 0.0 or cfg.physics.beta_T * cfg.physics.g != 0.0
+        self._skip_forcing = cfg.forcing is None and not depends_on_U
+        # the terms that act within each horizontal wavevector, as cached blocks: the
+        # negated forcing when it depends on U, and transport noise with constant phi
+        # and psi, masked
+        self._forcing_table = forcing_blocks(g, cfg.physics, self.forcing).scaled(-1.0) if depends_on_U else None
+        self._noise_table = self.noise.column_blocks
+        if self._noise_table is not None and self._truncated:
+            self._noise_table = self._noise_table.scaled(self.mask[: self._n])
 
     def initial(self) -> SpectralState:
         """A copy of ``U0n``, the masked and projected initial state on ``cfg.grid``."""
@@ -366,22 +372,27 @@ class Stepper:
             self._ones[P].flags.writeable = False
         return self._ones[P]
 
-    def noise_increment(self, coeffs: np.ndarray, dW: np.ndarray, samples: PaddedSamples | None):
+    def noise_increment(
+        self, coeffs: np.ndarray, dW: np.ndarray, samples: PaddedSamples | None = None, rows: np.ndarray | None = None
+    ):
         """Masked increments sum_k sigma(U) e_k dW_k of the rows (P, 3, nkx', nky', nm'),
         for weights dW (P, K), and the masked columns (P, K, n, nkx', nky', nm');
         (None, None) for zero noise.  The columns hold the n rows the noise has
         (``sigma_coeffs``); the increments hold all three, the temperature row
         +0 unless the noise has one.
 
-        Under ``track_ito`` state-dependent noise forms the K columns in one
-        ``sigma_coeffs`` call, and additive noise broadcasts its fixed columns to
-        every row as a read-only view; the increments are then the dW-weighted
-        sum of the columns, one formula for both.  Without it, state-dependent
-        noise forms only the increments, as one ``sigma_coeffs`` row with weights
-        dW, and no columns (None): K columns would cost K analyses on the grid.
-        Transport noise with varying phi or psi reads the rows' ``samples`` when
-        the step has them.  The mask multiply is skipped when the mask keeps
-        every mode."""
+        Additive noise broadcasts its fixed columns to every row as a read-only
+        view, and transport noise with constant phi and psi forms the K masked
+        columns from its blocks (``NoiseSpec.column_blocks``), reading ``rows``,
+        the rows in ``Grid.wavevector_rows`` layout when the step has them.
+        Other state-dependent noise forms the K columns in one ``sigma_coeffs``
+        call under ``track_ito``; the increments are then the dW-weighted sum of
+        the columns, one formula for all three.  Without ``track_ito`` it forms
+        only the increments, as one ``sigma_coeffs`` row with weights dW, and no
+        columns (None): K columns would cost K analyses on the grid.  Transport
+        noise with varying phi or psi reads the rows' ``samples`` when the step
+        has them.  The mask multiply is skipped when the mask keeps every
+        mode."""
         cfg = self.cfg
         K, n, P = cfg.noise.K, self._n, len(dW)
         if cfg.noise.family == "zero":
@@ -393,6 +404,8 @@ class Stepper:
             if P not in self._broadcast:
                 self._broadcast[P] = np.broadcast_to(self._static_cols, (P,) + self._static_cols.shape)
             cols = self._broadcast[P]
+        elif self._noise_table is not None:
+            cols = self._noise_table(self.grid.wavevector_rows(coeffs) if rows is None else rows)
         elif cfg.track_ito:
             cols = sigma_coeffs(self.noise, coeffs, None, samples)
             if self._truncated:
@@ -413,20 +426,32 @@ class Stepper:
             head += weights[:, k] * cols[:, k]
         return incr, cols
 
-    def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, samples: PaddedSamples | None = None):
+    def explicit_drift(
+        self,
+        coeffs: np.ndarray,
+        theta: np.ndarray,
+        samples: PaddedSamples | None = None,
+        rows: np.ndarray | None = None,
+    ):
         """Projected, Galerkin-masked explicit drift -theta B(U) - F(U) of the
         rows, and the rows that carry one as a (P,) boolean mask; (None, None)
         where it vanishes identically.  The full drift is -lam U plus this on
         those rows.  A row with theta = 0 gets no advection term at all:
         0 * B(U) is NaN where B(U) overflows.  ``samples``, the rows'
-        ``Grid.padded_samples`` when the caller has them, skip their synthesis."""
+        ``Grid.padded_samples`` when the caller has them, skip their synthesis.
+        F(U) comes from its blocks (``operators.forcing_blocks``) when it
+        depends on U, reading ``rows``, the rows in ``Grid.wavevector_rows``
+        layout when the caller has them; with f = beta_T g = 0 it is the
+        projected -F_U of ``forcing_coeffs``."""
         cfg = self.cfg
         g = self.grid
         advecting = cfg.advection and theta.any()
         if self._skip_forcing and not advecting:
             return None, None
         expl = None
-        if not self._skip_forcing:
+        if self._forcing_table is not None:
+            expl = self._forcing_table(g.wavevector_rows(coeffs) if rows is None else rows)
+        elif not self._skip_forcing:
             expl = forcing_coeffs(g, coeffs, cfg.physics, self.forcing)
             np.negative(expl, out=expl)
         carries = np.full(len(coeffs), expl is not None)
@@ -460,16 +485,22 @@ class Stepper:
         spectral space and needs none, so with advection off such a step makes
         no transform.
 
+        When the forcing or the noise has blocks (``WavevectorBlocks``), the
+        step lays the rows out per wavevector once (``Grid.wavevector_rows``)
+        and both read that copy.
+
         The step projects and masks nothing itself: the drift and the noise
         come projected by their operators and masked, the integrating factor is
         diagonal, and the reality fold keeps the rows divergence-free."""
         cfg = self.cfg
         g = self.grid
-        samples = None
+        samples = rows = None
         if self.noise.reads_samples or (cfg.advection and theta.any()):
             samples = g.padded_samples(coeffs)
-        expl, carries = self.explicit_drift(coeffs, theta, samples)
-        incr, cols = self.noise_increment(coeffs, dW, samples)
+        if self._forcing_table is not None or self._noise_table is not None:
+            rows = g.wavevector_rows(coeffs)
+        expl, carries = self.explicit_drift(coeffs, theta, samples, rows)
+        incr, cols = self.noise_increment(coeffs, dW, samples, rows)
         out = coeffs.copy()
         if expl is not None:
             expl *= cfg.dt

@@ -79,6 +79,11 @@ beside the plain ones.  A step with advection and grid-evaluated transport
 noise then makes one synthesis, of the 3 fields of U, and two analyses; a
 stored record and the depth-split terms make one synthesis each.
 
+An affine operator that acts within each horizontal wavevector, such as the
+forcing or transport noise with constant coefficients, is held as one block
+per wavevector (``WavevectorBlocks``) and applied to the per-wavevector
+layout of a stack (``Grid.wavevector_rows``) in one batched product.
+
 The two transform kernels, ``Grid._synth_h`` and ``Grid._analyze_h``, form
 their intermediates (the folded half-plane, the x rows, the level products,
 the analysis columns and plane) in a per-thread pool of two buffers,
@@ -107,6 +112,7 @@ __all__ = [
     "NormBundle",
     "Grid",
     "PaddedSamples",
+    "WavevectorBlocks",
     "build_basis",
     "to_physical",
     "to_spectral",
@@ -809,6 +815,21 @@ class Grid:
         out[..., ix, iy, iz] = c
         return out
 
+    def wavevector_rows(self, c: np.ndarray) -> np.ndarray:
+        """A stack (P, *L, nkx, nky, nm) laid out per horizontal wavevector, the
+        layout that ``WavevectorBlocks`` act on: (P, nkx * nky, d, 1), whose
+        d = prod(L) * nm entries per wavevector run over the L axes, then the
+        levels (a copy of the stack, unless its layout already is that)."""
+        k = c.ndim - 3
+        return c.transpose(0, k, k + 1, *range(1, k), k + 2).reshape(len(c), self.nkx * self.nky, -1, 1)
+
+    def from_wavevector_rows(self, rows: np.ndarray, lead: tuple) -> np.ndarray:
+        """The inverse of ``wavevector_rows``: rows (P, nkx * nky, d, 1) as a fresh
+        C-ordered stack (P, *lead, nkx, nky, nm)."""
+        v = rows.reshape((len(rows), self.nkx, self.nky, *lead, self.nm))
+        k = len(lead)
+        return np.ascontiguousarray(v.transpose(0, *range(3, 3 + k), 1, 2, 3 + k))
+
     def record_grid(self, N1: int, N2: int, M: int) -> "Grid":
         """The grid for sixth-degree quadratures of states in the band |kx| <= N1,
         |ky| <= N2, m <= M: an ordinary ``Grid`` with, per axis, twice the
@@ -953,6 +974,53 @@ class PaddedSamples:
     @property
     def grads(self) -> tuple:
         return self.dx, self.dy, self.dz
+
+
+class WavevectorBlocks:
+    """An affine operator that acts within each horizontal wavevector, as one
+    block per wavevector: ``blocks`` (nkx * nky, L * nm, n * nm) and an
+    optional constant ``const`` (nkx * nky, L * nm, 1), in the layout of
+    ``Grid.wavevector_rows``.  It maps the first n components of a stack
+    (P, C, nkx, nky, nm) to (P, *lead, nkx, nky, nm), L = prod(lead).
+
+    The blocks are built by applying the linear part ``linear`` once, to the
+    unit stack of every wavevector at once: input j = (component c, level m)
+    is 1 at level m of component c and every wavevector, and ``linear`` maps
+    that (n * nm, 3, nkx, nky, nm) stack to (n * nm, *lead, nkx, nky, nm).  So
+    the operator keeps its one definition, and the blocks equal it wherever
+    it is complex-linear within each wavevector.  A call is one
+    ``np.matmul(blocks, rows)`` batched over the paths and the wavevectors:
+    every path's product is its own, so its bits do not depend on the other
+    rows of the stack, as a single (n_w, d, d) @ (n_w, d, P) product's do."""
+
+    def __init__(self, grid: Grid, linear, n: int, const: np.ndarray | None = None):
+        nm, d = grid.nm, n * grid.nm
+        unit = np.zeros((d, 3, grid.nkx, grid.nky, nm), dtype=np.complex128)
+        j = np.arange(d)
+        unit[j, j // nm, :, :, j % nm] = 1.0
+        out = linear(unit)
+        self.grid = grid
+        self.lead = out.shape[1:-3]
+        self.blocks = np.ascontiguousarray(grid.wavevector_rows(out)[..., 0].transpose(1, 2, 0))
+        self.const = None if const is None else grid.wavevector_rows(const[None])[0]
+
+    def scaled(self, factor: np.ndarray) -> "WavevectorBlocks":
+        """The operator with its output multiplied by ``factor``, an array that
+        broadcasts to (*lead, nkx, nky, nm), such as a sign or a mask."""
+        rows = self.grid.wavevector_rows(np.broadcast_to(factor, self.lead + self.grid.lam.shape)[None])[0]
+        out = object.__new__(WavevectorBlocks)
+        out.__dict__.update(vars(self), blocks=rows * self.blocks)
+        if self.const is not None:
+            out.const = rows * self.const
+        return out
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """The operator on ``rows``, a stack in ``Grid.wavevector_rows`` layout
+        whose first n components it reads: a fresh (P, *lead, nkx, nky, nm)."""
+        out = np.matmul(self.blocks, rows[:, :, : self.blocks.shape[2]])
+        if self.const is not None:
+            out += self.const
+        return self.grid.from_wavevector_rows(out, self.lead)
 
 
 # -- module-level operations -------------------------------------------------

@@ -58,7 +58,9 @@ def test_divergent_forcing_gives_divergence_free_terms():
     assert divergence_residual(run_trajectory(cfg).final_state) <= 1e-14
 
 
-@pytest.mark.parametrize("name,expected", [("smallnoise-888", 3), ("ou-single-mode", 0)])
+# smallnoise-888 projects its advection and its grid-evaluated noise; its forcing,
+# and example1-small's forcing and noise, come projected in their blocks
+@pytest.mark.parametrize("name,expected", [("smallnoise-888", 2), ("example1-small", 1), ("ou-single-mode", 0)])
 def test_step_projects_once_per_term(name, expected, monkeypatch):
     cfg = preset_cfg(name)
     stepper = Stepper(cfg, initial_state(cfg))
@@ -82,6 +84,28 @@ def test_step_projects_once_per_term(name, expected, monkeypatch):
     out, _, _ = stepper.advance(c, np.ones(2), dW)
     assert len(calls) == expected
     assert divergence_residual(SpectralState(stepper.grid, out[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["example1-small", "smallnoise-888"])
+@pytest.mark.parametrize("temperature", [False, True], ids=["velocity", "temperature"])
+def test_block_columns_are_divergence_free(name, temperature):
+    # the forcing and the noise come projected in their blocks: every output
+    # column of a block, and every constant, is a divergence-free field (relative
+    # to the table's largest entry: a column whose exact value is zero is round-off)
+    cfg = preset_cfg(
+        name,
+        **{"noise.osc": 0, "noise.include_temperature": temperature, "forcing.kind": "single-mode"},
+    )
+    stepper = Stepper(cfg, initial_state(cfg))
+    g = stepper.grid
+    tables = [operators.forcing_blocks(g, cfg.physics, stepper.forcing), stepper.noise.column_blocks]
+    for table in tables:
+        scale = np.abs(table.blocks).max()
+        for rows in (table.blocks.transpose(2, 0, 1)[..., None], table.const[None]):
+            # every output field of every column, (..., n, nkx, nky, nm)
+            fields = g.from_wavevector_rows(rows, table.lead).reshape((-1,) + table.lead[-1:] + g.lam.shape)
+            div = g.kx_phys[:, None] * fields[:, 0, :, :, 0] + g.ky_phys[None, :] * fields[:, 1, :, :, 0]
+            assert np.abs(div).max() <= 1e-15 * scale
 
 
 def test_solver_suite_reports_the_invariant():

@@ -1,10 +1,12 @@
 """Configuration parsing, checkpoint containers, CLI behaviour."""
 
+import base64
 import hashlib
 import importlib
 import importlib.util
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,29 @@ class TestCheckpoint:
             b'"mu": 0.7, "nu": 0.3}, "time": 0.5, "shape": [3, 3, 3, 2], '
         )
         assert hashlib.sha256(raw).hexdigest() == "922e9b670554f0b1b9cb79fc9c705fa2b02b2db60ef3904cccea3da95a2f3586"
+
+    def test_state_file_is_the_json_dump_of_its_document(self, grid_small, rng, tmp_path):
+        # the writer appends the base64 block to the json.dumps header by hand; the
+        # file must be what json.dumps writes for the whole document
+        st = random_state(grid_small, rng, amplitude=3.0)
+        st.time = 1.0 / 3.0
+        path = tmp_path / "state.json"
+        save_state(st, str(path))
+        doc = {
+            "format": "stochpe-checkpoint",
+            "version": 1,
+            "basis_order": "lambda-lex-v1",
+            "domain": asdict(grid_small.spec),
+            "time": st.time,
+            "shape": list(st.coeffs.shape),
+            "dtype": "complex128",
+            "byte_order": "little",
+            "layout": "C",
+            "coeffs_b64": base64.b64encode(st.coeffs.astype("<c16").tobytes()).decode("ascii"),
+        }
+        assert path.read_text() == json.dumps(doc) + "\n"
+        back = load_state(str(path), grid_small)
+        assert back.time == st.time and back.coeffs.tobytes() == st.coeffs.tobytes()
 
     def test_domain_mismatch_rejected(self, grid_small, grid_cube, rng, tmp_path):
         st = random_state(grid_small, rng)
@@ -289,6 +314,15 @@ class TestCLI:
     )
     def test_nonfinite_value_is_config_error(self, tmp_path, capsys, setting):
         # inf and nan parse as floats; a run must refuse them, not overflow or blow up
+        root = str(tmp_path / "out")
+        assert main(["run", "--preset", "example1-small", "--set", setting, "--output-root", root]) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not os.path.exists(root)
+
+    @pytest.mark.parametrize("setting", ["solver.kappa_cutoff=inf", "stopping.weak=nan", "stopping.blowup=inf,nan"])
+    def test_nonfinite_string_key_is_config_error(self, tmp_path, capsys, setting):
+        # keys typed str in the schema are parsed as numbers later, and are held
+        # to the same rule: an infinite cutoff, or a level that is never reached
         root = str(tmp_path / "out")
         assert main(["run", "--preset", "example1-small", "--set", setting, "--output-root", root]) == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err

@@ -514,7 +514,7 @@ def spy_sigma_weights(monkeypatch) -> list:
 @pytest.mark.parametrize(
     "preset, values, n, full_band",
     [
-        # example1-small forms the transport in spectral space, smallnoise-888 on the grid
+        # example1-small forms its columns from blocks, smallnoise-888 on the grid
         pytest.param("example1-small", {}, 2, True, id="example1-small"),
         pytest.param("smallnoise-888", {}, 2, False, id="smallnoise-888"),
         pytest.param("example1-small", {"noise.include_temperature": True}, 3, True, id="example1-small-temperature"),
@@ -527,11 +527,17 @@ def test_tracked_step_forms_the_k_columns_once(monkeypatch, preset, values, n, f
     assert stepper.mask.all() == full_band
     weights = spy_sigma_weights(monkeypatch)
     new, incr, cols = stepper.advance(c, np.ones(P), dW)
-    # one call, for the K columns themselves, each with the n rows the noise has
-    assert len(weights) == 1 and weights[0] is None
     assert np.isfinite(new).all() and cols.shape == (P, K, n) + c.shape[2:]
-    # the masked columns, whether the mask multiply is made or skipped
-    assert np.array_equal(cols, sigma_coeffs(stepper.noise, c) * stepper.mask[:n])
+    # the masked columns, whether the mask multiply is made, skipped or in the blocks
+    expected = sigma_coeffs(stepper.noise, c) * stepper.mask[:n]
+    if stepper.noise.column_blocks is None:
+        # one call, for the K columns themselves, each with the n rows the noise has
+        assert len(weights) == 1 and weights[0] is None
+        assert np.array_equal(cols, expected)
+    else:
+        # constant phi and psi: the K columns come from the cached blocks, with no call
+        assert weights == []
+        assert np.abs(cols - expected).max() <= 1e-14 * np.abs(expected).max()
     # the increment is the dW-weighted sum of the columns, and the weighted row up to round-off
     assert incr.shape == c.shape
     assert np.array_equal(incr[:, :n], sum(dW[:, k, None, None, None, None] * cols[:, k] for k in range(K)))
