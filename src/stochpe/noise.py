@@ -20,7 +20,7 @@ multiplier horizontally and the matrix ``Grid.dz_nodal`` vertically, so the
 columns are formed in spectral space with no transform; the two evaluations
 agree to round-off.  Such columns act within each horizontal wavevector, and
 the spec caches them as one block per wavevector (``NoiseSpec.column_blocks``),
-which the step applies in place of ``sigma_coeffs``.
+which a tracked step applies in place of ``sigma_coeffs``.
 
 Temperature noise has no closed-form family here; as an explicit
 extrapolation, the velocity structure can be mirrored onto the temperature

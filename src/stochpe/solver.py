@@ -16,9 +16,9 @@ forcing and noise are explicit:
 
 Every term the step adds comes projected onto the divergence-free space and
 masked to the retained modes: the advection, the forcing and the noise
-operators each project their own result (the forcing, and transport noise
-with constant coefficients, through cached per-wavevector blocks that hold
-the projection), and the Galerkin cut
+operators each project their own result (the forcing, and the tracked
+columns of transport noise with constant coefficients, through cached
+per-wavevector blocks that hold the projection), and the Galerkin cut
 (``Grid.snap_mode_count``) never splits the modes the projection couples, so
 the mask commutes with it.  The integrating factor is diagonal, so the step
 re-applies only the reality symmetry, and the state stays on the constraint
@@ -335,12 +335,11 @@ class Stepper:
         depends_on_U = cfg.physics.f != 0.0 or cfg.physics.beta_T * cfg.physics.g != 0.0
         self._skip_forcing = cfg.forcing is None and not depends_on_U
         # the terms that act within each horizontal wavevector, as cached blocks: the
-        # negated forcing when it depends on U, and transport noise with constant phi
-        # and psi, masked
-        self._forcing_table = forcing_blocks(g, cfg.physics, self.forcing).scaled(-1.0) if depends_on_U else None
-        self._noise_table = self.noise.column_blocks
-        if self._noise_table is not None and self._truncated:
-            self._noise_table = self._noise_table.scaled(self.mask[: self._n])
+        # forcing when it depends on U, and the K columns of transport noise with
+        # constant phi and psi when the step forms them (an untracked step forms one
+        # dW-weighted row, which costs less than K columns from the blocks)
+        self._forcing_table = forcing_blocks(g, cfg.physics, self.forcing) if depends_on_U else None
+        self._noise_table = self.noise.column_blocks if cfg.track_ito else None
 
     def initial(self) -> SpectralState:
         """A copy of ``U0n``, the masked and projected initial state on ``cfg.grid``."""
@@ -372,27 +371,24 @@ class Stepper:
             self._ones[P].flags.writeable = False
         return self._ones[P]
 
-    def noise_increment(
-        self, coeffs: np.ndarray, dW: np.ndarray, samples: PaddedSamples | None = None, rows: np.ndarray | None = None
-    ):
+    def noise_increment(self, coeffs: np.ndarray, dW: np.ndarray, samples: PaddedSamples | None):
         """Masked increments sum_k sigma(U) e_k dW_k of the rows (P, 3, nkx', nky', nm'),
         for weights dW (P, K), and the masked columns (P, K, n, nkx', nky', nm');
         (None, None) for zero noise.  The columns hold the n rows the noise has
         (``sigma_coeffs``); the increments hold all three, the temperature row
         +0 unless the noise has one.
 
-        Additive noise broadcasts its fixed columns to every row as a read-only
-        view, and transport noise with constant phi and psi forms the K masked
-        columns from its blocks (``NoiseSpec.column_blocks``), reading ``rows``,
-        the rows in ``Grid.wavevector_rows`` layout when the step has them.
-        Other state-dependent noise forms the K columns in one ``sigma_coeffs``
-        call under ``track_ito``; the increments are then the dW-weighted sum of
-        the columns, one formula for all three.  Without ``track_ito`` it forms
-        only the increments, as one ``sigma_coeffs`` row with weights dW, and no
-        columns (None): K columns would cost K analyses on the grid.  Transport
-        noise with varying phi or psi reads the rows' ``samples`` when the step
-        has them.  The mask multiply is skipped when the mask keeps every
-        mode."""
+        Under ``track_ito`` state-dependent noise forms the K columns, from its
+        blocks (``NoiseSpec.column_blocks``) when phi and psi are constant and in
+        one ``sigma_coeffs`` call otherwise, and additive noise broadcasts its
+        fixed columns to every row as a read-only view; the increments are then
+        the dW-weighted sum of the columns, one formula for all three.  Without
+        it, state-dependent noise forms only the increments, as one
+        ``sigma_coeffs`` row with weights dW, and no columns (None): K columns
+        would cost K analyses on the grid, or K products with the blocks.
+        Transport noise with varying phi or psi reads the rows' ``samples`` when
+        the step has them.  The mask multiply is skipped when the mask keeps
+        every mode."""
         cfg = self.cfg
         K, n, P = cfg.noise.K, self._n, len(dW)
         if cfg.noise.family == "zero":
@@ -404,10 +400,11 @@ class Stepper:
             if P not in self._broadcast:
                 self._broadcast[P] = np.broadcast_to(self._static_cols, (P,) + self._static_cols.shape)
             cols = self._broadcast[P]
-        elif self._noise_table is not None:
-            cols = self._noise_table(self.grid.wavevector_rows(coeffs) if rows is None else rows)
         elif cfg.track_ito:
-            cols = sigma_coeffs(self.noise, coeffs, None, samples)
+            if self._noise_table is not None:
+                cols = self._noise_table(coeffs)
+            else:
+                cols = sigma_coeffs(self.noise, coeffs, None, samples)
             if self._truncated:
                 cols *= self._mask_c[:n]
         else:
@@ -426,13 +423,7 @@ class Stepper:
             head += weights[:, k] * cols[:, k]
         return incr, cols
 
-    def explicit_drift(
-        self,
-        coeffs: np.ndarray,
-        theta: np.ndarray,
-        samples: PaddedSamples | None = None,
-        rows: np.ndarray | None = None,
-    ):
+    def explicit_drift(self, coeffs: np.ndarray, theta: np.ndarray, samples: PaddedSamples | None = None):
         """Projected, Galerkin-masked explicit drift -theta B(U) - F(U) of the
         rows, and the rows that carry one as a (P,) boolean mask; (None, None)
         where it vanishes identically.  The full drift is -lam U plus this on
@@ -440,19 +431,18 @@ class Stepper:
         0 * B(U) is NaN where B(U) overflows.  ``samples``, the rows'
         ``Grid.padded_samples`` when the caller has them, skip their synthesis.
         F(U) comes from its blocks (``operators.forcing_blocks``) when it
-        depends on U, reading ``rows``, the rows in ``Grid.wavevector_rows``
-        layout when the caller has them; with f = beta_T g = 0 it is the
-        projected -F_U of ``forcing_coeffs``."""
+        depends on U, and from ``forcing_coeffs`` otherwise."""
         cfg = self.cfg
         g = self.grid
         advecting = cfg.advection and theta.any()
         if self._skip_forcing and not advecting:
             return None, None
         expl = None
-        if self._forcing_table is not None:
-            expl = self._forcing_table(g.wavevector_rows(coeffs) if rows is None else rows)
-        elif not self._skip_forcing:
-            expl = forcing_coeffs(g, coeffs, cfg.physics, self.forcing)
+        if not self._skip_forcing:
+            if self._forcing_table is not None:
+                expl = self._forcing_table(coeffs)
+            else:
+                expl = forcing_coeffs(g, coeffs, cfg.physics, self.forcing)
             np.negative(expl, out=expl)
         carries = np.full(len(coeffs), expl is not None)
         if advecting:
@@ -485,22 +475,16 @@ class Stepper:
         spectral space and needs none, so with advection off such a step makes
         no transform.
 
-        When the forcing or the noise has blocks (``WavevectorBlocks``), the
-        step lays the rows out per wavevector once (``Grid.wavevector_rows``)
-        and both read that copy.
-
         The step projects and masks nothing itself: the drift and the noise
         come projected by their operators and masked, the integrating factor is
         diagonal, and the reality fold keeps the rows divergence-free."""
         cfg = self.cfg
         g = self.grid
-        samples = rows = None
+        samples = None
         if self.noise.reads_samples or (cfg.advection and theta.any()):
             samples = g.padded_samples(coeffs)
-        if self._forcing_table is not None or self._noise_table is not None:
-            rows = g.wavevector_rows(coeffs)
-        expl, carries = self.explicit_drift(coeffs, theta, samples, rows)
-        incr, cols = self.noise_increment(coeffs, dW, samples, rows)
+        expl, carries = self.explicit_drift(coeffs, theta, samples)
+        incr, cols = self.noise_increment(coeffs, dW, samples)
         out = coeffs.copy()
         if expl is not None:
             expl *= cfg.dt

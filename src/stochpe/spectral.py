@@ -988,10 +988,11 @@ class WavevectorBlocks:
     is 1 at level m of component c and every wavevector, and ``linear`` maps
     that (n * nm, 3, nkx, nky, nm) stack to (n * nm, *lead, nkx, nky, nm).  So
     the operator keeps its one definition, and the blocks equal it wherever
-    it is complex-linear within each wavevector.  A call is one
-    ``np.matmul(blocks, rows)`` batched over the paths and the wavevectors:
-    every path's product is its own, so its bits do not depend on the other
-    rows of the stack, as a single (n_w, d, d) @ (n_w, d, P) product's do."""
+    it is complex-linear within each wavevector.  A call lays the stack out
+    and makes one ``np.matmul(blocks, rows)``, batched over the paths and
+    the wavevectors: every path's product is its own, so its bits do not
+    depend on the other rows of the stack, as a single (n_w, d, d) @
+    (n_w, d, P) product's do."""
 
     def __init__(self, grid: Grid, linear, n: int, const: np.ndarray | None = None):
         nm, d = grid.nm, n * grid.nm
@@ -1000,24 +1001,17 @@ class WavevectorBlocks:
         unit[j, j // nm, :, :, j % nm] = 1.0
         out = linear(unit)
         self.grid = grid
+        self.n = n
         self.lead = out.shape[1:-3]
         self.blocks = np.ascontiguousarray(grid.wavevector_rows(out)[..., 0].transpose(1, 2, 0))
         self.const = None if const is None else grid.wavevector_rows(const[None])[0]
 
-    def scaled(self, factor: np.ndarray) -> "WavevectorBlocks":
-        """The operator with its output multiplied by ``factor``, an array that
-        broadcasts to (*lead, nkx, nky, nm), such as a sign or a mask."""
-        rows = self.grid.wavevector_rows(np.broadcast_to(factor, self.lead + self.grid.lam.shape)[None])[0]
-        out = object.__new__(WavevectorBlocks)
-        out.__dict__.update(vars(self), blocks=rows * self.blocks)
-        if self.const is not None:
-            out.const = rows * self.const
-        return out
-
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        """The operator on ``rows``, a stack in ``Grid.wavevector_rows`` layout
-        whose first n components it reads: a fresh (P, *lead, nkx, nky, nm)."""
-        out = np.matmul(self.blocks, rows[:, :, : self.blocks.shape[2]])
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        """The operator on the first n components of a stack (P, C, nkx, nky,
+        nm), laid out per wavevector (``Grid.wavevector_rows``): a fresh
+        (P, *lead, nkx, nky, nm)."""
+        rows = self.grid.wavevector_rows(coeffs[:, : self.n])
+        out = np.matmul(self.blocks, rows)
         if self.const is not None:
             out += self.const
         return self.grid.from_wavevector_rows(out, self.lead)

@@ -58,9 +58,9 @@ def test_divergent_forcing_gives_divergence_free_terms():
     assert divergence_residual(run_trajectory(cfg).final_state) <= 1e-14
 
 
-# smallnoise-888 projects its advection and its grid-evaluated noise; its forcing,
-# and example1-small's forcing and noise, come projected in their blocks
-@pytest.mark.parametrize("name,expected", [("smallnoise-888", 2), ("example1-small", 1), ("ou-single-mode", 0)])
+# smallnoise-888 and example1-small project their advection and their (untracked)
+# noise row; their forcing comes projected in its blocks
+@pytest.mark.parametrize("name,expected", [("smallnoise-888", 2), ("example1-small", 2), ("ou-single-mode", 0)])
 def test_step_projects_once_per_term(name, expected, monkeypatch):
     cfg = preset_cfg(name)
     stepper = Stepper(cfg, initial_state(cfg))

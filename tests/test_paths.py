@@ -549,11 +549,15 @@ def test_tracked_step_forms_the_k_columns_once(monkeypatch, preset, values, n, f
 
 
 def test_untracked_step_forms_the_weighted_row_only(monkeypatch):
-    stepper, c, dW = noise_step("smallnoise-888", track_ito=False)
+    # grid-evaluated transport (smallnoise-888), and constant phi and psi
+    # (example1-small), whose K columns from the blocks would cost more than the row
     weights = spy_sigma_weights(monkeypatch)
-    _, incr, cols = stepper.advance(c, np.ones(len(dW)), dW)
-    assert cols is None and len(weights) == 1
-    assert np.array_equal(weights[0], dW[:, None])
+    for preset in ("smallnoise-888", "example1-small"):
+        stepper, c, dW = noise_step(preset, track_ito=False)
+        weights.clear()
+        _, incr, cols = stepper.advance(c, np.ones(len(dW)), dW)
+        assert cols is None and len(weights) == 1
+        assert np.array_equal(weights[0], dW[:, None])
 
 
 def test_static_column_norms_give_the_ito_quadratic():

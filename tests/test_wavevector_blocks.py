@@ -63,7 +63,7 @@ def test_forcing_blocks_equal_forcing_coeffs(grid_small, name, forced):
     table = forcing_blocks(g, physics, F_U)
     assert table.blocks.shape == (g.nkx * g.nky, 3 * g.nm, 3 * g.nm)
     assert (table.const is None) == (not forced)
-    assert_close(table(g.wavevector_rows(c)), forcing_coeffs(g, c, physics, F_U))
+    assert_close(table(c), forcing_coeffs(g, c, physics, F_U))
 
 
 NOISES = {
@@ -86,7 +86,7 @@ def test_noise_blocks_equal_sigma_coeffs(grid_small, name, family, temperature):
     table = spec.column_blocks
     assert table.blocks.shape == (g.nkx * g.nky, spec.K * n * g.nm, n * g.nm)
     c = hermitian_stack(g, 4, 2)
-    cols = table(g.wavevector_rows(c))
+    cols = table(c)
     assert_close(cols, sigma_coeffs(spec, c))
     # the rows weighted by dW, as the step sums them
     dW = np.random.default_rng(3).standard_normal((4, spec.K))
@@ -106,18 +106,14 @@ def test_additive_zero_and_grid_noise_build_no_blocks(grid_small):
 
 
 def test_stepper_blocks_follow_the_configuration():
-    # example1-small: both blocks, the noise's masked on a cut
+    # example1-small: the forcing's blocks, and the noise's only when the step
+    # forms the K columns (an untracked step forms one weighted row instead)
     cfg = preset_cfg("example1-small")
     stepper = Stepper(cfg, initial_state(cfg))
-    assert stepper._noise_table is stepper.noise.column_blocks and stepper._forcing_table is not None
-    cut = preset_cfg("example1-small", **{"solver.n_galerkin": 47})
-    stepper = Stepper(cut, initial_state(cut))
-    g, n = stepper.grid, 2
-    dropped = ~stepper.mask[:n]
-    assert dropped.any()
-    c = hermitian_stack(g, 3, 4)
-    cols = stepper._noise_table(g.wavevector_rows(c))
-    assert not cols[:, :, dropped].any()
+    assert stepper._noise_table is None and stepper._forcing_table is not None
+    tracked = preset_cfg("example1-small", **{"solver.track_ito": True})
+    stepper = Stepper(tracked, initial_state(tracked))
+    assert stepper._noise_table is stepper.noise.column_blocks is not None
     # forcing only through F_U: the step keeps forcing_coeffs and no blocks
     forced = preset_cfg("ou-single-mode", **{"forcing.kind": "single-mode", "forcing.amplitude": 0.5})
     assert Stepper(forced, initial_state(forced))._forcing_table is None
